@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -76,15 +76,12 @@ class ClassificationResult:
     shares: Dict[str, float]  # group name -> fraction of population
 
     def to_summary_json(self) -> str:
-        sizes = {name: 0 for name in GROUP_NAMES}
-        for group in self.assignments.values():
-            sizes[group.name] += 1
         return json.dumps(
             {
                 "population": len(self.assignments),
                 "centroids": {axis: list(c) for axis, c in sorted(self.centroids.items())},
                 "shares": {name: self.shares[name] for name in GROUP_NAMES},
-                "sizes": sizes,
+                "sizes": group_sizes(self.assignments),
             },
             sort_keys=True,
             indent=2,
@@ -171,11 +168,8 @@ def classify_population(vectors: Sequence[MobilityVector]) -> ClassificationResu
         distance = LONG if dist_labels[i] == 1 else SHORT
         assignments[v.card_id] = MobilityGroup(exploration, connectivity, distance)
 
-    shares = {name: 0.0 for name in GROUP_NAMES}
-    for group in assignments.values():
-        shares[group.name] += 1.0
     population = len(assignments)
-    shares = {name: count / population for name, count in shares.items()}
+    shares = {name: count / population for name, count in group_sizes(assignments).items()}
     return ClassificationResult(
         assignments=assignments,
         centroids={"distance": dist_centroids, "connectivity": conn_centroids},
@@ -191,9 +185,7 @@ def group_shares(result: ClassificationResult) -> Dict[str, float]:
     """
     if not result.assignments:
         raise ValueError("no assignments to summarize")
-    sizes = {name: 0 for name in GROUP_NAMES}
-    for group in result.assignments.values():
-        sizes[group.name] += 1
+    sizes = group_sizes(result.assignments)
     population = len(result.assignments)
     exact_tenths = {name: 1000.0 * sizes[name] / population for name in GROUP_NAMES}
     floors = {name: int(exact_tenths[name]) for name in GROUP_NAMES}
@@ -206,9 +198,10 @@ def group_shares(result: ClassificationResult) -> Dict[str, float]:
     return {name: floors[name] / 10.0 for name in GROUP_NAMES}
 
 
-def group_sizes(result: ClassificationResult) -> Dict[str, int]:
+def group_sizes(assignments: Mapping[str, MobilityGroup]) -> Dict[str, int]:
+    """Members per group, every group in GROUP_NAMES order, empty ones as 0."""
     sizes = {name: 0 for name in GROUP_NAMES}
-    for group in result.assignments.values():
+    for group in assignments.values():
         sizes[group.name] += 1
     return sizes
 

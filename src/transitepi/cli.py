@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -18,17 +20,24 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import classify as classify_mod
 from .classify import (
     ClassificationResult,
     DegenerateClusteringError,
+    MobilityGroup,
     classify_population,
     group_shares,
-    group_sizes,
     read_assignments_csv,
     write_assignments_csv,
 )
-from .contacts import ExposureLog, build_exposure_log, connected_components, degree_distribution, write_histogram_csv
+from .contacts import (
+    DIRECT,
+    INDIRECT,
+    ExposureLog,
+    build_exposure_log,
+    connected_components,
+    degree_distribution,
+    write_histogram_csv,
+)
 from .flows import DataIntegrityError, GroupMatrix, chord_export, difference_matrix, group_flow_matrix, per_group_summary
 from .geo import get_model
 from .ingest import (
@@ -41,8 +50,8 @@ from .ingest import (
     trip_frequency_distribution,
     write_trip_csv,
 )
-from .mobility import DEFAULT_K, mobility_table, write_mobility_csv
-from .sim import InfectionEvent, SimConfig, SimOutcome, run_ensemble, write_infection_csv
+from .mobility import DEFAULT_K, MobilityVector, mobility_table, write_mobility_csv
+from .sim import INFECTION_CSV_HEADER, InfectionEvent, SimConfig, SimOutcome, run_ensemble, write_infection_csv
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -171,16 +180,32 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
-def _resolve_trips(spec: ExperimentSpec, staging: Optional[Path] = None) -> List[TripRecord]:
-    """Dataset path wins; otherwise synthesize (and persist when staging)."""
+def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> Tuple[List[TripRecord], List[str]]:
+    """The trips of cards with at least `min_trips` trips, and those cards sorted.
+
+    The dataset path wins; otherwise the trips are synthesized, and all of
+    them are written to `staging` when it is given.
+    """
     if spec.dataset:
-        return _load_trips(spec.dataset)
-    if spec.synth is None:
+        records = _load_trips(spec.dataset)
+    elif spec.synth is None:
         raise UsageError("no dataset: pass --input or a synth config")
-    _, records = synthesize(spec.synth)
-    if staging is not None:
-        write_trip_csv(records, staging / "trips.csv")
-    return records
+    else:
+        _, records = synthesize(spec.synth)
+        if staging is not None:
+            write_trip_csv(records, staging / "trips.csv")
+    filtered = filter_by_min_trips(records, spec.min_trips)
+    if not filtered:
+        raise DataIntegrityError(f"no passengers survive the {spec.min_trips}-trip threshold")
+    return filtered, sorted({r.card_id for r in filtered})
+
+
+def _classified(
+    trips: Sequence[TripRecord], log0: ExposureLog, spec: ExperimentSpec
+) -> Tuple[List[MobilityVector], ClassificationResult]:
+    """Mobility vectors from the trips and their d_t = 0 log, and the eight groups."""
+    vectors = mobility_table(trips, log0, k=spec.k, model=get_model(spec.distance_model))
+    return vectors, classify_population(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +249,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.population_csv:
         thresholds = [int(t) for t in (args.population_thresholds or "1,2,5,10,15,20,30").split(",")]
         curve = population_vs_threshold(records, thresholds)
-        import csv as _csv
-
         with open(args.population_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(["threshold", "population"])
             writer.writerows(curve)
     logger.info(
@@ -237,31 +260,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _classify_pipeline(
-    trips: Sequence[TripRecord], spec: ExperimentSpec
-) -> Tuple[List[TripRecord], ClassificationResult, ExposureLog, Dict[str, int]]:
-    """Shared front half: filter, contact log, mobility vectors, classification."""
-    filtered = filter_by_min_trips(trips, spec.min_trips)
-    if not filtered:
-        raise DataIntegrityError(f"no passengers survive the {spec.min_trips}-trip threshold")
-    exposures = build_exposure_log(filtered, 0.0)
-    model = get_model(spec.distance_model)
-    vectors = mobility_table(filtered, exposures, k=spec.k, model=model)
-    result = classify_population(vectors)
-    encounters = exposures.direct_encounter_counts()
-    return filtered, result, exposures, encounters
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    trips = _resolve_trips(spec)
-    filtered, result, exposures, _ = _classify_pipeline(trips, spec)
+    trips, population = _filtered_trips(spec, None)
+    vectors, result = _classified(trips, build_exposure_log(trips, 0.0, cards=population), spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
         Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
     if args.out_mobility:
-        model = get_model(spec.distance_model)
-        vectors = mobility_table(filtered, exposures, k=spec.k, model=model)
         write_mobility_csv(vectors, args.out_mobility)
     shares = group_shares(result)
     logger.info("classified %d passengers; shares: %s", len(result.assignments), shares)
@@ -274,21 +280,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _resolve_trips(spec)
-    filtered, result, base_log, encounters = _classify_pipeline(trips, spec)
-    population = sorted({r.card_id for r in filtered})
+    trips, population = _filtered_trips(spec, None)
+    log0 = build_exposure_log(trips, 0.0, cards=population)
+    _, result = _classified(trips, log0, spec)
     config = spec.sim_config()
-    exposures = base_log if config.d_t == 0.0 else build_exposure_log(filtered, config.d_t)
+    exposures = log0 if config.d_t == 0.0 else build_exposure_log(trips, config.d_t, cards=population)
     ensemble = run_ensemble(
-        filtered, config, exposures=exposures, population=population,
+        trips, config, exposures=exposures, population=population,
         progress=lambda i, n: logger.info("run %d/%d", i, n),
     )
     write_assignments_csv(result, out_dir / "assignments.csv")
     for outcome in ensemble.outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(ensemble.outcomes, result.assignments, encounters)
+    summary = per_group_summary(ensemble.outcomes, result.assignments, log0.direct_encounter_counts())
     summary.to_csv(out_dir / "group_summary.csv")
-    matrix = group_flow_matrix(ensemble.outcomes, result.assignments, group_sizes(result))
+    matrix = group_flow_matrix(ensemble.outcomes, result.assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
     chord_export(matrix, path=out_dir / "chord.json")
     payload = {
@@ -308,19 +314,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _matrices_for_dt(
+    exposures: ExposureLog,
     trips: Sequence[TripRecord],
     population: Sequence[str],
-    assignments,
-    sizes: Dict[str, int],
+    assignments: Dict[str, MobilityGroup],
     spec: ExperimentSpec,
     dt_minutes: float,
 ) -> Dict[float, GroupMatrix]:
-    exposures = build_exposure_log(list(trips), 60.0 * dt_minutes, cards=population)
+    """One flow matrix per beta on the log of suspension time `dt_minutes`."""
     out: Dict[float, GroupMatrix] = {}
     for beta in spec.beta_grid:
         config = spec.sim_config(beta=beta, dt_minutes=dt_minutes)
-        ensemble = run_ensemble(list(trips), config, exposures=exposures, population=population)
-        out[beta] = group_flow_matrix(ensemble.outcomes, assignments, sizes)
+        ensemble = run_ensemble(trips, config, exposures=exposures, population=population)
+        out[beta] = group_flow_matrix(ensemble.outcomes, assignments)
         logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt_minutes))
     return out
 
@@ -328,14 +334,11 @@ def _matrices_for_dt(
 def _matrices_for_dt_worker(payload) -> Tuple[float, Dict[float, List[List[float]]]]:
     """Process-pool entry: reload trips from CSV, return plain nested lists."""
     (trips_csv, assignment_rows, spec_dict, dt_minutes) = payload
-    spec = ExperimentSpec(**spec_dict)
-    trips = filter_by_min_trips(_load_trips(trips_csv), spec.min_trips)
-    population = sorted({r.card_id for r in trips})
-    assignments = {c: classify_mod.MobilityGroup.from_name(g) for c, g in assignment_rows}
-    sizes: Dict[str, int] = {name: 0 for name in classify_mod.GROUP_NAMES}
-    for g in assignments.values():
-        sizes[g.name] += 1
-    matrices = _matrices_for_dt(trips, population, assignments, sizes, spec, dt_minutes)
+    spec = ExperimentSpec(dataset=trips_csv, **spec_dict)
+    trips, population = _filtered_trips(spec, None)
+    assignments = {c: MobilityGroup.from_name(g) for c, g in assignment_rows}
+    exposures = build_exposure_log(trips, 60.0 * dt_minutes, cards=population)
+    matrices = _matrices_for_dt(exposures, trips, population, assignments, spec, dt_minutes)
     return dt_minutes, {beta: m.values.tolist() for beta, m in matrices.items()}
 
 
@@ -364,10 +367,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
-    trips = _resolve_trips(spec, staging=staging)
-    filtered, result, _, encounters = _classify_pipeline(trips, spec)
-    population = sorted({r.card_id for r in filtered})
-    sizes = group_sizes(result)
+    trips, population = _filtered_trips(spec, staging)
+    log0 = build_exposure_log(trips, 0.0, cards=population)
+    _, result = _classified(trips, log0, spec)
 
     artifacts: List[str] = []
     if (staging / "trips.csv").exists():
@@ -379,7 +381,8 @@ def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[st
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
     if workers > 1 and len(spec.dt_grid_minutes) > 1:
         # workers reload the dataset from disk: either the caller's CSV or
-        # the synthesized one staged by _resolve_trips
+        # the synthesized one staged by _filtered_trips; each builds its own log
+        log0 = None
         trips_csv = spec.dataset or str(staging / "trips.csv")
         spec_dict = {
             k: getattr(spec, k)
@@ -394,7 +397,12 @@ def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[st
                     matrices[(beta, dt)] = GroupMatrix(values=values)
     else:
         for dt in spec.dt_grid_minutes:
-            by_beta = _matrices_for_dt(filtered, population, result.assignments, sizes, spec, dt)
+            # the grid ascends, so only its first column can reuse the d_t = 0
+            # log; each log is released with its column, so two are never held
+            exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt, cards=population)
+            log0 = None
+            by_beta = _matrices_for_dt(exposures, trips, population, result.assignments, spec, dt)
+            del exposures
             for beta, matrix in by_beta.items():
                 matrices[(beta, dt)] = matrix
 
@@ -452,11 +460,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError("analyze needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _resolve_trips(spec)
-    filtered = filter_by_min_trips(trips, spec.min_trips)
+    trips, population = _filtered_trips(spec, None)
     assignments = read_assignments_csv(args.assignments)
-    exposures = build_exposure_log(filtered, 0.0)
-    encounters = exposures.direct_encounter_counts()
+    log0 = build_exposure_log(trips, 0.0, cards=population)
 
     events_dir = Path(args.events_dir)
     event_files = sorted(events_dir.glob("infections_run*.csv"))
@@ -464,16 +470,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
     outcomes = [_read_outcome_csv(path) for path in event_files]
 
-    summary = per_group_summary(outcomes, assignments, encounters)
+    summary = per_group_summary(outcomes, assignments, log0.direct_encounter_counts())
     summary.to_csv(out_dir / "group_summary.csv")
-    sizes: Dict[str, int] = {name: 0 for name in classify_mod.GROUP_NAMES}
-    for g in assignments.values():
-        sizes[g.name] += 1
-    matrix = group_flow_matrix(outcomes, assignments, sizes)
+    matrix = group_flow_matrix(outcomes, assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
     chord_export(matrix, path=out_dir / "chord.json")
-    comps = connected_components(exposures, cards={r.card_id for r in filtered})
-    write_histogram_csv(degree_distribution(exposures, {r.card_id for r in filtered}),
+    comps = connected_components(log0, cards=population)
+    write_histogram_csv(degree_distribution(log0, population),
                         out_dir / "degree_distribution.csv", value_name="degree")
     (out_dir / "components.json").write_text(
         json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
@@ -483,14 +486,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _read_outcome_csv(path: Path) -> SimOutcome:
-    import csv as _csv
-
+    """One stored run's infection events; any malformed line is a data error."""
     events: List[InfectionEvent] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        next(reader)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != INFECTION_CSV_HEADER:
+            raise DataIntegrityError(
+                f"{path}:1: expected header {','.join(INFECTION_CSV_HEADER)}, got {header!r}"
+            )
         for row in reader:
-            events.append(InfectionEvent(row[0], row[1], float(row[2]), row[3], row[4]))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(INFECTION_CSV_HEADER):
+                raise DataIntegrityError(f"{where}: expected {len(INFECTION_CSV_HEADER)} fields, got {len(row)}")
+            infector, infectee, time_text, vehicle_id, kind = row
+            try:
+                time = float(time_text)
+            except ValueError:
+                time = math.nan
+            if not math.isfinite(time):
+                raise DataIntegrityError(f"{where}: time {time_text!r} is not a finite number")
+            if kind not in (DIRECT, INDIRECT):
+                raise DataIntegrityError(f"{where}: kind {kind!r} is neither {DIRECT} nor {INDIRECT}")
+            events.append(InfectionEvent(infector, infectee, time, vehicle_id, kind))
     return SimOutcome(
         infection_events=events,
         encounter_log={},

@@ -69,56 +69,6 @@ def build_presence_intervals(records: Sequence[TripRecord]) -> Dict[str, List[Pr
     return timelines
 
 
-def extract_exposures(
-    timelines: Dict[str, List[PresenceInterval]],
-    source: PresenceInterval,
-    d_t: float,
-) -> List[ExposureEvent]:
-    """Exposure events caused by one source presence.
-
-    Every other passenger on the same vehicle whose presence intersects
-    [enter, exit + d_t] yields one event; those overlapping the presence
-    itself are direct, later boarders within the suspension window are
-    indirect.
-    """
-    if d_t < 0:
-        raise ValueError(f"d_t must be >= 0, got {d_t}")
-    events: List[ExposureEvent] = []
-    a, b = source.enter, source.exit
-    for other in timelines.get(source.vehicle_id, ()):
-        if other.card_id == source.card_id:
-            continue
-        c, d = other.enter, other.exit
-        if d >= a and c <= b:
-            events.append(
-                ExposureEvent(
-                    source=source.card_id,
-                    target=other.card_id,
-                    vehicle_id=source.vehicle_id,
-                    exposure_start=max(a, c),
-                    exposure_end=min(b, d),
-                    kind=DIRECT,
-                    source_enter=a,
-                    source_exit=b,
-                )
-            )
-        elif b < c <= b + d_t:
-            events.append(
-                ExposureEvent(
-                    source=source.card_id,
-                    target=other.card_id,
-                    vehicle_id=source.vehicle_id,
-                    exposure_start=c,
-                    exposure_end=min(d, b + d_t),
-                    kind=INDIRECT,
-                    source_enter=a,
-                    source_exit=b,
-                )
-            )
-    events.sort(key=lambda e: (e.exposure_start, e.source, e.target))
-    return events
-
-
 class ExposureLog:
     """Column-wise store of all exposure events for one suspension time.
 

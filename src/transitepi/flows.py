@@ -12,11 +12,11 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .classify import GROUP_NAMES, MobilityGroup
+from .classify import GROUP_NAMES, MobilityGroup, group_sizes
 from .sim import SimOutcome
 
 logger = logging.getLogger(__name__)
@@ -54,9 +54,6 @@ class GroupMatrix:
         i = self.groups.index(source)
         j = self.groups.index(target)
         return float(self.values[i, j])
-
-    def row_sums(self) -> Dict[str, float]:
-        return {g: float(self.values[i].sum()) for i, g in enumerate(self.groups)}
 
     def to_csv(self, path, precision: int = 9) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -159,10 +156,9 @@ def per_group_summary(
     runs = _as_outcome_list(outcomes)
     if not runs:
         raise ValueError("no outcomes to summarize")
-    populations = {name: 0 for name in GROUP_NAMES}
+    populations = group_sizes(assignments)
     enc_totals = {name: 0.0 for name in GROUP_NAMES}
     for card, group in assignments.items():
-        populations[group.name] += 1
         enc_totals[group.name] += encounters_by_card.get(card, 0)
 
     sent = {name: 0.0 for name in GROUP_NAMES}
@@ -187,21 +183,18 @@ def per_group_summary(
 def group_flow_matrix(
     outcomes: Union[SimOutcome, Sequence[SimOutcome]],
     assignments: Mapping[str, MobilityGroup],
-    group_sizes: Optional[Mapping[str, int]] = None,
 ) -> GroupMatrix:
     """Average infections one member of the row group causes in the column group.
 
     Entry (i, j) is the run-averaged count of events with infector in group i
-    and infectee in group j, divided by the population of group i.  Rows for
-    empty groups are zero (with a warning) rather than undefined.
+    and infectee in group j, divided by the number of group-i cards in
+    `assignments`.  Rows for empty groups are zero (with a warning) rather
+    than undefined.
     """
     runs = _as_outcome_list(outcomes)
     if not runs:
         raise ValueError("no outcomes to aggregate")
-    if group_sizes is None:
-        group_sizes = {name: 0 for name in GROUP_NAMES}
-        for group in assignments.values():
-            group_sizes[group.name] = group_sizes.get(group.name, 0) + 1
+    sizes = group_sizes(assignments)
     pos = {name: i for i, name in enumerate(GROUP_NAMES)}
     counts = np.zeros((len(GROUP_NAMES), len(GROUP_NAMES)), dtype=float)
     for outcome in runs:
@@ -212,7 +205,7 @@ def group_flow_matrix(
     counts /= len(runs)
     values = np.zeros_like(counts)
     for name, i in pos.items():
-        size = group_sizes.get(name, 0)
+        size = sizes[name]
         if size == 0:
             if counts[i].any():
                 raise DataIntegrityError(f"events from empty group {name!r}")

@@ -7,8 +7,10 @@ stream is fatal.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -127,9 +129,10 @@ class _TimeColumn:
 
 def _parse_epoch(text: str) -> Optional[float]:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 def _parse_iso(text: str) -> Optional[float]:
@@ -237,19 +240,21 @@ def filter_by_min_trips(records: Sequence[TripRecord], threshold: int) -> List[T
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
+    counts = _trips_per_card(records)
+    return [rec for rec in records if counts[rec.card_id] >= threshold]
+
+
+def _trips_per_card(records: Sequence[TripRecord]) -> Dict[str, int]:
     counts: Dict[str, int] = {}
     for rec in records:
         counts[rec.card_id] = counts.get(rec.card_id, 0) + 1
-    return [rec for rec in records if counts[rec.card_id] >= threshold]
+    return counts
 
 
 def trip_frequency_distribution(records: Sequence[TripRecord]) -> Dict[int, int]:
     """Histogram of trips-per-card: {trip count -> number of cards}."""
-    counts: Dict[str, int] = {}
-    for rec in records:
-        counts[rec.card_id] = counts.get(rec.card_id, 0) + 1
     hist: Dict[int, int] = {}
-    for n in counts.values():
+    for n in _trips_per_card(records).values():
         hist[n] = hist.get(n, 0) + 1
     return hist
 
@@ -265,22 +270,9 @@ def population_vs_threshold(
     for a, b in zip(thresholds, thresholds[1:]):
         if not a < b:
             raise ValueError(f"thresholds must be strictly increasing, got {a} before {b}")
-    counts: Dict[str, int] = {}
-    for rec in records:
-        counts[rec.card_id] = counts.get(rec.card_id, 0) + 1
-    values = sorted(counts.values())
-    out: List[Tuple[int, int]] = []
-    for t in thresholds:
-        # number of cards with count >= t
-        lo, hi = 0, len(values)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if values[mid] < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        out.append((t, len(values) - lo))
-    return out
+    values = sorted(_trips_per_card(records).values())
+    # cards with count >= t are those right of the leftmost insertion point
+    return [(t, len(values) - bisect.bisect_left(values, t)) for t in thresholds]
 
 
 def write_trip_csv(records: Iterable[TripRecord], path: Union[str, Path]) -> None:

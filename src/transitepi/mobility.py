@@ -105,17 +105,6 @@ def k_radius_of_gyration(profile: VisitProfile, k: int = DEFAULT_K, model=HAVERS
     return radius_of_gyration(sub, model)
 
 
-def encounter_count(card_id: str, exposures) -> int:
-    """Number of direct co-presence episodes this card experienced.
-
-    The same pair meeting on separate trips counts once per episode.
-    `exposures` is an ExposureLog built with suspension time zero (or any
-    log; only its direct events are counted).
-    """
-    counts = exposures.direct_encounter_counts()
-    return counts.get(card_id, 0)
-
-
 def mobility_table(
     records: Sequence[TripRecord],
     exposures,
@@ -124,8 +113,9 @@ def mobility_table(
 ) -> List[MobilityVector]:
     """Assemble MobilityVectors for every card in `records`.
 
-    `exposures` supplies the direct-encounter counts (see encounter_count).
-    Output is sorted by card id.
+    `exposures` supplies the direct-encounter counts: the number of direct
+    co-presence episodes per card, so a pair meeting on separate trips
+    counts once per episode.  Output is sorted by card id.
     """
     by_card: Dict[str, List[TripRecord]] = {}
     for rec in records:

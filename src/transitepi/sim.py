@@ -4,8 +4,12 @@ Seeds are drawn uniformly without replacement and are infectious from the
 simulation start.  Transmission through an exposure is decided by a single
 Bernoulli(beta) trial whose uniform draw is keyed by the exposure identity
 (source, target, vehicle, window) and the run, not by evaluation order.
-Keyed draws make runs reproducible and give the coupled-randomness
-guarantee: for a fixed run, raising beta can only add transmissions.
+Keyed draws make runs reproducible and couple the betas of one run: the
+trial is `u < beta` on the same u, so an exposure that transmits at some
+beta also transmits at every higher beta whenever its source is infectious
+then.  Infected sets need not nest across beta (or d_t): an earlier
+infection also recovers earlier, so it can miss a later exposure through
+which the lower-beta run passed the infection on.
 
 Transmission requires the source to be infectious at the right moment:
 
@@ -44,6 +48,7 @@ RECOVERED = "R"
 DEFAULT_SEEDS = 500
 DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
 DEFAULT_RUNS = 100
+INFECTION_CSV_HEADER = ["infector", "infectee", "time", "vehicle_id", "kind"]
 
 
 @dataclass
@@ -384,6 +389,6 @@ def write_infection_csv(outcome: SimOutcome, path) -> None:
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["infector", "infectee", "time", "vehicle_id", "kind"])
+        writer.writerow(INFECTION_CSV_HEADER)
         for e in outcome.infection_events:
             writer.writerow([e.infector, e.infectee, repr(e.time), e.vehicle_id, e.kind])

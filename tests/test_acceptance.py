@@ -115,7 +115,7 @@ def test_criterion_2_classification():
             ]
             result = te.classify_population(vectors)
             assert set(result.assignments) == {v.card_id for v in vectors}
-            assert sum(group_sizes(result).values()) == 500
+            assert sum(group_sizes(result.assignments).values()) == 500
             assert sum(result.shares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -233,9 +233,9 @@ def test_criterion_5_conservation_attribution_flows():
             assert set(inbound) == outcome.infected_set - set(outcome.seeds)
 
         encounters = log.direct_encounter_counts()
-        sizes = group_sizes(result)
+        sizes = group_sizes(result.assignments)
         summary = te.per_group_summary(ensemble.outcomes, result.assignments, encounters)
-        matrix = te.group_flow_matrix(ensemble.outcomes, result.assignments, sizes)
+        matrix = te.group_flow_matrix(ensemble.outcomes, result.assignments)
         names = matrix.groups
         for i, name in enumerate(names):
             assert matrix.values[i].sum() == pytest.approx(
@@ -275,7 +275,7 @@ def test_criterion_6_desk_scale_reproduction():
         log0 = te.build_exposure_log(records, 0.0)
         vectors = te.mobility_table(records, log0)
         result = te.classify_population(vectors)
-        sizes = group_sizes(result)
+        sizes = group_sizes(result.assignments)
 
         # (a) every group populated
         assert all(sizes[name] > 0 for name in te.GROUP_NAMES), sizes
@@ -296,8 +296,8 @@ def test_criterion_6_desk_scale_reproduction():
         log30 = te.build_exposure_log(records, 30 * 60.0, cards=population)
         sim_cfg30 = te.SimConfig(beta=1.0, d_t=30 * 60.0, n_seeds=50, n_runs=20, master_seed=0)
         ensemble30 = te.run_ensemble(records, sim_cfg30, exposures=log30, population=population)
-        m0 = te.group_flow_matrix(ensemble0.outcomes, result.assignments, sizes)
-        m30 = te.group_flow_matrix(ensemble30.outcomes, result.assignments, sizes)
+        m0 = te.group_flow_matrix(ensemble0.outcomes, result.assignments)
+        m30 = te.group_flow_matrix(ensemble30.outcomes, result.assignments)
         diff = te.difference_matrix(m0, m30)
         anti = te.difference_matrix(m30, m0)
         assert np.array_equal(diff.values, -anti.values)

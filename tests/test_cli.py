@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from transitepi import cli
 from transitepi.cli import main
 from transitepi.flows import GroupMatrix
 from transitepi.ingest import parse_trip_records
@@ -251,6 +252,39 @@ class TestSweep:
         assert manifest["parameters"]["n_seeds"] == 5
 
 
+class TestFrontHalfOnce:
+    """Each front-half stage runs once per command, however many outputs use it."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {"mobility_table": 0, "build_exposure_log": 0}
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        return calls
+
+    def test_classify_builds_one_mobility_table(self, tmp_path, trips_csv, calls):
+        code = main([
+            "classify", "--input", trips_csv, "--out-assignments", str(tmp_path / "a.csv"),
+            "--out-mobility", str(tmp_path / "mob.csv"), "--min-trips", "10",
+        ])
+        assert code == 0
+        assert calls == {"mobility_table": 1, "build_exposure_log": 1}
+
+    def test_sweep_builds_one_log_per_dt(self, tmp_path, trips_csv, calls):
+        code = main([
+            "sweep", "--input", trips_csv, "--beta-grid", "1", "--dt-grid-minutes", "0,15",
+            "--seeds", "5", "--runs", "1", "--min-trips", "10", "--out-dir", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        assert calls["build_exposure_log"] == 2
+
+
 class TestAnalyze:
     def test_reaggregates_simulation_outputs(self, tmp_path, trips_csv):
         sim_dir = tmp_path / "sim"
@@ -271,3 +305,27 @@ class TestAnalyze:
         assert (matrix.values == reference.values).all()
         chord = json.loads((out_dir / "chord.json").read_text())
         assert len(chord["flows"]) == 64
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ("infector,infectee,time\n", 1),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0\n", 2),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,inf,v,direct\n", 3),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,airborne\n", 2),
+        ],
+        ids=["header", "short-row", "non-finite-time", "unknown-kind"],
+    )
+    def test_malformed_infection_log_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
+        events_dir = tmp_path / "events"
+        events_dir.mkdir()
+        (events_dir / "infections_run000.csv").write_text(content)
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text("card_id,group\n")
+        code = main([
+            "analyze", "--input", trips_csv, "--min-trips", "10",
+            "--assignments", str(assignments), "--events-dir", str(events_dir),
+            "--out-dir", str(tmp_path / "analysis"),
+        ])
+        assert code == 2
+        assert f"infections_run000.csv:{line}:" in caplog.text

@@ -16,7 +16,6 @@ from transitepi.contacts import (
     build_presence_intervals,
     connected_components,
     degree_distribution,
-    extract_exposures,
 )
 
 T0 = 36_000.0  # 10:00
@@ -56,12 +55,15 @@ class TestPresenceIntervals:
             PresenceInterval("A", "v", 10.0, 10.0)
 
 
+def events_of(records, d_t: float, source: str):
+    """The log's events whose source is `source`, in canonical order."""
+    return [e for e in build_exposure_log(records, d_t).events() if e.source == source]
+
+
 class TestExtractExposures:
     def test_overlap_is_direct_with_clipped_window(self):
         records = [trip("A", "v", T0, T0 + minutes(20)), trip("B", "v", T0 + minutes(10), T0 + minutes(30))]
-        timelines = build_presence_intervals(records)
-        source = timelines["v"][0]
-        events = extract_exposures(timelines, source, 0.0)
+        events = events_of(records, 0.0, "A")
         assert len(events) == 1
         e = events[0]
         assert (e.source, e.target, e.kind) == ("A", "B", DIRECT)
@@ -70,9 +72,7 @@ class TestExtractExposures:
 
     def test_later_boarder_within_suspension_is_indirect(self):
         records = [trip("A", "v", T0, T0 + minutes(10)), trip("B", "v", T0 + minutes(15), T0 + minutes(25))]
-        timelines = build_presence_intervals(records)
-        source = timelines["v"][0]
-        events = extract_exposures(timelines, source, minutes(15))
+        events = events_of(records, minutes(15), "A")
         assert len(events) == 1
         e = events[0]
         assert (e.source, e.target, e.kind) == ("A", "B", INDIRECT)
@@ -81,17 +81,15 @@ class TestExtractExposures:
 
     def test_disjoint_without_suspension_no_event(self):
         records = [trip("A", "v", T0, T0 + minutes(10)), trip("B", "v", T0 + minutes(15), T0 + minutes(25))]
-        timelines = build_presence_intervals(records)
-        assert extract_exposures(timelines, timelines["v"][0], 0.0) == []
+        assert events_of(records, 0.0, "A") == []
 
     def test_no_self_exposure(self):
         records = [trip("A", "v", 0, 100), trip("A", "v", 50, 150)]
-        timelines = build_presence_intervals(records)
-        assert extract_exposures(timelines, timelines["v"][0], 0.0) == []
+        assert events_of(records, 0.0, "A") == []
 
     def test_negative_suspension_rejected(self):
         with pytest.raises(ValueError):
-            extract_exposures({}, PresenceInterval("A", "v", 0, 1), -1.0)
+            build_exposure_log([trip("A", "v", 0, 1)], -1.0)
 
 
 def random_records(seed: int, n: int = 80, cards: int = 12, vehicles: int = 4):

@@ -108,7 +108,7 @@ class TestFlowMatrix:
             for r in range(4)
         ]
         sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix(runs, assignments, sizes)
+        matrix = group_flow_matrix(runs, assignments)
         summary = per_group_summary(runs, assignments, {})
         for i, name in enumerate(GROUP_NAMES):
             assert matrix.values[i].sum() == pytest.approx(
@@ -130,7 +130,7 @@ class TestFlowMatrix:
         assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(321)]
         sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix(outcome(events), assignments, sizes)
+        matrix = group_flow_matrix(outcome(events), assignments)
         total = sum(
             matrix.values[i, j] * sizes[gi]
             for i, gi in enumerate(GROUP_NAMES)

@@ -52,6 +52,16 @@ class TestParse:
         assert report.total_rows == 5
         assert report.rejected_by_reason == {"bad timestamp": 1}
 
+    @pytest.mark.parametrize(
+        "board, alight",
+        [("100", "inf"), ("100", "1e400"), ("inf", "200"), ("nan", "200"), ("100", "nan")],
+    )
+    def test_non_finite_timestamp_is_bad_timestamp(self, board, alight):
+        rows = [row(card="ok"), row(card="bad", board=board, alight=alight)]
+        records, report = parse_text("\n".join([HEADER] + rows) + "\n")
+        assert [r.card_id for r in records] == ["ok"]
+        assert report.rejected_by_reason == {"bad timestamp": 1}
+
     def test_missing_column_is_fatal(self):
         header = HEADER.replace("alight_time,", "")
         with pytest.raises(SchemaError, match="alight_time"):

@@ -12,7 +12,6 @@ from transitepi.ingest import StopRef
 from transitepi.mobility import (
     VisitProfile,
     build_visit_profile,
-    encounter_count,
     k_radius_of_gyration,
     mobility_table,
     radius_of_gyration,
@@ -177,8 +176,8 @@ class TestEncounterCount:
     def test_single_overlap(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 50, 150)]
         log = build_exposure_log(records, 0.0)
-        assert encounter_count("A", log) == 1
-        assert encounter_count("B", log) == 1
+        assert log.direct_encounter_counts().get("A", 0) == 1
+        assert log.direct_encounter_counts().get("B", 0) == 1
 
     def test_three_separate_overlaps_count_thrice(self):
         records = []
@@ -187,7 +186,7 @@ class TestEncounterCount:
             records.append(trip("A", "v", base, base + 100))
             records.append(trip("B", "v", base + 50, base + 150))
         log = build_exposure_log(records, 0.0)
-        assert encounter_count("A", log) == 3
+        assert log.direct_encounter_counts().get("A", 0) == 3
 
     def test_matches_quadratic_oracle(self):
         from oracles import direct_degree_quadratic
@@ -204,7 +203,7 @@ class TestEncounterCount:
             [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records]
         )
         for card in {r.card_id for r in records}:
-            assert encounter_count(card, log) == oracle.get(card, 0)
+            assert log.direct_encounter_counts().get(card, 0) == oracle.get(card, 0)
 
 
 def test_mobility_table_is_sorted_and_complete():
