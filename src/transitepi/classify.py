@@ -206,25 +206,38 @@ def group_sizes(assignments: Mapping[str, MobilityGroup]) -> Dict[str, int]:
     return sizes
 
 
+ASSIGNMENTS_CSV_HEADER = ["card_id", "group"]
+
+
 def write_assignments_csv(result: ClassificationResult, path) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["card_id", "group"])
+        writer.writerow(ASSIGNMENTS_CSV_HEADER)
         for card_id in sorted(result.assignments):
             writer.writerow([card_id, result.assignments[card_id].name])
 
 
 def read_assignments_csv(path) -> Dict[str, MobilityGroup]:
+    """Card -> group; any malformed line raises ValueError naming `file:line`."""
     import csv
 
     out: Dict[str, MobilityGroup] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["card_id", "group"]:
-            raise ValueError(f"not an assignments file: header {header!r}")
+        header = next(reader, None)
+        if header != ASSIGNMENTS_CSV_HEADER:
+            raise ValueError(f"{path}:1: expected header {','.join(ASSIGNMENTS_CSV_HEADER)}, got {header!r}")
         for row in reader:
-            out[row[0]] = MobilityGroup.from_name(row[1])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(ASSIGNMENTS_CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(ASSIGNMENTS_CSV_HEADER)} fields, got {len(row)}")
+            card_id, name = row
+            if card_id in out:
+                raise ValueError(f"{where}: card {card_id!r} is listed twice")
+            try:
+                out[card_id] = MobilityGroup.from_name(name)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     return out

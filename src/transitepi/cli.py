@@ -110,13 +110,24 @@ class ExperimentSpec:
     def from_json_file(cls, path) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        _check_keys(path, "spec", data, cls.__dataclass_fields__)
         synth = data.pop("synth", None)
-        spec = cls(**{k: v for k, v in data.items() if k in cls.__dataclass_fields__})
+        spec = cls(**data)
         if synth is not None:
+            _check_keys(path, "synth", synth, SynthConfig.__dataclass_fields__)
             spec.synth = SynthConfig.from_dict(synth)
         spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
         spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
         return spec
+
+
+def _check_keys(path, what: str, data, fields) -> None:
+    """A spec section must be a JSON object naming only known fields."""
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: {what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise UsageError(f"{path}: unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 def _fmt_num(x: float) -> str:
@@ -509,12 +520,7 @@ def _read_outcome_csv(path: Path) -> SimOutcome:
             if kind not in (DIRECT, INDIRECT):
                 raise DataIntegrityError(f"{where}: kind {kind!r} is neither {DIRECT} nor {INDIRECT}")
             events.append(InfectionEvent(infector, infectee, time, vehicle_id, kind))
-    return SimOutcome(
-        infection_events=events,
-        encounter_log={},
-        final_state={},
-        per_run_seed=-1,
-    )
+    return SimOutcome(infection_events=events, final_state={}, per_run_seed=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,34 @@
-"""Vehicle presence timelines and exposure extraction.
+"""Exposure extraction from the rides on each vehicle.
 
-Two exposure kinds are produced for a source presence [a, b] on a vehicle:
+Each trip is one ride [a, b] on a vehicle.  Two exposure kinds are produced
+for a source ride [a, b]:
 
   * direct: another passenger is on the vehicle at the same time; their
-    presence overlaps [a, b].  Direct exposure is symmetric, so each
+    ride overlaps [a, b].  Direct exposure is symmetric, so each
     co-presence episode yields two directed events.
   * indirect: pathogens deposited during [a, b] persist on the vehicle for a
-    suspension time d_t after the source alights; a passenger whose presence
-    intersects (b, b + d_t] is exposed.  Indirect exposure is directed
-    forward in time only.
+    suspension time d_t after the source alights; a passenger who boards
+    in (b, b + d_t] is exposed.  Indirect exposure is directed forward in
+    time only.
+
+`build_exposure_log` sorts the rides once by (vehicle, enter, exit, card).
+Ride i then meets exactly the later rides j of its vehicle that board by
+exit_i + d_t, a contiguous run found by one `searchsorted`; the pair is
+direct when exit_i >= enter_j and indirect otherwise, and pairs of one card
+are dropped.
 
 Events are stored column-wise (numpy arrays) because realistic months yield
 millions of them; `ExposureLog.events()` materializes dataclasses on demand.
-Each event also carries the source presence interval that deposited the
-pathogens, which downstream code needs to decide whether the source was
-infectious at deposition time.
+Each event also carries the source ride that deposited the pathogens, which
+downstream code needs to decide whether the source was infectious at
+deposition time.
 """
 
 from __future__ import annotations
 
-import array
 import csv
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,18 +36,6 @@ from .ingest import TripRecord
 
 DIRECT = "direct"
 INDIRECT = "indirect"
-
-
-@dataclass(frozen=True)
-class PresenceInterval:
-    card_id: str
-    vehicle_id: str
-    enter: float
-    exit: float
-
-    def __post_init__(self) -> None:
-        if not self.enter < self.exit:
-            raise ValueError(f"presence must have enter < exit, got [{self.enter}, {self.exit}]")
 
 
 @dataclass(frozen=True)
@@ -57,24 +50,15 @@ class ExposureEvent:
     source_exit: float
 
 
-def build_presence_intervals(records: Sequence[TripRecord]) -> Dict[str, List[PresenceInterval]]:
-    """One presence interval per trip, grouped by vehicle, sorted by entry."""
-    timelines: Dict[str, List[PresenceInterval]] = {}
-    for rec in records:
-        timelines.setdefault(rec.vehicle_id, []).append(
-            PresenceInterval(rec.card_id, rec.vehicle_id, rec.board_time, rec.alight_time)
-        )
-    for intervals in timelines.values():
-        intervals.sort(key=lambda p: (p.enter, p.exit, p.card_id))
-    return timelines
-
-
 class ExposureLog:
     """Column-wise store of all exposure events for one suspension time.
 
-    Canonical order: exposure_start, then source id, then target id, then
-    exposure_end, then vehicle id.  Card and vehicle ids are mapped to dense
-    indices over the id-sorted vocabularies, so index order equals id order.
+    Rows are stored grouped by source: sorted by source index, then
+    exposure_start, then target index, the order in which the simulator
+    scans one source's exposures.  `events()` yields them in the canonical
+    order instead: exposure_start, source id, target id, exposure_end,
+    vehicle id.  Card and vehicle ids are mapped to dense indices over the
+    id-sorted vocabularies, so index order equals id order.
     """
 
     def __init__(
@@ -106,107 +90,9 @@ class ExposureLog:
     def __len__(self) -> int:
         return int(self.src.size)
 
-    @property
-    def n_direct(self) -> int:
-        return int(np.count_nonzero(self.direct))
-
-    @property
-    def n_indirect(self) -> int:
-        return len(self) - self.n_direct
-
-    @classmethod
-    def build(
-        cls,
-        timelines: Dict[str, List[PresenceInterval]],
-        d_t: float,
-        cards: Optional[Sequence[str]] = None,
-    ) -> "ExposureLog":
-        """Sweep every vehicle timeline and collect all exposure events.
-
-        `cards` optionally fixes the card vocabulary (useful to include
-        passengers that never share a vehicle); by default it is inferred
-        from the timelines.
-        """
-        if d_t < 0:
-            raise ValueError(f"d_t must be >= 0, got {d_t}")
-        seen = set()
-        for intervals in timelines.values():
-            for p in intervals:
-                seen.add(p.card_id)
-        cards = sorted(seen if cards is None else seen | set(cards))
-        card_index = {c: i for i, c in enumerate(cards)}
-        vehicles = sorted(timelines)
-        veh_index = {v: i for i, v in enumerate(vehicles)}
-
-        # staged in compact typed arrays; months of data yield millions of rows
-        src = array.array("i")
-        tgt = array.array("i")
-        veh = array.array("i")
-        start = array.array("d")
-        end = array.array("d")
-        s_enter = array.array("d")
-        s_exit = array.array("d")
-        direct = array.array("b")
-
-        for vehicle_id in vehicles:
-            vi = veh_index[vehicle_id]
-            intervals = timelines[vehicle_id]
-            # active: intervals whose suspension window can still reach the
-            # sweep position, keyed by insertion id
-            active: Dict[int, Tuple[float, float, int]] = {}
-            retire: List[Tuple[float, int]] = []  # min-heap of (exit + d_t, key)
-
-            for key, p in enumerate(intervals):
-                c, d = p.enter, p.exit
-                k_idx = card_index[p.card_id]
-                while retire and retire[0][0] < c:
-                    _, dead = heapq.heappop(retire)
-                    active.pop(dead, None)
-                for a, b, i_idx in active.values():
-                    if i_idx == k_idx:
-                        continue
-                    if b >= c:
-                        # co-presence: both directions
-                        w_end = min(b, d)
-                        src.append(i_idx); tgt.append(k_idx); veh.append(vi)
-                        start.append(c); end.append(w_end)
-                        s_enter.append(a); s_exit.append(b); direct.append(1)
-                        src.append(k_idx); tgt.append(i_idx); veh.append(vi)
-                        start.append(c); end.append(w_end)
-                        s_enter.append(c); s_exit.append(d); direct.append(1)
-                    else:
-                        # b < c <= b + d_t: suspended pathogens only
-                        src.append(i_idx); tgt.append(k_idx); veh.append(vi)
-                        start.append(c); end.append(min(d, b + d_t))
-                        s_enter.append(a); s_exit.append(b); direct.append(0)
-                active[key] = (c, d, k_idx)
-                heapq.heappush(retire, (d + d_t, key))
-
-        src_a = np.frombuffer(src, dtype=np.int32) if src else np.empty(0, np.int32)
-        tgt_a = np.frombuffer(tgt, dtype=np.int32) if tgt else np.empty(0, np.int32)
-        veh_a = np.frombuffer(veh, dtype=np.int32) if veh else np.empty(0, np.int32)
-        start_a = np.frombuffer(start, dtype=np.float64) if start else np.empty(0)
-        end_a = np.frombuffer(end, dtype=np.float64) if end else np.empty(0)
-        s_enter_a = np.frombuffer(s_enter, dtype=np.float64) if s_enter else np.empty(0)
-        s_exit_a = np.frombuffer(s_exit, dtype=np.float64) if s_exit else np.empty(0)
-        direct_a = (np.frombuffer(direct, dtype=np.int8) if direct else np.empty(0, np.int8)).astype(bool)
-        order = np.lexsort((veh_a, end_a, tgt_a, src_a, start_a))
-        return cls(
-            cards,
-            vehicles,
-            src_a[order],
-            tgt_a[order],
-            veh_a[order],
-            start_a[order],
-            end_a[order],
-            s_enter_a[order],
-            s_exit_a[order],
-            direct_a[order],
-            d_t,
-        )
-
     def events(self) -> Iterator[ExposureEvent]:
-        for i in range(len(self)):
+        """All events in canonical order."""
+        for i in np.lexsort((self.veh, self.end, self.tgt, self.src, self.start)):
             yield ExposureEvent(
                 source=self.cards[self.src[i]],
                 target=self.cards[self.tgt[i]],
@@ -223,23 +109,64 @@ class ExposureLog:
         counts = np.bincount(self.src[self.direct], minlength=len(self.cards))
         return {card: int(counts[i]) for i, card in enumerate(self.cards) if counts[i]}
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "target", "vehicle_id", "start", "end", "kind"])
-            for e in self.events():
-                writer.writerow(
-                    [e.source, e.target, e.vehicle_id, repr(e.exposure_start), repr(e.exposure_end), e.kind]
-                )
-
 
 def build_exposure_log(
     records: Sequence[TripRecord], d_t: float, cards: Optional[Sequence[str]] = None
 ) -> ExposureLog:
-    """Convenience: records -> timelines -> ExposureLog."""
-    if cards is None:
-        cards = sorted({r.card_id for r in records})
-    return ExposureLog.build(build_presence_intervals(records), d_t, cards=cards)
+    """All exposure events among `records` for suspension time `d_t`.
+
+    `cards` optionally widens the card vocabulary (useful to include
+    passengers that never share a vehicle); by default it is the cards of
+    the records.
+    """
+    if d_t < 0:
+        raise ValueError(f"d_t must be >= 0, got {d_t}")
+    cards = sorted({r.card_id for r in records}.union(() if cards is None else cards))
+    vehicles = sorted({r.vehicle_id for r in records})
+    card_index = {c: i for i, c in enumerate(cards)}
+    veh_index = {v: i for i, v in enumerate(vehicles)}
+    n = len(records)
+    card = np.fromiter((card_index[r.card_id] for r in records), np.int32, n)
+    veh = np.fromiter((veh_index[r.vehicle_id] for r in records), np.int32, n)
+    enter = np.fromiter((r.board_time for r in records), np.float64, n)
+    exit_ = np.fromiter((r.alight_time for r in records), np.float64, n)
+    bad = np.flatnonzero(~(enter < exit_))
+    if bad.size:
+        raise ValueError(f"a ride must have enter < exit, got [{enter[bad[0]]}, {exit_[bad[0]]}]")
+
+    order = np.lexsort((card, exit_, enter, veh))
+    card, veh, enter, exit_ = card[order], veh[order], enter[order], exit_[order]
+    # ride i meets rides i+1 .. hi[i]-1: the later rides of its vehicle that
+    # board no later than exit_i + d_t
+    hi = np.empty(n, np.int64)
+    reach = exit_ + d_t
+    vbounds = np.searchsorted(veh, np.arange(len(vehicles) + 1))
+    for lo, up in zip(vbounds[:-1], vbounds[1:]):
+        hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
+    counts = hi - np.arange(1, n + 1)
+    # pair k is (i, i + 1 + k - first[i]), first[i] being ride i's first pair
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(n), counts)
+    j = np.arange(i.size) + np.repeat(np.arange(1, n + 1) - first, counts)
+    keep = card[i] != card[j]
+    i, j = i[keep], j[keep]
+    is_direct = exit_[i] >= enter[j]
+    # direct pairs yield both directions; indirect ones only i -> j
+    s = np.concatenate([i, j[is_direct]])
+    t = np.concatenate([j, i[is_direct]])
+    direct = np.concatenate([is_direct, np.ones(np.count_nonzero(is_direct), bool)])
+    del i, j, is_direct
+
+    # the window opens when the later ride boards; rows are stored in the
+    # order run_sir scans them: (source, start, target)
+    start = np.maximum(enter[s], enter[t])
+    order = np.lexsort((card[t], start, card[s]))
+    s, t, direct, start = s[order], t[order], direct[order], start[order]
+    src_exit = exit_[s]
+    end = np.minimum(exit_[t], np.where(direct, src_exit, src_exit + d_t))
+    return ExposureLog(
+        cards, vehicles, card[s], card[t], veh[s], start, end, enter[s], src_exit, direct, d_t
+    )
 
 
 def degree_distribution(exposures: ExposureLog, cards: Optional[Iterable[str]] = None) -> Dict[int, int]:

@@ -96,7 +96,6 @@ class InfectionEvent:
 @dataclass
 class SimOutcome:
     infection_events: List[InfectionEvent]
-    encounter_log: Dict[str, int]
     final_state: Dict[str, str]
     per_run_seed: int
     seeds: Tuple[str, ...] = ()
@@ -108,20 +107,6 @@ class SimOutcome:
     @property
     def attack_rate(self) -> float:
         return len(self.infected_set) / len(self.final_state)
-
-    def summary(self) -> Dict:
-        states = {SUSCEPTIBLE: 0, INFECTIOUS: 0, RECOVERED: 0}
-        for s in self.final_state.values():
-            states[s] += 1
-        return {
-            "run_index": self.per_run_seed,
-            "population": len(self.final_state),
-            "n_seeds": len(self.seeds),
-            "infections": len(self.infection_events),
-            "attack_rate": self.attack_rate,
-            "final_counts": states,
-            "encounters": dict(self.encounter_log),
-        }
 
 
 # splitmix64 constants for the keyed Bernoulli stream
@@ -149,31 +134,6 @@ def _exposure_keys(log: ExposureLog) -> np.ndarray:
     k = _mix64(k ^ log.end.view(np.uint64))
     log._identity_keys = k
     return k
-
-
-class _SimArrays:
-    """Exposure columns regrouped by source index for fast per-source scans."""
-
-    def __init__(self, log: ExposureLog) -> None:
-        order = np.lexsort((log.tgt, log.start, log.src))
-        self.order = order
-        self.src = log.src[order]
-        self.tgt = log.tgt[order]
-        self.veh = log.veh[order]
-        self.start = log.start[order]
-        self.end = log.end[order]
-        self.dep_a = log.src_enter[order]
-        self.dep_b = log.src_exit[order]
-        self.direct = log.direct[order]
-        self.bounds = np.searchsorted(self.src, np.arange(len(log.cards) + 1))
-
-
-def _sim_arrays(log: ExposureLog) -> _SimArrays:
-    cached = getattr(log, "_sim_arrays", None)
-    if cached is None:
-        cached = _SimArrays(log)
-        log._sim_arrays = cached
-    return cached
 
 
 def _run_streams(master_seed: int, run_index: int) -> Tuple[np.random.Generator, np.uint64]:
@@ -235,19 +195,18 @@ def run_sir(
     seeds = tuple(sorted(population[i] for i in seed_idx))
 
     uvals = exposure_uniforms(log=exposures, master_seed=config.master_seed, run_index=run_index)
-    transmit = uvals < config.beta
+    e_ok = uvals < config.beta
 
-    arrays = _sim_arrays(exposures)
+    # the log is stored grouped by source, so u's exposures are bounds[u]:bounds[u + 1]
     n_log_cards = len(exposures.cards)
-    e_ok = transmit[arrays.order]
-    e_tgt = arrays.tgt
-    e_veh = arrays.veh
-    e_start = arrays.start
-    e_end = arrays.end
-    e_dep_a = arrays.dep_a
-    e_dep_b = arrays.dep_b
-    e_direct = arrays.direct
-    bounds = arrays.bounds
+    bounds = np.searchsorted(exposures.src, np.arange(n_log_cards + 1))
+    e_tgt = exposures.tgt
+    e_veh = exposures.veh
+    e_start = exposures.start
+    e_end = exposures.end
+    e_dep_a = exposures.src_enter
+    e_dep_b = exposures.src_exit
+    e_direct = exposures.direct
 
     period = config.infectious_period
     inf_time = np.full(n_log_cards, np.inf)
@@ -331,13 +290,8 @@ def run_sir(
             final_state[card] = SUSCEPTIBLE
             continue
         final_state[card] = RECOVERED if t0 + period <= end_time else INFECTIOUS
-    encounter_summary = {
-        "direct_exposures": exposures.n_direct,
-        "indirect_exposures": exposures.n_indirect,
-    }
     return SimOutcome(
         infection_events=events,
-        encounter_log=encounter_summary,
         final_state=final_state,
         per_run_seed=run_index,
         seeds=seeds,

@@ -251,6 +251,25 @@ class TestSweep:
         assert manifest["parameters"]["n_runs"] == 1  # flag wins
         assert manifest["parameters"]["n_seeds"] == 5
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ([{"n_runs": 1}], "spec must be a JSON object"),
+            ({"n_run": 1}, "'n_run'"),
+            ({"synth": {"n_passenger": 10}}, "'n_passenger'"),
+        ],
+        ids=["not-an-object", "unknown-key", "unknown-synth-key"],
+    )
+    def test_malformed_spec_is_usage_error(self, tmp_path, trips_csv, caplog, content, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(content))
+        code = main([
+            "sweep", "--spec", str(spec), "--input", trips_csv,
+            "--out-dir", str(tmp_path / "spec-sweep"),
+        ])
+        assert code == 1
+        assert named in caplog.text
+
 
 class TestFrontHalfOnce:
     """Each front-half stage runs once per command, however many outputs use it."""
@@ -329,3 +348,23 @@ class TestAnalyze:
         ])
         assert code == 2
         assert f"infections_run000.csv:{line}:" in caplog.text
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            ("", 1),
+            ("card_id,group\nc1,exp_high_long\nonlyone\n", 3),
+            ("card_id,group\nc1,exp_high_long\nc1,ret_low_short\n", 3),
+        ],
+        ids=["empty", "one-field-row", "card-twice"],
+    )
+    def test_malformed_assignments_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text(content)
+        code = main([
+            "analyze", "--input", trips_csv, "--min-trips", "10",
+            "--assignments", str(assignments), "--events-dir", str(tmp_path),
+            "--out-dir", str(tmp_path / "analysis"),
+        ])
+        assert code == 2
+        assert f"assignments.csv:{line}:" in caplog.text

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import trip
@@ -11,9 +12,7 @@ from transitepi.contacts import (
     DIRECT,
     INDIRECT,
     ExposureLog,
-    PresenceInterval,
     build_exposure_log,
-    build_presence_intervals,
     connected_components,
     degree_distribution,
 )
@@ -23,36 +22,6 @@ T0 = 36_000.0  # 10:00
 
 def minutes(m: float) -> float:
     return 60.0 * m
-
-
-class TestPresenceIntervals:
-    def test_two_trips_one_bus(self):
-        timelines = build_presence_intervals([trip("A", "v1", 0, 10), trip("B", "v1", 5, 20)])
-        assert list(timelines) == ["v1"]
-        assert [p.card_id for p in timelines["v1"]] == ["A", "B"]
-
-    def test_two_buses_two_timelines(self):
-        timelines = build_presence_intervals([trip("A", "v1", 0, 10), trip("B", "v2", 5, 20)])
-        assert sorted(timelines) == ["v1", "v2"]
-
-    def test_interval_count_is_record_count(self):
-        rnd = random.Random(1)
-        records = [
-            trip(f"c{rnd.randint(0, 5)}", f"v{rnd.randint(0, 3)}", s := rnd.uniform(0, 100), s + 5)
-            for _ in range(37)
-        ]
-        timelines = build_presence_intervals(records)
-        assert sum(len(v) for v in timelines.values()) == 37
-
-    def test_sorted_by_entry(self):
-        records = [trip("A", "v1", 50, 60), trip("B", "v1", 0, 10), trip("C", "v1", 20, 30)]
-        timelines = build_presence_intervals(records)
-        enters = [p.enter for p in timelines["v1"]]
-        assert enters == sorted(enters)
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PresenceInterval("A", "v", 10.0, 10.0)
 
 
 def events_of(records, d_t: float, source: str):
@@ -91,6 +60,10 @@ class TestExtractExposures:
         with pytest.raises(ValueError):
             build_exposure_log([trip("A", "v", 0, 1)], -1.0)
 
+    def test_invalid_interval_rejected(self):
+        with pytest.raises(ValueError):
+            build_exposure_log([trip("A", "v", 10.0, 10.0)], 0.0)
+
 
 def random_records(seed: int, n: int = 80, cards: int = 12, vehicles: int = 4):
     rnd = random.Random(seed)
@@ -106,6 +79,27 @@ def random_records(seed: int, n: int = 80, cards: int = 12, vehicles: int = 4):
             )
         )
     return records
+
+
+def tied_records(seed: int, n: int = 40, cards: int = 6, vehicles: int = 2):
+    """Integer times in a narrow range: equal boardings, touching exits and
+    exit + d_t == enter all occur."""
+    rnd = random.Random(seed)
+    records = []
+    for _ in range(n):
+        start = rnd.randint(0, 30)
+        records.append(
+            trip(
+                f"c{rnd.randint(0, cards - 1)}",
+                f"v{rnd.randint(0, vehicles - 1)}",
+                float(start),
+                float(start + rnd.randint(1, 6)),
+            )
+        )
+    return records
+
+
+LOG_COLUMNS = ("src", "tgt", "veh", "start", "end", "src_enter", "src_exit", "direct")
 
 
 def log_event_multiset(log: ExposureLog):
@@ -183,14 +177,28 @@ class TestExposureLog:
         assert list(log.events()) == []
         assert log.direct_encounter_counts() == {}
 
-    def test_csv_export(self, tmp_path):
-        records = [trip("A", "v", 0, 100), trip("B", "v", 50, 150)]
-        log = build_exposure_log(records, 0.0)
-        path = tmp_path / "exposures.csv"
-        log.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "source,target,vehicle_id,start,end,kind"
-        assert len(lines) == 1 + len(log)
+    @pytest.mark.parametrize("d_t", [0.0, 3.0, 5.0])
+    def test_tied_times_match_oracle_whatever_the_row_order(self, d_t):
+        for seed in range(100):
+            records = tied_records(seed)
+            log = build_exposure_log(records, d_t)
+            want = Counter(
+                exposures_quadratic(
+                    [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records], d_t
+                )
+            )
+            assert log_event_multiset(log) == want
+            random.Random(seed).shuffle(records)
+            shuffled = build_exposure_log(records, d_t)
+            for column in LOG_COLUMNS:
+                assert np.array_equal(getattr(shuffled, column), getattr(log, column)), column
+
+    def test_stored_grouped_by_source(self):
+        # run_sir slices each source's exposures by searchsorted on log.src
+        for records in (random_records(4), tied_records(4)):
+            log = build_exposure_log(records, 60.0)
+            keys = list(zip(log.src.tolist(), log.start.tolist(), log.tgt.tolist()))
+            assert keys == sorted(keys)
 
 
 class TestDegreeDistribution:

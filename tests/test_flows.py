@@ -20,7 +20,7 @@ from transitepi.sim import InfectionEvent, SimOutcome
 
 
 def outcome(events, run=0):
-    return SimOutcome(infection_events=events, encounter_log={}, final_state={}, per_run_seed=run)
+    return SimOutcome(infection_events=events, final_state={}, per_run_seed=run)
 
 
 def event(infector, infectee, t=100.0):
