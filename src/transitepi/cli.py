@@ -51,7 +51,15 @@ from .ingest import (
     write_trip_csv,
 )
 from .mobility import DEFAULT_K, MobilityVector, mobility_table, write_mobility_csv
-from .sim import INFECTION_CSV_HEADER, InfectionEvent, SimConfig, SimOutcome, run_ensemble, write_infection_csv
+from .sim import (
+    INFECTION_CSV_HEADER,
+    InfectionEvent,
+    SimConfig,
+    SimOutcome,
+    run_ensemble,
+    run_lanes,
+    write_infection_csv,
+)
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -96,9 +104,9 @@ class ExperimentSpec:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise UsageError(f"{name} must be sorted strictly ascending, got {list(grid)}")
 
-    def sim_config(self, beta: Optional[float] = None, dt_minutes: Optional[float] = None) -> SimConfig:
+    def sim_config(self, dt_minutes: Optional[float] = None) -> SimConfig:
         return SimConfig(
-            beta=self.beta if beta is None else beta,
+            beta=self.beta,
             d_t=60.0 * (self.dt_minutes if dt_minutes is None else dt_minutes),
             n_seeds=self.n_seeds,
             infectious_period=self.infectious_days * 86_400.0,
@@ -114,8 +122,7 @@ class ExperimentSpec:
         synth = data.pop("synth", None)
         spec = cls(**data)
         if synth is not None:
-            _check_keys(path, "synth", synth, SynthConfig.__dataclass_fields__)
-            spec.synth = SynthConfig.from_dict(synth)
+            spec.synth = _synth_config(path, "synth", synth)
         spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
         spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
         return spec
@@ -128,6 +135,17 @@ def _check_keys(path, what: str, data, fields) -> None:
     unknown = sorted(set(data) - set(fields))
     if unknown:
         raise UsageError(f"{path}: unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _synth_config(path, what: str, data) -> SynthConfig:
+    _check_keys(path, what, data, SynthConfig.__dataclass_fields__)
+    return SynthConfig.from_dict(data)
+
+
+def _load_synth_config(path) -> SynthConfig:
+    """A --synth-config file, checked like the synth section of a spec."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _synth_config(path, "synth config", json.load(fh))
 
 
 def _fmt_num(x: float) -> str:
@@ -185,7 +203,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         if value is not None:
             setattr(spec, attr, value)
     if getattr(args, "synth_config", None):
-        spec.synth = SynthConfig.from_json_file(args.synth_config)
+        spec.synth = _load_synth_config(args.synth_config)
     if spec.output_dir is None:
         spec.output_dir = os.environ.get(OUTDIR_ENV)
     return spec
@@ -225,7 +243,7 @@ def _classified(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.synth_config:
-        config = SynthConfig.from_json_file(args.synth_config)
+        config = _load_synth_config(args.synth_config)
     else:
         config = SynthConfig()
     overrides = {
@@ -333,11 +351,13 @@ def _matrices_for_dt(
     dt_minutes: float,
 ) -> Dict[float, GroupMatrix]:
     """One flow matrix per beta on the log of suspension time `dt_minutes`."""
+    config = spec.sim_config(dt_minutes=dt_minutes)
+    lanes = run_lanes(
+        trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures, population=population
+    )
     out: Dict[float, GroupMatrix] = {}
-    for beta in spec.beta_grid:
-        config = spec.sim_config(beta=beta, dt_minutes=dt_minutes)
-        ensemble = run_ensemble(trips, config, exposures=exposures, population=population)
-        out[beta] = group_flow_matrix(ensemble.outcomes, assignments)
+    for k, beta in enumerate(spec.beta_grid):
+        out[beta] = group_flow_matrix(lanes.outcomes(k), assignments)
         logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt_minutes))
     return out
 

@@ -1,4 +1,4 @@
-"""Traced S-I-R simulation over the exposure stream.
+"""Traced S-I-R simulation over the exposure stream, many runs in lockstep.
 
 Seeds are drawn uniformly without replacement and are infectious from the
 simulation start.  Transmission through an exposure is decided by a single
@@ -21,10 +21,27 @@ Transmission requires the source to be infectious at the right moment:
 
 Because a passenger can become infectious midway through a window that
 started earlier, exposures cannot be settled by a single chronological scan
-of window starts.  The run instead propagates earliest infection times with
-a priority queue (candidate transmissions ordered by infection time, window
-start, infector id, infectee id), which settles every exposure under exactly
-the rules above.
+of window starts.  A run instead propagates earliest infection times with a
+priority queue of candidate transmissions ordered by infection time, then
+by the exposure's key: its rank under (window start, infector, infectee,
+vehicle, kind).  That settles every exposure under exactly the rules above.
+
+`run_lanes` runs many such runs at once over one exposure log.  A lane is
+one (beta, run) pair.  The lanes share everything that does not depend on
+beta: the population, the start and end time, each run's seed draw and
+each run's uniforms, computed once per run by `exposure_uniforms`.  A
+uniform u is stored as its rank in the sorted beta grid, the number of grid
+values <= u, so the lane of grid index k transmits iff k >= rank, which is
+exactly u < beta_k.  Each lane keeps its own heap, infected row and
+best-candidate row.  One step pops one valid infection from every active
+lane, then evaluates the exposure slices of all the popped cards in one
+batch of numpy calls and pushes the surviving candidates onto their lanes'
+heaps.  A candidate is pushed only if its (time, key) is strictly below the
+best candidate already pending for its (lane, target): that pending one
+pops first and always infects the target, so the pruning changes no event.
+Lanes run in batches, all betas of a run in one batch, and a batch holds at
+most `BATCH_BYTES` of ranks and lane rows, so memory does not grow with the
+number of runs or betas.
 
 An infected passenger recovers exactly `infectious_period` seconds after
 infection and is never re-infected.
@@ -33,7 +50,7 @@ infection and is never re-infected.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +66,11 @@ DEFAULT_SEEDS = 500
 DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
 DEFAULT_RUNS = 100
 INFECTION_CSV_HEADER = ["infector", "infectee", "time", "vehicle_id", "kind"]
+
+# memory one batch of lanes may hold: each run's beta ranks take a byte per
+# exposure, each lane's infected, best-time and best-key rows 13 bytes per card
+BATCH_BYTES = 32 << 20
+_LANE_BYTES_PER_CARD = 13
 
 
 @dataclass
@@ -76,12 +98,6 @@ class SimConfig:
         if self.start_time is not None and self.end_time is not None:
             if self.end_time < self.start_time:
                 raise ValueError("end_time before start_time")
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SimConfig":
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -152,19 +168,65 @@ def exposure_uniforms(log: ExposureLog, master_seed: int, run_index: int) -> np.
     return (mixed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def run_sir(
-    trips: Sequence[TripRecord],
+class LaneTraces:
+    """The infections of every lane of one `run_lanes` call.
+
+    Lane (k, run) is the run at the k-th beta.  It holds its infections as
+    two columns, the log rows that transmitted and the infection times;
+    `outcomes(k)` builds the `SimOutcome`s of one beta on demand.
+    """
+
+    def __init__(self, log: ExposureLog, population: List[str], start_time: float,
+                 end_time: float, period: float) -> None:
+        self.log = log
+        self.population = population
+        self.start_time = start_time
+        self.end_time = end_time
+        self.period = period
+        self.seeds: Dict[int, Tuple[str, ...]] = {}
+        self.events: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+
+    def outcomes(self, k: int) -> List[SimOutcome]:
+        """One outcome per run, in run order, for the k-th beta."""
+        log = self.log
+        cards, vehicles = log.cards, log.vehicles
+        out = []
+        for run, seeds in self.seeds.items():
+            rows, times = self.events[(k, run)]
+            events = [
+                InfectionEvent(cards[u], cards[v], t, vehicles[veh], DIRECT if direct else INDIRECT)
+                for u, v, t, veh, direct in zip(
+                    log.src[rows].tolist(), log.tgt[rows].tolist(), times.tolist(),
+                    log.veh[rows].tolist(), log.direct[rows].tolist(),
+                )
+            ]
+            state = dict.fromkeys(self.population, SUSCEPTIBLE)
+            for card, t0 in [(c, self.start_time) for c in seeds] + [(e.infectee, e.time) for e in events]:
+                state[card] = RECOVERED if t0 + self.period <= self.end_time else INFECTIOUS
+            out.append(SimOutcome(infection_events=events, final_state=state, per_run_seed=run, seeds=seeds))
+        return out
+
+
+def run_lanes(
+    trips: Optional[Sequence[TripRecord]],
     config: SimConfig,
-    run_index: int,
+    betas: Sequence[float],
+    runs: Sequence[int],
     exposures: Optional[ExposureLog] = None,
     population: Optional[Sequence[str]] = None,
-) -> SimOutcome:
-    """Execute one traced S-I-R run; deterministic given (master_seed, run_index)."""
-    config.validate()
+    progress=None,
+) -> LaneTraces:
+    """Run one lane per (beta, run) pair; a lane runs `config` with its beta.
+
+    A lane's outcome depends only on (config, beta, run), not on which
+    other lanes run with it.
+    """
+    for beta in betas:
+        replace(config, beta=beta).validate()
     if exposures is None:
         exposures = build_exposure_log(trips, config.d_t)
     if population is None:
-        population = exposures.cards if trips is None else sorted({r.card_id for r in trips})
+        population = sorted({r.card_id for r in trips}) if trips else list(exposures.cards)
     population = sorted(population)
     n = len(population)
     if config.n_seeds > n:
@@ -175,7 +237,6 @@ def run_sir(
             f"exposure log covers {len(extra)} card(s) outside the population, e.g. {sorted(extra)[:3]}"
         )
 
-    card_pos = {c: i for i, c in enumerate(exposures.cards)}
     start_time = config.start_time
     if start_time is None:
         start_time = min((r.board_time for r in trips), default=0.0) if trips else (
@@ -190,112 +251,144 @@ def run_sir(
         else:
             end_time = start_time
 
-    rng, _ = _run_streams(config.master_seed, run_index)
-    seed_idx = rng.choice(n, size=config.n_seeds, replace=False)
-    seeds = tuple(sorted(population[i] for i in seed_idx))
+    log = exposures
+    traces = LaneTraces(log, population, start_time, end_time, config.infectious_period)
+    card_pos = {c: i for i, c in enumerate(log.cards)}
+    grid = np.unique(np.asarray(betas, dtype=np.float64))
+    beta_index = np.searchsorted(grid, betas)
+    # the heap's order after time: (window start, infector, infectee, vehicle, kind)
+    key = np.empty(len(log), np.int32)
+    key[np.lexsort((log.direct, log.veh, log.tgt, log.src, log.start))] = np.arange(len(log), dtype=np.int32)
+    runs = list(runs)
+    run_bytes = len(log) + len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD
+    per_batch = max(1, BATCH_BYTES // max(1, run_bytes))
+    for first in range(0, len(runs), per_batch):
+        batch = runs[first:first + per_batch]
+        lanes = _Lanes(log, key, config.infectious_period, end_time, beta_index, len(batch))
+        seeds = []
+        for i, run in enumerate(batch):
+            rng, _ = _run_streams(config.master_seed, run)
+            traces.seeds[run] = tuple(sorted(population[j] for j in rng.choice(n, size=config.n_seeds, replace=False)))
+            seeds.append(np.array([card_pos[c] for c in traces.seeds[run] if c in card_pos], np.int64))
+            uniforms = exposure_uniforms(log, config.master_seed, run)
+            for beta in grid:  # the rank of u: how many grid values are <= u
+                lanes.ranks[i] += uniforms >= beta
+            del uniforms
+        lanes.run(seeds, start_time, n - config.n_seeds)
+        for lane, (rows, times) in enumerate(lanes.events):
+            run = batch[lane // len(betas)]
+            traces.events[(lane % len(betas), run)] = (np.array(rows, np.int64), np.array(times, np.float64))
+        if progress is not None:
+            progress(first + len(batch), len(runs))
+    return traces
 
-    uvals = exposure_uniforms(log=exposures, master_seed=config.master_seed, run_index=run_index)
-    e_ok = uvals < config.beta
 
-    # the log is stored grouped by source, so u's exposures are bounds[u]:bounds[u + 1]
-    n_log_cards = len(exposures.cards)
-    bounds = np.searchsorted(exposures.src, np.arange(n_log_cards + 1))
-    e_tgt = exposures.tgt
-    e_veh = exposures.veh
-    e_start = exposures.start
-    e_end = exposures.end
-    e_dep_a = exposures.src_enter
-    e_dep_b = exposures.src_exit
-    e_direct = exposures.direct
+class _Lanes:
+    """One batch of lanes in lockstep: lane i * n_betas + k is the batch's run i at beta k."""
 
-    period = config.infectious_period
-    inf_time = np.full(n_log_cards, np.inf)
-    best_time = np.full(n_log_cards, np.inf)
+    def __init__(self, log: ExposureLog, key: np.ndarray, period: float, end_time: float,
+                 beta_index: np.ndarray, n_runs: int) -> None:
+        self.log = log
+        self.key = key
+        self.period = period
+        self.end_time = end_time
+        self.n_cards = len(log.cards)
+        self.bounds = np.searchsorted(log.src, np.arange(self.n_cards + 1))
+        n_lanes = n_runs * beta_index.size
+        self.ranks = np.zeros((n_runs, len(log)), np.min_scalar_type(beta_index.size))
+        self.flat_ranks = self.ranks.reshape(-1)
+        self.lane_beta = np.tile(beta_index, n_runs)
+        self.lane_ranks = np.repeat(np.arange(n_runs) * len(log), beta_index.size)
+        self.infected = np.zeros(n_lanes * self.n_cards, bool)
+        self.best_t = np.full(n_lanes * self.n_cards, np.inf)
+        self.best_k = np.zeros(n_lanes * self.n_cards, np.int32)
+        self.heaps: List[list] = [[] for _ in range(n_lanes)]
+        self.events: List[Tuple[List[int], List[float]]] = [([], []) for _ in range(n_lanes)]
 
-    heap: List[Tuple[float, float, int, int, int, bool]] = []
-    events: List[InfectionEvent] = []
-    n_susceptible = n - len(seeds)
-
-    def push_candidates(u: int, t_u: float) -> None:
-        lo, hi = bounds[u], bounds[u + 1]
-        if lo == hi:
+    def push(self, lanes: np.ndarray, cards: np.ndarray, times: np.ndarray) -> None:
+        """Push the candidates of cards[i], infectious from times[i] in lane lanes[i]."""
+        log = self.log
+        lo = self.bounds.take(cards)
+        counts = self.bounds.take(cards + 1) - lo
+        entry = np.repeat(np.arange(cards.size), counts)
+        rows = np.arange(entry.size) + (lo - (np.cumsum(counts) - counts)).take(entry)
+        # a lane transmits through a row iff its beta's grid index is at least the row's rank
+        rank = self.flat_ranks.take(self.lane_ranks.take(lanes).take(entry) + rows)
+        ok = np.flatnonzero(self.lane_beta.take(lanes).take(entry) >= rank)
+        rows, entry = rows.take(ok), entry.take(ok)
+        t_u = times.take(entry)
+        r_u = t_u + self.period
+        start = log.start.take(rows)
+        feasible = np.flatnonzero(np.where(
+            log.direct.take(rows),
+            (log.end.take(rows) >= t_u) & (start < r_u),
+            (log.src_exit.take(rows) >= t_u) & (log.src_enter.take(rows) < r_u),
+        ))
+        rows, entry = rows.take(feasible), entry.take(feasible)
+        t_star = np.maximum(start.take(feasible), t_u.take(feasible))
+        lane = lanes.take(entry)
+        cell = lane * self.n_cards + log.tgt.take(rows)
+        key = self.key.take(rows)
+        best_t = self.best_t.take(cell)
+        keep = np.flatnonzero((t_star <= self.end_time) & ~self.infected.take(cell) & (
+            (t_star < best_t) | ((t_star == best_t) & (key < self.best_k.take(cell)))
+        ))
+        if not keep.size:
             return
-        direct = e_direct[lo:hi]
-        s = e_start[lo:hi]
-        r_u = t_u + period
-        feasible = e_ok[lo:hi] & (
-            (direct & (e_end[lo:hi] >= t_u) & (s < r_u))
-            | (~direct & (e_dep_b[lo:hi] >= t_u) & (e_dep_a[lo:hi] < r_u))
-        )
-        if not feasible.any():
-            return
-        idx = np.nonzero(feasible)[0]
-        t_star = np.maximum(s[idx], t_u)
-        targets = e_tgt[lo:hi][idx]
-        keep = (
-            (t_star <= end_time)
-            & ~np.isfinite(inf_time[targets])
-            & (t_star <= best_time[targets])
-        )
-        if not keep.any():
-            return
-        idx = idx[keep]
-        t_star = t_star[keep]
-        targets = targets[keep]
-        starts = s[idx]
-        vehs = e_veh[lo:hi][idx]
-        directs = direct[idx]
-        for t, s0, tgt, veh, is_direct in zip(t_star, starts, targets, vehs, directs):
-            tgt = int(tgt)
-            if t < best_time[tgt]:
-                best_time[tgt] = t
-            heapq.heappush(heap, (float(t), float(s0), u, tgt, int(veh), bool(is_direct)))
+        # one candidate per (lane, target): the least by (time, key)
+        keep = keep.take(np.lexsort((key.take(keep), t_star.take(keep), cell.take(keep))))
+        cells = cell.take(keep)
+        keep = keep[np.concatenate(([True], cells[1:] != cells[:-1]))]
+        cell, t_star, key = cell.take(keep), t_star.take(keep), key.take(keep)
+        self.best_t[cell] = t_star
+        self.best_k[cell] = key
+        heaps = self.heaps
+        for ln, t, k, row in zip(lane.take(keep).tolist(), t_star.tolist(), key.tolist(), rows.take(keep).tolist()):
+            heapq.heappush(heaps[ln], (t, k, row))
 
-    for card in seeds:
-        pos = card_pos.get(card)
-        if pos is None:
-            continue  # seed with no exposures at all
-        inf_time[pos] = start_time
-    for card in seeds:
-        pos = card_pos.get(card)
-        if pos is not None:
-            push_candidates(pos, start_time)
+    def run(self, seeds: List[np.ndarray], start_time: float, n_susceptible: int) -> None:
+        """Infect each run's seeds at `start_time`, then advance every lane to its end."""
+        n_cards, infected, heaps, tgt = self.n_cards, self.infected, self.heaps, self.log.tgt
+        n_betas = len(heaps) // len(seeds)
+        for lane in range(len(heaps)):
+            pos = seeds[lane // n_betas]
+            infected[lane * n_cards + pos] = True
+            self.push(np.full(pos.size, lane), pos, np.full(pos.size, start_time))
+        susceptible = [n_susceptible] * len(heaps)
+        active = [lane for lane in range(len(heaps)) if heaps[lane] and susceptible[lane] > 0]
+        while active:
+            popped_lanes, popped_cards, popped_times = [], [], []
+            for lane in active:
+                heap = heaps[lane]
+                base = lane * n_cards
+                while heap:
+                    t, _, row = heapq.heappop(heap)
+                    v = int(tgt[row])
+                    if infected[base + v]:
+                        continue
+                    infected[base + v] = True
+                    susceptible[lane] -= 1
+                    self.events[lane][0].append(row)
+                    self.events[lane][1].append(t)
+                    popped_lanes.append(lane)
+                    popped_cards.append(v)
+                    popped_times.append(t)
+                    break
+            if popped_lanes:
+                self.push(np.array(popped_lanes), np.array(popped_cards), np.array(popped_times))
+            active = [lane for lane in popped_lanes if heaps[lane] and susceptible[lane] > 0]
 
-    while heap and n_susceptible > 0:
-        t, _, u, v, veh, direct = heapq.heappop(heap)
-        if np.isfinite(inf_time[v]):
-            continue
-        inf_time[v] = t
-        n_susceptible -= 1
-        events.append(
-            InfectionEvent(
-                infector=exposures.cards[u],
-                infectee=exposures.cards[v],
-                time=t,
-                vehicle_id=exposures.vehicles[veh],
-                kind=DIRECT if direct else INDIRECT,
-            )
-        )
-        push_candidates(v, t)
 
-    seed_set = set(seeds)
-    final_state: Dict[str, str] = {}
-    for card in population:
-        pos = card_pos.get(card)
-        if card in seed_set:
-            t0 = start_time
-        elif pos is not None and np.isfinite(inf_time[pos]):
-            t0 = float(inf_time[pos])
-        else:
-            final_state[card] = SUSCEPTIBLE
-            continue
-        final_state[card] = RECOVERED if t0 + period <= end_time else INFECTIOUS
-    return SimOutcome(
-        infection_events=events,
-        final_state=final_state,
-        per_run_seed=run_index,
-        seeds=seeds,
-    )
+def run_sir(
+    trips: Optional[Sequence[TripRecord]],
+    config: SimConfig,
+    run_index: int,
+    exposures: Optional[ExposureLog] = None,
+    population: Optional[Sequence[str]] = None,
+) -> SimOutcome:
+    """Execute one traced S-I-R run, the one-lane case of `run_lanes`."""
+    lanes = run_lanes(trips, config, (config.beta,), (run_index,), exposures, population)
+    return lanes.outcomes(0)[0]
 
 
 @dataclass
@@ -314,25 +407,17 @@ class EnsembleResult:
 
 
 def run_ensemble(
-    trips: Sequence[TripRecord],
+    trips: Optional[Sequence[TripRecord]],
     config: SimConfig,
     exposures: Optional[ExposureLog] = None,
     population: Optional[Sequence[str]] = None,
     progress=None,
 ) -> EnsembleResult:
     """Run n_runs independent runs; per-run streams derive from the master seed."""
-    config.validate()
-    if exposures is None:
-        exposures = build_exposure_log(trips, config.d_t)
-    if population is None:
-        population = sorted({r.card_id for r in trips}) if trips else list(exposures.cards)
-    outcomes = []
-    for run_index in range(config.n_runs):
-        outcomes.append(
-            run_sir(trips, config, run_index, exposures=exposures, population=population)
-        )
-        if progress is not None:
-            progress(run_index + 1, config.n_runs)
+    lanes = run_lanes(
+        trips, config, (config.beta,), range(config.n_runs), exposures, population, progress
+    )
+    outcomes = lanes.outcomes(0)
     mean_inf = float(np.mean([len(o.infection_events) for o in outcomes]))
     mean_ar = float(np.mean([o.attack_rate for o in outcomes]))
     return EnsembleResult(outcomes=outcomes, mean_infections=mean_inf, mean_attack_rate=mean_ar)

@@ -2,13 +2,31 @@
 
 Everything here is deliberately written from first principles (plain loops,
 no shared helpers with the package) so a bug in the library cannot hide in
-its own oracle.
+its own oracle.  The one exception is `sir_reference`, which draws its seeds
+and keyed uniforms through the package so that its events can be compared
+with the simulator's one for one.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from transitepi.contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
+from transitepi.ingest import TripRecord
+from transitepi.sim import (
+    INFECTIOUS,
+    RECOVERED,
+    SUSCEPTIBLE,
+    InfectionEvent,
+    SimConfig,
+    SimOutcome,
+    _run_streams,
+    exposure_uniforms,
+)
 
 
 # --- radius of gyration -----------------------------------------------------
@@ -237,3 +255,156 @@ def reachable_infections(
         if best is None:
             return infected
         infected[best[1]] = best[0]
+
+
+# --- scalar S-I-R ---------------------------------------------------------------
+
+def sir_reference(
+    trips: Sequence[TripRecord],
+    config: SimConfig,
+    run_index: int,
+    exposures: Optional[ExposureLog] = None,
+    population: Optional[Sequence[str]] = None,
+) -> SimOutcome:
+    """One traced S-I-R run, one card at a time: the scalar reference for `run_lanes`.
+
+    It draws the seeds and the keyed uniforms through the package's own
+    `_run_streams` and `exposure_uniforms`, so that its events can be
+    compared with a lane's one for one; the propagation is its own.
+    """
+    config.validate()
+    if exposures is None:
+        exposures = build_exposure_log(trips, config.d_t)
+    if population is None:
+        population = exposures.cards if trips is None else sorted({r.card_id for r in trips})
+    population = sorted(population)
+    n = len(population)
+    if config.n_seeds > n:
+        raise ValueError(f"n_seeds={config.n_seeds} exceeds population {n}")
+    extra = set(exposures.cards) - set(population)
+    if extra:
+        raise ValueError(
+            f"exposure log covers {len(extra)} card(s) outside the population, e.g. {sorted(extra)[:3]}"
+        )
+
+    card_pos = {c: i for i, c in enumerate(exposures.cards)}
+    start_time = config.start_time
+    if start_time is None:
+        start_time = min((r.board_time for r in trips), default=0.0) if trips else (
+            float(exposures.src_enter.min()) if len(exposures) else 0.0
+        )
+    end_time = config.end_time
+    if end_time is None:
+        if trips:
+            end_time = max(r.alight_time for r in trips) + config.d_t
+        elif len(exposures):
+            end_time = float(exposures.end.max())
+        else:
+            end_time = start_time
+
+    rng, _ = _run_streams(config.master_seed, run_index)
+    seed_idx = rng.choice(n, size=config.n_seeds, replace=False)
+    seeds = tuple(sorted(population[i] for i in seed_idx))
+
+    uvals = exposure_uniforms(log=exposures, master_seed=config.master_seed, run_index=run_index)
+    e_ok = uvals < config.beta
+
+    # the log is stored grouped by source, so u's exposures are bounds[u]:bounds[u + 1]
+    n_log_cards = len(exposures.cards)
+    bounds = np.searchsorted(exposures.src, np.arange(n_log_cards + 1))
+    e_tgt = exposures.tgt
+    e_veh = exposures.veh
+    e_start = exposures.start
+    e_end = exposures.end
+    e_dep_a = exposures.src_enter
+    e_dep_b = exposures.src_exit
+    e_direct = exposures.direct
+
+    period = config.infectious_period
+    inf_time = np.full(n_log_cards, np.inf)
+    best_time = np.full(n_log_cards, np.inf)
+
+    heap: List[Tuple[float, float, int, int, int, bool]] = []
+    events: List[InfectionEvent] = []
+    n_susceptible = n - len(seeds)
+
+    def push_candidates(u: int, t_u: float) -> None:
+        lo, hi = bounds[u], bounds[u + 1]
+        if lo == hi:
+            return
+        direct = e_direct[lo:hi]
+        s = e_start[lo:hi]
+        r_u = t_u + period
+        feasible = e_ok[lo:hi] & (
+            (direct & (e_end[lo:hi] >= t_u) & (s < r_u))
+            | (~direct & (e_dep_b[lo:hi] >= t_u) & (e_dep_a[lo:hi] < r_u))
+        )
+        if not feasible.any():
+            return
+        idx = np.nonzero(feasible)[0]
+        t_star = np.maximum(s[idx], t_u)
+        targets = e_tgt[lo:hi][idx]
+        keep = (
+            (t_star <= end_time)
+            & ~np.isfinite(inf_time[targets])
+            & (t_star <= best_time[targets])
+        )
+        if not keep.any():
+            return
+        idx = idx[keep]
+        t_star = t_star[keep]
+        targets = targets[keep]
+        starts = s[idx]
+        vehs = e_veh[lo:hi][idx]
+        directs = direct[idx]
+        for t, s0, tgt, veh, is_direct in zip(t_star, starts, targets, vehs, directs):
+            tgt = int(tgt)
+            if t < best_time[tgt]:
+                best_time[tgt] = t
+            heapq.heappush(heap, (float(t), float(s0), u, tgt, int(veh), bool(is_direct)))
+
+    for card in seeds:
+        pos = card_pos.get(card)
+        if pos is None:
+            continue  # seed with no exposures at all
+        inf_time[pos] = start_time
+    for card in seeds:
+        pos = card_pos.get(card)
+        if pos is not None:
+            push_candidates(pos, start_time)
+
+    while heap and n_susceptible > 0:
+        t, _, u, v, veh, direct = heapq.heappop(heap)
+        if np.isfinite(inf_time[v]):
+            continue
+        inf_time[v] = t
+        n_susceptible -= 1
+        events.append(
+            InfectionEvent(
+                infector=exposures.cards[u],
+                infectee=exposures.cards[v],
+                time=t,
+                vehicle_id=exposures.vehicles[veh],
+                kind=DIRECT if direct else INDIRECT,
+            )
+        )
+        push_candidates(v, t)
+
+    seed_set = set(seeds)
+    final_state: Dict[str, str] = {}
+    for card in population:
+        pos = card_pos.get(card)
+        if card in seed_set:
+            t0 = start_time
+        elif pos is not None and np.isfinite(inf_time[pos]):
+            t0 = float(inf_time[pos])
+        else:
+            final_state[card] = SUSCEPTIBLE
+            continue
+        final_state[card] = RECOVERED if t0 + period <= end_time else INFECTIOUS
+    return SimOutcome(
+        infection_events=events,
+        final_state=final_state,
+        per_run_seed=run_index,
+        seeds=seeds,
+    )

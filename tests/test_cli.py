@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from transitepi import cli
+from transitepi import cli, sim
 from transitepi.cli import main
 from transitepi.flows import GroupMatrix
 from transitepi.ingest import parse_trip_records
@@ -63,6 +63,17 @@ class TestGenerate:
             "--mix", "commuter=0.7",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [([SYNTH], "synth config must be a JSON object"), ({"n_passenger": 10}, "'n_passenger'")],
+        ids=["not-an-object", "unknown-key"],
+    )
+    def test_malformed_synth_config_is_usage_error(self, tmp_path, caplog, content, named):
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(content))
+        assert main(["generate", "--out", str(tmp_path / "trips.csv"), "--synth-config", str(path)]) == 1
+        assert named in caplog.text
 
 
 class TestIngest:
@@ -302,6 +313,22 @@ class TestFrontHalfOnce:
         ])
         assert code == 0
         assert calls["build_exposure_log"] == 2
+
+    def test_sweep_draws_uniforms_once_per_run_and_dt(self, tmp_path, trips_csv, monkeypatch):
+        drawn = []
+        original = sim.exposure_uniforms
+
+        def counted(*args, **kwargs):
+            drawn.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "exposure_uniforms", counted)
+        code = main([
+            "sweep", "--input", trips_csv, "--beta-grid", "0.5,1", "--dt-grid-minutes", "0,15",
+            "--seeds", "5", "--runs", "2", "--min-trips", "10", "--out-dir", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        assert len(drawn) == 4  # one per (run, d_t), shared by both betas
 
 
 class TestAnalyze:

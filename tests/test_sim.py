@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import trip
-from oracles import reachable_infections
+from oracles import reachable_infections, sir_reference
+from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.sim import (
     RECOVERED,
     SUSCEPTIBLE,
     SimConfig,
     run_ensemble,
+    run_lanes,
     run_sir,
 )
 
@@ -299,3 +305,43 @@ class TestEnsemble:
         cfg = config(beta=0.4, n_seeds=2, runs=8, master_seed=3)
         res = run_ensemble(records, cfg)
         assert len({o.seeds for o in res.outcomes}) > 1
+
+
+def _trace(outcome):
+    events = [(e.infector, e.infectee, e.time, e.vehicle_id, e.kind) for e in outcome.infection_events]
+    return outcome.per_run_seed, outcome.seeds, events, outcome.final_state
+
+
+class TestLanes:
+    """`run_lanes` against the scalar reference, with integer ride times so that ties occur."""
+
+    @given(
+        rides=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 15), st.integers(1, 6)),
+            min_size=2, max_size=40,
+        ),
+        d_t=st.sampled_from([0.0, 3.0, 5.0]),
+        period=st.sampled_from([4.0, 12.0, 1000.0]),
+        master_seed=st.integers(0, 1000),
+    )
+    # c0's two rides reach c1 at t = 7 once indirectly and once directly: the
+    # heap's tie order decides the kind
+    @example(rides=[(0, 0, 0, 4), (0, 0, 6, 4), (1, 0, 7, 5), (2, 1, 0, 1)], d_t=5.0, period=1000.0, master_seed=0)
+    def test_every_lane_matches_reference_alone_and_in_any_batch(self, rides, d_t, period, master_seed):
+        records = [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
+        population = sorted({r.card_id for r in records})
+        log = build_exposure_log(records, d_t)
+        cfg = config(d_t=d_t, n_seeds=min(2, len(population)), period=period, master_seed=master_seed, start=None)
+        betas = (0.6, 0.0, 1.0, 0.3)
+        runs = range(4)
+        together = run_lanes(records, cfg, betas, runs, exposures=log, population=population)
+        with mock.patch.object(sim, "BATCH_BYTES", 1):  # one run per batch
+            batched = run_lanes(records, cfg, betas, runs, exposures=log, population=population)
+        for k, beta in enumerate(betas):
+            lane_cfg = replace(cfg, beta=beta)
+            for run, lane, other in zip(runs, together.outcomes(k), batched.outcomes(k)):
+                want = _trace(sir_reference(records, lane_cfg, run, exposures=log, population=population))
+                assert _trace(lane) == want
+                assert _trace(other) == want
+                assert _trace(run_sir(records, lane_cfg, run, exposures=log, population=population)) == want
+
