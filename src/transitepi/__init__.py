@@ -9,8 +9,8 @@ from .classify import GROUP_NAMES, classify_exploration, classify_population, km
 from .contacts import build_exposure_log, connected_components
 from .flows import chord_export, chord_import, difference_matrix, group_flow_matrix, per_group_summary
 from .geo import HAVERSINE, PLANAR
-from .ingest import StopRef, filter_by_min_trips, parse_trip_records, write_trip_csv
-from .mobility import MobilityVector, VisitProfile, k_radius_of_gyration, mobility_table, radius_of_gyration
+from .ingest import TripTable, filter_by_min_trips, parse_trip_records, write_trip_csv
+from .mobility import MobilityVector, mobility_table, radii_of_gyration
 from .sim import SimConfig, run_ensemble, run_sir
 from .synth import SynthConfig, synthesize
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import logging
 import math
 import os
 import shutil
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,8 +44,7 @@ from .flows import DataIntegrityError, GroupMatrix, chord_export, difference_mat
 from .geo import get_model
 from .ingest import (
     SchemaError,
-    TripFormat,
-    TripRecord,
+    TripTable,
     filter_by_min_trips,
     parse_trip_records,
     population_vs_threshold,
@@ -118,7 +119,7 @@ class ExperimentSpec:
     def from_json_file(cls, path) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        _check_keys(path, "spec", data, cls.__dataclass_fields__)
+        _check_fields(path, "spec", data, cls)
         synth = data.pop("synth", None)
         spec = cls(**data)
         if synth is not None:
@@ -128,17 +129,43 @@ class ExperimentSpec:
         return spec
 
 
-def _check_keys(path, what: str, data, fields) -> None:
-    """A spec section must be a JSON object naming only known fields."""
+def _check_fields(path, what: str, data, cls) -> None:
+    """A spec section must be a JSON object naming only fields of `cls`, each with a value of its type.
+
+    Float fields given as JSON integers are made floats in place.
+    """
     if not isinstance(data, dict):
         raise UsageError(f"{path}: {what} must be a JSON object, got {type(data).__name__}")
-    unknown = sorted(set(data) - set(fields))
+    types = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise UsageError(f"{path}: unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    for key, value in data.items():
+        if not _json_fits(value, types[key]):
+            name = types[key].__name__ if isinstance(types[key], type) else str(types[key]).replace("typing.", "")
+            raise UsageError(f"{path}: {what} key {key!r} must be {name}, got {json.dumps(value)}")
+        if types[key] is float:  # a JSON 1 must write as 1.0, as the flag's value does
+            data[key] = float(value)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`."""
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, dict)  # a nested section, checked on its own
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(_json_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, list) and all(_json_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_json_fits(v, args[1]) for v in value.values())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _synth_config(path, what: str, data) -> SynthConfig:
-    _check_keys(path, what, data, SynthConfig.__dataclass_fields__)
+    _check_fields(path, what, data, SynthConfig)
     return SynthConfig.from_dict(data)
 
 
@@ -175,13 +202,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_trips(path: str, delimiter: str = ",") -> List[TripRecord]:
-    records, report = parse_trip_records(path, TripFormat(delimiter=delimiter))
-    if report.rejected:
-        logger.warning("ingest rejected %d of %d rows", report.rejected, report.total_rows)
-    return records
-
-
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     spec = ExperimentSpec.from_json_file(args.spec) if getattr(args, "spec", None) else ExperimentSpec()
     for attr, flag in (
@@ -209,28 +229,30 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
-def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> Tuple[List[TripRecord], List[str]]:
-    """The trips of cards with at least `min_trips` trips, and those cards sorted.
+def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> TripTable:
+    """The trips of cards with at least `min_trips` trips.
 
     The dataset path wins; otherwise the trips are synthesized, and all of
     them are written to `staging` when it is given.
     """
     if spec.dataset:
-        records = _load_trips(spec.dataset)
+        trips, report = parse_trip_records(spec.dataset)
+        if report.rejected:
+            logger.warning("ingest rejected %d of %d rows", report.rejected, report.total_rows)
     elif spec.synth is None:
         raise UsageError("no dataset: pass --input or a synth config")
     else:
-        _, records = synthesize(spec.synth)
+        _, trips = synthesize(spec.synth)
         if staging is not None:
-            write_trip_csv(records, staging / "trips.csv")
-    filtered = filter_by_min_trips(records, spec.min_trips)
+            write_trip_csv(trips, staging / "trips.csv")
+    filtered = filter_by_min_trips(trips, spec.min_trips)
     if not filtered:
         raise DataIntegrityError(f"no passengers survive the {spec.min_trips}-trip threshold")
-    return filtered, sorted({r.card_id for r in filtered})
+    return filtered
 
 
 def _classified(
-    trips: Sequence[TripRecord], log0: ExposureLog, spec: ExperimentSpec
+    trips: TripTable, log0: ExposureLog, spec: ExperimentSpec
 ) -> Tuple[List[MobilityVector], ClassificationResult]:
     """Mobility vectors from the trips and their d_t = 0 log, and the eight groups."""
     vectors = mobility_table(trips, log0, k=spec.k, model=get_model(spec.distance_model))
@@ -260,24 +282,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if value is not None:
             setattr(config, name, value)
     config.validate()
-    _, records = synthesize(config)
-    write_trip_csv(records, args.out)
-    logger.info("wrote %d trips to %s", len(records), args.out)
+    _, trips = synthesize(config)
+    write_trip_csv(trips, args.out)
+    logger.info("wrote %d trips to %s", len(trips), args.out)
     return EXIT_OK
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records, report = parse_trip_records(args.input, TripFormat(delimiter=args.delimiter))
+    trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
-    filtered = filter_by_min_trips(records, args.min_trips) if args.min_trips > 1 else records
+    filtered = filter_by_min_trips(trips, args.min_trips) if args.min_trips > 1 else trips
     if args.out:
         write_trip_csv(filtered, args.out)
     if args.freq_csv:
-        write_histogram_csv(trip_frequency_distribution(records), args.freq_csv, value_name="trips_per_card")
+        write_histogram_csv(trip_frequency_distribution(trips), args.freq_csv, value_name="trips_per_card")
     if args.population_csv:
         thresholds = [int(t) for t in (args.population_thresholds or "1,2,5,10,15,20,30").split(",")]
-        curve = population_vs_threshold(records, thresholds)
+        curve = population_vs_threshold(trips, thresholds)
         with open(args.population_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["threshold", "population"])
@@ -291,8 +313,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    trips, population = _filtered_trips(spec, None)
-    vectors, result = _classified(trips, build_exposure_log(trips, 0.0, cards=population), spec)
+    trips = _filtered_trips(spec, None)
+    vectors, result = _classified(trips, build_exposure_log(trips, 0.0), spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
         Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
@@ -309,15 +331,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips, population = _filtered_trips(spec, None)
-    log0 = build_exposure_log(trips, 0.0, cards=population)
+    trips = _filtered_trips(spec, None)
+    log0 = build_exposure_log(trips, 0.0)
     _, result = _classified(trips, log0, spec)
     config = spec.sim_config()
-    exposures = log0 if config.d_t == 0.0 else build_exposure_log(trips, config.d_t, cards=population)
-    ensemble = run_ensemble(
-        trips, config, exposures=exposures, population=population,
-        progress=lambda i, n: logger.info("run %d/%d", i, n),
-    )
+    exposures = log0 if config.d_t == 0.0 else build_exposure_log(trips, config.d_t)
+    ensemble = run_ensemble(trips, config, exposures=exposures, progress=lambda i, n: logger.info("run %d/%d", i, n))
     write_assignments_csv(result, out_dir / "assignments.csv")
     for outcome in ensemble.outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
@@ -344,17 +363,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _matrices_for_dt(
     exposures: ExposureLog,
-    trips: Sequence[TripRecord],
-    population: Sequence[str],
+    trips: TripTable,
     assignments: Dict[str, MobilityGroup],
     spec: ExperimentSpec,
     dt_minutes: float,
 ) -> Dict[float, GroupMatrix]:
     """One flow matrix per beta on the log of suspension time `dt_minutes`."""
     config = spec.sim_config(dt_minutes=dt_minutes)
-    lanes = run_lanes(
-        trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures, population=population
-    )
+    lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures)
     out: Dict[float, GroupMatrix] = {}
     for k, beta in enumerate(spec.beta_grid):
         out[beta] = group_flow_matrix(lanes.outcomes(k), assignments)
@@ -366,10 +382,10 @@ def _matrices_for_dt_worker(payload) -> Tuple[float, Dict[float, List[List[float
     """Process-pool entry: reload trips from CSV, return plain nested lists."""
     (trips_csv, assignment_rows, spec_dict, dt_minutes) = payload
     spec = ExperimentSpec(dataset=trips_csv, **spec_dict)
-    trips, population = _filtered_trips(spec, None)
+    trips = _filtered_trips(spec, None)
     assignments = {c: MobilityGroup.from_name(g) for c, g in assignment_rows}
-    exposures = build_exposure_log(trips, 60.0 * dt_minutes, cards=population)
-    matrices = _matrices_for_dt(exposures, trips, population, assignments, spec, dt_minutes)
+    exposures = build_exposure_log(trips, 60.0 * dt_minutes)
+    matrices = _matrices_for_dt(exposures, trips, assignments, spec, dt_minutes)
     return dt_minutes, {beta: m.values.tolist() for beta, m in matrices.items()}
 
 
@@ -398,8 +414,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
-    trips, population = _filtered_trips(spec, staging)
-    log0 = build_exposure_log(trips, 0.0, cards=population)
+    trips = _filtered_trips(spec, staging)
+    log0 = build_exposure_log(trips, 0.0)
     _, result = _classified(trips, log0, spec)
 
     artifacts: List[str] = []
@@ -430,9 +446,9 @@ def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[st
         for dt in spec.dt_grid_minutes:
             # the grid ascends, so only its first column can reuse the d_t = 0
             # log; each log is released with its column, so two are never held
-            exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt, cards=population)
+            exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt)
             log0 = None
-            by_beta = _matrices_for_dt(exposures, trips, population, result.assignments, spec, dt)
+            by_beta = _matrices_for_dt(exposures, trips, result.assignments, spec, dt)
             del exposures
             for beta, matrix in by_beta.items():
                 matrices[(beta, dt)] = matrix
@@ -491,9 +507,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError("analyze needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips, population = _filtered_trips(spec, None)
+    trips = _filtered_trips(spec, None)
     assignments = read_assignments_csv(args.assignments)
-    log0 = build_exposure_log(trips, 0.0, cards=population)
+    log0 = build_exposure_log(trips, 0.0)
 
     events_dir = Path(args.events_dir)
     event_files = sorted(events_dir.glob("infections_run*.csv"))
@@ -506,9 +522,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     matrix = group_flow_matrix(outcomes, assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
     chord_export(matrix, path=out_dir / "chord.json")
-    comps = connected_components(log0, cards=population)
-    write_histogram_csv(degree_distribution(log0, population),
-                        out_dir / "degree_distribution.csv", value_name="degree")
+    comps = connected_components(log0)
+    write_histogram_csv(degree_distribution(log0), out_dir / "degree_distribution.csv", value_name="degree")
     (out_dir / "components.json").write_text(
         json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
     )

@@ -11,54 +11,41 @@ for a source ride [a, b]:
     in (b, b + d_t] is exposed.  Indirect exposure is directed forward in
     time only.
 
-`build_exposure_log` sorts the rides once by (vehicle, enter, exit, card).
+`build_exposure_log` reads the card, vehicle and time columns of a
+`TripTable` and sorts the rides once by (vehicle, enter, exit, card).
 Ride i then meets exactly the later rides j of its vehicle that board by
 exit_i + d_t, a contiguous run found by one `searchsorted`; the pair is
 direct when exit_i >= enter_j and indirect otherwise, and pairs of one card
 are dropped.
 
 Events are stored column-wise (numpy arrays) because realistic months yield
-millions of them; `ExposureLog.events()` materializes dataclasses on demand.
-Each event also carries the source ride that deposited the pathogens, which
-downstream code needs to decide whether the source was infectious at
-deposition time.
+millions of them, in the order the simulator scans them: (source, start,
+target, vehicle, kind).  Each event also carries the source ride that
+deposited the pathogens, which downstream code needs to decide whether the
+source was infectious at deposition time.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .ingest import TripRecord
+from .ingest import TripTable
 
 DIRECT = "direct"
 INDIRECT = "indirect"
-
-
-@dataclass(frozen=True)
-class ExposureEvent:
-    source: str
-    target: str
-    vehicle_id: str
-    exposure_start: float
-    exposure_end: float
-    kind: str  # DIRECT | INDIRECT
-    source_enter: float
-    source_exit: float
 
 
 class ExposureLog:
     """Column-wise store of all exposure events for one suspension time.
 
     Rows are stored grouped by source: sorted by source index, then
-    exposure_start, then target index, the order in which the simulator
-    scans one source's exposures.  `events()` yields them in the canonical
-    order instead: exposure_start, source id, target id, exposure_end,
-    vehicle id.  Card and vehicle ids are mapped to dense indices over the
-    id-sorted vocabularies, so index order equals id order.
+    exposure_start, then target index, vehicle index and kind (direct
+    last), the order in which the simulator scans one source's exposures.
+    Card and vehicle ids are mapped to dense indices over the id-sorted
+    vocabularies, so index order equals id order.
     """
 
     def __init__(
@@ -90,46 +77,23 @@ class ExposureLog:
     def __len__(self) -> int:
         return int(self.src.size)
 
-    def events(self) -> Iterator[ExposureEvent]:
-        """All events in canonical order."""
-        for i in np.lexsort((self.veh, self.end, self.tgt, self.src, self.start)):
-            yield ExposureEvent(
-                source=self.cards[self.src[i]],
-                target=self.cards[self.tgt[i]],
-                vehicle_id=self.vehicles[self.veh[i]],
-                exposure_start=float(self.start[i]),
-                exposure_end=float(self.end[i]),
-                kind=DIRECT if self.direct[i] else INDIRECT,
-                source_enter=float(self.src_enter[i]),
-                source_exit=float(self.src_exit[i]),
-            )
-
     def direct_encounter_counts(self) -> Dict[str, int]:
         """Per-card count of direct co-presence episodes (with multiplicity)."""
         counts = np.bincount(self.src[self.direct], minlength=len(self.cards))
         return {card: int(counts[i]) for i, card in enumerate(self.cards) if counts[i]}
 
 
-def build_exposure_log(
-    records: Sequence[TripRecord], d_t: float, cards: Optional[Sequence[str]] = None
-) -> ExposureLog:
-    """All exposure events among `records` for suspension time `d_t`.
+def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
+    """All exposure events among `trips` for suspension time `d_t`.
 
-    `cards` optionally widens the card vocabulary (useful to include
-    passengers that never share a vehicle); by default it is the cards of
-    the records.
+    The log's card and vehicle vocabularies are the table's, so a passenger
+    who never shares a vehicle is still one of its cards.
     """
     if d_t < 0:
         raise ValueError(f"d_t must be >= 0, got {d_t}")
-    cards = sorted({r.card_id for r in records}.union(() if cards is None else cards))
-    vehicles = sorted({r.vehicle_id for r in records})
-    card_index = {c: i for i, c in enumerate(cards)}
-    veh_index = {v: i for i, v in enumerate(vehicles)}
-    n = len(records)
-    card = np.fromiter((card_index[r.card_id] for r in records), np.int32, n)
-    veh = np.fromiter((veh_index[r.vehicle_id] for r in records), np.int32, n)
-    enter = np.fromiter((r.board_time for r in records), np.float64, n)
-    exit_ = np.fromiter((r.alight_time for r in records), np.float64, n)
+    cards, vehicles = trips.cards, trips.vehicles
+    card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
+    n = len(trips)
     bad = np.flatnonzero(~(enter < exit_))
     if bad.size:
         raise ValueError(f"a ride must have enter < exit, got [{enter[bad[0]]}, {exit_[bad[0]]}]")
@@ -158,10 +122,18 @@ def build_exposure_log(
     del i, j, is_direct
 
     # the window opens when the later ride boards; rows are stored in the
-    # order run_sir scans them: (source, start, target)
+    # order run_sir scans them: (source, start, target, vehicle, kind), the
+    # last three packed into one key
     start = np.maximum(enter[s], enter[t])
-    order = np.lexsort((card[t], start, card[s]))
-    s, t, direct, start = s[order], t[order], direct[order], start[order]
+    tie = (card[t].astype(np.int64) * len(vehicles) + veh[s]) * 2 + direct
+    order = np.lexsort((tie, start, card[s]))
+    del tie
+    # one column at a time, so that the old and new copies of only one are held
+    s = s[order]
+    t = t[order]
+    direct = direct[order]
+    start = start[order]
+    del order
     src_exit = exit_[s]
     end = np.minimum(exit_[t], np.where(direct, src_exit, src_exit + d_t))
     return ExposureLog(

@@ -1,7 +1,8 @@
 """Distance models: great-circle geometry for real coordinates, plain
 Euclidean geometry for synthetic/test coordinates.
 
-A "point" throughout is a ``(lat, lon)`` pair.  In the planar model the two
+A "point" throughout is a ``(lat, lon)`` pair whose components may be
+arrays, so that one call serves many points.  In the planar model the two
 components are interpreted directly as metres on a flat plane, which makes
 hand-computable test geometries possible.
 """
@@ -9,27 +10,27 @@ hand-computable test geometries possible.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
+
+import numpy as np
 
 Point = Tuple[float, float]
 
 EARTH_RADIUS_M = 6_371_000.0
 
 
-def haversine_m(a: Point, b: Point) -> float:
-    """Great-circle distance between two (lat, lon) points in metres."""
+def haversine_m(a, b):
+    """Great-circle distance between (lat, lon) points in metres.
+
+    Each component may be a float or an array; arrays broadcast.
+    """
     lat1, lon1 = a
     lat2, lon2 = b
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     d_phi = phi2 - phi1
-    d_lam = math.radians(lon2 - lon1)
-    h = math.sin(d_phi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(d_lam / 2) ** 2
-    return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(min(1.0, h)))
-
-
-def euclidean_m(a: Point, b: Point) -> float:
-    """Planar distance; coordinates are already metres."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    d_lam = np.radians(np.subtract(lon2, lon1))
+    h = np.sin(d_phi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(d_lam / 2) ** 2
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, h)))
 
 
 class PlanarModel:
@@ -37,14 +38,15 @@ class PlanarModel:
 
     name = "planar"
 
-    def distance(self, a: Point, b: Point) -> float:
-        return euclidean_m(a, b)
+    def distance(self, a, b):
+        """Planar distance; coordinates are already metres."""
+        return np.hypot(np.subtract(a[0], b[0]), np.subtract(a[1], b[1]))
 
-    def center_of_mass(self, points: Sequence[Point], weights: Sequence[float]) -> Point:
-        total = float(sum(weights))
-        x = sum(w * p[0] for p, w in zip(points, weights)) / total
-        y = sum(w * p[1] for p, w in zip(points, weights)) / total
-        return (x, y)
+    def center_of_mass(self, lat, lon, weight, group, n_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Weighted centre of each group of points: `group[i]` in 0 .. n_groups-1."""
+        total = np.bincount(group, weight, n_groups)
+        return (np.bincount(group, weight * lat, n_groups) / total,
+                np.bincount(group, weight * lon, n_groups) / total)
 
 
 class HaversineModel:
@@ -57,26 +59,23 @@ class HaversineModel:
 
     name = "haversine"
 
-    def distance(self, a: Point, b: Point) -> float:
+    def distance(self, a, b):
         return haversine_m(a, b)
 
-    def center_of_mass(self, points: Sequence[Point], weights: Sequence[float]) -> Point:
-        x = y = z = 0.0
-        total = 0.0
-        for (lat, lon), w in zip(points, weights):
-            phi, lam = math.radians(lat), math.radians(lon)
-            x += w * math.cos(phi) * math.cos(lam)
-            y += w * math.cos(phi) * math.sin(lam)
-            z += w * math.sin(phi)
-            total += w
-        x, y, z = x / total, y / total, z / total
-        norm = math.sqrt(x * x + y * y + z * z)
-        if norm < 1e-12:
-            # antipodal cancellation; fall back to naive averaging
-            lat = sum(w * p[0] for p, w in zip(points, weights)) / total
-            lon = sum(w * p[1] for p, w in zip(points, weights)) / total
-            return (lat, lon)
-        return (math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
+    def center_of_mass(self, lat, lon, weight, group, n_groups: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Weighted centre of each group of points: `group[i]` in 0 .. n_groups-1."""
+        phi, lam = np.radians(lat), np.radians(lon)
+        total = np.bincount(group, weight, n_groups)
+        x = np.bincount(group, weight * np.cos(phi) * np.cos(lam), n_groups) / total
+        y = np.bincount(group, weight * np.cos(phi) * np.sin(lam), n_groups) / total
+        z = np.bincount(group, weight * np.sin(phi), n_groups) / total
+        norm = np.sqrt(x * x + y * y + z * z)
+        # antipodal cancellation; fall back to naive averaging
+        flat = norm < 1e-12
+        norm[flat] = 1.0
+        naive_lat, naive_lon = PLANAR.center_of_mass(lat, lon, weight, group, n_groups)
+        return (np.where(flat, naive_lat, np.degrees(np.arcsin(z / norm))),
+                np.where(flat, naive_lon, np.degrees(np.arctan2(y, x))))
 
 
 PLANAR = PlanarModel()

@@ -1,20 +1,27 @@
 """Parse, validate, filter and profile trip-record datasets.
 
 Input is delimited text with a header row.  Bad rows are rejected with a
-reason and counted, never silently dropped; a missing column or an unreadable
-stream is fatal.
+reason and counted, never silently dropped; a missing column, an unreadable
+stream or a stop id given two coordinate pairs is fatal.
+
+Accepted trips are held in one columnar `TripTable`: integer codes for card,
+vehicle and stops over id-sorted vocabularies, float board and alight times,
+and one (lat, lon) pair per stop.  The parser appends each accepted row to
+typed columns, so no per-row Python object outlives its row.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+
+import numpy as np
 
 REQUIRED_COLUMNS = (
     "card_id",
@@ -35,35 +42,110 @@ REASON_BAD_TIMESTAMP = "bad timestamp"
 REASON_BAD_COORDINATE = "bad coordinate"
 REASON_NON_POSITIVE_DURATION = "non-positive duration"
 
+# rows formatted at a time by write_trip_csv
+BLOCK_ROWS = 8192
+
 
 class SchemaError(Exception):
     """The input header does not carry the required columns."""
 
 
-@dataclass(frozen=True)
-class StopRef:
-    stop_id: str
-    lat: float
-    lon: float
+@dataclass(eq=False)
+class TripTable:
+    """Trips column-wise: one row per boarding/alighting of one card on one vehicle.
 
-    def coords(self) -> Tuple[float, float]:
-        return (self.lat, self.lon)
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    """One boarding/alighting event for one card on one vehicle.
-
-    Times are seconds since the Unix epoch (UTC), board strictly before
-    alight.  Loops (board stop equal to alight stop) are allowed.
+    `card`, `vehicle`, `board_stop` and `alight_stop` are int32 codes into
+    the vocabularies `cards`, `vehicles` and `stops`, each sorted by id and
+    holding exactly the ids the rows use, so code order is id order.
+    `board` and `alight` are seconds since the Unix epoch (UTC), board
+    strictly before alight; loops (board stop equal to alight stop) are
+    allowed.  `stop_lat` and `stop_lon` give each stop code's coordinates.
     """
 
-    card_id: str
-    vehicle_id: str
-    board_time: float
-    alight_time: float
-    board_stop: StopRef
-    alight_stop: StopRef
+    cards: List[str]
+    vehicles: List[str]
+    stops: List[str]
+    stop_lat: np.ndarray
+    stop_lon: np.ndarray
+    card: np.ndarray
+    vehicle: np.ndarray
+    board_stop: np.ndarray
+    alight_stop: np.ndarray
+    board: np.ndarray
+    alight: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.card.size)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Tuple[str, str, float, float, str, str]],
+                  stops: Mapping[str, Tuple[float, float]]) -> "TripTable":
+        """A table from (card, vehicle, board, alight, board stop, alight stop) rows.
+
+        `stops` maps each stop id the rows name to its (lat, lon).
+        """
+        builder = _TableBuilder()
+        for card, vehicle, board, alight, board_stop, alight_stop in rows:
+            builder.add(card, vehicle, board, alight, board_stop, stops[board_stop], alight_stop, stops[alight_stop])
+        return builder.table()
+
+    def take(self, rows: np.ndarray) -> "TripTable":
+        """The rows selected by an index array or boolean mask, in that order.
+
+        The vocabularies shrink to the ids the selected rows use.
+        """
+        cards, card, _ = _renumber(self.cards, self.card[rows])
+        vehicles, vehicle, _ = _renumber(self.vehicles, self.vehicle[rows])
+        stops, stop, used = _renumber(self.stops, np.concatenate([self.board_stop[rows], self.alight_stop[rows]]))
+        n = card.size
+        return TripTable(cards, vehicles, stops, self.stop_lat[used], self.stop_lon[used], card, vehicle,
+                         stop[:n], stop[n:], self.board[rows], self.alight[rows])
+
+
+class _TableBuilder:
+    """Appends trips one at a time to typed columns; ids get codes in first-seen order."""
+
+    def __init__(self) -> None:
+        self.cards: Dict[str, int] = {}
+        self.vehicles: Dict[str, int] = {}
+        self.stops: Dict[str, Tuple[int, Tuple[float, float]]] = {}
+        self.columns = [array("i") for _ in range(4)] + [array("d") for _ in range(2)]
+
+    def add(self, card_id: str, vehicle_id: str, board: float, alight: float,
+            board_stop: str, board_coord: Tuple[float, float],
+            alight_stop: str, alight_coord: Tuple[float, float]) -> None:
+        card, vehicle, board_stops, alight_stops, boards, alights = self.columns
+        board_stops.append(self._stop(board_stop, board_coord))
+        alight_stops.append(self._stop(alight_stop, alight_coord))
+        card.append(self.cards.setdefault(card_id, len(self.cards)))
+        vehicle.append(self.vehicles.setdefault(vehicle_id, len(self.vehicles)))
+        boards.append(board)
+        alights.append(alight)
+
+    def _stop(self, stop_id: str, coord: Tuple[float, float]) -> int:
+        code, known = self.stops.setdefault(stop_id, (len(self.stops), coord))
+        if known != coord:
+            raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
+        return code
+
+    def table(self) -> TripTable:
+        """The table so far, every vocabulary renumbered so that code order is id order."""
+        card, vehicle, board_stop, alight_stop = (np.frombuffer(c, np.int32) for c in self.columns[:4])
+        board, alight = (np.frombuffer(c, np.float64) for c in self.columns[4:])
+        cards, card, _ = _renumber(list(self.cards), card)
+        vehicles, vehicle, _ = _renumber(list(self.vehicles), vehicle)
+        stops, stop, used = _renumber(list(self.stops), np.concatenate([board_stop, alight_stop]))
+        lat, lon = np.array([c for _, c in self.stops.values()], np.float64).reshape(-1, 2)[used].T.copy()
+        n = board.size
+        return TripTable(cards, vehicles, stops, lat, lon, card, vehicle, stop[:n], stop[n:], board, alight)
+
+
+def _renumber(ids: List[str], codes: np.ndarray) -> Tuple[List[str], np.ndarray, np.ndarray]:
+    """The ids that `codes` uses, sorted; the codes renumbered over them; their old codes."""
+    used = sorted(np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist(), key=ids.__getitem__)
+    code = np.zeros(len(ids), np.int32)
+    code[used] = np.arange(len(used), dtype=np.int32)
+    return [ids[i] for i in used], code[codes], np.array(used, np.int64)
 
 
 @dataclass
@@ -91,40 +173,25 @@ class IngestReport:
         )
 
 
-@dataclass(frozen=True)
-class TripFormat:
-    """Format descriptor for trip files: delimiter only, header is mandatory."""
-
-    delimiter: str = ","
-
-
 class _TimeColumn:
-    """Per-column timestamp parser.
+    """Per-column timestamp parser for stripped cells.
 
     The format (epoch seconds or ISO-8601) is locked on the first cell that
     parses; later cells must follow the same format.
     """
 
     def __init__(self) -> None:
-        self._format: Optional[str] = None
+        self._format: Optional[Callable[[str], Optional[float]]] = None
 
     def parse(self, text: str) -> Optional[float]:
-        text = text.strip()
         if not text:
             return None
-        if self._format is None:
-            value = _parse_epoch(text)
+        for parser in (self._format,) if self._format else (_parse_epoch, _parse_iso):
+            value = parser(text)
             if value is not None:
-                self._format = "epoch"
+                self._format = parser
                 return value
-            value = _parse_iso(text)
-            if value is not None:
-                self._format = "iso"
-                return value
-            return None
-        if self._format == "epoch":
-            return _parse_epoch(text)
-        return _parse_iso(text)
+        return None
 
 
 def _parse_epoch(text: str) -> Optional[float]:
@@ -159,23 +226,23 @@ def _parse_coord(lat_text: str, lon_text: str) -> Optional[Tuple[float, float]]:
 
 
 def parse_trip_records(
-    source: Union[str, Path, TextIO],
-    fmt: TripFormat = TripFormat(),
-) -> Tuple[List[TripRecord], IngestReport]:
+    source: Union[str, Path, TextIO], delimiter: str = ","
+) -> Tuple[TripTable, IngestReport]:
     """Read trip records from a delimited text source.
 
-    Returns the accepted records in input order plus an IngestReport whose
-    counts reconcile exactly with the output.  Raises SchemaError when a
-    required column is absent and OSError when the source cannot be read.
+    Returns the accepted rows in input order plus an IngestReport whose
+    counts reconcile exactly with the table.  Raises SchemaError when a
+    required column is absent, OSError when the source cannot be read and
+    ValueError when accepted rows give one stop id two coordinate pairs.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
-            return _parse_stream(fh, fmt)
-    return _parse_stream(source, fmt)
+            return _parse_stream(fh, delimiter)
+    return _parse_stream(source, delimiter)
 
 
-def _parse_stream(stream: TextIO, fmt: TripFormat) -> Tuple[List[TripRecord], IngestReport]:
-    reader = csv.reader(stream, delimiter=fmt.delimiter)
+def _parse_stream(stream: TextIO, delimiter: str) -> Tuple[TripTable, IngestReport]:
+    reader = csv.reader(stream, delimiter=delimiter)
     try:
         header = next(reader)
     except StopIteration:
@@ -189,19 +256,15 @@ def _parse_stream(stream: TextIO, fmt: TripFormat) -> Tuple[List[TripRecord], In
 
     board_col = _TimeColumn()
     alight_col = _TimeColumn()
-    # stops are heavily repeated; share StopRef instances across records
-    stop_cache: Dict[Tuple[str, float, float], StopRef] = {}
-
-    records: List[TripRecord] = []
+    builder = _TableBuilder()
     report = IngestReport()
     for row in reader:
         report.total_rows += 1
         if len(row) < width:
             report.reject(REASON_MISSING_FIELD)
             continue
-        cells = [row[i].strip() for i in idx]
         (card_id, vehicle_id, board_text, alight_text,
-         b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = cells
+         b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = [row[i].strip() for i in idx]
         if not card_id or not vehicle_id or not b_stop or not a_stop:
             report.reject(REASON_MISSING_FIELD)
             continue
@@ -218,50 +281,32 @@ def _parse_stream(stream: TextIO, fmt: TripFormat) -> Tuple[List[TripRecord], In
         if not board_time < alight_time:
             report.reject(REASON_NON_POSITIVE_DURATION)
             continue
-        board_key = (b_stop, *board_coord)
-        alight_key = (a_stop, *alight_coord)
-        board_stop = stop_cache.get(board_key)
-        if board_stop is None:
-            board_stop = stop_cache[board_key] = StopRef(b_stop, *board_coord)
-        alight_stop = stop_cache.get(alight_key)
-        if alight_stop is None:
-            alight_stop = stop_cache[alight_key] = StopRef(a_stop, *alight_coord)
-        records.append(
-            TripRecord(card_id, vehicle_id, board_time, alight_time, board_stop, alight_stop)
-        )
+        builder.add(card_id, vehicle_id, board_time, alight_time, b_stop, board_coord, a_stop, alight_coord)
         report.accepted += 1
-    return records, report
+    return builder.table(), report
 
 
-def filter_by_min_trips(records: Sequence[TripRecord], threshold: int) -> List[TripRecord]:
-    """Drop all records of cards with fewer than `threshold` trips.
+def filter_by_min_trips(trips: TripTable, threshold: int) -> TripTable:
+    """Drop all rows of cards with fewer than `threshold` trips.
 
-    Surviving records are returned unmodified and in input order.
+    Surviving rows keep their values and their order.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    counts = _trips_per_card(records)
-    return [rec for rec in records if counts[rec.card_id] >= threshold]
+    return trips.take(_trips_per_card(trips)[trips.card] >= threshold)
 
 
-def _trips_per_card(records: Sequence[TripRecord]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for rec in records:
-        counts[rec.card_id] = counts.get(rec.card_id, 0) + 1
-    return counts
+def _trips_per_card(trips: TripTable) -> np.ndarray:
+    return np.bincount(trips.card, minlength=len(trips.cards))
 
 
-def trip_frequency_distribution(records: Sequence[TripRecord]) -> Dict[int, int]:
+def trip_frequency_distribution(trips: TripTable) -> Dict[int, int]:
     """Histogram of trips-per-card: {trip count -> number of cards}."""
-    hist: Dict[int, int] = {}
-    for n in _trips_per_card(records).values():
-        hist[n] = hist.get(n, 0) + 1
-    return hist
+    values, n = np.unique(_trips_per_card(trips), return_counts=True)
+    return dict(zip(values.tolist(), n.tolist()))
 
 
-def population_vs_threshold(
-    records: Sequence[TripRecord], thresholds: Sequence[int]
-) -> List[Tuple[int, int]]:
+def population_vs_threshold(trips: TripTable, thresholds: Sequence[int]) -> List[Tuple[int, int]]:
     """Surviving population size for each minimum-trip threshold.
 
     Thresholds must be strictly increasing; the resulting populations are
@@ -270,31 +315,30 @@ def population_vs_threshold(
     for a, b in zip(thresholds, thresholds[1:]):
         if not a < b:
             raise ValueError(f"thresholds must be strictly increasing, got {a} before {b}")
-    values = sorted(_trips_per_card(records).values())
+    values = np.sort(_trips_per_card(trips))
     # cards with count >= t are those right of the leftmost insertion point
-    return [(t, len(values) - bisect.bisect_left(values, t)) for t in thresholds]
+    return [(t, int(values.size - np.searchsorted(values, t))) for t in thresholds]
 
 
-def write_trip_csv(records: Iterable[TripRecord], path: Union[str, Path]) -> None:
-    """Write records in the canonical trip CSV schema."""
+def write_trip_csv(trips: TripTable, path: Union[str, Path]) -> None:
+    """Write a table in the canonical trip CSV schema, one block of rows at a time."""
+    lat = [f"{x:.6f}" for x in trips.stop_lat.tolist()]
+    lon = [f"{x:.6f}" for x in trips.stop_lon.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.card_id,
-                    r.vehicle_id,
-                    _format_time(r.board_time),
-                    _format_time(r.alight_time),
-                    r.board_stop.stop_id,
-                    f"{r.board_stop.lat:.6f}",
-                    f"{r.board_stop.lon:.6f}",
-                    r.alight_stop.stop_id,
-                    f"{r.alight_stop.lat:.6f}",
-                    f"{r.alight_stop.lon:.6f}",
-                ]
-            )
+        for lo in range(0, len(trips), BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            b_stop = trips.board_stop[rows].tolist()
+            a_stop = trips.alight_stop[rows].tolist()
+            writer.writerows(zip(
+                map(trips.cards.__getitem__, trips.card[rows].tolist()),
+                map(trips.vehicles.__getitem__, trips.vehicle[rows].tolist()),
+                map(_format_time, trips.board[rows].tolist()),
+                map(_format_time, trips.alight[rows].tolist()),
+                map(trips.stops.__getitem__, b_stop), map(lat.__getitem__, b_stop), map(lon.__getitem__, b_stop),
+                map(trips.stops.__getitem__, a_stop), map(lat.__getitem__, a_stop), map(lon.__getitem__, a_stop),
+            ))
 
 
 def _format_time(t: float) -> str:

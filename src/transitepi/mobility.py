@@ -1,5 +1,6 @@
-"""Per-passenger mobility statistics: visit profiles, total and k-restricted
-radius of gyration, and direct-encounter counts.
+"""Per-passenger mobility statistics: visited stops, total and k-restricted
+radius of gyration, and direct-encounter counts, computed for every card at
+once from the columns of a `TripTable`.
 
 The radius of gyration is the frequency-weighted RMS distance of a
 passenger's visited stops from their centre of mass:
@@ -8,40 +9,21 @@ passenger's visited stops from their centre of mass:
 
 with N the total visit weight (sum of the n_i).  The k-restricted variant
 applies the same formula to the k most-visited stops only, recomputing both
-N and the centre of mass over that subset.
+N and the centre of mass over that subset.  Each card's sums run over its
+stops in stop-id order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from .geo import HAVERSINE, Point
-from .ingest import StopRef, TripRecord
+import numpy as np
+
+from .geo import HAVERSINE
+from .ingest import TripTable
 
 DEFAULT_K = 2
-
-
-@dataclass(frozen=True)
-class VisitProfile:
-    """Visited stops of one card with per-stop visit frequencies.
-
-    Each boarding and each alighting counts as one visit.  `visits` preserves
-    first-visit order; `total_visits` is the sum of the frequencies.
-    """
-
-    card_id: str
-    visits: Tuple[Tuple[StopRef, int], ...]
-
-    @property
-    def total_visits(self) -> int:
-        return sum(n for _, n in self.visits)
-
-    def center_of_mass(self, model=HAVERSINE) -> Point:
-        points = [stop.coords() for stop, _ in self.visits]
-        weights = [float(n) for _, n in self.visits]
-        return model.center_of_mass(points, weights)
 
 
 @dataclass(frozen=True)
@@ -55,87 +37,70 @@ class MobilityVector:
     encounters: int
 
 
-def build_visit_profile(records: Sequence[TripRecord]) -> VisitProfile:
-    """Tally the visited stops of one card's records."""
-    if not records:
-        raise ValueError("cannot build a visit profile from zero records")
-    card_id = records[0].card_id
-    freq: Dict[str, int] = {}
-    stops: Dict[str, StopRef] = {}
-    for rec in records:
-        if rec.card_id != card_id:
-            raise ValueError(f"records mix cards {card_id!r} and {rec.card_id!r}")
-        for stop in (rec.board_stop, rec.alight_stop):
-            freq[stop.stop_id] = freq.get(stop.stop_id, 0) + 1
-            stops.setdefault(stop.stop_id, stop)
-    visits = tuple((stops[sid], n) for sid, n in freq.items())
-    return VisitProfile(card_id=card_id, visits=visits)
+def visit_counts(trips: TripTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Visited stops of every card: (card, stop, visits) rows sorted by card, then stop.
+
+    Each boarding and each alighting counts as one visit.
+    """
+    n_stops = len(trips.stops)
+    card = trips.card.astype(np.int64) * n_stops
+    visit, count = np.unique(np.concatenate([card + trips.board_stop, card + trips.alight_stop]),
+                             return_counts=True)
+    card, stop = np.divmod(visit, n_stops)
+    return card, stop, count
 
 
-def radius_of_gyration(profile: VisitProfile, model=HAVERSINE) -> float:
-    """Frequency-weighted RMS distance from the centre of mass, in metres."""
-    if len(profile.visits) == 1:
-        return 0.0
-    com = profile.center_of_mass(model)
-    total = 0
-    acc = 0.0
-    for stop, n in profile.visits:
-        d = model.distance(stop.coords(), com)
-        acc += n * d * d
-        total += n
-    return math.sqrt(acc / total)
+def radii_of_gyration(card, lat, lon, weight, k: int = DEFAULT_K, model=HAVERSINE) -> Tuple[np.ndarray, np.ndarray]:
+    """Radius of gyration and k-radius of every card, in metres.
 
-
-def k_radius_of_gyration(profile: VisitProfile, k: int = DEFAULT_K, model=HAVERSINE) -> float:
-    """Radius of gyration over the k most-visited stops only.
-
-    Frequency ties are broken by stop id so the subset is deterministic.
-    When the profile has at most k distinct stops this equals
-    radius_of_gyration exactly.
+    One row per visited stop: `card` numbers the cards 0 .. n-1 and is sorted,
+    and within a card the rows are in stop-id order, which breaks frequency
+    ties in the choice of the k most-visited stops.  `weight` is the visit
+    count.  When a card has at most k distinct stops its k-radius equals its
+    radius exactly; a card with one stop has radius 0.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if len(profile.visits) <= k:
-        return radius_of_gyration(profile, model)
-    ranked = sorted(profile.visits, key=lambda v: (-v[1], v[0].stop_id))
-    chosen = {stop.stop_id for stop, _ in ranked[:k]}
-    # keep original visit order so the k >= |L| case stays bit-identical
-    subset = tuple(v for v in profile.visits if v[0].stop_id in chosen)
-    sub = VisitProfile(card_id=profile.card_id, visits=subset)
-    return radius_of_gyration(sub, model)
+    card = np.asarray(card, np.int64)
+    weight = np.asarray(weight, np.float64)
+    n = int(card[-1]) + 1 if card.size else 0
+    rg = _gyration(card, lat, lon, weight, n, model)
+    m = np.bincount(card, minlength=n)
+    # rank of each row among its card's stops by (-visits, stop id); lexsort is stable
+    order = np.lexsort((-weight, card))
+    rank = np.arange(card.size) - np.repeat(np.cumsum(m) - m, m)
+    top = np.sort(order[rank < k])
+    rgk = _gyration(card[top], lat[top], lon[top], weight[top], n, model)
+    return rg, np.where(m <= k, rg, rgk)
+
+
+def _gyration(card, lat, lon, weight, n: int, model) -> np.ndarray:
+    c_lat, c_lon = model.center_of_mass(lat, lon, weight, card, n)
+    d = model.distance((lat, lon), (c_lat[card], c_lon[card]))
+    rg = np.sqrt(np.bincount(card, weight * d * d, n) / np.bincount(card, weight, n))
+    rg[np.bincount(card, minlength=n) == 1] = 0.0  # one stop: exactly 0, free of trig round-off
+    return rg
 
 
 def mobility_table(
-    records: Sequence[TripRecord],
+    trips: TripTable,
     exposures,
     k: int = DEFAULT_K,
     model=HAVERSINE,
 ) -> List[MobilityVector]:
-    """Assemble MobilityVectors for every card in `records`.
+    """Assemble MobilityVectors for every card in `trips`.
 
     `exposures` supplies the direct-encounter counts: the number of direct
     co-presence episodes per card, so a pair meeting on separate trips
     counts once per episode.  Output is sorted by card id.
     """
-    by_card: Dict[str, List[TripRecord]] = {}
-    for rec in records:
-        by_card.setdefault(rec.card_id, []).append(rec)
+    card, stop, visits = visit_counts(trips)
+    rg, rgk = radii_of_gyration(card, trips.stop_lat[stop], trips.stop_lon[stop], visits, k, model)
     encounters = exposures.direct_encounter_counts()
-    out: List[MobilityVector] = []
-    for card_id in sorted(by_card):
-        profile = build_visit_profile(by_card[card_id])
-        rg = radius_of_gyration(profile, model)
-        rgk = k_radius_of_gyration(profile, k, model)
-        out.append(
-            MobilityVector(
-                card_id=card_id,
-                rg=rg,
-                rgk=rgk,
-                k_used=k,
-                encounters=encounters.get(card_id, 0),
-            )
-        )
-    return out
+    return [
+        MobilityVector(card_id=c, rg=a, rgk=b, k_used=k, encounters=encounters.get(c, 0))
+        for c, a, b in zip(trips.cards, rg.tolist(), rgk.tolist())
+    ]
 
 
 def write_mobility_csv(vectors: Iterable[MobilityVector], path) -> None:

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
-from .ingest import TripRecord
+from .ingest import TripTable
 
 SUSCEPTIBLE = "S"
 INFECTIOUS = "I"
@@ -208,7 +208,7 @@ class LaneTraces:
 
 
 def run_lanes(
-    trips: Optional[Sequence[TripRecord]],
+    trips: Optional[TripTable],
     config: SimConfig,
     betas: Sequence[float],
     runs: Sequence[int],
@@ -226,7 +226,7 @@ def run_lanes(
     if exposures is None:
         exposures = build_exposure_log(trips, config.d_t)
     if population is None:
-        population = sorted({r.card_id for r in trips}) if trips else list(exposures.cards)
+        population = trips.cards if trips else exposures.cards
     population = sorted(population)
     n = len(population)
     if config.n_seeds > n:
@@ -239,13 +239,13 @@ def run_lanes(
 
     start_time = config.start_time
     if start_time is None:
-        start_time = min((r.board_time for r in trips), default=0.0) if trips else (
+        start_time = float(trips.board.min()) if trips else (
             float(exposures.src_enter.min()) if len(exposures) else 0.0
         )
     end_time = config.end_time
     if end_time is None:
         if trips:
-            end_time = max(r.alight_time for r in trips) + config.d_t
+            end_time = float(trips.alight.max()) + config.d_t
         elif len(exposures):
             end_time = float(exposures.end.max())
         else:
@@ -256,9 +256,10 @@ def run_lanes(
     card_pos = {c: i for i, c in enumerate(log.cards)}
     grid = np.unique(np.asarray(betas, dtype=np.float64))
     beta_index = np.searchsorted(grid, betas)
-    # the heap's order after time: (window start, infector, infectee, vehicle, kind)
+    # the heap's order after time: (window start, infector, infectee, vehicle,
+    # kind); the log stores rows by (infector, start, infectee, vehicle, kind)
     key = np.empty(len(log), np.int32)
-    key[np.lexsort((log.direct, log.veh, log.tgt, log.src, log.start))] = np.arange(len(log), dtype=np.int32)
+    key[np.argsort(log.start, kind="stable")] = np.arange(len(log), dtype=np.int32)
     runs = list(runs)
     run_bytes = len(log) + len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD
     per_batch = max(1, BATCH_BYTES // max(1, run_bytes))
@@ -380,7 +381,7 @@ class _Lanes:
 
 
 def run_sir(
-    trips: Optional[Sequence[TripRecord]],
+    trips: Optional[TripTable],
     config: SimConfig,
     run_index: int,
     exposures: Optional[ExposureLog] = None,
@@ -407,7 +408,7 @@ class EnsembleResult:
 
 
 def run_ensemble(
-    trips: Optional[Sequence[TripRecord]],
+    trips: Optional[TripTable],
     config: SimConfig,
     exposures: Optional[ExposureLog] = None,
     population: Optional[Sequence[str]] = None,

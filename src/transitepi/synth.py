@@ -29,12 +29,13 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .geo import local_km_to_latlon
-from .ingest import StopRef, TripRecord
+from .ingest import TripTable
 
 ARCHETYPES = ("commuter", "roamer", "long_hauler", "offpeak_regular")
 DEFAULT_MIX: Dict[str, float] = {
@@ -113,7 +114,8 @@ class SynthConfig:
 @dataclass(frozen=True)
 class Route:
     route_id: str
-    stops: Tuple[StopRef, ...]
+    stops: Tuple[str, ...]  # stop ids
+    coords: Tuple[Tuple[float, float], ...]  # (lat, lon), parallel to stops
     xy_km: Tuple[Tuple[float, float], ...]  # local coordinates, parallel to stops
     departures: Tuple[int, ...]  # seconds after local midnight, strictly increasing
     leg_seconds: int
@@ -134,8 +136,9 @@ class BusNetwork:
     base_time: int = BASE_EPOCH
 
     @property
-    def stops(self) -> List[StopRef]:
-        return [s for route in self.routes for s in route.stops]
+    def stops(self) -> Dict[str, Tuple[float, float]]:
+        """Every stop id with its (lat, lon)."""
+        return {s: c for route in self.routes for s, c in zip(route.stops, route.coords)}
 
 
 def _daily_departures(rng: np.random.Generator) -> Tuple[int, ...]:
@@ -171,11 +174,11 @@ def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwor
         m = config.stops_per_route
         xs = np.linspace(x0, x1, m)
         ys = np.linspace(y0, y1, m)
-        stops = []
+        coords = []
         xy = []
         for si in range(m):
             lat, lon = local_km_to_latlon(float(xs[si]), float(ys[si]), CITY_ORIGIN_LAT, CITY_ORIGIN_LON)
-            stops.append(StopRef(f"r{ri:02d}s{si:02d}", round(lat, 6), round(lon, 6)))
+            coords.append((round(lat, 6), round(lon, 6)))
             xy.append((float(xs[si]), float(ys[si])))
         spacing = math.hypot(x1 - x0, y1 - y0) / (m - 1)
         leg = max(30, int(round(spacing / BUS_SPEED_KMH * 3600)))
@@ -185,7 +188,8 @@ def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwor
         routes.append(
             Route(
                 route_id=f"r{ri:02d}",
-                stops=tuple(stops),
+                stops=tuple(f"r{ri:02d}s{si:02d}" for si in range(m)),
+                coords=tuple(coords),
                 xy_km=tuple(xy),
                 departures=departures,
                 leg_seconds=leg,
@@ -193,6 +197,10 @@ def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwor
             )
         )
     return BusNetwork(routes=tuple(routes))
+
+
+# (card, vehicle, board, alight, board stop, alight stop), the rows of a TripTable
+Trip = Tuple[str, str, float, float, str, str]
 
 
 def _vehicle_id(route: Route, dep_idx: int, forward: bool) -> str:
@@ -208,7 +216,7 @@ def _make_trip(
     i: int,
     j: int,
     desired_s: int,
-) -> TripRecord:
+) -> Trip:
     """Ride the run whose passage at the origin stop is nearest desired_s."""
     m = len(route.stops)
     forward = i < j
@@ -226,14 +234,8 @@ def _make_trip(
     day_start = network.base_time + day * 86_400
     board = day_start + deps[dep_idx] + pos_i * route.leg_seconds
     alight = day_start + deps[dep_idx] + pos_j * route.leg_seconds
-    return TripRecord(
-        card_id=card_id,
-        vehicle_id=_vehicle_id(route, dep_idx, forward),
-        board_time=float(board),
-        alight_time=float(alight),
-        board_stop=route.stops[i],
-        alight_stop=route.stops[j],
-    )
+    return (card_id, _vehicle_id(route, dep_idx, forward), float(board), float(alight),
+            route.stops[i], route.stops[j])
 
 
 def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
@@ -286,7 +288,7 @@ class _Passenger:
 
 def generate_passengers(
     config: SynthConfig, network: BusNetwork, rng: np.random.Generator
-) -> List[TripRecord]:
+) -> TripTable:
     """Emit every passenger's trips for the whole period, chronologically."""
     config.validate()
     routes = network.routes
@@ -392,11 +394,11 @@ def generate_passengers(
             j += 1
         return ri, sis[i], sis[j]
 
-    records: List[TripRecord] = []
+    records: List[Trip] = []
     for p in passengers:
         route = routes[p.route_idx]
         activity = PEAK_ACTIVITY if p.archetype != "offpeak_regular" else OFFPEAK_ACTIVITY
-        my_trips: List[TripRecord] = []
+        my_trips: List[Trip] = []
         active_days = []
         for day in range(config.days):
             weekday = day % 7 < 5
@@ -447,13 +449,12 @@ def generate_passengers(
             day += 1
         records.extend(my_trips)
 
-    records.sort(key=lambda r: (r.board_time, r.card_id, r.vehicle_id))
-    return records
+    records.sort(key=itemgetter(2, 0, 1))  # board time, card, vehicle
+    return TripTable.from_rows(records, network.stops)
 
 
-def synthesize(config: SynthConfig) -> Tuple[BusNetwork, List[TripRecord]]:
+def synthesize(config: SynthConfig) -> Tuple[BusNetwork, TripTable]:
     """Network plus trips from one seeded generator; pure in (config, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(config.rng_seed))
     network = generate_network(config, rng)
-    records = generate_passengers(config, network, rng)
-    return network, records
+    return network, generate_passengers(config, network, rng)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from transitepi.contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
-from transitepi.ingest import TripRecord
+from transitepi.ingest import TripTable
 from transitepi.sim import (
     INFECTIOUS,
     RECOVERED,
@@ -27,6 +28,36 @@ from transitepi.sim import (
     _run_streams,
     exposure_uniforms,
 )
+
+
+# --- exposure events ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExposureEvent:
+    source: str
+    target: str
+    vehicle_id: str
+    exposure_start: float
+    exposure_end: float
+    kind: str  # DIRECT | INDIRECT
+    source_enter: float
+    source_exit: float
+
+
+def log_events(log: ExposureLog) -> Iterator[ExposureEvent]:
+    """All events of a log, one object each, in canonical order: exposure_start,
+    source id, target id, exposure_end, vehicle id."""
+    for i in np.lexsort((log.veh, log.end, log.tgt, log.src, log.start)):
+        yield ExposureEvent(
+            source=log.cards[log.src[i]],
+            target=log.cards[log.tgt[i]],
+            vehicle_id=log.vehicles[log.veh[i]],
+            exposure_start=float(log.start[i]),
+            exposure_end=float(log.end[i]),
+            kind=DIRECT if log.direct[i] else INDIRECT,
+            source_enter=float(log.src_enter[i]),
+            source_exit=float(log.src_exit[i]),
+        )
 
 
 # --- radius of gyration -----------------------------------------------------
@@ -260,7 +291,7 @@ def reachable_infections(
 # --- scalar S-I-R ---------------------------------------------------------------
 
 def sir_reference(
-    trips: Sequence[TripRecord],
+    trips: Optional[TripTable],
     config: SimConfig,
     run_index: int,
     exposures: Optional[ExposureLog] = None,
@@ -276,7 +307,7 @@ def sir_reference(
     if exposures is None:
         exposures = build_exposure_log(trips, config.d_t)
     if population is None:
-        population = exposures.cards if trips is None else sorted({r.card_id for r in trips})
+        population = exposures.cards if trips is None else trips.cards
     population = sorted(population)
     n = len(population)
     if config.n_seeds > n:
@@ -290,13 +321,13 @@ def sir_reference(
     card_pos = {c: i for i, c in enumerate(exposures.cards)}
     start_time = config.start_time
     if start_time is None:
-        start_time = min((r.board_time for r in trips), default=0.0) if trips else (
+        start_time = float(trips.board.min()) if trips else (
             float(exposures.src_enter.min()) if len(exposures) else 0.0
         )
     end_time = config.end_time
     if end_time is None:
         if trips:
-            end_time = max(r.alight_time for r in trips) + config.d_t
+            end_time = float(trips.alight.max()) + config.d_t
         elif len(exposures):
             end_time = float(exposures.end.max())
         else:

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import transitepi as te
-from conftest import trip
+from conftest import same_table, table, trip
 from oracles import (
+    log_events,
     gyration_direct,
     k_gyration_direct,
     kmeans2_brute,
@@ -55,20 +56,15 @@ def test_criterion_1_gyration_oracle():
             else:
                 pts = [(rnd.uniform(-34.3, -33.4), rnd.uniform(150.7, 151.6)) for _ in range(m)]
             weights = [rnd.randint(1, 30) for _ in range(m)]
-            ids = [f"s{i:02d}" for i in range(m)]
-            profile = te.VisitProfile(
-                card_id="p",
-                visits=tuple(
-                    (te.StopRef(ids[i], pts[i][0], pts[i][1]), weights[i]) for i in range(m)
-                ),
-            )
+            ids = [f"s{i:02d}" for i in range(m)]  # one card's stops, in stop-id order
+            lat, lon = np.array(pts).T
             model = te.PLANAR if planar else te.HAVERSINE
-            got_rg = te.radius_of_gyration(profile, model)
+            k = rnd.randint(1, 55)
+            rg, rgk = te.radii_of_gyration(np.zeros(m, np.int64), lat, lon, weights, k, model)
+            got_rg, got_k = float(rg[0]), float(rgk[0])
             want_rg = gyration_direct(pts, weights, planar)
             assert got_rg == pytest.approx(want_rg, rel=1e-9, abs=1e-9)
 
-            k = rnd.randint(1, 55)
-            got_k = te.k_radius_of_gyration(profile, k, model)
             if k >= m:
                 assert got_k == got_rg  # exact equality, not approximate
             else:
@@ -142,10 +138,10 @@ def _random_instance(seed: int):
 
 
 def _oracle_infected(records, d_t, seeds, period):
-    log = te.build_exposure_log(records, d_t)
+    log = te.build_exposure_log(table(records), d_t)
     rows = [
         (e.source, e.target, e.exposure_start, e.exposure_end, e.kind, e.source_enter, e.source_exit)
-        for e in log.events()
+        for e in log_events(log)
     ]
     end = max(r.alight_time for r in records) + d_t
     return set(reachable_infections(rows, seeds, 0.0, period, end))
@@ -161,7 +157,7 @@ def test_criterion_3_simulation_oracle():
                     beta=1.0, d_t=d_t, n_seeds=2, infectious_period=5 * DAY,
                     n_runs=1, master_seed=seed, start_time=0.0,
                 )
-                out = te.run_sir(records, cfg, 0)
+                out = te.run_sir(table(records), cfg, 0)
                 want = _oracle_infected(records, d_t, out.seeds, cfg.infectious_period)
                 assert out.infected_set == want, f"seed={seed} d_t={d_t}"
         elapsed = time.perf_counter() - started
@@ -183,7 +179,7 @@ def test_criterion_4_monotonicity():
                     beta=beta, d_t=0.0, n_seeds=2, infectious_period=5 * DAY,
                     n_runs=1, master_seed=77, start_time=0.0,
                 )
-                infected = te.run_sir(records, cfg, 0).infected_set
+                infected = te.run_sir(table(records), cfg, 0).infected_set
                 if previous is not None:
                     assert previous <= infected, f"beta chain broken at {beta} (seed {seed})"
                 previous = infected
@@ -193,7 +189,7 @@ def test_criterion_4_monotonicity():
                     beta=1.0, d_t=d_t, n_seeds=2, infectious_period=5 * DAY,
                     n_runs=1, master_seed=77, start_time=0.0,
                 )
-                infected = te.run_sir(records, cfg, 0).infected_set
+                infected = te.run_sir(table(records), cfg, 0).infected_set
                 if previous is not None:
                     assert previous <= infected, f"d_t chain broken at {d_t} (seed {seed})"
                 previous = infected
@@ -210,7 +206,7 @@ def test_criterion_5_conservation_attribution_flows():
         log = te.build_exposure_log(records, 0.0)
         vectors = te.mobility_table(records, log)
         result = te.classify_population(vectors)
-        population = sorted({r.card_id for r in records})
+        population = records.cards
 
         sim_cfg = te.SimConfig(beta=0.6, d_t=0.0, n_seeds=10, n_runs=10, master_seed=11)
         ensemble = te.run_ensemble(records, sim_cfg, exposures=log, population=population)
@@ -258,7 +254,7 @@ def test_criterion_5_conservation_attribution_flows():
 
 
 def outcome_start(outcome, records):
-    return min(r.board_time for r in records)
+    return float(records.board.min())
 
 
 # -- 6 --------------------------------------------------------------------
@@ -270,7 +266,7 @@ def test_criterion_6_desk_scale_reproduction():
         cfg = te.SynthConfig()  # 10,000 passengers, 30 days
         _, records = te.synthesize(cfg)
         records = te.filter_by_min_trips(records, 15)
-        population = sorted({r.card_id for r in records})
+        population = records.cards
 
         log0 = te.build_exposure_log(records, 0.0)
         vectors = te.mobility_table(records, log0)
@@ -293,7 +289,7 @@ def test_criterion_6_desk_scale_reproduction():
             assert 0.85 <= receptions <= 1.05, f"{name}: receptions {receptions:.3f}"
 
         # (c) suspension-time difference matrix exists and is antisymmetric
-        log30 = te.build_exposure_log(records, 30 * 60.0, cards=population)
+        log30 = te.build_exposure_log(records, 30 * 60.0)
         sim_cfg30 = te.SimConfig(beta=1.0, d_t=30 * 60.0, n_seeds=50, n_runs=20, master_seed=0)
         ensemble30 = te.run_ensemble(records, sim_cfg30, exposures=log30, population=population)
         m0 = te.group_flow_matrix(ensemble0.outcomes, result.assignments)
@@ -355,4 +351,4 @@ def test_criterion_8_round_trips(tmp_path):
         back, report = te.parse_trip_records(out)
         assert report.rejected == 0
         assert report.accepted == len(records)
-        assert back == records
+        assert same_table(back, records)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
+import shutil
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transitepi import cli, sim
 from transitepi.cli import main
@@ -50,7 +54,7 @@ class TestGenerate:
         assert code == 0
         records, report = parse_trip_records(out)
         assert report.rejected == 0
-        assert len({r.card_id for r in records}) == 40
+        assert len(records.cards) == 40
 
     def test_round_trips_through_ingest(self, trips_csv):
         records, report = parse_trip_records(trips_csv)
@@ -94,6 +98,31 @@ class TestIngest:
         rows = [line.split(",") for line in pop.read_text().strip().splitlines()[1:]]
         pops = [int(r[1]) for r in rows]
         assert pops == sorted(pops, reverse=True)
+
+    def test_out_reproduces_generated_file(self, tmp_path, trips_csv):
+        out = tmp_path / "again.csv"
+        assert main(["ingest", "--input", trips_csv, "--min-trips", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == Path(trips_csv).read_bytes()
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["file-order", "reversed"])
+    def test_stop_with_two_coordinate_pairs_is_data_error(self, tmp_path, trips_csv, caplog, reverse):
+        # without the check, each card took the pair it met first, so the
+        # mobility table depended on the order of the rows
+        header, *rows = Path(trips_csv).read_text().splitlines()
+        cells = rows[0].split(",")
+        stop = cells[4]
+        cells[5] = f"{float(cells[5]) + 0.05:.6f}"
+        rows[0] = ",".join(cells)
+        if reverse:
+            rows.reverse()
+        path = tmp_path / "conflict.csv"
+        path.write_text("\n".join([header] + rows) + "\n")
+        code = main([
+            "classify", "--input", str(path), "--out-assignments", str(tmp_path / "a.csv"),
+            "--out-mobility", str(tmp_path / "m.csv"), "--min-trips", "10",
+        ])
+        assert code == 2
+        assert repr(stop) in caplog.text
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
@@ -155,6 +184,14 @@ class TestSimulate:
             "--runs", "1", "--min-trips", "10", "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    def test_integer_in_spec_writes_like_the_flag(self, tmp_path, trips_csv):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"beta": 1, "infectious_days": 5}))
+        argv = ["simulate", "--input", trips_csv, "--seeds", "2", "--runs", "1", "--min-trips", "10"]
+        assert main(argv + ["--spec", str(spec), "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--beta", "1", "--infectious-days", "5", "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "summary.json").read_bytes() == (tmp_path / "b" / "summary.json").read_bytes()
 
     def test_outdir_env_fallback(self, tmp_path, trips_csv, monkeypatch):
         out_dir = tmp_path / "via-env"
@@ -280,6 +317,66 @@ class TestSweep:
         ])
         assert code == 1
         assert named in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("generate", {"n_passengers": "10"}, "'n_passengers'"),
+        ("sweep", {"n_runs": "5"}, "'n_runs'"),
+        ("sweep", {"beta_grid": 0.5}, "'beta_grid'"),
+    ],
+    ids=["synth-string-count", "spec-string-runs", "spec-scalar-grid"],
+)
+def test_wrongly_typed_value_is_usage_error(tmp_path, trips_csv, caplog, command, content, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    if command == "generate":
+        argv = ["generate", "--out", str(tmp_path / "t.csv"), "--synth-config", str(path)]
+    else:
+        argv = ["sweep", "--spec", str(path), "--input", trips_csv, "--out-dir", str(tmp_path / "s")]
+    assert main(argv) == 1
+    assert named in caplog.text
+
+
+class TestRowOrder:
+    """Every artifact is the same whatever the order of the trip file's rows."""
+
+    @pytest.fixture(scope="class")
+    def unshuffled(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("row-order")
+        trips = work / "trips.csv"
+        assert main([
+            "generate", "--out", str(trips), "--passengers", "60", "--routes", "4",
+            "--stops-per-route", "8", "--days", "14", "--seed", "2",
+        ]) == 0
+        return work, trips.read_text(), self.artifacts(work)
+
+    @staticmethod
+    def artifacts(work: Path) -> dict:
+        out = work / "out"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        common = ["--input", str(work / "trips.csv"), "--seeds", "3", "--runs", "2", "--master-seed", "5"]
+        assert main([
+            "classify", "--input", str(work / "trips.csv"), "--out-assignments", str(out / "assignments.csv"),
+            "--out-summary", str(out / "classification.json"), "--out-mobility", str(out / "mobility.csv"),
+        ]) == 0
+        assert main(["simulate", *common, "--beta", "0.5", "--dt-minutes", "15", "--out-dir", str(out / "sim")]) == 0
+        assert main(["sweep", *common, "--beta-grid", "0.5,1", "--dt-grid-minutes", "0,15",
+                     "--out-dir", str(out / "sweep")]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    @settings(max_examples=4)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_rows_same_artifacts(self, unshuffled, seed):
+        work, text, want = unshuffled
+        header, *rows = text.splitlines()
+        random.Random(seed).shuffle(rows)
+        (work / "trips.csv").write_text("\n".join([header] + rows) + "\n")
+        got = self.artifacts(work)
+        assert got.keys() == want.keys()
+        assert [name for name in want if got[name] != want[name]] == []
 
 
 class TestFrontHalfOnce:

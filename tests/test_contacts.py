@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import trip
-from oracles import component_sizes_bfs, direct_degree_quadratic, exposures_quadratic
+from conftest import table, trip
+from oracles import component_sizes_bfs, direct_degree_quadratic, exposures_quadratic, log_events
 from transitepi.contacts import (
     DIRECT,
     INDIRECT,
@@ -26,7 +26,7 @@ def minutes(m: float) -> float:
 
 def events_of(records, d_t: float, source: str):
     """The log's events whose source is `source`, in canonical order."""
-    return [e for e in build_exposure_log(records, d_t).events() if e.source == source]
+    return [e for e in log_events(build_exposure_log(table(records), d_t)) if e.source == source]
 
 
 class TestExtractExposures:
@@ -58,11 +58,11 @@ class TestExtractExposures:
 
     def test_negative_suspension_rejected(self):
         with pytest.raises(ValueError):
-            build_exposure_log([trip("A", "v", 0, 1)], -1.0)
+            build_exposure_log(table([trip("A", "v", 0, 1)]), -1.0)
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
-            build_exposure_log([trip("A", "v", 10.0, 10.0)], 0.0)
+            build_exposure_log(table([trip("A", "v", 10.0, 10.0)]), 0.0)
 
 
 def random_records(seed: int, n: int = 80, cards: int = 12, vehicles: int = 4):
@@ -106,7 +106,7 @@ def log_event_multiset(log: ExposureLog):
     return Counter(
         (e.source, e.target, e.vehicle_id, e.exposure_start, e.exposure_end, e.kind,
          e.source_enter, e.source_exit)
-        for e in log.events()
+        for e in log_events(log)
     )
 
 
@@ -115,7 +115,7 @@ class TestExposureLog:
     def test_matches_quadratic_oracle(self, d_t):
         for seed in range(5):
             records = random_records(seed)
-            log = build_exposure_log(records, d_t)
+            log = build_exposure_log(table(records), d_t)
             got = log_event_multiset(log)
             want = Counter(
                 exposures_quadratic(
@@ -129,11 +129,11 @@ class TestExposureLog:
             records = random_records(seed)
             previous = None
             for d_t in (0.0, 60.0, 180.0, 500.0):
-                log = build_exposure_log(records, d_t)
+                log = build_exposure_log(table(records), d_t)
                 # identity of an exposure: pair, vehicle and the source trip
                 ids = {
                     (e.source, e.target, e.vehicle_id, e.source_enter, e.source_exit)
-                    for e in log.events()
+                    for e in log_events(log)
                 }
                 if previous is not None:
                     assert previous <= ids
@@ -142,46 +142,46 @@ class TestExposureLog:
     def test_zero_suspension_all_direct_and_symmetric(self):
         for seed in range(5):
             records = random_records(seed)
-            log = build_exposure_log(records, 0.0)
-            events = list(log.events())
+            log = build_exposure_log(table(records), 0.0)
+            events = list(log_events(log))
             assert all(e.kind == DIRECT for e in events)
             windows = {(e.source, e.target, e.exposure_start, e.exposure_end) for e in events}
             assert windows == {(t, s, a, b) for s, t, a, b in windows}
 
     def test_no_event_spans_vehicles(self):
         records = random_records(3)
-        log = build_exposure_log(records, 120.0)
+        log = build_exposure_log(table(records), 120.0)
         by_vehicle = {r.vehicle_id for r in records}
-        for e in log.events():
+        for e in log_events(log):
             assert e.vehicle_id in by_vehicle
 
     def test_canonical_order(self):
         records = random_records(4)
-        log = build_exposure_log(records, 60.0)
+        log = build_exposure_log(table(records), 60.0)
         keys = [
             (e.exposure_start, e.source, e.target, e.exposure_end, e.vehicle_id)
-            for e in log.events()
+            for e in log_events(log)
         ]
         assert keys == sorted(keys)
 
     def test_touching_boundary_is_direct(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 100, 200)]
-        log = build_exposure_log(records, 0.0)
-        events = list(log.events())
+        log = build_exposure_log(table(records), 0.0)
+        events = list(log_events(log))
         assert {e.kind for e in events} == {DIRECT}
         assert all(e.exposure_start == e.exposure_end == 100.0 for e in events)
 
     def test_empty_log(self):
-        log = build_exposure_log([], 0.0)
+        log = build_exposure_log(table([]), 0.0)
         assert len(log) == 0
-        assert list(log.events()) == []
+        assert list(log_events(log)) == []
         assert log.direct_encounter_counts() == {}
 
     @pytest.mark.parametrize("d_t", [0.0, 3.0, 5.0])
     def test_tied_times_match_oracle_whatever_the_row_order(self, d_t):
         for seed in range(100):
             records = tied_records(seed)
-            log = build_exposure_log(records, d_t)
+            log = build_exposure_log(table(records), d_t)
             want = Counter(
                 exposures_quadratic(
                     [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records], d_t
@@ -189,32 +189,34 @@ class TestExposureLog:
             )
             assert log_event_multiset(log) == want
             random.Random(seed).shuffle(records)
-            shuffled = build_exposure_log(records, d_t)
+            shuffled = build_exposure_log(table(records), d_t)
             for column in LOG_COLUMNS:
                 assert np.array_equal(getattr(shuffled, column), getattr(log, column)), column
 
     def test_stored_grouped_by_source(self):
-        # run_sir slices each source's exposures by searchsorted on log.src
+        # run_sir slices each source's exposures by searchsorted on log.src and
+        # ranks them by a stable sort on start: (start, source, target, vehicle, kind)
         for records in (random_records(4), tied_records(4)):
-            log = build_exposure_log(records, 60.0)
-            keys = list(zip(log.src.tolist(), log.start.tolist(), log.tgt.tolist()))
+            log = build_exposure_log(table(records), 60.0)
+            keys = list(zip(log.src.tolist(), log.start.tolist(), log.tgt.tolist(), log.veh.tolist(),
+                            log.direct.tolist()))
             assert keys == sorted(keys)
 
 
 class TestDegreeDistribution:
     def test_three_mutual_overlaps(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "v", 20, 80)]
-        log = build_exposure_log(records, 0.0)
+        log = build_exposure_log(table(records), 0.0)
         assert degree_distribution(log) == {2: 3}
 
     def test_isolated_passenger_counts_zero(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "w", 0, 50)]
-        log = build_exposure_log(records, 0.0)
+        log = build_exposure_log(table(records), 0.0)
         assert degree_distribution(log, cards={"A", "B", "C"}) == {1: 2, 0: 1}
 
     def test_matches_quadratic_oracle(self):
         records = random_records(7)
-        log = build_exposure_log(records, 0.0)
+        log = build_exposure_log(table(records), 0.0)
         cards = {r.card_id for r in records}
         got = degree_distribution(log, cards)
         oracle = direct_degree_quadratic(
@@ -232,7 +234,7 @@ class TestConnectedComponents:
             trip("A", "v1", 0, 10), trip("B", "v1", 5, 15),
             trip("C", "v2", 0, 10), trip("D", "v2", 5, 15),
         ]
-        log = build_exposure_log(records, 0.0)
+        log = build_exposure_log(table(records), 0.0)
         assert connected_components(log) == [2, 2]
 
     def test_chain_is_transitive(self):
@@ -240,13 +242,13 @@ class TestConnectedComponents:
             trip("A", "v1", 0, 10), trip("B", "v1", 5, 15),
             trip("B", "v2", 100, 110), trip("C", "v2", 105, 115),
         ]
-        log = build_exposure_log(records, 0.0)
+        log = build_exposure_log(table(records), 0.0)
         assert connected_components(log) == [3]
 
     def test_matches_bfs_oracle(self):
         for seed in range(6):
             records = random_records(seed, n=50, cards=20)
-            log = build_exposure_log(records, 0.0)
+            log = build_exposure_log(table(records), 0.0)
             cards = {r.card_id for r in records}
-            edges = {(e.source, e.target) for e in log.events()}
+            edges = {(e.source, e.target) for e in log_events(log)}
             assert connected_components(log, cards) == component_sizes_bfs(cards, edges)

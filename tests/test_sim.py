@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import trip
-from oracles import reachable_infections, sir_reference
+from conftest import table, trip
+from oracles import log_events, reachable_infections, sir_reference
 from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.sim import (
@@ -56,10 +56,10 @@ def random_instance(seed: int, n_cards=10, n_vehicles=3, n_trips=40, span=6 * 36
 
 
 def oracle_infected(records, d_t, seeds, period=5 * DAY, start=0.0, end=None):
-    log = build_exposure_log(records, d_t)
+    log = build_exposure_log(table(records), d_t)
     exposures = [
         (e.source, e.target, e.exposure_start, e.exposure_end, e.kind, e.source_enter, e.source_exit)
-        for e in log.events()
+        for e in log_events(log)
     ]
     if end is None:
         end = max(r.alight_time for r in records) + d_t
@@ -70,7 +70,7 @@ class TestSingleRun:
     def test_beta_zero_keeps_only_seeds(self):
         records = random_instance(0)
         cfg = config(beta=0.0, n_seeds=3)
-        out = run_sir(records, cfg, 0)
+        out = run_sir(table(records), cfg, 0)
         assert out.infected_set == set(out.seeds)
         assert len(out.infection_events) == 0
 
@@ -83,7 +83,7 @@ class TestSingleRun:
         cfg = config(beta=1.0, n_seeds=1, master_seed=0)
         # pick the run whose seed set is {A}
         for run_index in range(50):
-            out = run_sir(records, cfg, run_index)
+            out = run_sir(table(records), cfg, run_index)
             if out.seeds == ("A",):
                 break
         else:
@@ -103,7 +103,7 @@ class TestSingleRun:
         ]
         cfg = config(beta=1.0, n_seeds=1)
         for run_index in range(50):
-            out = run_sir(records, cfg, run_index)
+            out = run_sir(table(records), cfg, run_index)
             if out.seeds == ("A",):
                 break
         else:
@@ -124,7 +124,7 @@ class TestSingleRun:
         ]
         cfg = config(beta=1.0, n_seeds=1, period=2 * DAY)
         for run_index in range(50):
-            out = run_sir(records, cfg, run_index)
+            out = run_sir(table(records), cfg, run_index)
             if out.seeds == ("A",):
                 break
         else:
@@ -142,7 +142,7 @@ class TestSingleRun:
         ]
         cfg = config(beta=1.0, d_t=1800.0, n_seeds=1, period=1 * DAY)
         for run_index in range(50):
-            out = run_sir(records, cfg, run_index)
+            out = run_sir(table(records), cfg, run_index)
             if out.seeds == ("A",):
                 break
         else:
@@ -157,7 +157,7 @@ class TestSingleRun:
         ]
         cfg = config(beta=1.0, d_t=900.0, n_seeds=1)
         for run_index in range(50):
-            out = run_sir(records, cfg, run_index)
+            out = run_sir(table(records), cfg, run_index)
             if out.seeds == ("A",):
                 break
         else:
@@ -170,8 +170,8 @@ class TestSingleRun:
     def test_determinism(self):
         records = random_instance(5, n_cards=20, n_trips=80)
         cfg = config(beta=0.4, n_seeds=4, master_seed=99)
-        a = run_sir(records, cfg, 3)
-        b = run_sir(records, cfg, 3)
+        a = run_sir(table(records), cfg, 3)
+        b = run_sir(table(records), cfg, 3)
         assert a.seeds == b.seeds
         assert a.infection_events == b.infection_events
         assert a.final_state == b.final_state
@@ -179,18 +179,18 @@ class TestSingleRun:
     def test_different_runs_differ(self):
         records = random_instance(6, n_cards=30, n_trips=120)
         cfg = config(beta=0.5, n_seeds=3, master_seed=1)
-        seeds = {run_sir(records, cfg, i).seeds for i in range(6)}
+        seeds = {run_sir(table(records), cfg, i).seeds for i in range(6)}
         assert len(seeds) > 1
 
     def test_too_many_seeds_rejected(self):
         records = random_instance(7)
         with pytest.raises(ValueError, match="exceeds population"):
-            run_sir(records, config(n_seeds=1000), 0)
+            run_sir(table(records), config(n_seeds=1000), 0)
 
     def test_conservation_at_every_event(self):
         records = random_instance(8, n_cards=25, n_trips=100)
         cfg = config(beta=1.0, n_seeds=3)
-        out = run_sir(records, cfg, 0)
+        out = run_sir(table(records), cfg, 0)
         population = {r.card_id for r in records}
         infected_at = {s: 0.0 for s in out.seeds}
         period = cfg.infectious_period
@@ -205,7 +205,7 @@ class TestSingleRun:
     def test_causality_and_attribution(self):
         records = random_instance(9, n_cards=25, n_trips=100)
         cfg = config(beta=0.7, n_seeds=3)
-        out = run_sir(records, cfg, 1)
+        out = run_sir(table(records), cfg, 1)
         infected_at = {s: 0.0 for s in out.seeds}
         period = cfg.infectious_period
         inbound: dict[str, int] = {}
@@ -226,7 +226,7 @@ class TestReachabilityOracle:
         for seed in range(25):
             records = random_instance(seed, n_cards=15, n_trips=60)
             cfg = config(beta=1.0, d_t=d_t, n_seeds=2, master_seed=seed)
-            out = run_sir(records, cfg, 0)
+            out = run_sir(table(records), cfg, 0)
             want = oracle_infected(records, d_t, out.seeds, period=cfg.infectious_period)
             assert out.infected_set == want
 
@@ -246,7 +246,7 @@ class TestReachabilityOracle:
                     )
                 )
             cfg = config(beta=1.0, d_t=900.0, n_seeds=2, period=1.5 * DAY, master_seed=seed)
-            out = run_sir(records, cfg, 0)
+            out = run_sir(table(records), cfg, 0)
             want = oracle_infected(records, 900.0, out.seeds, period=1.5 * DAY)
             assert out.infected_set == want
 
@@ -258,7 +258,7 @@ class TestMonotonicity:
             previous = None
             for beta in BETA_GRID:
                 cfg = config(beta=beta, n_seeds=2, master_seed=7)
-                out = run_sir(records, cfg, 0)
+                out = run_sir(table(records), cfg, 0)
                 infected = out.infected_set
                 if previous is not None:
                     assert previous <= infected
@@ -270,7 +270,7 @@ class TestMonotonicity:
             previous = None
             for d_t in (0.0, 900.0, 1800.0, 3600.0, 7200.0):
                 cfg = config(beta=1.0, d_t=d_t, n_seeds=2, master_seed=7)
-                out = run_sir(records, cfg, 0)
+                out = run_sir(table(records), cfg, 0)
                 infected = out.infected_set
                 if previous is not None:
                     assert previous <= infected
@@ -281,14 +281,14 @@ class TestEnsemble:
     def test_single_run_average_is_the_outcome(self):
         records = random_instance(3, n_cards=20, n_trips=80)
         cfg = config(beta=0.5, n_seeds=2, runs=1)
-        res = run_ensemble(records, cfg)
+        res = run_ensemble(table(records), cfg)
         assert res.mean_infections == len(res.outcomes[0].infection_events)
 
     def test_same_master_seed_reproduces(self):
         records = random_instance(4, n_cards=20, n_trips=80)
         cfg = config(beta=0.5, n_seeds=2, runs=5, master_seed=21)
-        a = run_ensemble(records, cfg)
-        b = run_ensemble(records, cfg)
+        a = run_ensemble(table(records), cfg)
+        b = run_ensemble(table(records), cfg)
         for x, y in zip(a.outcomes, b.outcomes):
             assert x.infection_events == y.infection_events
             assert x.seeds == y.seeds
@@ -296,14 +296,14 @@ class TestEnsemble:
     def test_mean_matches_recomputation(self):
         records = random_instance(5, n_cards=25, n_trips=120)
         cfg = config(beta=0.3, n_seeds=3, runs=20, master_seed=2)
-        res = run_ensemble(records, cfg)
+        res = run_ensemble(table(records), cfg)
         recomputed = sum(len(o.infection_events) for o in res.outcomes) / len(res.outcomes)
         assert res.mean_infections == pytest.approx(recomputed, abs=1e-12)
 
     def test_runs_vary(self):
         records = random_instance(6, n_cards=30, n_trips=150)
         cfg = config(beta=0.4, n_seeds=2, runs=8, master_seed=3)
-        res = run_ensemble(records, cfg)
+        res = run_ensemble(table(records), cfg)
         assert len({o.seeds for o in res.outcomes}) > 1
 
 
@@ -330,18 +330,18 @@ class TestLanes:
     def test_every_lane_matches_reference_alone_and_in_any_batch(self, rides, d_t, period, master_seed):
         records = [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
         population = sorted({r.card_id for r in records})
-        log = build_exposure_log(records, d_t)
+        log = build_exposure_log(table(records), d_t)
         cfg = config(d_t=d_t, n_seeds=min(2, len(population)), period=period, master_seed=master_seed, start=None)
         betas = (0.6, 0.0, 1.0, 0.3)
         runs = range(4)
-        together = run_lanes(records, cfg, betas, runs, exposures=log, population=population)
+        together = run_lanes(table(records), cfg, betas, runs, exposures=log, population=population)
         with mock.patch.object(sim, "BATCH_BYTES", 1):  # one run per batch
-            batched = run_lanes(records, cfg, betas, runs, exposures=log, population=population)
+            batched = run_lanes(table(records), cfg, betas, runs, exposures=log, population=population)
         for k, beta in enumerate(betas):
             lane_cfg = replace(cfg, beta=beta)
             for run, lane, other in zip(runs, together.outcomes(k), batched.outcomes(k)):
-                want = _trace(sir_reference(records, lane_cfg, run, exposures=log, population=population))
+                want = _trace(sir_reference(table(records), lane_cfg, run, exposures=log, population=population))
                 assert _trace(lane) == want
                 assert _trace(other) == want
-                assert _trace(run_sir(records, lane_cfg, run, exposures=log, population=population)) == want
+                assert _trace(run_sir(table(records), lane_cfg, run, exposures=log, population=population)) == want
 
