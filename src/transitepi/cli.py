@@ -8,7 +8,6 @@ configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -22,10 +21,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .classify import (
     ClassificationResult,
     DegenerateClusteringError,
-    MobilityGroup,
     classify_population,
     group_shares,
     read_assignments_csv,
@@ -54,7 +54,6 @@ from .ingest import (
 from .mobility import DEFAULT_K, MobilityVector, mobility_table, write_mobility_csv
 from .sim import (
     INFECTION_CSV_HEADER,
-    InfectionEvent,
     SimConfig,
     SimOutcome,
     run_ensemble,
@@ -115,19 +114,6 @@ class ExperimentSpec:
             master_seed=self.master_seed,
         )
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        _check_fields(path, "spec", data, cls)
-        synth = data.pop("synth", None)
-        spec = cls(**data)
-        if synth is not None:
-            spec.synth = _synth_config(path, "synth", synth)
-        spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
-        spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
-        return spec
-
 
 def _check_fields(path, what: str, data, cls) -> None:
     """A spec section must be a JSON object naming only fields of `cls`, each with a value of its type.
@@ -169,6 +155,20 @@ def _synth_config(path, what: str, data) -> SynthConfig:
     return SynthConfig.from_dict(data)
 
 
+def _load_spec(path) -> ExperimentSpec:
+    """A --spec file: every section checked, the grids made floats."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    _check_fields(path, "spec", data, ExperimentSpec)
+    synth = data.pop("synth", None)
+    spec = ExperimentSpec(**data)
+    if synth is not None:
+        spec.synth = _synth_config(path, "synth", synth)
+    spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
+    spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
+    return spec
+
+
 def _load_synth_config(path) -> SynthConfig:
     """A --synth-config file, checked like the synth section of a spec."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -203,7 +203,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = ExperimentSpec.from_json_file(args.spec) if getattr(args, "spec", None) else ExperimentSpec()
+    spec = _load_spec(args.spec) if getattr(args, "spec", None) else ExperimentSpec()
     for attr, flag in (
         ("dataset", "input"),
         ("k", "k"),
@@ -336,15 +336,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _, result = _classified(trips, log0, spec)
     config = spec.sim_config()
     exposures = log0 if config.d_t == 0.0 else build_exposure_log(trips, config.d_t)
-    ensemble = run_ensemble(trips, config, exposures=exposures, progress=lambda i, n: logger.info("run %d/%d", i, n))
+    outcomes = run_ensemble(trips, config, exposures=exposures, progress=lambda i, n: logger.info("run %d/%d", i, n))
     write_assignments_csv(result, out_dir / "assignments.csv")
-    for outcome in ensemble.outcomes:
+    for outcome in outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(ensemble.outcomes, result.assignments, log0.direct_encounter_counts())
+    summary = per_group_summary(outcomes, result.assignments, log0.direct_encounter_counts())
     summary.to_csv(out_dir / "group_summary.csv")
-    matrix = group_flow_matrix(ensemble.outcomes, result.assignments)
+    matrix = group_flow_matrix(outcomes, result.assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
     chord_export(matrix, path=out_dir / "chord.json")
+    infections = [o.infectee.size for o in outcomes]
+    mean_infections = float(np.mean(infections))
     payload = {
         "config": {
             "beta": config.beta,
@@ -354,39 +356,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "n_runs": config.n_runs,
             "master_seed": config.master_seed,
         },
-        "ensemble": ensemble.summary(),
+        "ensemble": {
+            "n_runs": len(outcomes),
+            "mean_infections": mean_infections,
+            "mean_attack_rate": float(np.mean([o.attack_rate for o in outcomes])),
+            "per_run_infections": infections,
+        },
     }
     (out_dir / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    logger.info("simulate: mean infections %.1f over %d runs", ensemble.mean_infections, config.n_runs)
+    logger.info("simulate: mean infections %.1f over %d runs", mean_infections, config.n_runs)
     return EXIT_OK
-
-
-def _matrices_for_dt(
-    exposures: ExposureLog,
-    trips: TripTable,
-    assignments: Dict[str, MobilityGroup],
-    spec: ExperimentSpec,
-    dt_minutes: float,
-) -> Dict[float, GroupMatrix]:
-    """One flow matrix per beta on the log of suspension time `dt_minutes`."""
-    config = spec.sim_config(dt_minutes=dt_minutes)
-    lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures)
-    out: Dict[float, GroupMatrix] = {}
-    for k, beta in enumerate(spec.beta_grid):
-        out[beta] = group_flow_matrix(lanes.outcomes(k), assignments)
-        logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt_minutes))
-    return out
-
-
-def _matrices_for_dt_worker(payload) -> Tuple[float, Dict[float, List[List[float]]]]:
-    """Process-pool entry: reload trips from CSV, return plain nested lists."""
-    (trips_csv, assignment_rows, spec_dict, dt_minutes) = payload
-    spec = ExperimentSpec(dataset=trips_csv, **spec_dict)
-    trips = _filtered_trips(spec, None)
-    assignments = {c: MobilityGroup.from_name(g) for c, g in assignment_rows}
-    exposures = build_exposure_log(trips, 60.0 * dt_minutes)
-    matrices = _matrices_for_dt(exposures, trips, assignments, spec, dt_minutes)
-    return dt_minutes, {beta: m.values.tolist() for beta, m in matrices.items()}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -401,7 +380,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         shutil.rmtree(staging)
     staging.mkdir()
     try:
-        artifacts = _run_sweep(spec, staging, workers=args.workers)
+        artifacts = _run_sweep(spec, staging)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
@@ -412,7 +391,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[str]:
+def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
     trips = _filtered_trips(spec, staging)
     log0 = build_exposure_log(trips, 0.0)
@@ -426,32 +405,18 @@ def _run_sweep(spec: ExperimentSpec, staging: Path, workers: int = 1) -> List[st
     artifacts += ["assignments.csv", "classification.json"]
 
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
-    if workers > 1 and len(spec.dt_grid_minutes) > 1:
-        # workers reload the dataset from disk: either the caller's CSV or
-        # the synthesized one staged by _filtered_trips; each builds its own log
+    for dt in spec.dt_grid_minutes:
+        # the grid ascends, so only its first column can reuse the d_t = 0
+        # log; each log is released with its column, so two are never held
+        exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt)
         log0 = None
-        trips_csv = spec.dataset or str(staging / "trips.csv")
-        spec_dict = {
-            k: getattr(spec, k)
-            for k in ("k", "min_trips", "distance_model", "n_seeds", "infectious_days",
-                      "n_runs", "master_seed", "beta_grid", "dt_grid_minutes")
-        }
-        rows = sorted((c, g.name) for c, g in result.assignments.items())
-        payloads = [(str(trips_csv), rows, spec_dict, dt) for dt in spec.dt_grid_minutes]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for dt, by_beta in pool.map(_matrices_for_dt_worker, payloads):
-                for beta, values in by_beta.items():
-                    matrices[(beta, dt)] = GroupMatrix(values=values)
-    else:
-        for dt in spec.dt_grid_minutes:
-            # the grid ascends, so only its first column can reuse the d_t = 0
-            # log; each log is released with its column, so two are never held
-            exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt)
-            log0 = None
-            by_beta = _matrices_for_dt(exposures, trips, result.assignments, spec, dt)
-            del exposures
-            for beta, matrix in by_beta.items():
-                matrices[(beta, dt)] = matrix
+        config = spec.sim_config(dt_minutes=dt)
+        lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures)
+        del exposures
+        for k, beta in enumerate(spec.beta_grid):
+            matrices[(beta, dt)] = group_flow_matrix(lanes.outcomes(k), result.assignments)
+            logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt))
+        del lanes
 
     manifest = {
         "dataset": spec.dataset or "trips.csv",
@@ -532,8 +497,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _read_outcome_csv(path: Path) -> SimOutcome:
-    """One stored run's infection events; any malformed line is a data error."""
-    events: List[InfectionEvent] = []
+    """One stored run's infections as an outcome; any malformed line is a data error.
+
+    The log records no seeds, population or clock, so the outcome serves the
+    group tallies only.
+    """
+    rows: List[Tuple[str, str, float, str, bool]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -554,8 +523,16 @@ def _read_outcome_csv(path: Path) -> SimOutcome:
                 raise DataIntegrityError(f"{where}: time {time_text!r} is not a finite number")
             if kind not in (DIRECT, INDIRECT):
                 raise DataIntegrityError(f"{where}: kind {kind!r} is neither {DIRECT} nor {INDIRECT}")
-            events.append(InfectionEvent(infector, infectee, time, vehicle_id, kind))
-    return SimOutcome(infection_events=events, final_state={}, per_run_seed=-1)
+            rows.append((infector, infectee, time, vehicle_id, kind == DIRECT))
+    infectors, infectees, times, vehicle_ids, direct = list(zip(*rows)) or [()] * 5
+    cards, card_codes = np.unique(np.array(infectors + infectees, dtype=str), return_inverse=True)
+    vehicles, vehicle_codes = np.unique(np.array(vehicle_ids, dtype=str), return_inverse=True)
+    card_codes = card_codes.astype(np.int32)
+    return SimOutcome(
+        cards.tolist(), vehicles.tolist(), card_codes[:len(rows)], card_codes[len(rows):],
+        vehicle_codes.astype(np.int32), np.array(times, np.float64), np.array(direct, bool),
+        seeds=(), per_run_seed=-1, population=[], start_time=math.nan, end_time=math.nan, period=math.nan,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--beta-grid", type=_parse_grid)
     p.add_argument("--dt-grid-minutes", type=_parse_grid)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("analyze", help="re-aggregate stored infection logs")

@@ -108,10 +108,14 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     for lo, up in zip(vbounds[:-1], vbounds[1:]):
         hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
     counts = hi - np.arange(1, n + 1)
+    # pair indices are int32, half the memory of the build's largest arrays
+    n_pairs = int(counts.sum())
+    if n_pairs > np.iinfo(np.int32).max:
+        raise ValueError(f"{n_pairs} ride pairs exceed the int32 pair index")
     # pair k is (i, i + 1 + k - first[i]), first[i] being ride i's first pair
     first = np.cumsum(counts) - counts
-    i = np.repeat(np.arange(n), counts)
-    j = np.arange(i.size) + np.repeat(np.arange(1, n + 1) - first, counts)
+    i = np.repeat(np.arange(n, dtype=np.int32), counts)
+    j = np.arange(n_pairs, dtype=np.int32) + np.repeat((np.arange(1, n + 1) - first).astype(np.int32), counts)
     keep = card[i] != card[j]
     i, j = i[keep], j[keep]
     is_direct = exit_[i] >= enter[j]

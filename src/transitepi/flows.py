@@ -4,6 +4,10 @@ Matrix rows are the transmitting group, columns the receiving group.  Group
 order is fixed alphabetically over the canonical group names so files diff
 cleanly.  For ensembles, event counts are averaged over runs before being
 divided by group sizes (equivalent to averaging the per-run matrices).
+
+Both tallies read the runs' columnar `SimOutcome`s: each card vocabulary is
+mapped to group codes once, and the events' group pairs are counted with
+`np.bincount`.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -129,59 +133,68 @@ class GroupSummary:
                 )
 
 
-def _group_of(card: str, assignments: Mapping[str, MobilityGroup]) -> str:
-    try:
-        return assignments[card].name
-    except KeyError:
-        raise DataIntegrityError(f"passenger {card!r} appears in a log but is not classified")
+def _pair_counts(outcomes: Sequence[SimOutcome], assignments: Mapping[str, MobilityGroup]) -> np.ndarray:
+    """Events per (infector group, infectee group) over all runs, in GROUP_NAMES order.
 
-
-def _as_outcome_list(outcomes: Union[SimOutcome, Sequence[SimOutcome]]) -> List[SimOutcome]:
-    if isinstance(outcomes, SimOutcome):
-        return [outcomes]
-    return list(outcomes)
+    Each card vocabulary is mapped to group codes once.  The first event
+    naming an unclassified card is a `DataIntegrityError`.
+    """
+    n = len(GROUP_NAMES)
+    pos = {name: i for i, name in enumerate(GROUP_NAMES)}
+    codes_of: Dict[int, np.ndarray] = {}
+    counts = np.zeros(n * n, np.int64)
+    for outcome in outcomes:
+        cards = outcome.cards
+        codes = codes_of.get(id(cards))
+        if codes is None:
+            codes = codes_of[id(cards)] = np.array(
+                [pos[assignments[c].name] if c in assignments else -1 for c in cards], np.int64
+            )
+        src, tgt = codes[outcome.infector], codes[outcome.infectee]
+        bad = np.flatnonzero((src < 0) | (tgt < 0))
+        if bad.size:
+            i = bad[0]
+            card = cards[outcome.infector[i] if src[i] < 0 else outcome.infectee[i]]
+            raise DataIntegrityError(f"passenger {card!r} appears in a log but is not classified")
+        counts += np.bincount(src * n + tgt, minlength=n * n)
+    return counts.reshape(n, n)
 
 
 def per_group_summary(
-    outcomes: Union[SimOutcome, Sequence[SimOutcome]],
+    outcomes: Sequence[SimOutcome],
     assignments: Mapping[str, MobilityGroup],
     encounters_by_card: Mapping[str, int],
 ) -> GroupSummary:
     """Tally encounters and traced infections per group.
 
-    Every card in the infection logs must be classified.  For multiple
-    outcomes the transmitted/received totals are averaged over runs;
-    encounter totals are a property of the contact network, not the run.
+    Every card in the infection logs must be classified.  The
+    transmitted/received totals are averaged over runs; encounter totals are
+    a property of the contact network, not the run.
     """
-    runs = _as_outcome_list(outcomes)
-    if not runs:
+    if not outcomes:
         raise ValueError("no outcomes to summarize")
     populations = group_sizes(assignments)
     enc_totals = {name: 0.0 for name in GROUP_NAMES}
     for card, group in assignments.items():
         enc_totals[group.name] += encounters_by_card.get(card, 0)
 
-    sent = {name: 0.0 for name in GROUP_NAMES}
-    received = {name: 0.0 for name in GROUP_NAMES}
-    for outcome in runs:
-        for event in outcome.infection_events:
-            sent[_group_of(event.infector, assignments)] += 1.0
-            received[_group_of(event.infectee, assignments)] += 1.0
-    n_runs = len(runs)
+    counts = _pair_counts(outcomes, assignments)
+    sent, received = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
+    n_runs = len(outcomes)
     per_group = {
         name: GroupStats(
             population=populations[name],
             total_encounters=enc_totals[name],
-            total_transmitted=sent[name] / n_runs,
-            total_received=received[name] / n_runs,
+            total_transmitted=sent[i] / n_runs,
+            total_received=received[i] / n_runs,
         )
-        for name in GROUP_NAMES
+        for i, name in enumerate(GROUP_NAMES)
     }
     return GroupSummary(per_group=per_group)
 
 
 def group_flow_matrix(
-    outcomes: Union[SimOutcome, Sequence[SimOutcome]],
+    outcomes: Sequence[SimOutcome],
     assignments: Mapping[str, MobilityGroup],
 ) -> GroupMatrix:
     """Average infections one member of the row group causes in the column group.
@@ -191,20 +204,12 @@ def group_flow_matrix(
     `assignments`.  Rows for empty groups are zero (with a warning) rather
     than undefined.
     """
-    runs = _as_outcome_list(outcomes)
-    if not runs:
+    if not outcomes:
         raise ValueError("no outcomes to aggregate")
     sizes = group_sizes(assignments)
-    pos = {name: i for i, name in enumerate(GROUP_NAMES)}
-    counts = np.zeros((len(GROUP_NAMES), len(GROUP_NAMES)), dtype=float)
-    for outcome in runs:
-        for event in outcome.infection_events:
-            i = pos[_group_of(event.infector, assignments)]
-            j = pos[_group_of(event.infectee, assignments)]
-            counts[i, j] += 1.0
-    counts /= len(runs)
+    counts = _pair_counts(outcomes, assignments) / len(outcomes)
     values = np.zeros_like(counts)
-    for name, i in pos.items():
+    for i, name in enumerate(GROUP_NAMES):
         size = sizes[name]
         if size == 0:
             if counts[i].any():

@@ -45,6 +45,12 @@ number of runs or betas.
 
 An infected passenger recovers exactly `infectious_period` seconds after
 infection and is never re-infected.
+
+A run's result, `SimOutcome`, holds its infections as columns: int32
+infector, infectee and vehicle codes over the exposure log's card and
+vehicle vocabularies, float64 times and a bool direct flag.  Its infected
+set and attack rate follow from the seeds and the infectees; the state of
+every passenger is derived only when asked for.
 """
 
 from __future__ import annotations
@@ -100,29 +106,48 @@ class SimConfig:
                 raise ValueError("end_time before start_time")
 
 
-@dataclass(frozen=True)
-class InfectionEvent:
-    infector: str
-    infectee: str
-    time: float
-    vehicle_id: str
-    kind: str  # direct | indirect
-
-
 @dataclass
 class SimOutcome:
-    infection_events: List[InfectionEvent]
-    final_state: Dict[str, str]
+    """One run's traced infections as columns, in infection order.
+
+    Event i: cards[infector[i]] infected cards[infectee[i]] at time[i] on
+    vehicles[vehicle[i]], through a direct exposure iff direct[i].  The codes
+    are int32 over vocabularies that the outcomes of one call share, as they
+    share the population.  Seeds are infected at `start_time`; a passenger
+    recovers `period` seconds after infection, and the run stops at `end_time`.
+    """
+
+    cards: List[str]
+    vehicles: List[str]
+    infector: np.ndarray
+    infectee: np.ndarray
+    vehicle: np.ndarray
+    time: np.ndarray
+    direct: np.ndarray
+    seeds: Tuple[str, ...]
     per_run_seed: int
-    seeds: Tuple[str, ...] = ()
+    population: List[str]
+    start_time: float
+    end_time: float
+    period: float
 
     @property
     def infected_set(self) -> set:
-        return {c for c, s in self.final_state.items() if s != SUSCEPTIBLE}
+        return set(self.seeds).union(self.cards[v] for v in self.infectee.tolist())
 
     @property
     def attack_rate(self) -> float:
-        return len(self.infected_set) / len(self.final_state)
+        return (len(self.seeds) + self.infectee.size) / len(self.population)
+
+    @property
+    def final_state(self) -> Dict[str, str]:
+        """Every passenger's state at `end_time`."""
+        state = dict.fromkeys(self.population, SUSCEPTIBLE)
+        infected = [(c, self.start_time) for c in self.seeds]
+        infected += zip([self.cards[v] for v in self.infectee.tolist()], self.time.tolist())
+        for card, t0 in infected:
+            state[card] = RECOVERED if t0 + self.period <= self.end_time else INFECTIOUS
+        return state
 
 
 # splitmix64 constants for the keyed Bernoulli stream
@@ -173,7 +198,8 @@ class LaneTraces:
 
     Lane (k, run) is the run at the k-th beta.  It holds its infections as
     two columns, the log rows that transmitted and the infection times;
-    `outcomes(k)` builds the `SimOutcome`s of one beta on demand.
+    `outcomes(k)` slices the log's columns by those rows into the
+    `SimOutcome`s of one beta.
     """
 
     def __init__(self, log: ExposureLog, population: List[str], start_time: float,
@@ -189,21 +215,13 @@ class LaneTraces:
     def outcomes(self, k: int) -> List[SimOutcome]:
         """One outcome per run, in run order, for the k-th beta."""
         log = self.log
-        cards, vehicles = log.cards, log.vehicles
         out = []
         for run, seeds in self.seeds.items():
             rows, times = self.events[(k, run)]
-            events = [
-                InfectionEvent(cards[u], cards[v], t, vehicles[veh], DIRECT if direct else INDIRECT)
-                for u, v, t, veh, direct in zip(
-                    log.src[rows].tolist(), log.tgt[rows].tolist(), times.tolist(),
-                    log.veh[rows].tolist(), log.direct[rows].tolist(),
-                )
-            ]
-            state = dict.fromkeys(self.population, SUSCEPTIBLE)
-            for card, t0 in [(c, self.start_time) for c in seeds] + [(e.infectee, e.time) for e in events]:
-                state[card] = RECOVERED if t0 + self.period <= self.end_time else INFECTIOUS
-            out.append(SimOutcome(infection_events=events, final_state=state, per_run_seed=run, seeds=seeds))
+            out.append(SimOutcome(
+                log.cards, log.vehicles, log.src[rows], log.tgt[rows], log.veh[rows], times, log.direct[rows],
+                seeds, run, self.population, self.start_time, self.end_time, self.period,
+            ))
         return out
 
 
@@ -392,36 +410,18 @@ def run_sir(
     return lanes.outcomes(0)[0]
 
 
-@dataclass
-class EnsembleResult:
-    outcomes: List[SimOutcome]
-    mean_infections: float
-    mean_attack_rate: float
-
-    def summary(self) -> Dict:
-        return {
-            "n_runs": len(self.outcomes),
-            "mean_infections": self.mean_infections,
-            "mean_attack_rate": self.mean_attack_rate,
-            "per_run_infections": [len(o.infection_events) for o in self.outcomes],
-        }
-
-
 def run_ensemble(
     trips: Optional[TripTable],
     config: SimConfig,
     exposures: Optional[ExposureLog] = None,
     population: Optional[Sequence[str]] = None,
     progress=None,
-) -> EnsembleResult:
+) -> List[SimOutcome]:
     """Run n_runs independent runs; per-run streams derive from the master seed."""
     lanes = run_lanes(
         trips, config, (config.beta,), range(config.n_runs), exposures, population, progress
     )
-    outcomes = lanes.outcomes(0)
-    mean_inf = float(np.mean([len(o.infection_events) for o in outcomes]))
-    mean_ar = float(np.mean([o.attack_rate for o in outcomes]))
-    return EnsembleResult(outcomes=outcomes, mean_infections=mean_inf, mean_attack_rate=mean_ar)
+    return lanes.outcomes(0)
 
 
 def write_infection_csv(outcome: SimOutcome, path) -> None:
@@ -430,5 +430,11 @@ def write_infection_csv(outcome: SimOutcome, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(INFECTION_CSV_HEADER)
-        for e in outcome.infection_events:
-            writer.writerow([e.infector, e.infectee, repr(e.time), e.vehicle_id, e.kind])
+        cards, vehicles = outcome.cards, outcome.vehicles
+        writer.writerows(
+            [cards[u], cards[v], repr(t), vehicles[w], DIRECT if d else INDIRECT]
+            for u, v, t, w, d in zip(
+                outcome.infector.tolist(), outcome.infectee.tolist(), outcome.time.tolist(),
+                outcome.vehicle.tolist(), outcome.direct.tolist(),
+            )
+        )

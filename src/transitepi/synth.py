@@ -25,7 +25,6 @@ yields byte-identical trip files.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -105,11 +104,6 @@ class SynthConfig:
         cfg.validate()
         return cfg
 
-    @classmethod
-    def from_json_file(cls, path) -> "SynthConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 @dataclass(frozen=True)
 class Route:
@@ -120,10 +114,6 @@ class Route:
     departures: Tuple[int, ...]  # seconds after local midnight, strictly increasing
     leg_seconds: int
     vehicle_pool: int
-
-    @property
-    def duration_seconds(self) -> int:
-        return (len(self.stops) - 1) * self.leg_seconds
 
     def spacing_km(self) -> float:
         (x0, y0), (x1, y1) = self.xy_km[0], self.xy_km[-1]

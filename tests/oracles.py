@@ -22,7 +22,6 @@ from transitepi.sim import (
     INFECTIOUS,
     RECOVERED,
     SUSCEPTIBLE,
-    InfectionEvent,
     SimConfig,
     SimOutcome,
     _run_streams,
@@ -290,13 +289,49 @@ def reachable_infections(
 
 # --- scalar S-I-R ---------------------------------------------------------------
 
+@dataclass(frozen=True)
+class InfectionEvent:
+    infector: str
+    infectee: str
+    time: float
+    vehicle_id: str
+    kind: str  # DIRECT | INDIRECT
+
+
+def outcome_events(outcome: SimOutcome) -> List[InfectionEvent]:
+    """A columnar outcome's infections, one object each, in infection order."""
+    return [
+        InfectionEvent(
+            infector=outcome.cards[u],
+            infectee=outcome.cards[v],
+            time=t,
+            vehicle_id=outcome.vehicles[w],
+            kind=DIRECT if d else INDIRECT,
+        )
+        for u, v, t, w, d in zip(
+            outcome.infector.tolist(), outcome.infectee.tolist(), outcome.time.tolist(),
+            outcome.vehicle.tolist(), outcome.direct.tolist(),
+        )
+    ]
+
+
+@dataclass
+class ReferenceOutcome:
+    """What `sir_reference` finds for one run, held as plain objects."""
+
+    events: List[InfectionEvent]
+    final_state: Dict[str, str]
+    per_run_seed: int
+    seeds: Tuple[str, ...]
+
+
 def sir_reference(
     trips: Optional[TripTable],
     config: SimConfig,
     run_index: int,
     exposures: Optional[ExposureLog] = None,
     population: Optional[Sequence[str]] = None,
-) -> SimOutcome:
+) -> ReferenceOutcome:
     """One traced S-I-R run, one card at a time: the scalar reference for `run_lanes`.
 
     It draws the seeds and the keyed uniforms through the package's own
@@ -433,8 +468,8 @@ def sir_reference(
             final_state[card] = SUSCEPTIBLE
             continue
         final_state[card] = RECOVERED if t0 + period <= end_time else INFECTIOUS
-    return SimOutcome(
-        infection_events=events,
+    return ReferenceOutcome(
+        events=events,
         final_state=final_state,
         per_run_seed=run_index,
         seeds=seeds,

@@ -22,6 +22,7 @@ from oracles import (
     k_gyration_direct,
     kmeans2_brute,
     kmeans2_welford,
+    outcome_events,
     reachable_infections,
 )
 from transitepi.classify import group_sizes
@@ -209,13 +210,13 @@ def test_criterion_5_conservation_attribution_flows():
         population = records.cards
 
         sim_cfg = te.SimConfig(beta=0.6, d_t=0.0, n_seeds=10, n_runs=10, master_seed=11)
-        ensemble = te.run_ensemble(records, sim_cfg, exposures=log, population=population)
+        outcomes = te.run_ensemble(records, sim_cfg, exposures=log, population=population)
 
         period = sim_cfg.infectious_period
-        for outcome in ensemble.outcomes:
+        for outcome in outcomes:
             infected_at = {s: outcome_start(outcome, records) for s in outcome.seeds}
             inbound: dict[str, int] = {}
-            for e in outcome.infection_events:
+            for e in outcome_events(outcome):
                 assert e.infector in infected_at
                 assert infected_at[e.infector] <= e.time < infected_at[e.infector] + period
                 assert e.infectee not in infected_at
@@ -230,8 +231,8 @@ def test_criterion_5_conservation_attribution_flows():
 
         encounters = log.direct_encounter_counts()
         sizes = group_sizes(result.assignments)
-        summary = te.per_group_summary(ensemble.outcomes, result.assignments, encounters)
-        matrix = te.group_flow_matrix(ensemble.outcomes, result.assignments)
+        summary = te.per_group_summary(outcomes, result.assignments, encounters)
+        matrix = te.group_flow_matrix(outcomes, result.assignments)
         names = matrix.groups
         for i, name in enumerate(names):
             assert matrix.values[i].sum() == pytest.approx(
@@ -244,7 +245,7 @@ def test_criterion_5_conservation_attribution_flows():
             assert weighted / sizes[name] == pytest.approx(
                 summary.per_group[name].avg_receptions_per_individual, abs=1e-9
             )
-        total_events = sum(len(o.infection_events) for o in ensemble.outcomes) / len(ensemble.outcomes)
+        total_events = sum(len(outcome_events(o)) for o in outcomes) / len(outcomes)
         mass = sum(
             matrix.values[i, j] * sizes[gi]
             for i, gi in enumerate(names)
@@ -281,9 +282,9 @@ def test_criterion_6_desk_scale_reproduction():
         giant_share = components[0] / len(population)
         assert giant_share >= 0.95, f"giant component only {giant_share:.3f}"
         sim_cfg = te.SimConfig(beta=1.0, d_t=0.0, n_seeds=50, n_runs=20, master_seed=0)
-        ensemble0 = te.run_ensemble(records, sim_cfg, exposures=log0, population=population)
+        outcomes0 = te.run_ensemble(records, sim_cfg, exposures=log0, population=population)
         encounters = log0.direct_encounter_counts()
-        summary = te.per_group_summary(ensemble0.outcomes, result.assignments, encounters)
+        summary = te.per_group_summary(outcomes0, result.assignments, encounters)
         for name in te.GROUP_NAMES:
             receptions = summary.per_group[name].avg_receptions_per_individual
             assert 0.85 <= receptions <= 1.05, f"{name}: receptions {receptions:.3f}"
@@ -291,9 +292,9 @@ def test_criterion_6_desk_scale_reproduction():
         # (c) suspension-time difference matrix exists and is antisymmetric
         log30 = te.build_exposure_log(records, 30 * 60.0)
         sim_cfg30 = te.SimConfig(beta=1.0, d_t=30 * 60.0, n_seeds=50, n_runs=20, master_seed=0)
-        ensemble30 = te.run_ensemble(records, sim_cfg30, exposures=log30, population=population)
-        m0 = te.group_flow_matrix(ensemble0.outcomes, result.assignments)
-        m30 = te.group_flow_matrix(ensemble30.outcomes, result.assignments)
+        outcomes30 = te.run_ensemble(records, sim_cfg30, exposures=log30, population=population)
+        m0 = te.group_flow_matrix(outcomes0, result.assignments)
+        m30 = te.group_flow_matrix(outcomes30, result.assignments)
         diff = te.difference_matrix(m0, m30)
         anti = te.difference_matrix(m30, m0)
         assert np.array_equal(diff.values, -anti.values)

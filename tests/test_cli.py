@@ -267,21 +267,6 @@ class TestSweep:
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
-    def test_worker_pool_matches_sequential(self, tmp_path, trips_csv):
-        dirs = {1: tmp_path / "w1", 2: tmp_path / "w2"}
-        for workers, d in dirs.items():
-            code = main([
-                "sweep", "--input", trips_csv, "--beta-grid", "1",
-                "--dt-grid-minutes", "0,15", "--seeds", "5", "--runs", "2",
-                "--min-trips", "10", "--master-seed", "6",
-                "--workers", str(workers), "--out-dir", str(d),
-            ])
-            assert code == 0
-        names = sorted(p.name for p in dirs[1].iterdir())
-        assert names == sorted(p.name for p in dirs[2].iterdir())
-        for name in names:
-            assert (dirs[1] / name).read_bytes() == (dirs[2] / name).read_bytes(), name
-
     def test_spec_file_with_flag_override(self, tmp_path, trips_csv):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -448,6 +433,24 @@ class TestAnalyze:
         assert (matrix.values == reference.values).all()
         chord = json.loads((out_dir / "chord.json").read_text())
         assert len(chord["flows"]) == 64
+        for name in ("flow_matrix.csv", "group_summary.csv", "chord.json"):
+            assert (out_dir / name).read_bytes() == (sim_dir / name).read_bytes(), name
+
+    def test_unclassified_card_is_data_error(self, tmp_path, trips_csv, caplog):
+        events_dir = tmp_path / "events"
+        events_dir.mkdir()
+        (events_dir / "infections_run000.csv").write_text(
+            "infector,infectee,time,vehicle_id,kind\nc1,stranger,100.0,v,direct\n"
+        )
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text("card_id,group\nc1,exp_high_long\n")
+        code = main([
+            "analyze", "--input", trips_csv, "--min-trips", "10",
+            "--assignments", str(assignments), "--events-dir", str(events_dir),
+            "--out-dir", str(tmp_path / "analysis"),
+        ])
+        assert code == 2
+        assert "'stranger'" in caplog.text
 
     @pytest.mark.parametrize(
         "content, line",

@@ -16,11 +16,24 @@ from transitepi.flows import (
     group_flow_matrix,
     per_group_summary,
 )
-from transitepi.sim import InfectionEvent, SimOutcome
+from oracles import InfectionEvent
+from transitepi.sim import SimOutcome
 
 
 def outcome(events, run=0):
-    return SimOutcome(infection_events=events, final_state={}, per_run_seed=run)
+    """One run's events as a columnar outcome over its own card vocabulary."""
+    cards = sorted({c for e in events for c in (e.infector, e.infectee)})
+    code = {c: i for i, c in enumerate(cards)}
+    return SimOutcome(
+        cards,
+        ["v"],
+        np.array([code[e.infector] for e in events], np.int32),
+        np.array([code[e.infectee] for e in events], np.int32),
+        np.zeros(len(events), np.int32),
+        np.array([e.time for e in events], np.float64),
+        np.array([e.kind == "direct" for e in events], bool),
+        (), run, cards, 0.0, 0.0, 1.0,
+    )
 
 
 def event(infector, infectee, t=100.0):
@@ -35,7 +48,7 @@ class TestPerGroupSummary:
     def test_average_is_total_over_population(self):
         assignments = assign({f"c{i}": "exp_high_long" for i in range(4)} | {"x": "ret_low_short"})
         events = [event("c0", "x"), event("c1", "x")]
-        summary = per_group_summary(outcome(events), assignments, {})
+        summary = per_group_summary([outcome(events)], assignments, {})
         stats = summary.per_group["exp_high_long"]
         assert stats.total_transmitted == 2
         assert stats.avg_transmissions_per_individual == 0.5
@@ -47,7 +60,7 @@ class TestPerGroupSummary:
         assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(200)]
         encounters = {c: rnd.randint(0, 50) for c in cards}
-        summary = per_group_summary(outcome(events), assignments, encounters)
+        summary = per_group_summary([outcome(events)], assignments, encounters)
         for name in GROUP_NAMES:
             sent = sum(1 for e in events if assignments[e.infector].name == name)
             got = sum(1 for e in events if assignments[e.infectee].name == name)
@@ -65,7 +78,7 @@ class TestPerGroupSummary:
     def test_unclassified_passenger_is_an_error(self):
         assignments = assign({"a": "exp_high_long"})
         with pytest.raises(DataIntegrityError):
-            per_group_summary(outcome([event("a", "mystery")]), assignments, {})
+            per_group_summary([outcome([event("a", "mystery")])], assignments, {})
 
 
 class TestFlowMatrix:
@@ -74,12 +87,12 @@ class TestFlowMatrix:
             {f"g1_{i}": "exp_high_long" for i in range(4)} | {"t": "ret_low_short"}
         )
         events = [event("g1_0", "t"), event("g1_1", "t")]
-        matrix = group_flow_matrix(outcome(events), assignments)
+        matrix = group_flow_matrix([outcome(events)], assignments)
         assert matrix.entry("exp_high_long", "ret_low_short") == 0.5
 
     def test_no_events_zero_matrix(self):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
-        matrix = group_flow_matrix(outcome([]), assignments)
+        matrix = group_flow_matrix([outcome([])], assignments)
         assert not matrix.values.any()
 
     def test_matches_independent_tally(self):
@@ -87,7 +100,7 @@ class TestFlowMatrix:
         cards = [f"c{i}" for i in range(60)]
         assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(500)]
-        matrix = group_flow_matrix(outcome(events), assignments)
+        matrix = group_flow_matrix([outcome(events)], assignments)
         sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
         for i, gi in enumerate(GROUP_NAMES):
             for j, gj in enumerate(GROUP_NAMES):
@@ -130,7 +143,7 @@ class TestFlowMatrix:
         assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(321)]
         sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix(outcome(events), assignments)
+        matrix = group_flow_matrix([outcome(events)], assignments)
         total = sum(
             matrix.values[i, j] * sizes[gi]
             for i, gi in enumerate(GROUP_NAMES)
@@ -141,7 +154,7 @@ class TestFlowMatrix:
     def test_empty_group_row_is_zero_with_warning(self, caplog):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
         with caplog.at_level("WARNING"):
-            matrix = group_flow_matrix(outcome([event("a", "b")]), assignments)
+            matrix = group_flow_matrix([outcome([event("a", "b")])], assignments)
         assert "empty" in caplog.text
         assert matrix.entry("exp_low_long", "ret_low_short") == 0.0
 

@@ -4,12 +4,13 @@ import random
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import table, trip
-from oracles import log_events, reachable_infections, sir_reference
+from oracles import log_events, outcome_events, reachable_infections, sir_reference
 from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.sim import (
@@ -72,7 +73,7 @@ class TestSingleRun:
         cfg = config(beta=0.0, n_seeds=3)
         out = run_sir(table(records), cfg, 0)
         assert out.infected_set == set(out.seeds)
-        assert len(out.infection_events) == 0
+        assert len(outcome_events(out)) == 0
 
     def test_chain_infection_tree(self):
         records = [
@@ -89,7 +90,7 @@ class TestSingleRun:
         else:
             pytest.fail("no run drew seed {A}")
         assert out.infected_set == {"A", "B", "C"}
-        tree = [(e.infector, e.infectee, e.time) for e in out.infection_events]
+        tree = [(e.infector, e.infectee, e.time) for e in outcome_events(out)]
         assert tree == [("A", "B", 5.0), ("B", "C", 12.0)]
 
     def test_source_infected_mid_window_still_transmits(self):
@@ -109,7 +110,7 @@ class TestSingleRun:
         else:
             pytest.fail("no run drew seed {A}")
         assert out.infected_set == {"A", "B", "C"}
-        events = {(e.infector, e.infectee): e.time for e in out.infection_events}
+        events = {(e.infector, e.infectee): e.time for e in outcome_events(out)}
         assert events[("A", "B")] == 55.0
         assert events[("B", "C")] == 55.0
 
@@ -131,7 +132,7 @@ class TestSingleRun:
             pytest.fail("no run drew seed {A}")
         assert out.final_state["B"] == RECOVERED
         assert out.final_state["C"] == SUSCEPTIBLE
-        inbound_b = [e for e in out.infection_events if e.infectee == "B"]
+        inbound_b = [e for e in outcome_events(out) if e.infectee == "B"]
         assert len(inbound_b) == 1
 
     def test_indirect_transmission_requires_infectious_deposition(self):
@@ -163,7 +164,7 @@ class TestSingleRun:
         else:
             pytest.fail("no run drew seed {A}")
         assert out.infected_set == {"A", "B"}
-        event = out.infection_events[0]
+        event = outcome_events(out)[0]
         assert event.kind == "indirect"
         assert event.time == 700.0
 
@@ -173,8 +174,18 @@ class TestSingleRun:
         a = run_sir(table(records), cfg, 3)
         b = run_sir(table(records), cfg, 3)
         assert a.seeds == b.seeds
-        assert a.infection_events == b.infection_events
+        assert outcome_events(a) == outcome_events(b)
         assert a.final_state == b.final_state
+
+    def test_outcome_columns_are_typed_codes_over_the_log_vocabularies(self):
+        records = random_instance(5, n_cards=20, n_trips=80)
+        log = build_exposure_log(table(records), 0.0)
+        out = run_sir(table(records), config(beta=1.0, n_seeds=2), 0, exposures=log)
+        assert out.cards is log.cards and out.vehicles is log.vehicles
+        assert [c.dtype for c in (out.infector, out.infectee, out.vehicle, out.time, out.direct)] == [
+            np.int32, np.int32, np.int32, np.float64, np.bool_
+        ]
+        assert out.infectee.size > 0
 
     def test_different_runs_differ(self):
         records = random_instance(6, n_cards=30, n_trips=120)
@@ -194,7 +205,7 @@ class TestSingleRun:
         population = {r.card_id for r in records}
         infected_at = {s: 0.0 for s in out.seeds}
         period = cfg.infectious_period
-        for e in out.infection_events:
+        for e in outcome_events(out):
             assert e.infectee not in infected_at
             infected_at[e.infectee] = e.time
             n_i = sum(1 for t in infected_at.values() if t <= e.time < t + period)
@@ -209,7 +220,7 @@ class TestSingleRun:
         infected_at = {s: 0.0 for s in out.seeds}
         period = cfg.infectious_period
         inbound: dict[str, int] = {}
-        for e in out.infection_events:
+        for e in outcome_events(out):
             assert e.infector in infected_at, "infector must already be infected"
             assert infected_at[e.infector] <= e.time
             assert e.time < infected_at[e.infector] + period
@@ -281,35 +292,36 @@ class TestEnsemble:
     def test_single_run_average_is_the_outcome(self):
         records = random_instance(3, n_cards=20, n_trips=80)
         cfg = config(beta=0.5, n_seeds=2, runs=1)
-        res = run_ensemble(table(records), cfg)
-        assert res.mean_infections == len(res.outcomes[0].infection_events)
+        [only] = run_ensemble(table(records), cfg)
+        assert _trace(only) == _trace(run_sir(table(records), cfg, 0))
 
     def test_same_master_seed_reproduces(self):
         records = random_instance(4, n_cards=20, n_trips=80)
         cfg = config(beta=0.5, n_seeds=2, runs=5, master_seed=21)
         a = run_ensemble(table(records), cfg)
         b = run_ensemble(table(records), cfg)
-        for x, y in zip(a.outcomes, b.outcomes):
-            assert x.infection_events == y.infection_events
+        for x, y in zip(a, b):
+            assert outcome_events(x) == outcome_events(y)
             assert x.seeds == y.seeds
 
     def test_mean_matches_recomputation(self):
         records = random_instance(5, n_cards=25, n_trips=120)
         cfg = config(beta=0.3, n_seeds=3, runs=20, master_seed=2)
-        res = run_ensemble(table(records), cfg)
-        recomputed = sum(len(o.infection_events) for o in res.outcomes) / len(res.outcomes)
-        assert res.mean_infections == pytest.approx(recomputed, abs=1e-12)
+        outcomes = run_ensemble(table(records), cfg)
+        recomputed = sum(len(outcome_events(o)) for o in outcomes) / len(outcomes)
+        assert np.mean([o.infectee.size for o in outcomes]) == pytest.approx(recomputed, abs=1e-12)
+        for o in outcomes:  # the attack rate counted from seeds and infectees, as from the states
+            assert o.attack_rate == len(o.infected_set) / len(o.final_state)
 
     def test_runs_vary(self):
         records = random_instance(6, n_cards=30, n_trips=150)
         cfg = config(beta=0.4, n_seeds=2, runs=8, master_seed=3)
-        res = run_ensemble(table(records), cfg)
-        assert len({o.seeds for o in res.outcomes}) > 1
+        outcomes = run_ensemble(table(records), cfg)
+        assert len({o.seeds for o in outcomes}) > 1
 
 
 def _trace(outcome):
-    events = [(e.infector, e.infectee, e.time, e.vehicle_id, e.kind) for e in outcome.infection_events]
-    return outcome.per_run_seed, outcome.seeds, events, outcome.final_state
+    return outcome.per_run_seed, outcome.seeds, outcome_events(outcome), outcome.final_state
 
 
 class TestLanes:
@@ -340,7 +352,8 @@ class TestLanes:
         for k, beta in enumerate(betas):
             lane_cfg = replace(cfg, beta=beta)
             for run, lane, other in zip(runs, together.outcomes(k), batched.outcomes(k)):
-                want = _trace(sir_reference(table(records), lane_cfg, run, exposures=log, population=population))
+                ref = sir_reference(table(records), lane_cfg, run, exposures=log, population=population)
+                want = ref.per_run_seed, ref.seeds, ref.events, ref.final_state
                 assert _trace(lane) == want
                 assert _trace(other) == want
                 assert _trace(run_sir(table(records), lane_cfg, run, exposures=log, population=population)) == want

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import same_table
 from transitepi.classify import GROUP_NAMES, classify_population
+from transitepi.cli import _load_synth_config
 from transitepi.contacts import build_exposure_log
 from transitepi.geo import latlon_to_local_km
 from transitepi.ingest import parse_trip_records, write_trip_csv
@@ -139,7 +140,7 @@ class TestConfig:
 
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"n_passengers": 42, "rng_seed": 9}))
-        cfg = SynthConfig.from_json_file(path)
+        cfg = _load_synth_config(path)
         assert cfg.n_passengers == 42
         assert cfg.rng_seed == 9
         assert cfg.days == 30
