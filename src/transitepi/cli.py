@@ -152,7 +152,9 @@ def _json_fits(value, hint) -> bool:
 
 def _synth_config(path, what: str, data) -> SynthConfig:
     _check_fields(path, what, data, SynthConfig)
-    return SynthConfig.from_dict(data)
+    config = SynthConfig(**data)
+    config.validate()
+    return config
 
 
 def _load_spec(path) -> ExperimentSpec:

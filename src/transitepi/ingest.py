@@ -19,7 +19,7 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -78,16 +78,18 @@ class TripTable:
         return int(self.card.size)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Tuple[str, str, float, float, str, str]],
+    def from_rows(cls, rows: Sequence[Tuple[str, str, float, float, str, str]],
                   stops: Mapping[str, Tuple[float, float]]) -> "TripTable":
-        """A table from (card, vehicle, board, alight, board stop, alight stop) rows.
+        """A table from (card, vehicle, board, alight, board stop, alight stop) rows, built column-wise.
 
         `stops` maps each stop id the rows name to its (lat, lon).
         """
-        builder = _TableBuilder()
-        for card, vehicle, board, alight, board_stop, alight_stop in rows:
-            builder.add(card, vehicle, board, alight, board_stop, stops[board_stop], alight_stop, stops[alight_stop])
-        return builder.table()
+        card, vehicle, board, alight, board_stop, alight_stop = ([row[i] for row in rows] for i in range(6))
+        cards, card = _vocabulary(card)
+        vehicles, vehicle = _vocabulary(vehicle)
+        stop_ids, stop = _vocabulary(board_stop + alight_stop)
+        return _table(cards, vehicles, stop_ids, [stops[s] for s in stop_ids], card, vehicle, *stop.reshape(2, -1),
+                      np.array(board, np.float64), np.array(alight, np.float64))
 
     def take(self, rows: np.ndarray) -> "TripTable":
         """The rows selected by an index array or boolean mask, in that order.
@@ -102,42 +104,26 @@ class TripTable:
                          stop[:n], stop[n:], self.board[rows], self.alight[rows])
 
 
-class _TableBuilder:
-    """Appends trips one at a time to typed columns; ids get codes in first-seen order."""
+def _vocabulary(ids: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+    """The distinct ids, sorted, and each id's int32 code over them."""
+    vocabulary = sorted(set(ids))
+    code = {c: i for i, c in enumerate(vocabulary)}
+    return vocabulary, np.fromiter(map(code.__getitem__, ids), np.int32, len(ids))
 
-    def __init__(self) -> None:
-        self.cards: Dict[str, int] = {}
-        self.vehicles: Dict[str, int] = {}
-        self.stops: Dict[str, Tuple[int, Tuple[float, float]]] = {}
-        self.columns = [array("i") for _ in range(4)] + [array("d") for _ in range(2)]
 
-    def add(self, card_id: str, vehicle_id: str, board: float, alight: float,
-            board_stop: str, board_coord: Tuple[float, float],
-            alight_stop: str, alight_coord: Tuple[float, float]) -> None:
-        card, vehicle, board_stops, alight_stops, boards, alights = self.columns
-        board_stops.append(self._stop(board_stop, board_coord))
-        alight_stops.append(self._stop(alight_stop, alight_coord))
-        card.append(self.cards.setdefault(card_id, len(self.cards)))
-        vehicle.append(self.vehicles.setdefault(vehicle_id, len(self.vehicles)))
-        boards.append(board)
-        alights.append(alight)
+def _table(cards: List[str], vehicles: List[str], stops: List[str], coords: Sequence[Tuple[float, float]],
+           card: np.ndarray, vehicle: np.ndarray, board_stop: np.ndarray, alight_stop: np.ndarray,
+           board: np.ndarray, alight: np.ndarray) -> TripTable:
+    """A table from codes over vocabularies in any order, renumbered so that code order is id order.
 
-    def _stop(self, stop_id: str, coord: Tuple[float, float]) -> int:
-        code, known = self.stops.setdefault(stop_id, (len(self.stops), coord))
-        if known != coord:
-            raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
-        return code
-
-    def table(self) -> TripTable:
-        """The table so far, every vocabulary renumbered so that code order is id order."""
-        card, vehicle, board_stop, alight_stop = (np.frombuffer(c, np.int32) for c in self.columns[:4])
-        board, alight = (np.frombuffer(c, np.float64) for c in self.columns[4:])
-        cards, card, _ = _renumber(list(self.cards), card)
-        vehicles, vehicle, _ = _renumber(list(self.vehicles), vehicle)
-        stops, stop, used = _renumber(list(self.stops), np.concatenate([board_stop, alight_stop]))
-        lat, lon = np.array([c for _, c in self.stops.values()], np.float64).reshape(-1, 2)[used].T.copy()
-        n = board.size
-        return TripTable(cards, vehicles, stops, lat, lon, card, vehicle, stop[:n], stop[n:], board, alight)
+    `coords` holds each stop code's (lat, lon).
+    """
+    cards, card, _ = _renumber(cards, card)
+    vehicles, vehicle, _ = _renumber(vehicles, vehicle)
+    stops, stop, used = _renumber(stops, np.concatenate([board_stop, alight_stop]))
+    lat, lon = np.array(coords, np.float64).reshape(-1, 2)[used].T.copy()
+    n = board.size
+    return TripTable(cards, vehicles, stops, lat, lon, card, vehicle, stop[:n], stop[n:], board, alight)
 
 
 def _renumber(ids: List[str], codes: np.ndarray) -> Tuple[List[str], np.ndarray, np.ndarray]:
@@ -256,7 +242,18 @@ def _parse_stream(stream: TextIO, delimiter: str) -> Tuple[TripTable, IngestRepo
 
     board_col = _TimeColumn()
     alight_col = _TimeColumn()
-    builder = _TableBuilder()
+    cards: Dict[str, int] = {}
+    vehicles: Dict[str, int] = {}
+    stops: Dict[str, Tuple[int, Tuple[float, float]]] = {}
+    card, vehicle, board_stop, alight_stop = (array("i") for _ in range(4))
+    boards, alights = array("d"), array("d")
+
+    def stop_code(stop_id: str, coord: Tuple[float, float]) -> int:
+        code, known = stops.setdefault(stop_id, (len(stops), coord))
+        if known != coord:
+            raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
+        return code
+
     report = IngestReport()
     for row in reader:
         report.total_rows += 1
@@ -281,9 +278,16 @@ def _parse_stream(stream: TextIO, delimiter: str) -> Tuple[TripTable, IngestRepo
         if not board_time < alight_time:
             report.reject(REASON_NON_POSITIVE_DURATION)
             continue
-        builder.add(card_id, vehicle_id, board_time, alight_time, b_stop, board_coord, a_stop, alight_coord)
+        board_stop.append(stop_code(b_stop, board_coord))
+        alight_stop.append(stop_code(a_stop, alight_coord))
+        card.append(cards.setdefault(card_id, len(cards)))
+        vehicle.append(vehicles.setdefault(vehicle_id, len(vehicles)))
+        boards.append(board_time)
+        alights.append(alight_time)
         report.accepted += 1
-    return builder.table(), report
+    codes = (np.frombuffer(c, np.int32) for c in (card, vehicle, board_stop, alight_stop))
+    return _table(list(cards), list(vehicles), list(stops), [c for _, c in stops.values()], *codes,
+                  np.frombuffer(boards), np.frombuffer(alights)), report
 
 
 def filter_by_min_trips(trips: TripTable, threshold: int) -> TripTable:

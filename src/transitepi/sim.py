@@ -21,10 +21,10 @@ Transmission requires the source to be infectious at the right moment:
 
 Because a passenger can become infectious midway through a window that
 started earlier, exposures cannot be settled by a single chronological scan
-of window starts.  A run instead propagates earliest infection times with a
-priority queue of candidate transmissions ordered by infection time, then
-by the exposure's key: its rank under (window start, infector, infectee,
-vehicle, kind).  That settles every exposure under exactly the rules above.
+of window starts.  A run instead settles candidate transmissions least first
+by infection time, then by the exposure's key, its rank under (window start,
+infector, infectee, vehicle, kind).  That settles every exposure under
+exactly the rules above.
 
 `run_lanes` runs many such runs at once over one exposure log.  A lane is
 one (beta, run) pair.  The lanes share everything that does not depend on
@@ -32,13 +32,14 @@ beta: the population, the start and end time, each run's seed draw and
 each run's uniforms, computed once per run by `exposure_uniforms`.  A
 uniform u is stored as its rank in the sorted beta grid, the number of grid
 values <= u, so the lane of grid index k transmits iff k >= rank, which is
-exactly u < beta_k.  Each lane keeps its own heap, infected row and
-best-candidate row.  One step pops one valid infection from every active
-lane, then evaluates the exposure slices of all the popped cards in one
-batch of numpy calls and pushes the surviving candidates onto their lanes'
-heaps.  A candidate is pushed only if its (time, key) is strictly below the
-best candidate already pending for its (lane, target): that pending one
-pops first and always infects the target, so the pruning changes no event.
+exactly u < beta_k.  Each lane keeps one int64 cell per target: the code of
+its least pending candidate (the time's rank times the log length plus the
+key; every infection time is the start time or a window start, so ranking
+those orders times exactly), or a mark for none pending or infected.  One
+step infects the argmin of every lane's cells, evaluates the exposure slices
+of those cards in one batch of numpy calls and lowers their targets' cells
+with `np.minimum.at`: one pending candidate per (lane, target) changes no
+event, as a higher one could only pop after the lower one infected it.
 Lanes run in batches, all betas of a run in one batch, and a batch holds at
 most `BATCH_BYTES` of ranks and lane rows, so memory does not grow with the
 number of runs or betas.
@@ -55,7 +56,6 @@ every passenger is derived only when asked for.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,9 +74,9 @@ DEFAULT_RUNS = 100
 INFECTION_CSV_HEADER = ["infector", "infectee", "time", "vehicle_id", "kind"]
 
 # memory one batch of lanes may hold: each run's beta ranks take a byte per
-# exposure, each lane's infected, best-time and best-key rows 13 bytes per card
+# exposure, each lane's row of best codes 8 bytes per card
 BATCH_BYTES = 32 << 20
-_LANE_BYTES_PER_CARD = 13
+_LANE_BYTES_PER_CARD = 8
 
 
 @dataclass
@@ -274,16 +274,13 @@ def run_lanes(
     card_pos = {c: i for i, c in enumerate(log.cards)}
     grid = np.unique(np.asarray(betas, dtype=np.float64))
     beta_index = np.searchsorted(grid, betas)
-    # the heap's order after time: (window start, infector, infectee, vehicle,
-    # kind); the log stores rows by (infector, start, infectee, vehicle, kind)
-    key = np.empty(len(log), np.int32)
-    key[np.argsort(log.start, kind="stable")] = np.arange(len(log), dtype=np.int32)
+    codes = _Codes(log, start_time, end_time)
     runs = list(runs)
     run_bytes = len(log) + len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD
     per_batch = max(1, BATCH_BYTES // max(1, run_bytes))
     for first in range(0, len(runs), per_batch):
         batch = runs[first:first + per_batch]
-        lanes = _Lanes(log, key, config.infectious_period, end_time, beta_index, len(batch))
+        lanes = _Lanes(log, codes, config.infectious_period, beta_index, len(batch))
         seeds = []
         for i, run in enumerate(batch):
             rng, _ = _run_streams(config.master_seed, run)
@@ -293,40 +290,66 @@ def run_lanes(
             for beta in grid:  # the rank of u: how many grid values are <= u
                 lanes.ranks[i] += uniforms >= beta
             del uniforms
-        lanes.run(seeds, start_time, n - config.n_seeds)
-        for lane, (rows, times) in enumerate(lanes.events):
-            run = batch[lane // len(betas)]
-            traces.events[(lane % len(betas), run)] = (np.array(rows, np.int64), np.array(times, np.float64))
+        for lane, code in enumerate(lanes.run(seeds)):
+            traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
         if progress is not None:
             progress(first + len(batch), len(runs))
+    row_of_key = np.empty(len(log), np.int32)
+    row_of_key[codes.key] = np.arange(len(log), dtype=np.int32)
+    for lane, code in traces.events.items():
+        traces.events[lane] = row_of_key.take(code % codes.n), codes.clock.take(code // codes.n)
     return traces
+
+
+class _Codes:
+    """A candidate's code: its time's rank (`clock[rank]` is the time) times the log length, plus its row's key.
+
+    The log stores rows by (infector, start, infectee, vehicle, kind), so one
+    stable sort by start gives each row's rank under (start, infector, ...).
+    """
+
+    def __init__(self, log: ExposureLog, start_time: float, end_time: float) -> None:
+        n = self.n = len(log)
+        if n > np.iinfo(np.int32).max:  # which also keeps (ranks + 1) * rows within int64
+            raise ValueError(f"{n} exposures exceed the simulator's int32 keys")
+        order = np.argsort(log.start, kind="stable")
+        self.key = np.empty(n, np.int32)
+        self.key[order] = np.arange(n, dtype=np.int32)
+        at = int(np.count_nonzero(log.start < start_time))
+        starts = np.insert(log.start.take(order), at, start_time)  # every time an infection can have
+        del order
+        new = np.concatenate(([True], starts[1:] != starts[:-1]))
+        self.clock = starts[new]
+        rank = np.cumsum(new, dtype=np.int32) - 1
+        self.start_rank = int(rank[at])
+        self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
+        self.time_rank = np.delete(rank, at).take(self.key)
+
+
+# a lane's cell holds its target's least pending code, or one of these
+_NONE = np.iinfo(np.int64).max - 1
+_INFECTED = np.iinfo(np.int64).max
 
 
 class _Lanes:
     """One batch of lanes in lockstep: lane i * n_betas + k is the batch's run i at beta k."""
 
-    def __init__(self, log: ExposureLog, key: np.ndarray, period: float, end_time: float,
-                 beta_index: np.ndarray, n_runs: int) -> None:
+    def __init__(self, log: ExposureLog, codes: _Codes, period: float, beta_index: np.ndarray, n_runs: int) -> None:
         self.log = log
-        self.key = key
+        self.codes = codes
         self.period = period
-        self.end_time = end_time
         self.n_cards = len(log.cards)
         self.bounds = np.searchsorted(log.src, np.arange(self.n_cards + 1))
-        n_lanes = n_runs * beta_index.size
+        self.n_lanes = n_runs * beta_index.size
         self.ranks = np.zeros((n_runs, len(log)), np.min_scalar_type(beta_index.size))
         self.flat_ranks = self.ranks.reshape(-1)
         self.lane_beta = np.tile(beta_index, n_runs)
         self.lane_ranks = np.repeat(np.arange(n_runs) * len(log), beta_index.size)
-        self.infected = np.zeros(n_lanes * self.n_cards, bool)
-        self.best_t = np.full(n_lanes * self.n_cards, np.inf)
-        self.best_k = np.zeros(n_lanes * self.n_cards, np.int32)
-        self.heaps: List[list] = [[] for _ in range(n_lanes)]
-        self.events: List[Tuple[List[int], List[float]]] = [([], []) for _ in range(n_lanes)]
+        self.best = np.full(self.n_lanes * self.n_cards, _NONE, np.int64)
 
-    def push(self, lanes: np.ndarray, cards: np.ndarray, times: np.ndarray) -> None:
-        """Push the candidates of cards[i], infectious from times[i] in lane lanes[i]."""
-        log = self.log
+    def push(self, lanes: np.ndarray, cards: np.ndarray, time_ranks: np.ndarray) -> None:
+        """Push the candidates of cards[i], infectious from int64 time rank time_ranks[i] in lane lanes[i]."""
+        log, codes = self.log, self.codes
         lo = self.bounds.take(cards)
         counts = self.bounds.take(cards + 1) - lo
         entry = np.repeat(np.arange(cards.size), counts)
@@ -335,67 +358,44 @@ class _Lanes:
         rank = self.flat_ranks.take(self.lane_ranks.take(lanes).take(entry) + rows)
         ok = np.flatnonzero(self.lane_beta.take(lanes).take(entry) >= rank)
         rows, entry = rows.take(ok), entry.take(ok)
-        t_u = times.take(entry)
+        t_u = codes.clock.take(time_ranks).take(entry)
         r_u = t_u + self.period
-        start = log.start.take(rows)
         feasible = np.flatnonzero(np.where(
             log.direct.take(rows),
-            (log.end.take(rows) >= t_u) & (start < r_u),
+            (log.end.take(rows) >= t_u) & (log.start.take(rows) < r_u),
             (log.src_exit.take(rows) >= t_u) & (log.src_enter.take(rows) < r_u),
         ))
         rows, entry = rows.take(feasible), entry.take(feasible)
-        t_star = np.maximum(start.take(feasible), t_u.take(feasible))
-        lane = lanes.take(entry)
-        cell = lane * self.n_cards + log.tgt.take(rows)
-        key = self.key.take(rows)
-        best_t = self.best_t.take(cell)
-        keep = np.flatnonzero((t_star <= self.end_time) & ~self.infected.take(cell) & (
-            (t_star < best_t) | ((t_star == best_t) & (key < self.best_k.take(cell)))
-        ))
-        if not keep.size:
-            return
-        # one candidate per (lane, target): the least by (time, key)
-        keep = keep.take(np.lexsort((key.take(keep), t_star.take(keep), cell.take(keep))))
-        cells = cell.take(keep)
-        keep = keep[np.concatenate(([True], cells[1:] != cells[:-1]))]
-        cell, t_star, key = cell.take(keep), t_star.take(keep), key.take(keep)
-        self.best_t[cell] = t_star
-        self.best_k[cell] = key
-        heaps = self.heaps
-        for ln, t, k, row in zip(lane.take(keep).tolist(), t_star.tolist(), key.tolist(), rows.take(keep).tolist()):
-            heapq.heappush(heaps[ln], (t, k, row))
+        t_star = np.maximum(codes.time_rank.take(rows), time_ranks.take(entry))
+        cell = lanes.take(entry) * self.n_cards + log.tgt.take(rows)
+        keep = np.flatnonzero((t_star <= codes.last_rank) & (self.best.take(cell) != _INFECTED))
+        code = t_star.take(keep) * codes.n + codes.key.take(rows.take(keep))
+        np.minimum.at(self.best, cell.take(keep), code)
 
-    def run(self, seeds: List[np.ndarray], start_time: float, n_susceptible: int) -> None:
-        """Infect each run's seeds at `start_time`, then advance every lane to its end."""
-        n_cards, infected, heaps, tgt = self.n_cards, self.infected, self.heaps, self.log.tgt
-        n_betas = len(heaps) // len(seeds)
-        for lane in range(len(heaps)):
+    def run(self, seeds: List[np.ndarray]) -> List[np.ndarray]:
+        """Infect each run's seeds at the start time, advance every lane to its end, return its infection codes."""
+        best, n_cards = self.best, self.n_cards
+        n_betas = self.n_lanes // len(seeds)
+        for lane in range(self.n_lanes):
             pos = seeds[lane // n_betas]
-            infected[lane * n_cards + pos] = True
-            self.push(np.full(pos.size, lane), pos, np.full(pos.size, start_time))
-        susceptible = [n_susceptible] * len(heaps)
-        active = [lane for lane in range(len(heaps)) if heaps[lane] and susceptible[lane] > 0]
-        while active:
-            popped_lanes, popped_cards, popped_times = [], [], []
-            for lane in active:
-                heap = heaps[lane]
-                base = lane * n_cards
-                while heap:
-                    t, _, row = heapq.heappop(heap)
-                    v = int(tgt[row])
-                    if infected[base + v]:
-                        continue
-                    infected[base + v] = True
-                    susceptible[lane] -= 1
-                    self.events[lane][0].append(row)
-                    self.events[lane][1].append(t)
-                    popped_lanes.append(lane)
-                    popped_cards.append(v)
-                    popped_times.append(t)
-                    break
-            if popped_lanes:
-                self.push(np.array(popped_lanes), np.array(popped_cards), np.array(popped_times))
-            active = [lane for lane in popped_lanes if heaps[lane] and susceptible[lane] > 0]
+            best[lane * n_cards + pos] = _INFECTED
+            self.push(np.full(pos.size, lane), pos, np.full(pos.size, self.codes.start_rank))
+        cells = best.reshape(self.n_lanes, n_cards)
+        popped = [(np.empty(0, np.int64),) * 2]  # (lanes, codes) of each step
+        while n_cards:
+            # one step: every lane infects the target of its least pending code
+            cards = cells.argmin(axis=1)
+            code = cells[np.arange(self.n_lanes), cards]
+            lanes = np.flatnonzero(code < _NONE)
+            if not lanes.size:
+                break
+            cards, code = cards.take(lanes), code.take(lanes)
+            best[lanes * n_cards + cards] = _INFECTED
+            popped.append((lanes, code))
+            self.push(lanes, cards, code // self.codes.n)
+        lanes, code = map(np.concatenate, zip(*popped))
+        split = np.cumsum(np.bincount(lanes, minlength=self.n_lanes))[:-1]
+        return np.split(code.take(np.argsort(lanes, kind="stable")), split)
 
 
 def run_sir(

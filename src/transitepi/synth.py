@@ -98,12 +98,6 @@ class SynthConfig:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"archetype fractions must sum to 1, got {total}")
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "SynthConfig":
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
-
 
 @dataclass(frozen=True)
 class Route:

@@ -113,6 +113,18 @@ class TestParse:
         with pytest.raises(ValueError, match="'sA'"):
             parse_text("\n".join([HEADER] + rows))
 
+    @pytest.mark.parametrize("rows, message", [
+        # sB first appears as an alight stop; its conflict comes before sA's in row order
+        ([row(), row(bstop="sC", astop="sB", alat="0"), row(blat="0")],
+         "stop 'sB' has two coordinate pairs: (-33.9, 151.3) and (0.0, 151.3)"),
+        # within a row the board stop comes first
+        ([row(), row(blat="1", alat="2")], "stop 'sA' has two coordinate pairs: (-33.8, 151.2) and (1.0, 151.2)"),
+    ])
+    def test_first_conflict_in_row_order_is_named(self, rows, message):
+        with pytest.raises(ValueError) as err:
+            parse_text("\n".join([HEADER] + rows))
+        assert str(err.value) == message
+
     def test_every_reason_and_a_late_iso_lock(self):
         # the first cell that parses locks a column's format; rows that fail
         # the missing-field check, or carry an empty time, lock nothing

@@ -335,15 +335,23 @@ class TestLanes:
         d_t=st.sampled_from([0.0, 3.0, 5.0]),
         period=st.sampled_from([4.0, 12.0, 1000.0]),
         master_seed=st.integers(0, 1000),
+        # a start between window starts stamps seed candidates at a time no window starts at
+        start=st.sampled_from([None, 0.5, 3.0, 7.5]),
+        end=st.sampled_from([None, 9.0, 14.5]),
     )
     # c0's two rides reach c1 at t = 7 once indirectly and once directly: the
-    # heap's tie order decides the kind
-    @example(rides=[(0, 0, 0, 4), (0, 0, 6, 4), (1, 0, 7, 5), (2, 1, 0, 1)], d_t=5.0, period=1000.0, master_seed=0)
-    def test_every_lane_matches_reference_alone_and_in_any_batch(self, rides, d_t, period, master_seed):
+    # priority's tie order decides the kind
+    @example(rides=[(0, 0, 0, 4), (0, 0, 6, 4), (1, 0, 7, 5), (2, 1, 0, 1)], d_t=5.0, period=1000.0, master_seed=0,
+             start=None, end=None)
+    # no two cards share a vehicle: the log has no rows and only seeds are infected
+    @example(rides=[(0, 0, 0, 1), (1, 1, 0, 1), (2, 0, 3, 1)], d_t=0.0, period=1000.0, master_seed=0,
+             start=None, end=None)
+    def test_every_lane_matches_reference_alone_and_in_any_batch(self, rides, d_t, period, master_seed, start, end):
         records = [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
         population = sorted({r.card_id for r in records})
         log = build_exposure_log(table(records), d_t)
-        cfg = config(d_t=d_t, n_seeds=min(2, len(population)), period=period, master_seed=master_seed, start=None)
+        cfg = config(d_t=d_t, n_seeds=min(2, len(population)), period=period, master_seed=master_seed,
+                     start=start, end=end)
         betas = (0.6, 0.0, 1.0, 0.3)
         runs = range(4)
         together = run_lanes(table(records), cfg, betas, runs, exposures=log, population=population)
@@ -358,3 +366,26 @@ class TestLanes:
                 assert _trace(other) == want
                 assert _trace(run_sir(table(records), lane_cfg, run, exposures=log, population=population)) == want
 
+    def test_pending_candidate_lowered_by_a_source_infected_later(self):
+        # seed A reaches C at t = 10 on v3, but A infects B at t = 1 and B
+        # meets C at t = 5: B's later candidate must replace A's pending one
+        records = [
+            trip("A", "v1", 1, 2), trip("B", "v1", 1, 3),
+            trip("B", "v2", 5, 8), trip("C", "v2", 5, 8),
+            trip("A", "v3", 10, 20), trip("C", "v3", 10, 20),
+        ]
+        cfg = config(n_seeds=1)
+        run = next((r for r in range(50) if run_sir(table(records), cfg, r).seeds == ("A",)), None)
+        assert run is not None, "no run drew seed {A}"
+        out = run_sir(table(records), cfg, run)
+        events = outcome_events(out)
+        assert [(e.infector, e.infectee, e.time) for e in events] == [("A", "B", 1.0), ("B", "C", 5.0)]
+        assert events == sir_reference(table(records), cfg, run).events
+
+    def test_lane_rows_stay_within_the_batch_budget(self):
+        log = build_exposure_log(table(random_instance(3)), 0.0)
+        betas, n_runs = (0.1, 0.5, 1.0), 4
+        lanes = sim._Lanes(log, sim._Codes(log, 0.0, DAY), DAY, np.arange(len(betas)), n_runs)
+        per_run = len(log) + len(betas) * len(log.cards) * sim._LANE_BYTES_PER_CARD
+        assert len(log) > 0
+        assert lanes.ranks.nbytes + lanes.best.nbytes <= n_runs * per_run
