@@ -98,9 +98,12 @@ class ExperimentSpec:
     output_dir: Optional[str] = None
 
     def validate_grids(self) -> None:
-        for name, grid in (("beta_grid", self.beta_grid), ("dt_grid_minutes", self.dt_grid_minutes)):
+        grids = (("beta_grid", self.beta_grid, 1.0), ("dt_grid_minutes", self.dt_grid_minutes, math.inf))
+        for name, grid, top in grids:
             if not grid:
                 raise UsageError(f"{name} must be non-empty")
+            if not all(0 <= v <= top for v in grid):
+                raise UsageError(f"{name} values must lie in [0, {top:g}], got {list(grid)}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise UsageError(f"{name} must be sorted strictly ascending, got {list(grid)}")
 
@@ -254,10 +257,10 @@ def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> TripTable:
 
 
 def _classified(
-    trips: TripTable, log0: ExposureLog, spec: ExperimentSpec
+    trips: TripTable, log: ExposureLog, spec: ExperimentSpec
 ) -> Tuple[List[MobilityVector], ClassificationResult]:
-    """Mobility vectors from the trips and their d_t = 0 log, and the eight groups."""
-    vectors = mobility_table(trips, log0, k=spec.k, model=get_model(spec.distance_model))
+    """Mobility vectors from the trips and the direct rows of their log (at any d_t), and the eight groups."""
+    vectors = mobility_table(trips, log, k=spec.k, model=get_model(spec.distance_model))
     return vectors, classify_population(vectors)
 
 
@@ -334,15 +337,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trips = _filtered_trips(spec, None)
-    log0 = build_exposure_log(trips, 0.0)
-    _, result = _classified(trips, log0, spec)
     config = spec.sim_config()
-    exposures = log0 if config.d_t == 0.0 else build_exposure_log(trips, config.d_t)
-    outcomes = run_ensemble(trips, config, exposures=exposures, progress=lambda i, n: logger.info("run %d/%d", i, n))
+    log = build_exposure_log(trips, config.d_t)
+    _, result = _classified(trips, log, spec)
+    outcomes = run_ensemble(trips, config, exposures=log, progress=lambda i, n: logger.info("run %d/%d", i, n))
     write_assignments_csv(result, out_dir / "assignments.csv")
     for outcome in outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(outcomes, result.assignments, log0.direct_encounter_counts())
+    summary = per_group_summary(outcomes, result.assignments, log.direct_encounter_counts())
     summary.to_csv(out_dir / "group_summary.csv")
     matrix = group_flow_matrix(outcomes, result.assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
@@ -396,8 +398,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
     trips = _filtered_trips(spec, staging)
-    log0 = build_exposure_log(trips, 0.0)
-    _, result = _classified(trips, log0, spec)
+    log = build_exposure_log(trips, 60.0 * spec.dt_grid_minutes[-1])
+    _, result = _classified(trips, log, spec)
 
     artifacts: List[str] = []
     if (staging / "trips.csv").exists():
@@ -407,14 +409,12 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     artifacts += ["assignments.csv", "classification.json"]
 
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
-    for dt in spec.dt_grid_minutes:
-        # the grid ascends, so only its first column can reuse the d_t = 0
-        # log; each log is released with its column, so two are never held
-        exposures = log0 if dt == 0.0 else build_exposure_log(trips, 60.0 * dt)
-        log0 = None
+    # widest column first: each narrower log is a row mask of the one before,
+    # which is released, with the lanes that reference it, as it is replaced
+    for dt in reversed(spec.dt_grid_minutes):
+        log = log.within(60.0 * dt)
         config = spec.sim_config(dt_minutes=dt)
-        lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=exposures)
-        del exposures
+        lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=log)
         for k, beta in enumerate(spec.beta_grid):
             matrices[(beta, dt)] = group_flow_matrix(lanes.outcomes(k), result.assignments)
             logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt))

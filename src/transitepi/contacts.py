@@ -18,6 +18,12 @@ exit_i + d_t, a contiguous run found by one `searchsorted`; the pair is
 direct when exit_i >= enter_j and indirect otherwise, and pairs of one card
 are dropped.
 
+A log narrows to any shorter suspension time d <= d_t without a rebuild:
+`ExposureLog.within(d)` keeps the rows with start <= src_exit + d (every
+direct row, which starts by its source's exit, and the indirect rows whose
+target boards in time) in stored order, and clips `end` to src_exit + d.
+Direct rows do not depend on the suspension time.
+
 Events are stored column-wise (numpy arrays) because realistic months yield
 millions of them, in the order the simulator scans them: (source, start,
 target, vehicle, kind).  Each event also carries the source ride that
@@ -28,7 +34,7 @@ source was infectious at deposition time.
 from __future__ import annotations
 
 import csv
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -45,7 +51,9 @@ class ExposureLog:
     exposure_start, then target index, vehicle index and kind (direct
     last), the order in which the simulator scans one source's exposures.
     Card and vehicle ids are mapped to dense indices over the id-sorted
-    vocabularies, so index order equals id order.
+    vocabularies, so index order equals id order.  `within(d)` gives the log
+    at a suspension time d no longer than its own, equal column for column
+    to the one `build_exposure_log` would make at d.
     """
 
     def __init__(
@@ -76,6 +84,25 @@ class ExposureLog:
 
     def __len__(self) -> int:
         return int(self.src.size)
+
+    def within(self, d_t: float) -> "ExposureLog":
+        """This log at suspension time `d_t` in [0, self.d_t]: a row mask and a clipped `end`.
+
+        An indirect row exists at `d_t` iff its target boards by
+        src_exit + d_t, and its window then ends by that time; a direct row
+        starts and ends by src_exit, so both rules leave it as it is.
+        """
+        if d_t == self.d_t:
+            return self
+        if not 0 <= d_t <= self.d_t:
+            raise ValueError(f"d_t must be in [0, {self.d_t}], got {d_t}")
+        reach = self.src_exit + d_t
+        keep = np.flatnonzero(self.start <= reach)
+        return ExposureLog(
+            self.cards, self.vehicles, self.src[keep], self.tgt[keep], self.veh[keep], self.start[keep],
+            np.minimum(self.end[keep], reach[keep]), self.src_enter[keep], self.src_exit[keep],
+            self.direct[keep], d_t,
+        )
 
     def direct_encounter_counts(self) -> Dict[str, int]:
         """Per-card count of direct co-presence episodes (with multiplicity)."""
@@ -145,32 +172,23 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     )
 
 
-def degree_distribution(exposures: ExposureLog, cards: Optional[Iterable[str]] = None) -> Dict[int, int]:
-    """Histogram of direct-encounter degree over the given population.
-
-    Passengers absent from the log (no direct encounters) count with degree
-    zero, so pass the full card population when isolated passengers matter.
-    """
+def degree_distribution(exposures: ExposureLog) -> Dict[int, int]:
+    """Histogram of direct-encounter degree over the log's cards; a card with none has degree zero."""
     counts = exposures.direct_encounter_counts()
-    population = list(cards) if cards is not None else list(exposures.cards)
     hist: Dict[int, int] = {}
-    for card in population:
+    for card in exposures.cards:
         degree = counts.get(card, 0)
         hist[degree] = hist.get(degree, 0) + 1
     return hist
 
 
-def connected_components(
-    exposures: ExposureLog, cards: Optional[Iterable[str]] = None
-) -> List[int]:
+def connected_components(exposures: ExposureLog) -> List[int]:
     """Sizes of the components of the direct-contact graph, largest first.
 
-    Vertices are passengers; an edge joins any pair with at least one direct
-    exposure.  Isolated passengers form size-1 components.
+    Vertices are the log's cards; an edge joins any pair with at least one
+    direct exposure.  Isolated passengers form size-1 components.
     """
-    population = sorted(set(cards)) if cards is not None else list(exposures.cards)
-    index = {c: i for i, c in enumerate(population)}
-    parent = list(range(len(population)))
+    parent = list(range(len(exposures.cards)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -182,16 +200,12 @@ def connected_components(
     src = exposures.src[mask]
     tgt = exposures.tgt[mask]
     pairs = np.unique(np.stack([src, tgt], axis=1), axis=0) if src.size else np.empty((0, 2), int)
-    for s, t in pairs:
-        a = index.get(exposures.cards[s])
-        b = index.get(exposures.cards[t])
-        if a is None or b is None:
-            continue
+    for a, b in pairs.tolist():
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
     sizes: Dict[int, int] = {}
-    for i in range(len(population)):
+    for i in range(len(parent)):
         r = find(i)
         sizes[r] = sizes.get(r, 0) + 1
     return sorted(sizes.values(), reverse=True)

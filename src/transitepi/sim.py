@@ -202,10 +202,8 @@ class LaneTraces:
     `SimOutcome`s of one beta.
     """
 
-    def __init__(self, log: ExposureLog, population: List[str], start_time: float,
-                 end_time: float, period: float) -> None:
+    def __init__(self, log: ExposureLog, start_time: float, end_time: float, period: float) -> None:
         self.log = log
-        self.population = population
         self.start_time = start_time
         self.end_time = end_time
         self.period = period
@@ -220,58 +218,36 @@ class LaneTraces:
             rows, times = self.events[(k, run)]
             out.append(SimOutcome(
                 log.cards, log.vehicles, log.src[rows], log.tgt[rows], log.veh[rows], times, log.direct[rows],
-                seeds, run, self.population, self.start_time, self.end_time, self.period,
+                seeds, run, log.cards, self.start_time, self.end_time, self.period,
             ))
         return out
 
 
 def run_lanes(
-    trips: Optional[TripTable],
+    trips: TripTable,
     config: SimConfig,
     betas: Sequence[float],
     runs: Sequence[int],
     exposures: Optional[ExposureLog] = None,
-    population: Optional[Sequence[str]] = None,
     progress=None,
 ) -> LaneTraces:
-    """Run one lane per (beta, run) pair; a lane runs `config` with its beta.
+    """Run one lane per (beta, run) pair over the table's cards; a lane runs `config` with its beta.
 
     A lane's outcome depends only on (config, beta, run), not on which
     other lanes run with it.
     """
     for beta in betas:
         replace(config, beta=beta).validate()
-    if exposures is None:
-        exposures = build_exposure_log(trips, config.d_t)
-    if population is None:
-        population = trips.cards if trips else exposures.cards
-    population = sorted(population)
-    n = len(population)
+    log = build_exposure_log(trips, config.d_t) if exposures is None else exposures
+    if log.cards != trips.cards:
+        raise ValueError("the exposure log's cards are not the trip table's")
+    n = len(log.cards)
     if config.n_seeds > n:
         raise ValueError(f"n_seeds={config.n_seeds} exceeds population {n}")
-    extra = set(exposures.cards) - set(population)
-    if extra:
-        raise ValueError(
-            f"exposure log covers {len(extra)} card(s) outside the population, e.g. {sorted(extra)[:3]}"
-        )
+    start_time = float(trips.board.min()) if config.start_time is None else config.start_time
+    end_time = float(trips.alight.max()) + config.d_t if config.end_time is None else config.end_time
 
-    start_time = config.start_time
-    if start_time is None:
-        start_time = float(trips.board.min()) if trips else (
-            float(exposures.src_enter.min()) if len(exposures) else 0.0
-        )
-    end_time = config.end_time
-    if end_time is None:
-        if trips:
-            end_time = float(trips.alight.max()) + config.d_t
-        elif len(exposures):
-            end_time = float(exposures.end.max())
-        else:
-            end_time = start_time
-
-    log = exposures
-    traces = LaneTraces(log, population, start_time, end_time, config.infectious_period)
-    card_pos = {c: i for i, c in enumerate(log.cards)}
+    traces = LaneTraces(log, start_time, end_time, config.infectious_period)
     grid = np.unique(np.asarray(betas, dtype=np.float64))
     beta_index = np.searchsorted(grid, betas)
     codes = _Codes(log, start_time, end_time)
@@ -284,8 +260,9 @@ def run_lanes(
         seeds = []
         for i, run in enumerate(batch):
             rng, _ = _run_streams(config.master_seed, run)
-            traces.seeds[run] = tuple(sorted(population[j] for j in rng.choice(n, size=config.n_seeds, replace=False)))
-            seeds.append(np.array([card_pos[c] for c in traces.seeds[run] if c in card_pos], np.int64))
+            # the population is the log's id-sorted card vocabulary
+            seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
+            traces.seeds[run] = tuple(log.cards[j] for j in seeds[-1].tolist())
             uniforms = exposure_uniforms(log, config.master_seed, run)
             for beta in grid:  # the rank of u: how many grid values are <= u
                 lanes.ranks[i] += uniforms >= beta
@@ -399,28 +376,24 @@ class _Lanes:
 
 
 def run_sir(
-    trips: Optional[TripTable],
+    trips: TripTable,
     config: SimConfig,
     run_index: int,
     exposures: Optional[ExposureLog] = None,
-    population: Optional[Sequence[str]] = None,
 ) -> SimOutcome:
     """Execute one traced S-I-R run, the one-lane case of `run_lanes`."""
-    lanes = run_lanes(trips, config, (config.beta,), (run_index,), exposures, population)
+    lanes = run_lanes(trips, config, (config.beta,), (run_index,), exposures)
     return lanes.outcomes(0)[0]
 
 
 def run_ensemble(
-    trips: Optional[TripTable],
+    trips: TripTable,
     config: SimConfig,
     exposures: Optional[ExposureLog] = None,
-    population: Optional[Sequence[str]] = None,
     progress=None,
 ) -> List[SimOutcome]:
     """Run n_runs independent runs; per-run streams derive from the master seed."""
-    lanes = run_lanes(
-        trips, config, (config.beta,), range(config.n_runs), exposures, population, progress
-    )
+    lanes = run_lanes(trips, config, (config.beta,), range(config.n_runs), exposures, progress)
     return lanes.outcomes(0)
 
 

@@ -210,7 +210,7 @@ def test_criterion_5_conservation_attribution_flows():
         population = records.cards
 
         sim_cfg = te.SimConfig(beta=0.6, d_t=0.0, n_seeds=10, n_runs=10, master_seed=11)
-        outcomes = te.run_ensemble(records, sim_cfg, exposures=log, population=population)
+        outcomes = te.run_ensemble(records, sim_cfg, exposures=log)
 
         period = sim_cfg.infectious_period
         for outcome in outcomes:
@@ -278,11 +278,11 @@ def test_criterion_6_desk_scale_reproduction():
         assert all(sizes[name] > 0 for name in te.GROUP_NAMES), sizes
 
         # (b) near-uniform receptions once the giant component covers >= 95%
-        components = te.connected_components(log0, cards=population)
+        components = te.connected_components(log0)
         giant_share = components[0] / len(population)
         assert giant_share >= 0.95, f"giant component only {giant_share:.3f}"
         sim_cfg = te.SimConfig(beta=1.0, d_t=0.0, n_seeds=50, n_runs=20, master_seed=0)
-        outcomes0 = te.run_ensemble(records, sim_cfg, exposures=log0, population=population)
+        outcomes0 = te.run_ensemble(records, sim_cfg, exposures=log0)
         encounters = log0.direct_encounter_counts()
         summary = te.per_group_summary(outcomes0, result.assignments, encounters)
         for name in te.GROUP_NAMES:
@@ -292,7 +292,7 @@ def test_criterion_6_desk_scale_reproduction():
         # (c) suspension-time difference matrix exists and is antisymmetric
         log30 = te.build_exposure_log(records, 30 * 60.0)
         sim_cfg30 = te.SimConfig(beta=1.0, d_t=30 * 60.0, n_seeds=50, n_runs=20, master_seed=0)
-        outcomes30 = te.run_ensemble(records, sim_cfg30, exposures=log30, population=population)
+        outcomes30 = te.run_ensemble(records, sim_cfg30, exposures=log30)
         m0 = te.group_flow_matrix(outcomes0, result.assignments)
         m30 = te.group_flow_matrix(outcomes30, result.assignments)
         diff = te.difference_matrix(m0, m30)

@@ -4,6 +4,7 @@ import json
 import random
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -246,9 +247,16 @@ class TestSweep:
         for entry in manifest["matrices"]:
             assert (out_dir / entry["path"]).exists()
 
-    def test_unsorted_grid_is_usage_error(self, tmp_path, trips_csv):
+    @pytest.mark.parametrize(
+        "beta_grid, dt_grid",
+        [("1,0.5", "0"), ("0.5,2", "0"), ("1", "-5,0")],
+        ids=["unsorted", "beta-above-one", "negative-dt"],
+    )
+    def test_unsorted_grid_is_usage_error(self, tmp_path, trips_csv, monkeypatch, beta_grid, dt_grid):
+        # rejected before any trip is read
+        monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
         code = main([
-            "sweep", "--input", trips_csv, "--beta-grid", "1,0.5", "--dt-grid-minutes", "0",
+            "sweep", "--input", trips_csv, f"--beta-grid={beta_grid}", f"--dt-grid-minutes={dt_grid}",
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 1
@@ -388,13 +396,21 @@ class TestFrontHalfOnce:
         assert code == 0
         assert calls == {"mobility_table": 1, "build_exposure_log": 1}
 
-    def test_sweep_builds_one_log_per_dt(self, tmp_path, trips_csv, calls):
+    def test_sweep_builds_one_log(self, tmp_path, trips_csv, calls):
         code = main([
             "sweep", "--input", trips_csv, "--beta-grid", "1", "--dt-grid-minutes", "0,15",
             "--seeds", "5", "--runs", "1", "--min-trips", "10", "--out-dir", str(tmp_path / "s"),
         ])
         assert code == 0
-        assert calls["build_exposure_log"] == 2
+        assert calls["build_exposure_log"] == 1
+
+    def test_simulate_builds_one_log(self, tmp_path, trips_csv, calls):
+        code = main([
+            "simulate", "--input", trips_csv, "--beta", "1", "--dt-minutes", "15",
+            "--seeds", "5", "--runs", "1", "--min-trips", "10", "--out-dir", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        assert calls["build_exposure_log"] == 1
 
     def test_sweep_draws_uniforms_once_per_run_and_dt(self, tmp_path, trips_csv, monkeypatch):
         drawn = []

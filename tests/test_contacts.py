@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import table, trip
 from oracles import component_sizes_bfs, direct_degree_quadratic, exposures_quadratic, log_events
@@ -203,6 +205,36 @@ class TestExposureLog:
             assert keys == sorted(keys)
 
 
+class TestWithin:
+    """A log narrowed to a shorter suspension time is the log built at it."""
+
+    @given(
+        rides=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 15), st.integers(1, 6)),
+            max_size=40,
+        ),
+        widths=st.lists(st.sampled_from([0.0, 1.0, 3.0, 5.0, 8.0]), min_size=2, max_size=4, unique=True),
+    )
+    def test_narrowed_log_equals_the_build(self, rides, widths):
+        trips = table([trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides])
+        widths = sorted(widths, reverse=True)
+        wide = build_exposure_log(trips, widths[0])
+        assert wide.within(widths[0]) is wide
+        for d_t in (widths[0] + 1, -1.0):
+            with pytest.raises(ValueError):
+                wide.within(d_t)
+        chained = wide
+        for d_t in widths[1:]:
+            chained = chained.within(d_t)
+            want = build_exposure_log(trips, d_t)
+            for got in (wide.within(d_t), chained):
+                assert (got.d_t, got.cards, got.vehicles) == (d_t, want.cards, want.vehicles)
+                assert got.direct_encounter_counts() == want.direct_encounter_counts()
+                for column in LOG_COLUMNS:
+                    a, b = getattr(got, column), getattr(want, column)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+
 class TestDegreeDistribution:
     def test_three_mutual_overlaps(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "v", 20, 80)]
@@ -212,13 +244,13 @@ class TestDegreeDistribution:
     def test_isolated_passenger_counts_zero(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "w", 0, 50)]
         log = build_exposure_log(table(records), 0.0)
-        assert degree_distribution(log, cards={"A", "B", "C"}) == {1: 2, 0: 1}
+        assert degree_distribution(log) == {1: 2, 0: 1}
 
     def test_matches_quadratic_oracle(self):
         records = random_records(7)
         log = build_exposure_log(table(records), 0.0)
         cards = {r.card_id for r in records}
-        got = degree_distribution(log, cards)
+        got = degree_distribution(log)
         oracle = direct_degree_quadratic(
             [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records]
         )
@@ -251,4 +283,4 @@ class TestConnectedComponents:
             log = build_exposure_log(table(records), 0.0)
             cards = {r.card_id for r in records}
             edges = {(e.source, e.target) for e in log_events(log)}
-            assert connected_components(log, cards) == component_sizes_bfs(cards, edges)
+            assert connected_components(log) == component_sizes_bfs(cards, edges)

@@ -193,6 +193,12 @@ class TestSingleRun:
         seeds = {run_sir(table(records), cfg, i).seeds for i in range(6)}
         assert len(seeds) > 1
 
+    def test_log_of_other_cards_rejected(self):
+        records = random_instance(7)
+        log = build_exposure_log(table(records + [trip("zz", "v0", 0.0, 60.0)]), 0.0)
+        with pytest.raises(ValueError, match="not the trip table's"):
+            run_sir(table(records), config(), 0, exposures=log)
+
     def test_too_many_seeds_rejected(self):
         records = random_instance(7)
         with pytest.raises(ValueError, match="exceeds population"):
@@ -354,9 +360,9 @@ class TestLanes:
                      start=start, end=end)
         betas = (0.6, 0.0, 1.0, 0.3)
         runs = range(4)
-        together = run_lanes(table(records), cfg, betas, runs, exposures=log, population=population)
+        together = run_lanes(table(records), cfg, betas, runs, exposures=log)
         with mock.patch.object(sim, "BATCH_BYTES", 1):  # one run per batch
-            batched = run_lanes(table(records), cfg, betas, runs, exposures=log, population=population)
+            batched = run_lanes(table(records), cfg, betas, runs, exposures=log)
         for k, beta in enumerate(betas):
             lane_cfg = replace(cfg, beta=beta)
             for run, lane, other in zip(runs, together.outcomes(k), batched.outcomes(k)):
@@ -364,7 +370,7 @@ class TestLanes:
                 want = ref.per_run_seed, ref.seeds, ref.events, ref.final_state
                 assert _trace(lane) == want
                 assert _trace(other) == want
-                assert _trace(run_sir(table(records), lane_cfg, run, exposures=log, population=population)) == want
+                assert _trace(run_sir(table(records), lane_cfg, run, exposures=log)) == want
 
     def test_pending_candidate_lowered_by_a_source_infected_later(self):
         # seed A reaches C at t = 10 on v3, but A infects B at t = 1 and B
