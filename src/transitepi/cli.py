@@ -97,15 +97,19 @@ class ExperimentSpec:
     dt_grid_minutes: Tuple[float, ...] = DEFAULT_DT_GRID_MINUTES
     output_dir: Optional[str] = None
 
-    def validate_grids(self) -> None:
-        grids = (("beta_grid", self.beta_grid, 1.0), ("dt_grid_minutes", self.dt_grid_minutes, math.inf))
-        for name, grid, top in grids:
+    def validate_grids(self, betas: Sequence[float], dts_minutes: Sequence[float]) -> None:
+        """The grids a command simulates: non-empty, strictly ascending, a valid `SimConfig` at every point."""
+        for name, grid in (("beta_grid", betas), ("dt_grid_minutes", dts_minutes)):
             if not grid:
                 raise UsageError(f"{name} must be non-empty")
-            if not all(0 <= v <= top for v in grid):
-                raise UsageError(f"{name} values must lie in [0, {top:g}], got {list(grid)}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise UsageError(f"{name} must be sorted strictly ascending, got {list(grid)}")
+        try:
+            for beta in betas:
+                for dt in dts_minutes:
+                    dataclasses.replace(self.sim_config(dt), beta=beta).validate()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def sim_config(self, dt_minutes: Optional[float] = None) -> SimConfig:
         return SimConfig(
@@ -332,6 +336,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
+    spec.validate_grids((spec.beta,), (spec.dt_minutes,))  # before any trip is read
     if spec.output_dir is None:
         raise UsageError("simulate needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
@@ -374,7 +379,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    spec.validate_grids()
+    spec.validate_grids(spec.beta_grid, spec.dt_grid_minutes)  # before any trip is read
     if spec.output_dir is None:
         raise UsageError("sweep needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)

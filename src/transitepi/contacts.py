@@ -152,9 +152,9 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     direct = np.concatenate([is_direct, np.ones(np.count_nonzero(is_direct), bool)])
     del i, j, is_direct
 
-    # the window opens when the later ride boards; rows are stored in the
-    # order run_sir scans them: (source, start, target, vehicle, kind), the
-    # last three packed into one key
+    # the window opens when the later ride boards; rows are stored by (source,
+    # start, target, vehicle, kind), one slice per source for run_lanes to read,
+    # the last three packed into one key
     start = np.maximum(enter[s], enter[t])
     tie = (card[t].astype(np.int64) * len(vehicles) + veh[s]) * 2 + direct
     order = np.lexsort((tie, start, card[s]))

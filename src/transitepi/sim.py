@@ -27,22 +27,20 @@ infector, infectee, vehicle, kind).  That settles every exposure under
 exactly the rules above.
 
 `run_lanes` runs many such runs at once over one exposure log.  A lane is
-one (beta, run) pair.  The lanes share everything that does not depend on
-beta: the population, the start and end time, each run's seed draw and
-each run's uniforms, computed once per run by `exposure_uniforms`.  A
-uniform u is stored as its rank in the sorted beta grid, the number of grid
-values <= u, so the lane of grid index k transmits iff k >= rank, which is
-exactly u < beta_k.  Each lane keeps one int64 cell per target: the code of
-its least pending candidate (the time's rank times the log length plus the
-key; every infection time is the start time or a window start, so ranking
-those orders times exactly), or a mark for none pending or infected.  One
-step infects the argmin of every lane's cells, evaluates the exposure slices
-of those cards in one batch of numpy calls and lowers their targets' cells
-with `np.minimum.at`: one pending candidate per (lane, target) changes no
-event, as a higher one could only pop after the lower one infected it.
-Lanes run in batches, all betas of a run in one batch, and a batch holds at
-most `BATCH_BYTES` of ranks and lane rows, so memory does not grow with the
-number of runs or betas.
+one (beta, run) pair; the lanes of one run share its seeds and its token.
+The keyed draw is counter-based, so a lane draws a row's trial only when it
+evaluates the row: the row transmits iff the draw's top 53 bits are below
+ceil(beta * 2**53), which is exactly u < beta.  Each lane keeps one int64
+cell per target: the code of its least pending candidate (the time's rank
+times the log length plus the key; every infection time is the start time
+or a window start, so ranking those orders times exactly), or a mark for
+none pending or infected.  One step infects the argmin of every lane's
+cells, evaluates the exposure slices of those cards in one batch of numpy
+calls and lowers their targets' cells with `np.minimum.at`: one pending
+candidate per (lane, target) changes no event, as a higher one could only
+pop after the lower one infected it.  Lanes run in batches of whole runs
+whose cells fit in `BATCH_BYTES`, so memory does not grow with the number
+of runs or betas.
 
 An infected passenger recovers exactly `infectious_period` seconds after
 infection and is never re-infected.
@@ -73,8 +71,7 @@ DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
 DEFAULT_RUNS = 100
 INFECTION_CSV_HEADER = ["infector", "infectee", "time", "vehicle_id", "kind"]
 
-# memory one batch of lanes may hold: each run's beta ranks take a byte per
-# exposure, each lane's row of best codes 8 bytes per card
+# memory the cells of one batch of lanes may hold: 8 bytes per (lane, card)
 BATCH_BYTES = 32 << 20
 _LANE_BYTES_PER_CARD = 8
 
@@ -93,12 +90,12 @@ class SimConfig:
     def validate(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.d_t < 0:
-            raise ValueError(f"d_t must be >= 0, got {self.d_t}")
+        if not 0.0 <= self.d_t < np.inf:
+            raise ValueError(f"d_t must be finite and >= 0, got {self.d_t}")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.infectious_period <= 0:
-            raise ValueError(f"infectious_period must be > 0, got {self.infectious_period}")
+        if not 0.0 < self.infectious_period < np.inf:
+            raise ValueError(f"infectious_period must be finite and > 0, got {self.infectious_period}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if self.start_time is not None and self.end_time is not None:
@@ -165,16 +162,11 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _exposure_keys(log: ExposureLog) -> np.ndarray:
     """64-bit identity key per exposure from (source, target, vehicle, window)."""
-    cached = getattr(log, "_identity_keys", None)
-    if cached is not None:
-        return cached
     k = _mix64(log.src.astype(np.uint64))
     k = _mix64(k ^ _mix64(log.tgt.astype(np.uint64) + np.uint64(0x5555_5555)))
     k = _mix64(k ^ _mix64(log.veh.astype(np.uint64) + np.uint64(0xAAAA_AAAA)))
     k = _mix64(k ^ log.start.view(np.uint64))
-    k = _mix64(k ^ log.end.view(np.uint64))
-    log._identity_keys = k
-    return k
+    return _mix64(k ^ log.end.view(np.uint64))
 
 
 def _run_streams(master_seed: int, run_index: int) -> Tuple[np.random.Generator, np.uint64]:
@@ -186,11 +178,15 @@ def _run_streams(master_seed: int, run_index: int) -> Tuple[np.random.Generator,
     return rng, token
 
 
+def _draw_bits(keys: np.ndarray, tokens) -> np.ndarray:
+    """The 53-bit integer behind each keyed uniform: u is exactly bits * 2**-53."""
+    return _mix64(keys ^ tokens) >> np.uint64(11)
+
+
 def exposure_uniforms(log: ExposureLog, master_seed: int, run_index: int) -> np.ndarray:
     """One uniform in [0, 1) per exposure, keyed by exposure identity and run."""
     _, token = _run_streams(master_seed, run_index)
-    mixed = _mix64(_exposure_keys(log) ^ token)
-    return (mixed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return _draw_bits(_exposure_keys(log), token).astype(np.float64) * (2.0 ** -53)
 
 
 class LaneTraces:
@@ -248,25 +244,22 @@ def run_lanes(
     end_time = float(trips.alight.max()) + config.d_t if config.end_time is None else config.end_time
 
     traces = LaneTraces(log, start_time, end_time, config.infectious_period)
-    grid = np.unique(np.asarray(betas, dtype=np.float64))
-    beta_index = np.searchsorted(grid, betas)
+    keys = _exposure_keys(log)
+    # u < beta iff bits < beta * 2**53, a product exact in float64, iff bits < its ceiling
+    cuts = np.ceil(np.asarray(betas, np.float64) * 2.0 ** 53).astype(np.uint64)
     codes = _Codes(log, start_time, end_time)
     runs = list(runs)
-    run_bytes = len(log) + len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD
-    per_batch = max(1, BATCH_BYTES // max(1, run_bytes))
+    per_batch = max(1, BATCH_BYTES // max(1, len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD))
     for first in range(0, len(runs), per_batch):
         batch = runs[first:first + per_batch]
-        lanes = _Lanes(log, codes, config.infectious_period, beta_index, len(batch))
-        seeds = []
-        for i, run in enumerate(batch):
-            rng, _ = _run_streams(config.master_seed, run)
+        seeds, tokens = [], []
+        for run in batch:
+            rng, token = _run_streams(config.master_seed, run)
             # the population is the log's id-sorted card vocabulary
             seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
+            tokens.append(token)
             traces.seeds[run] = tuple(log.cards[j] for j in seeds[-1].tolist())
-            uniforms = exposure_uniforms(log, config.master_seed, run)
-            for beta in grid:  # the rank of u: how many grid values are <= u
-                lanes.ranks[i] += uniforms >= beta
-            del uniforms
+        lanes = _Lanes(log, codes, config.infectious_period, keys, np.array(tokens), cuts)
         for lane, code in enumerate(lanes.run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
         if progress is not None:
@@ -287,7 +280,7 @@ class _Codes:
 
     def __init__(self, log: ExposureLog, start_time: float, end_time: float) -> None:
         n = self.n = len(log)
-        if n > np.iinfo(np.int32).max:  # which also keeps (ranks + 1) * rows within int64
+        if n > np.iinfo(np.int32).max:  # which also keeps (time rank + 1) * rows within int64
             raise ValueError(f"{n} exposures exceed the simulator's int32 keys")
         order = np.argsort(log.start, kind="stable")
         self.key = np.empty(n, np.int32)
@@ -311,17 +304,18 @@ _INFECTED = np.iinfo(np.int64).max
 class _Lanes:
     """One batch of lanes in lockstep: lane i * n_betas + k is the batch's run i at beta k."""
 
-    def __init__(self, log: ExposureLog, codes: _Codes, period: float, beta_index: np.ndarray, n_runs: int) -> None:
+    def __init__(
+        self, log: ExposureLog, codes: _Codes, period: float, keys: np.ndarray, tokens: np.ndarray, cuts: np.ndarray
+    ) -> None:
         self.log = log
         self.codes = codes
         self.period = period
+        self.keys = keys
+        self.tokens = np.repeat(tokens, cuts.size)  # lane i * n_betas + k: run i's token
+        self.cuts = np.tile(cuts, tokens.size)  # and beta k's cut
         self.n_cards = len(log.cards)
         self.bounds = np.searchsorted(log.src, np.arange(self.n_cards + 1))
-        self.n_lanes = n_runs * beta_index.size
-        self.ranks = np.zeros((n_runs, len(log)), np.min_scalar_type(beta_index.size))
-        self.flat_ranks = self.ranks.reshape(-1)
-        self.lane_beta = np.tile(beta_index, n_runs)
-        self.lane_ranks = np.repeat(np.arange(n_runs) * len(log), beta_index.size)
+        self.n_lanes = self.cuts.size
         self.best = np.full(self.n_lanes * self.n_cards, _NONE, np.int64)
 
     def push(self, lanes: np.ndarray, cards: np.ndarray, time_ranks: np.ndarray) -> None:
@@ -331,10 +325,6 @@ class _Lanes:
         counts = self.bounds.take(cards + 1) - lo
         entry = np.repeat(np.arange(cards.size), counts)
         rows = np.arange(entry.size) + (lo - (np.cumsum(counts) - counts)).take(entry)
-        # a lane transmits through a row iff its beta's grid index is at least the row's rank
-        rank = self.flat_ranks.take(self.lane_ranks.take(lanes).take(entry) + rows)
-        ok = np.flatnonzero(self.lane_beta.take(lanes).take(entry) >= rank)
-        rows, entry = rows.take(ok), entry.take(ok)
         t_u = codes.clock.take(time_ranks).take(entry)
         r_u = t_u + self.period
         feasible = np.flatnonzero(np.where(
@@ -343,8 +333,12 @@ class _Lanes:
             (log.src_exit.take(rows) >= t_u) & (log.src_enter.take(rows) < r_u),
         ))
         rows, entry = rows.take(feasible), entry.take(feasible)
+        # each lane's Bernoulli(beta) trial, drawn only for the rows it can transmit through
+        lane = lanes.take(entry)
+        hit = np.flatnonzero(_draw_bits(self.keys.take(rows), self.tokens.take(lane)) < self.cuts.take(lane))
+        rows, entry, lane = rows.take(hit), entry.take(hit), lane.take(hit)
         t_star = np.maximum(codes.time_rank.take(rows), time_ranks.take(entry))
-        cell = lanes.take(entry) * self.n_cards + log.tgt.take(rows)
+        cell = lane * self.n_cards + log.tgt.take(rows)
         keep = np.flatnonzero((t_star <= codes.last_rank) & (self.best.take(cell) != _INFECTED))
         code = t_star.take(keep) * codes.n + codes.key.take(rows.take(keep))
         np.minimum.at(self.best, cell.take(keep), code)

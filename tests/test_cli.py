@@ -332,6 +332,28 @@ def test_wrongly_typed_value_is_usage_error(tmp_path, trips_csv, caplog, command
     assert named in caplog.text
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("beta", "2"), ("beta", "nan"),
+        ("dt", "nan"), ("dt", "inf"), ("dt", "-5"),
+        ("seeds", "0"), ("runs", "0"),
+        ("infectious-days", "nan"), ("infectious-days", "inf"), ("infectious-days", "0"),
+    ],
+)
+def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
+    tmp_path, trips_csv, monkeypatch, command, param, value
+):
+    monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
+    flag = {
+        ("simulate", "beta"): "--beta", ("simulate", "dt"): "--dt-minutes",
+        ("sweep", "beta"): "--beta-grid", ("sweep", "dt"): "--dt-grid-minutes",
+    }.get((command, param), f"--{param}")
+    assert main([command, "--input", trips_csv, f"{flag}={value}", "--out-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 class TestRowOrder:
     """Every artifact is the same whatever the order of the trip file's rows."""
 
@@ -412,21 +434,23 @@ class TestFrontHalfOnce:
         assert code == 0
         assert calls["build_exposure_log"] == 1
 
-    def test_sweep_draws_uniforms_once_per_run_and_dt(self, tmp_path, trips_csv, monkeypatch):
-        drawn = []
-        original = sim.exposure_uniforms
+    def test_sweep_computes_keys_once_per_dt_and_draws_no_whole_log_uniforms(self, tmp_path, trips_csv, monkeypatch):
+        calls = {"_exposure_keys": 0, "exposure_uniforms": 0}
+        for name in calls:
+            original = getattr(sim, name)
 
-        def counted(*args, **kwargs):
-            drawn.append(1)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "exposure_uniforms", counted)
+            monkeypatch.setattr(sim, name, counted)
         code = main([
             "sweep", "--input", trips_csv, "--beta-grid", "0.5,1", "--dt-grid-minutes", "0,15",
             "--seeds", "5", "--runs", "2", "--min-trips", "10", "--out-dir", str(tmp_path / "s"),
         ])
         assert code == 0
-        assert len(drawn) == 4  # one per (run, d_t), shared by both betas
+        # one run_lanes call per d_t; its lanes draw each trial from the keys as they evaluate it
+        assert calls == {"_exposure_keys": 2, "exposure_uniforms": 0}
 
 
 class TestAnalyze:

@@ -390,8 +390,30 @@ class TestLanes:
 
     def test_lane_rows_stay_within_the_batch_budget(self):
         log = build_exposure_log(table(random_instance(3)), 0.0)
-        betas, n_runs = (0.1, 0.5, 1.0), 4
-        lanes = sim._Lanes(log, sim._Codes(log, 0.0, DAY), DAY, np.arange(len(betas)), n_runs)
-        per_run = len(log) + len(betas) * len(log.cards) * sim._LANE_BYTES_PER_CARD
+        cuts, tokens = np.array([1, 2, 3], np.uint64), np.arange(4, dtype=np.uint64)
+        lanes = sim._Lanes(log, sim._Codes(log, 0.0, DAY), DAY, sim._exposure_keys(log), tokens, cuts)
+        per_run = cuts.size * len(log.cards) * sim._LANE_BYTES_PER_CARD
         assert len(log) > 0
-        assert lanes.ranks.nbytes + lanes.best.nbytes <= n_runs * per_run
+        assert lanes.n_lanes == cuts.size * tokens.size
+        assert lanes.best.nbytes <= tokens.size * per_run
+
+
+class TestDraws:
+    @given(
+        keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50),
+        token=st.integers(0, 2**64 - 1),
+        beta=st.one_of(
+            st.sampled_from([0.0, 1.0, 5e-324, float(np.nextafter(1.0, 0.0)), 0.1, 0.3]),
+            st.floats(0.0, 1.0),
+        ),
+    )
+    def test_integer_cut_is_the_uniform_trial(self, keys, token, beta):
+        keys, token = np.array(keys, np.uint64), np.uint64(token)
+        with mock.patch.object(sim, "_exposure_keys", lambda log: keys), \
+                mock.patch.object(sim, "_run_streams", lambda master_seed, run: (None, token)):
+            uniforms = sim.exposure_uniforms(None, 0, 0)
+        cut = int(np.ceil(beta * 2.0 ** 53))
+        assert ((sim._draw_bits(keys, token) < np.uint64(cut)) == (uniforms < beta)).all()
+        # the keyed bits seldom land next to the cut: check the draws there directly
+        near = np.arange(max(0, cut - 2), min(2**53, cut + 2), dtype=np.uint64)
+        assert ((near < np.uint64(cut)) == (near.astype(np.float64) * 2.0 ** -53 < beta)).all()
