@@ -111,6 +111,12 @@ class ExperimentSpec:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
 
+    def validate_front_half(self) -> None:
+        """The trip threshold and the k of the k-radius: both at least 1."""
+        for name, value in (("min_trips", self.min_trips), ("k", self.k)):
+            if value < 1:
+                raise UsageError(f"{name} must be >= 1, got {value}")
+
     def sim_config(self, dt_minutes: Optional[float] = None) -> SimConfig:
         return SimConfig(
             beta=self.beta,
@@ -235,6 +241,7 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         spec.synth = _load_synth_config(args.synth_config)
     if spec.output_dir is None:
         spec.output_dir = os.environ.get(OUTDIR_ENV)
+    spec.validate_front_half()  # before any trip is read
     return spec
 
 
@@ -298,6 +305,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if args.min_trips < 1:
+        raise UsageError(f"min_trips must be >= 1, got {args.min_trips}")
     trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")

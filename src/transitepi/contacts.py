@@ -11,6 +11,12 @@ for a source ride [a, b]:
     in (b, b + d_t] is exposed.  Indirect exposure is directed forward in
     time only.
 
+An exposure is therefore an ordered pair of rides, the contact sequence over
+rides: `ExposureLog` stores each as the two rides' row numbers in the
+`TripTable` plus its kind, 9 bytes a row, and derives the source and target
+cards, the vehicle and the exposure window from the two rides and d_t when
+they are read.
+
 `build_exposure_log` reads the card, vehicle and time columns of a
 `TripTable` and sorts the rides once by (vehicle, enter, exit, card).
 Ride i then meets exactly the later rides j of its vehicle that board by
@@ -21,20 +27,16 @@ are dropped.
 A log narrows to any shorter suspension time d <= d_t without a rebuild:
 `ExposureLog.within(d)` keeps the rows with start <= src_exit + d (every
 direct row, which starts by its source's exit, and the indirect rows whose
-target boards in time) in stored order, and clips `end` to src_exit + d.
-Direct rows do not depend on the suspension time.
-
-Events are stored column-wise (numpy arrays) because realistic months yield
-millions of them, in the order the simulator scans them: (source, start,
-target, vehicle, kind).  Each event also carries the source ride that
-deposited the pathogens, which downstream code needs to decide whether the
-source was infectious at deposition time.
+target boards in time) in stored order.  Direct rows do not depend on the
+suspension time.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Sequence
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
 import numpy as np
 
@@ -44,69 +46,80 @@ DIRECT = "direct"
 INDIRECT = "indirect"
 
 
+@dataclass(eq=False)
 class ExposureLog:
-    """Column-wise store of all exposure events for one suspension time.
+    """The exposures of one suspension time `d_t` as ordered pairs of rides.
 
-    Rows are stored grouped by source: sorted by source index, then
-    exposure_start, then target index, vehicle index and kind (direct
-    last), the order in which the simulator scans one source's exposures.
-    Card and vehicle ids are mapped to dense indices over the id-sorted
-    vocabularies, so index order equals id order.  `within(d)` gives the log
-    at a suspension time d no longer than its own, equal column for column
-    to the one `build_exposure_log` would make at d.
+    In row i ride `src_ride[i]` exposes ride `tgt_ride[i]`, both int32 rows
+    of `trips`, directly iff `direct[i]`.  The other columns are derived from
+    the two rides and `d_t` when read, each defined once below.  Rows are
+    stored by source card, then start, target card, vehicle and kind (direct
+    last), the order in which the simulator scans one source's exposures;
+    card and vehicle codes are the table's, so code order is id order.
+    `within(d)` gives the log at any d <= d_t, equal row for row to a build at d.
     """
 
-    def __init__(
-        self,
-        cards: Sequence[str],
-        vehicles: Sequence[str],
-        src: np.ndarray,
-        tgt: np.ndarray,
-        veh: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        src_enter: np.ndarray,
-        src_exit: np.ndarray,
-        direct: np.ndarray,
-        d_t: float,
-    ) -> None:
-        self.cards = list(cards)
-        self.vehicles = list(vehicles)
-        self.src = src
-        self.tgt = tgt
-        self.veh = veh
-        self.start = start
-        self.end = end
-        self.src_enter = src_enter
-        self.src_exit = src_exit
-        self.direct = direct
-        self.d_t = d_t
+    trips: TripTable
+    src_ride: np.ndarray
+    tgt_ride: np.ndarray
+    direct: np.ndarray
+    d_t: float
 
     def __len__(self) -> int:
-        return int(self.src.size)
+        return int(self.src_ride.size)
+
+    @property
+    def cards(self) -> List[str]:
+        return self.trips.cards
+
+    @property
+    def vehicles(self) -> List[str]:
+        return self.trips.vehicles
+
+    @property
+    def src(self) -> np.ndarray:
+        return self.trips.card.take(self.src_ride)
+
+    @property
+    def tgt(self) -> np.ndarray:
+        return self.trips.card.take(self.tgt_ride)
+
+    @property
+    def veh(self) -> np.ndarray:
+        return self.trips.vehicle.take(self.src_ride)
+
+    @property
+    def src_exit(self) -> np.ndarray:
+        return self.trips.alight.take(self.src_ride)
+
+    @property
+    def start(self) -> np.ndarray:
+        """The window opens when the later of the two rides boards."""
+        start = self.trips.board.take(self.src_ride)
+        return np.maximum(start, self.trips.board.take(self.tgt_ride), out=start)
+
+    @property
+    def end(self) -> np.ndarray:
+        """The window closes when the target alights, or earlier: at the source's exit, or d_t after it."""
+        end = self.src_exit
+        np.add(end, self.d_t, out=end, where=~self.direct)
+        return np.minimum(self.trips.alight.take(self.tgt_ride), end, out=end)
+
+    def take(self, rows: np.ndarray) -> "ExposureLog":
+        """The rows selected by an index array or boolean mask, in that order."""
+        return replace(self, src_ride=self.src_ride[rows], tgt_ride=self.tgt_ride[rows], direct=self.direct[rows])
 
     def within(self, d_t: float) -> "ExposureLog":
-        """This log at suspension time `d_t` in [0, self.d_t]: a row mask and a clipped `end`.
-
-        An indirect row exists at `d_t` iff its target boards by
-        src_exit + d_t, and its window then ends by that time; a direct row
-        starts and ends by src_exit, so both rules leave it as it is.
-        """
+        """This log at suspension time `d_t` in [0, self.d_t]: its rows that start by src_exit + d_t."""
         if d_t == self.d_t:
             return self
         if not 0 <= d_t <= self.d_t:
             raise ValueError(f"d_t must be in [0, {self.d_t}], got {d_t}")
-        reach = self.src_exit + d_t
-        keep = np.flatnonzero(self.start <= reach)
-        return ExposureLog(
-            self.cards, self.vehicles, self.src[keep], self.tgt[keep], self.veh[keep], self.start[keep],
-            np.minimum(self.end[keep], reach[keep]), self.src_enter[keep], self.src_exit[keep],
-            self.direct[keep], d_t,
-        )
+        return replace(self.take(self.start <= self.src_exit + d_t), d_t=d_t)
 
     def direct_encounter_counts(self) -> Dict[str, int]:
         """Per-card count of direct co-presence episodes (with multiplicity)."""
-        counts = np.bincount(self.src[self.direct], minlength=len(self.cards))
+        counts = np.bincount(self.take(self.direct).src, minlength=len(self.cards))
         return {card: int(counts[i]) for i, card in enumerate(self.cards) if counts[i]}
 
 
@@ -118,20 +131,19 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     """
     if d_t < 0:
         raise ValueError(f"d_t must be >= 0, got {d_t}")
-    cards, vehicles = trips.cards, trips.vehicles
     card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
-    n = len(trips)
+    n, n_vehicles = len(trips), len(trips.vehicles)
     bad = np.flatnonzero(~(enter < exit_))
     if bad.size:
         raise ValueError(f"a ride must have enter < exit, got [{enter[bad[0]]}, {exit_[bad[0]]}]")
 
-    order = np.lexsort((card, exit_, enter, veh))
-    card, veh, enter, exit_ = card[order], veh[order], enter[order], exit_[order]
+    ride = np.lexsort((card, exit_, enter, veh)).astype(np.int32)  # the table row of each sorted ride
+    card, veh, enter, exit_ = card[ride], veh[ride], enter[ride], exit_[ride]
     # ride i meets rides i+1 .. hi[i]-1: the later rides of its vehicle that
     # board no later than exit_i + d_t
     hi = np.empty(n, np.int64)
     reach = exit_ + d_t
-    vbounds = np.searchsorted(veh, np.arange(len(vehicles) + 1))
+    vbounds = np.searchsorted(veh, np.arange(n_vehicles + 1))
     for lo, up in zip(vbounds[:-1], vbounds[1:]):
         hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
     counts = hi - np.arange(1, n + 1)
@@ -152,34 +164,19 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     direct = np.concatenate([is_direct, np.ones(np.count_nonzero(is_direct), bool)])
     del i, j, is_direct
 
-    # the window opens when the later ride boards; rows are stored by (source,
-    # start, target, vehicle, kind), one slice per source for run_lanes to read,
-    # the last three packed into one key
+    # rows are stored by (source, start, target, vehicle, kind), one slice per
+    # source for run_lanes to read, the last three packed into one key
     start = np.maximum(enter[s], enter[t])
-    tie = (card[t].astype(np.int64) * len(vehicles) + veh[s]) * 2 + direct
+    tie = (card[t].astype(np.int64) * n_vehicles + veh[s]) * 2 + direct
     order = np.lexsort((tie, start, card[s]))
-    del tie
-    # one column at a time, so that the old and new copies of only one are held
-    s = s[order]
-    t = t[order]
-    direct = direct[order]
-    start = start[order]
-    del order
-    src_exit = exit_[s]
-    end = np.minimum(exit_[t], np.where(direct, src_exit, src_exit + d_t))
-    return ExposureLog(
-        cards, vehicles, card[s], card[t], veh[s], start, end, enter[s], src_exit, direct, d_t
-    )
+    del tie, start
+    return ExposureLog(trips, ride[s[order]], ride[t[order]], direct[order], d_t)
 
 
 def degree_distribution(exposures: ExposureLog) -> Dict[int, int]:
     """Histogram of direct-encounter degree over the log's cards; a card with none has degree zero."""
     counts = exposures.direct_encounter_counts()
-    hist: Dict[int, int] = {}
-    for card in exposures.cards:
-        degree = counts.get(card, 0)
-        hist[degree] = hist.get(degree, 0) + 1
-    return hist
+    return dict(Counter(counts.get(card, 0) for card in exposures.cards))
 
 
 def connected_components(exposures: ExposureLog) -> List[int]:
@@ -196,10 +193,8 @@ def connected_components(exposures: ExposureLog) -> List[int]:
             x = parent[x]
         return x
 
-    mask = exposures.direct
-    src = exposures.src[mask]
-    tgt = exposures.tgt[mask]
-    pairs = np.unique(np.stack([src, tgt], axis=1), axis=0) if src.size else np.empty((0, 2), int)
+    direct = exposures.take(exposures.direct)
+    pairs = np.unique(np.stack([direct.src, direct.tgt], axis=1), axis=0) if len(direct) else np.empty((0, 2), int)
     for a, b in pairs.tolist():
         ra, rb = find(a), find(b)
         if ra != rb:

@@ -11,13 +11,13 @@ then.  Infected sets need not nest across beta (or d_t): an earlier
 infection also recovers earlier, so it can miss a later exposure through
 which the lower-beta run passed the infection on.
 
-Transmission requires the source to be infectious at the right moment:
-
-  * direct exposure: infectious at some point of the co-presence window;
-    the infection is stamped at max(window start, source infection time);
-  * indirect exposure: infectious at some point of its own presence on the
-    vehicle (pathogen deposition time); the infection is stamped when the
-    target boards.
+Transmission requires the source, infected at t and recovered at t + P, to
+be infectious in the exposure's interval [opens, closes]: closes >= t and
+opens < t + P.  For a direct exposure that is the co-presence window, from
+the later boarding to the earlier alighting, and the infection is stamped at
+max(window start, t); for an indirect one it is the source's own ride, when
+it deposits the pathogens, and the infection is stamped when the target
+boards.
 
 Because a passenger can become infectious midway through a window that
 started earlier, exposures cannot be settled by a single chronological scan
@@ -54,6 +54,7 @@ every passenger is derived only when asked for.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -194,7 +195,7 @@ class LaneTraces:
 
     Lane (k, run) is the run at the k-th beta.  It holds its infections as
     two columns, the log rows that transmitted and the infection times;
-    `outcomes(k)` slices the log's columns by those rows into the
+    `outcomes(k)` reads the cards and vehicles of those rows' rides into the
     `SimOutcome`s of one beta.
     """
 
@@ -212,8 +213,9 @@ class LaneTraces:
         out = []
         for run, seeds in self.seeds.items():
             rows, times = self.events[(k, run)]
+            events = log.take(rows)
             out.append(SimOutcome(
-                log.cards, log.vehicles, log.src[rows], log.tgt[rows], log.veh[rows], times, log.direct[rows],
+                log.cards, log.vehicles, events.src, events.tgt, events.veh, times, events.direct,
                 seeds, run, log.cards, self.start_time, self.end_time, self.period,
             ))
         return out
@@ -237,6 +239,8 @@ def run_lanes(
     log = build_exposure_log(trips, config.d_t) if exposures is None else exposures
     if log.cards != trips.cards:
         raise ValueError("the exposure log's cards are not the trip table's")
+    if log.d_t != config.d_t:
+        raise ValueError(f"the exposure log is at d_t={log.d_t}, the config at d_t={config.d_t}")
     n = len(log.cards)
     if config.n_seeds > n:
         raise ValueError(f"n_seeds={config.n_seeds} exceeds population {n}")
@@ -259,7 +263,7 @@ def run_lanes(
             seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
             tokens.append(token)
             traces.seeds[run] = tuple(log.cards[j] for j in seeds[-1].tolist())
-        lanes = _Lanes(log, codes, config.infectious_period, keys, np.array(tokens), cuts)
+        lanes = _Lanes(codes, config.infectious_period, keys, np.array(tokens), cuts)
         for lane, code in enumerate(lanes.run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
         if progress is not None:
@@ -272,28 +276,39 @@ def run_lanes(
 
 
 class _Codes:
-    """A candidate's code: its time's rank (`clock[rank]` is the time) times the log length, plus its row's key.
+    """The per-row columns that the lanes of one call read, and candidate codes.
 
-    The log stores rows by (infector, start, infectee, vehicle, kind), so one
-    stable sort by start gives each row's rank under (start, infector, ...).
+    A code is its time's rank (`clock[rank]` is the time) times the log
+    length, plus its row's key.  The log stores rows by (infector, start,
+    infectee, vehicle, kind), so one stable sort by start gives each row's
+    rank under (start, infector, ...).  Source u's rows are bounds[u]:bounds[u + 1].
     """
 
     def __init__(self, log: ExposureLog, start_time: float, end_time: float) -> None:
         n = self.n = len(log)
         if n > np.iinfo(np.int32).max:  # which also keeps (time rank + 1) * rows within int64
             raise ValueError(f"{n} exposures exceed the simulator's int32 keys")
-        order = np.argsort(log.start, kind="stable")
+        start = log.start
+        order = np.argsort(start, kind="stable")
         self.key = np.empty(n, np.int32)
         self.key[order] = np.arange(n, dtype=np.int32)
-        at = int(np.count_nonzero(log.start < start_time))
-        starts = np.insert(log.start.take(order), at, start_time)  # every time an infection can have
-        del order
+        at = int(np.count_nonzero(start < start_time))
+        starts = np.insert(start.take(order), at, start_time)  # every time an infection can have
+        del order, start
         new = np.concatenate(([True], starts[1:] != starts[:-1]))
         self.clock = starts[new]
         rank = np.cumsum(new, dtype=np.int32) - 1
         self.start_rank = int(rank[at])
         self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
         self.time_rank = np.delete(rank, at).take(self.key)
+        del starts, new, rank
+        self.bounds = np.searchsorted(log.src, np.arange(len(log.cards) + 1))
+        self.tgt = log.tgt
+        # direct: the later boarding to the earlier alighting; indirect: the source's ride
+        self.opens = log.trips.board.take(log.src_ride)
+        np.maximum(self.opens, log.trips.board.take(log.tgt_ride), out=self.opens, where=log.direct)
+        self.closes = log.trips.alight.take(log.src_ride)
+        np.minimum(log.trips.alight.take(log.tgt_ride), self.closes, out=self.closes, where=log.direct)
 
 
 # a lane's cell holds its target's least pending code, or one of these
@@ -304,41 +319,32 @@ _INFECTED = np.iinfo(np.int64).max
 class _Lanes:
     """One batch of lanes in lockstep: lane i * n_betas + k is the batch's run i at beta k."""
 
-    def __init__(
-        self, log: ExposureLog, codes: _Codes, period: float, keys: np.ndarray, tokens: np.ndarray, cuts: np.ndarray
-    ) -> None:
-        self.log = log
+    def __init__(self, codes: _Codes, period: float, keys: np.ndarray, tokens: np.ndarray, cuts: np.ndarray) -> None:
         self.codes = codes
         self.period = period
         self.keys = keys
         self.tokens = np.repeat(tokens, cuts.size)  # lane i * n_betas + k: run i's token
         self.cuts = np.tile(cuts, tokens.size)  # and beta k's cut
-        self.n_cards = len(log.cards)
-        self.bounds = np.searchsorted(log.src, np.arange(self.n_cards + 1))
+        self.n_cards = codes.bounds.size - 1
         self.n_lanes = self.cuts.size
         self.best = np.full(self.n_lanes * self.n_cards, _NONE, np.int64)
 
     def push(self, lanes: np.ndarray, cards: np.ndarray, time_ranks: np.ndarray) -> None:
         """Push the candidates of cards[i], infectious from int64 time rank time_ranks[i] in lane lanes[i]."""
-        log, codes = self.log, self.codes
-        lo = self.bounds.take(cards)
-        counts = self.bounds.take(cards + 1) - lo
+        codes = self.codes
+        lo = codes.bounds.take(cards)
+        counts = codes.bounds.take(cards + 1) - lo
         entry = np.repeat(np.arange(cards.size), counts)
         rows = np.arange(entry.size) + (lo - (np.cumsum(counts) - counts)).take(entry)
         t_u = codes.clock.take(time_ranks).take(entry)
-        r_u = t_u + self.period
-        feasible = np.flatnonzero(np.where(
-            log.direct.take(rows),
-            (log.end.take(rows) >= t_u) & (log.start.take(rows) < r_u),
-            (log.src_exit.take(rows) >= t_u) & (log.src_enter.take(rows) < r_u),
-        ))
+        feasible = np.flatnonzero((codes.closes.take(rows) >= t_u) & (codes.opens.take(rows) < t_u + self.period))
         rows, entry = rows.take(feasible), entry.take(feasible)
         # each lane's Bernoulli(beta) trial, drawn only for the rows it can transmit through
         lane = lanes.take(entry)
         hit = np.flatnonzero(_draw_bits(self.keys.take(rows), self.tokens.take(lane)) < self.cuts.take(lane))
         rows, entry, lane = rows.take(hit), entry.take(hit), lane.take(hit)
         t_star = np.maximum(codes.time_rank.take(rows), time_ranks.take(entry))
-        cell = lane * self.n_cards + log.tgt.take(rows)
+        cell = lane * self.n_cards + codes.tgt.take(rows)
         keep = np.flatnonzero((t_star <= codes.last_rank) & (self.best.take(cell) != _INFECTED))
         code = t_star.take(keep) * codes.n + codes.key.take(rows.take(keep))
         np.minimum.at(self.best, cell.take(keep), code)
@@ -392,8 +398,6 @@ def run_ensemble(
 
 
 def write_infection_csv(outcome: SimOutcome, path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(INFECTION_CSV_HEADER)

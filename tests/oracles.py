@@ -46,6 +46,7 @@ class ExposureEvent:
 def log_events(log: ExposureLog) -> Iterator[ExposureEvent]:
     """All events of a log, one object each, in canonical order: exposure_start,
     source id, target id, exposure_end, vehicle id."""
+    src_enter = log.trips.board[log.src_ride]
     for i in np.lexsort((log.veh, log.end, log.tgt, log.src, log.start)):
         yield ExposureEvent(
             source=log.cards[log.src[i]],
@@ -54,7 +55,7 @@ def log_events(log: ExposureLog) -> Iterator[ExposureEvent]:
             exposure_start=float(log.start[i]),
             exposure_end=float(log.end[i]),
             kind=DIRECT if log.direct[i] else INDIRECT,
-            source_enter=float(log.src_enter[i]),
+            source_enter=float(src_enter[i]),
             source_exit=float(log.src_exit[i]),
         )
 
@@ -354,10 +355,11 @@ def sir_reference(
         )
 
     card_pos = {c: i for i, c in enumerate(exposures.cards)}
+    e_dep_a = exposures.trips.board[exposures.src_ride]  # the source ride's boarding
     start_time = config.start_time
     if start_time is None:
         start_time = float(trips.board.min()) if trips else (
-            float(exposures.src_enter.min()) if len(exposures) else 0.0
+            float(e_dep_a.min()) if len(exposures) else 0.0
         )
     end_time = config.end_time
     if end_time is None:
@@ -382,7 +384,6 @@ def sir_reference(
     e_veh = exposures.veh
     e_start = exposures.start
     e_end = exposures.end
-    e_dep_a = exposures.src_enter
     e_dep_b = exposures.src_exit
     e_direct = exposures.direct
 

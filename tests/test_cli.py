@@ -354,6 +354,29 @@ def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("classify", "--k=0"), ("classify", "--min-trips=0"),
+        ("simulate", "--k=0"), ("simulate", "--min-trips=0"),
+        ("sweep", "--k=0"), ("sweep", "--min-trips=-1"),
+        ("analyze", "--k=0"), ("analyze", "--min-trips=0"),
+        ("ingest", "--min-trips=0"), ("ingest", "--min-trips=-1"),
+    ],
+)
+def test_invalid_front_half_parameter_is_usage_error_before_any_trip_is_read(tmp_path, monkeypatch, command, flag):
+    monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(tmp_path / "trips.csv"), flag]
+    argv += {
+        "classify": ["--out-assignments", str(out / "a.csv")],
+        "analyze": ["--assignments", str(tmp_path / "a.csv"), "--events-dir", str(tmp_path), "--out-dir", str(out)],
+        "ingest": ["--out", str(out / "trips.csv")],
+    }.get(command, ["--out-dir", str(out)])
+    assert main(argv) == 1
+    assert not out.exists()
+
+
 class TestRowOrder:
     """Every artifact is the same whatever the order of the trip file's rows."""
 

@@ -104,6 +104,11 @@ def tied_records(seed: int, n: int = 40, cards: int = 6, vehicles: int = 2):
 LOG_COLUMNS = ("src", "tgt", "veh", "start", "end", "src_enter", "src_exit", "direct")
 
 
+def log_column(log: ExposureLog, name: str) -> np.ndarray:
+    """A derived column of the log; `src_enter`, which only tests read, through the trip table."""
+    return log.trips.board[log.src_ride] if name == "src_enter" else getattr(log, name)
+
+
 def log_event_multiset(log: ExposureLog):
     return Counter(
         (e.source, e.target, e.vehicle_id, e.exposure_start, e.exposure_end, e.kind,
@@ -193,7 +198,7 @@ class TestExposureLog:
             random.Random(seed).shuffle(records)
             shuffled = build_exposure_log(table(records), d_t)
             for column in LOG_COLUMNS:
-                assert np.array_equal(getattr(shuffled, column), getattr(log, column)), column
+                assert np.array_equal(log_column(shuffled, column), log_column(log, column)), column
 
     def test_stored_grouped_by_source(self):
         # run_sir slices each source's exposures by searchsorted on log.src and
@@ -230,8 +235,8 @@ class TestWithin:
             for got in (wide.within(d_t), chained):
                 assert (got.d_t, got.cards, got.vehicles) == (d_t, want.cards, want.vehicles)
                 assert got.direct_encounter_counts() == want.direct_encounter_counts()
-                for column in LOG_COLUMNS:
-                    a, b = getattr(got, column), getattr(want, column)
+                for column in LOG_COLUMNS + ("src_ride", "tgt_ride"):
+                    a, b = log_column(got, column), log_column(want, column)
                     assert a.dtype == b.dtype and np.array_equal(a, b), column
 
 

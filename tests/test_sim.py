@@ -199,6 +199,14 @@ class TestSingleRun:
         with pytest.raises(ValueError, match="not the trip table's"):
             run_sir(table(records), config(), 0, exposures=log)
 
+    def test_log_at_another_suspension_time_rejected(self):
+        records = random_instance(7)
+        log = build_exposure_log(table(records), 3600.0)
+        with pytest.raises(ValueError, match="d_t=3600.0, the config at d_t=0.0"):
+            run_sir(table(records), config(d_t=0.0), 0, exposures=log)
+        narrowed = run_sir(table(records), config(d_t=0.0), 0, exposures=log.within(0.0))
+        assert outcome_events(narrowed) == outcome_events(run_sir(table(records), config(d_t=0.0), 0))
+
     def test_too_many_seeds_rejected(self):
         records = random_instance(7)
         with pytest.raises(ValueError, match="exceeds population"):
@@ -391,7 +399,7 @@ class TestLanes:
     def test_lane_rows_stay_within_the_batch_budget(self):
         log = build_exposure_log(table(random_instance(3)), 0.0)
         cuts, tokens = np.array([1, 2, 3], np.uint64), np.arange(4, dtype=np.uint64)
-        lanes = sim._Lanes(log, sim._Codes(log, 0.0, DAY), DAY, sim._exposure_keys(log), tokens, cuts)
+        lanes = sim._Lanes(sim._Codes(log, 0.0, DAY), DAY, sim._exposure_keys(log), tokens, cuts)
         per_run = cuts.size * len(log.cards) * sim._LANE_BYTES_PER_CARD
         assert len(log) > 0
         assert lanes.n_lanes == cuts.size * tokens.size
