@@ -34,10 +34,10 @@ from .classify import (
 from .contacts import (
     DIRECT,
     INDIRECT,
-    ExposureLog,
     build_exposure_log,
     connected_components,
     degree_distribution,
+    encounter_counts,
     write_histogram_csv,
 )
 from .flows import DataIntegrityError, GroupMatrix, chord_export, difference_matrix, group_flow_matrix, per_group_summary
@@ -45,6 +45,7 @@ from .geo import get_model
 from .ingest import (
     SchemaError,
     TripTable,
+    _vocabulary,
     filter_by_min_trips,
     parse_trip_records,
     population_vs_threshold,
@@ -267,11 +268,9 @@ def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> TripTable:
     return filtered
 
 
-def _classified(
-    trips: TripTable, log: ExposureLog, spec: ExperimentSpec
-) -> Tuple[List[MobilityVector], ClassificationResult]:
-    """Mobility vectors from the trips and the direct rows of their log (at any d_t), and the eight groups."""
-    vectors = mobility_table(trips, log, k=spec.k, model=get_model(spec.distance_model))
+def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[List[MobilityVector], ClassificationResult]:
+    """Mobility vectors of the trips and the eight groups."""
+    vectors = mobility_table(trips, k=spec.k, model=get_model(spec.distance_model))
     return vectors, classify_population(vectors)
 
 
@@ -332,7 +331,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     trips = _filtered_trips(spec, None)
-    vectors, result = _classified(trips, build_exposure_log(trips, 0.0), spec)
+    vectors, result = _classified(trips, spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
         Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
@@ -352,13 +351,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trips = _filtered_trips(spec, None)
     config = spec.sim_config()
+    vectors, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, config.d_t)
-    _, result = _classified(trips, log, spec)
     outcomes = run_ensemble(trips, config, exposures=log, progress=lambda i, n: logger.info("run %d/%d", i, n))
     write_assignments_csv(result, out_dir / "assignments.csv")
     for outcome in outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(outcomes, result.assignments, log.direct_encounter_counts())
+    summary = per_group_summary(outcomes, result.assignments, {v.card_id: v.encounters for v in vectors})
     summary.to_csv(out_dir / "group_summary.csv")
     matrix = group_flow_matrix(outcomes, result.assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
@@ -412,8 +411,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
     trips = _filtered_trips(spec, staging)
+    _, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, 60.0 * spec.dt_grid_minutes[-1])
-    _, result = _classified(trips, log, spec)
 
     artifacts: List[str] = []
     if (staging / "trips.csv").exists():
@@ -490,7 +489,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trips = _filtered_trips(spec, None)
     assignments = read_assignments_csv(args.assignments)
-    log0 = build_exposure_log(trips, 0.0)
+    encounters = encounter_counts(trips)
 
     events_dir = Path(args.events_dir)
     event_files = sorted(events_dir.glob("infections_run*.csv"))
@@ -498,13 +497,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
     outcomes = [_read_outcome_csv(path) for path in event_files]
 
-    summary = per_group_summary(outcomes, assignments, log0.direct_encounter_counts())
+    summary = per_group_summary(outcomes, assignments, dict(zip(trips.cards, encounters.tolist())))
     summary.to_csv(out_dir / "group_summary.csv")
     matrix = group_flow_matrix(outcomes, assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
     chord_export(matrix, path=out_dir / "chord.json")
-    comps = connected_components(log0)
-    write_histogram_csv(degree_distribution(log0), out_dir / "degree_distribution.csv", value_name="degree")
+    comps = connected_components(trips)
+    write_histogram_csv(degree_distribution(encounters), out_dir / "degree_distribution.csv", value_name="degree")
     (out_dir / "components.json").write_text(
         json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
     )
@@ -541,12 +540,11 @@ def _read_outcome_csv(path: Path) -> SimOutcome:
                 raise DataIntegrityError(f"{where}: kind {kind!r} is neither {DIRECT} nor {INDIRECT}")
             rows.append((infector, infectee, time, vehicle_id, kind == DIRECT))
     infectors, infectees, times, vehicle_ids, direct = list(zip(*rows)) or [()] * 5
-    cards, card_codes = np.unique(np.array(infectors + infectees, dtype=str), return_inverse=True)
-    vehicles, vehicle_codes = np.unique(np.array(vehicle_ids, dtype=str), return_inverse=True)
-    card_codes = card_codes.astype(np.int32)
+    cards, card_codes = _vocabulary(infectors + infectees)
+    vehicles, vehicle_codes = _vocabulary(vehicle_ids)
     return SimOutcome(
-        cards.tolist(), vehicles.tolist(), card_codes[:len(rows)], card_codes[len(rows):],
-        vehicle_codes.astype(np.int32), np.array(times, np.float64), np.array(direct, bool),
+        cards, vehicles, card_codes[:len(rows)], card_codes[len(rows):],
+        vehicle_codes, np.array(times, np.float64), np.array(direct, bool),
         seeds=(), per_run_seed=-1, population=[], start_time=math.nan, end_time=math.nan, period=math.nan,
     )
 

@@ -29,6 +29,12 @@ A log narrows to any shorter suspension time d <= d_t without a rebuild:
 direct row, which starts by its source's exit, and the indirect rows whose
 target boards in time) in stored order.  Direct rows do not depend on the
 suspension time.
+
+The statistics of the direct contacts need no log.  A direct contact is an
+overlap of two rides on one vehicle (Holme & Saramaki 2012), so
+`encounter_counts` and `connected_components` work on the rides sorted by
+time, in O(rides log rides), with no pair list; `degree_distribution` is the
+histogram of the counts.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -117,11 +123,6 @@ class ExposureLog:
             raise ValueError(f"d_t must be in [0, {self.d_t}], got {d_t}")
         return replace(self.take(self.start <= self.src_exit + d_t), d_t=d_t)
 
-    def direct_encounter_counts(self) -> Dict[str, int]:
-        """Per-card count of direct co-presence episodes (with multiplicity)."""
-        counts = np.bincount(self.take(self.direct).src, minlength=len(self.cards))
-        return {card: int(counts[i]) for i, card in enumerate(self.cards) if counts[i]}
-
 
 def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     """All exposure events among `trips` for suspension time `d_t`.
@@ -131,11 +132,9 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     """
     if d_t < 0:
         raise ValueError(f"d_t must be >= 0, got {d_t}")
+    _check_rides(trips)
     card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
     n, n_vehicles = len(trips), len(trips.vehicles)
-    bad = np.flatnonzero(~(enter < exit_))
-    if bad.size:
-        raise ValueError(f"a ride must have enter < exit, got [{enter[bad[0]]}, {exit_[bad[0]]}]")
 
     ride = np.lexsort((card, exit_, enter, veh)).astype(np.int32)  # the table row of each sorted ride
     card, veh, enter, exit_ = card[ride], veh[ride], enter[ride], exit_[ride]
@@ -173,37 +172,104 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     return ExposureLog(trips, ride[s[order]], ride[t[order]], direct[order], d_t)
 
 
-def degree_distribution(exposures: ExposureLog) -> Dict[int, int]:
-    """Histogram of direct-encounter degree over the log's cards; a card with none has degree zero."""
-    counts = exposures.direct_encounter_counts()
-    return dict(Counter(counts.get(card, 0) for card in exposures.cards))
+def _check_rides(trips: TripTable) -> None:
+    bad = np.flatnonzero(~(trips.board < trips.alight))
+    if bad.size:
+        raise ValueError(f"a ride must have enter < exit, got [{trips.board[bad[0]]}, {trips.alight[bad[0]]}]")
 
 
-def connected_components(exposures: ExposureLog) -> List[int]:
+def encounter_counts(trips: TripTable) -> np.ndarray:
+    """Each card's direct encounters: the pairs of one of its rides and another card's ride that overlap.
+
+    Two rides overlap when they share a vehicle and each boards no later than
+    the other alights, touching included; these are the direct exposures,
+    counted once per source card, at any suspension time.  Indexed by card code.
+    """
+    board, exit_ = _time_ranks(trips)
+    counts = _overlaps(trips, trips.vehicle, board, exit_)
+    # the overlaps among one card's own rides on one vehicle, each ride with itself included, are no encounters
+    _, vehicle_card = np.unique(trips.vehicle.astype(np.int64) * len(trips.cards) + trips.card, return_inverse=True)
+    vehicle_card = vehicle_card.astype(np.int32)
+    counts -= _overlaps(trips, vehicle_card, board, exit_)
+    return counts.astype(np.int64)
+
+
+def _time_ranks(trips: TripTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Integer stand-ins for the boarding and exit times that keep every comparison of a boarding with an exit.
+
+    A time's rank is the number of boardings no later than it, so that
+    board_j <= exit_i iff rank(board_j) <= rank(exit_i), and
+    exit_j < board_i iff rank(exit_j) < rank(board_i).
+    """
+    _check_rides(trips)
+    boards = np.sort(trips.board)
+    return tuple(np.searchsorted(boards, t, "right").astype(np.int32) for t in (trips.board, trips.alight))
+
+
+def _overlaps(trips: TripTable, group: np.ndarray, board: np.ndarray, exit_: np.ndarray) -> np.ndarray:
+    """Per card, the pairs of one of its rides and a ride of the same group that overlap, each ride with itself too.
+
+    A ride's overlaps are its group's boardings no later than its exit minus
+    its group's exits before its boarding.  Times are ranks, keyed by group
+    so that one sorted array serves every group: the rides of earlier groups
+    fall under both counts and cancel.
+    """
+    boards = _keyed(group, board)
+    order = np.argsort(boards)
+    boards.sort()
+    exits = _keyed(group, exit_)[order]
+    # needles in (near) key order: numpy bounds each search below by the last result
+    count = np.searchsorted(boards, exits, "right")
+    exits.sort()
+    count -= np.searchsorted(exits, boards, "left")
+    return np.bincount(trips.card[order], count, len(trips.cards))
+
+
+def _keyed(group: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Time ranks made comparable across groups: group-major int64 keys."""
+    key = np.multiply(group, rank.size + 1, dtype=np.int64)
+    key += rank
+    return key
+
+
+def degree_distribution(encounters: np.ndarray) -> Dict[int, int]:
+    """Histogram of the per-card counts of `encounter_counts`; a card with none has degree zero."""
+    return dict(Counter(encounters.tolist()))
+
+
+def connected_components(trips: TripTable) -> List[int]:
     """Sizes of the components of the direct-contact graph, largest first.
 
-    Vertices are the log's cards; an edge joins any pair with at least one
-    direct exposure.  Isolated passengers form size-1 components.
+    Vertices are the table's cards; an edge joins any pair whose rides
+    overlap.  Each vehicle's rides, in boarding order, split into overlap
+    clusters, a new one starting where a boarding comes after every earlier
+    exit; the cards of one cluster are connected.  Isolated passengers form
+    size-1 components.
     """
-    parent = list(range(len(exposures.cards)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    direct = exposures.take(exposures.direct)
-    pairs = np.unique(np.stack([direct.src, direct.tgt], axis=1), axis=0) if len(direct) else np.empty((0, 2), int)
-    for a, b in pairs.tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    sizes: Dict[int, int] = {}
-    for i in range(len(parent)):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values(), reverse=True)
+    board, exit_ = _time_ranks(trips)
+    # keyed by vehicle, so that no cluster reaches back into an earlier vehicle
+    board, exit_ = _keyed(trips.vehicle, board), _keyed(trips.vehicle, exit_)
+    order = np.argsort(board)
+    joins = board[order[1:]] <= np.maximum.accumulate(exit_[order[:-1]])
+    card = trips.card[order]
+    a, b = card[:-1][joins], card[1:][joins]
+    # each round hooks every root to the least root it shares an edge with and
+    # points every card at its root; edges within one component drop out
+    label = np.arange(len(trips.cards))
+    while True:
+        la, lb = label[a], label[b]
+        differ = la != lb
+        if not differ.any():
+            break
+        a, b, la, lb = a[differ], b[differ], la[differ], lb[differ]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
+    sizes = np.bincount(label)
+    return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
 
 def write_histogram_csv(hist: Dict[int, int], path, value_name: str = "value") -> None:

@@ -1,6 +1,7 @@
 """Per-passenger mobility statistics: visited stops, total and k-restricted
 radius of gyration, and direct-encounter counts, computed for every card at
-once from the columns of a `TripTable`.
+once from the columns of a `TripTable`.  The counts come from the rides
+themselves (`contacts.encounter_counts`), so no exposure log is built.
 
 The radius of gyration is the frequency-weighted RMS distance of a
 passenger's visited stops from their centre of mass:
@@ -20,6 +21,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
+from .contacts import encounter_counts
 from .geo import HAVERSINE
 from .ingest import TripTable
 
@@ -82,24 +84,19 @@ def _gyration(card, lat, lon, weight, n: int, model) -> np.ndarray:
     return rg
 
 
-def mobility_table(
-    trips: TripTable,
-    exposures,
-    k: int = DEFAULT_K,
-    model=HAVERSINE,
-) -> List[MobilityVector]:
+def mobility_table(trips: TripTable, k: int = DEFAULT_K, model=HAVERSINE) -> List[MobilityVector]:
     """Assemble MobilityVectors for every card in `trips`.
 
-    `exposures` supplies the direct-encounter counts: the number of direct
-    co-presence episodes per card, so a pair meeting on separate trips
-    counts once per episode.  Output is sorted by card id.
+    A card's encounters are its direct co-presence episodes, so a pair
+    meeting on separate trips counts once per episode.  Output is sorted by
+    card id.
     """
+    encounters = encounter_counts(trips)
     card, stop, visits = visit_counts(trips)
     rg, rgk = radii_of_gyration(card, trips.stop_lat[stop], trips.stop_lon[stop], visits, k, model)
-    encounters = exposures.direct_encounter_counts()
     return [
-        MobilityVector(card_id=c, rg=a, rgk=b, k_used=k, encounters=encounters.get(c, 0))
-        for c, a, b in zip(trips.cards, rg.tolist(), rgk.tolist())
+        MobilityVector(card_id=c, rg=a, rgk=b, k_used=k, encounters=e)
+        for c, a, b, e in zip(trips.cards, rg.tolist(), rgk.tolist(), encounters.tolist())
     ]
 
 

@@ -207,6 +207,12 @@ def exposures_quadratic(
     return out
 
 
+def direct_encounter_counts(log: ExposureLog) -> Dict[str, int]:
+    """Per-card count of a log's direct rows by source: the reference for `contacts.encounter_counts`."""
+    counts = np.bincount(log.src[log.direct], minlength=len(log.cards))
+    return {card: int(counts[i]) for i, card in enumerate(log.cards) if counts[i]}
+
+
 def direct_degree_quadratic(
     presences: Sequence[Tuple[str, str, float, float]]
 ) -> Dict[str, int]:

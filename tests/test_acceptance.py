@@ -204,13 +204,12 @@ def test_criterion_5_conservation_attribution_flows():
         cfg = te.SynthConfig(n_passengers=600, n_routes=10, stops_per_route=14, days=21, rng_seed=5)
         _, records = te.synthesize(cfg)
         records = te.filter_by_min_trips(records, 15)
-        log = te.build_exposure_log(records, 0.0)
-        vectors = te.mobility_table(records, log)
+        vectors = te.mobility_table(records)
         result = te.classify_population(vectors)
         population = records.cards
 
         sim_cfg = te.SimConfig(beta=0.6, d_t=0.0, n_seeds=10, n_runs=10, master_seed=11)
-        outcomes = te.run_ensemble(records, sim_cfg, exposures=log)
+        outcomes = te.run_ensemble(records, sim_cfg)
 
         period = sim_cfg.infectious_period
         for outcome in outcomes:
@@ -229,7 +228,7 @@ def test_criterion_5_conservation_attribution_flows():
             assert all(v == 1 for v in inbound.values())
             assert set(inbound) == outcome.infected_set - set(outcome.seeds)
 
-        encounters = log.direct_encounter_counts()
+        encounters = {v.card_id: v.encounters for v in vectors}
         sizes = group_sizes(result.assignments)
         summary = te.per_group_summary(outcomes, result.assignments, encounters)
         matrix = te.group_flow_matrix(outcomes, result.assignments)
@@ -269,8 +268,7 @@ def test_criterion_6_desk_scale_reproduction():
         records = te.filter_by_min_trips(records, 15)
         population = records.cards
 
-        log0 = te.build_exposure_log(records, 0.0)
-        vectors = te.mobility_table(records, log0)
+        vectors = te.mobility_table(records)
         result = te.classify_population(vectors)
         sizes = group_sizes(result.assignments)
 
@@ -278,12 +276,12 @@ def test_criterion_6_desk_scale_reproduction():
         assert all(sizes[name] > 0 for name in te.GROUP_NAMES), sizes
 
         # (b) near-uniform receptions once the giant component covers >= 95%
-        components = te.connected_components(log0)
+        components = te.connected_components(records)
         giant_share = components[0] / len(population)
         assert giant_share >= 0.95, f"giant component only {giant_share:.3f}"
         sim_cfg = te.SimConfig(beta=1.0, d_t=0.0, n_seeds=50, n_runs=20, master_seed=0)
-        outcomes0 = te.run_ensemble(records, sim_cfg, exposures=log0)
-        encounters = log0.direct_encounter_counts()
+        outcomes0 = te.run_ensemble(records, sim_cfg)
+        encounters = {v.card_id: v.encounters for v in vectors}
         summary = te.per_group_summary(outcomes0, result.assignments, encounters)
         for name in te.GROUP_NAMES:
             receptions = summary.per_group[name].avg_receptions_per_individual

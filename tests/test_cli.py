@@ -403,6 +403,8 @@ class TestRowOrder:
         assert main(["simulate", *common, "--beta", "0.5", "--dt-minutes", "15", "--out-dir", str(out / "sim")]) == 0
         assert main(["sweep", *common, "--beta-grid", "0.5,1", "--dt-grid-minutes", "0,15",
                      "--out-dir", str(out / "sweep")]) == 0
+        assert main(["analyze", "--input", str(work / "trips.csv"), "--assignments", str(out / "sim" / "assignments.csv"),
+                     "--events-dir", str(out / "sim"), "--out-dir", str(out / "analysis")]) == 0
         return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
     @settings(max_examples=4)
@@ -439,7 +441,20 @@ class TestFrontHalfOnce:
             "--out-mobility", str(tmp_path / "mob.csv"), "--min-trips", "10",
         ])
         assert code == 0
-        assert calls == {"mobility_table": 1, "build_exposure_log": 1}
+        assert calls == {"mobility_table": 1, "build_exposure_log": 0}
+
+    def test_analyze_builds_no_log(self, tmp_path, trips_csv, calls):
+        sim_dir = tmp_path / "sim"
+        assert main([
+            "simulate", "--input", trips_csv, "--beta", "1", "--seeds", "5", "--runs", "1", "--min-trips", "10",
+            "--out-dir", str(sim_dir),
+        ]) == 0
+        calls.update(mobility_table=0, build_exposure_log=0)
+        assert main([
+            "analyze", "--input", trips_csv, "--min-trips", "10", "--assignments", str(sim_dir / "assignments.csv"),
+            "--events-dir", str(sim_dir), "--out-dir", str(tmp_path / "analysis"),
+        ]) == 0
+        assert calls == {"mobility_table": 0, "build_exposure_log": 0}
 
     def test_sweep_builds_one_log(self, tmp_path, trips_csv, calls):
         code = main([
@@ -498,6 +513,14 @@ class TestAnalyze:
         assert len(chord["flows"]) == 64
         for name in ("flow_matrix.csv", "group_summary.csv", "chord.json"):
             assert (out_dir / name).read_bytes() == (sim_dir / name).read_bytes(), name
+
+    def test_ids_ending_in_nul_read_back_whole(self, tmp_path):
+        path = tmp_path / "infections_run000.csv"
+        path.write_text("infector,infectee,time,vehicle_id,kind\na\x00,b,100.0,v\x00,direct\n", encoding="utf-8")
+        outcome = cli._read_outcome_csv(path)
+        assert outcome.cards == ["a\x00", "b"]
+        assert outcome.vehicles == ["v\x00"]
+        assert (outcome.infector.tolist(), outcome.infectee.tolist(), outcome.vehicle.tolist()) == ([0], [1], [0])
 
     def test_unclassified_card_is_data_error(self, tmp_path, trips_csv, caplog):
         events_dir = tmp_path / "events"

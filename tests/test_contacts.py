@@ -5,11 +5,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import table, trip
-from oracles import component_sizes_bfs, direct_degree_quadratic, exposures_quadratic, log_events
+from oracles import (
+    component_sizes_bfs,
+    direct_degree_quadratic,
+    direct_encounter_counts,
+    exposures_quadratic,
+    log_events,
+)
 from transitepi.contacts import (
     DIRECT,
     INDIRECT,
@@ -17,6 +23,7 @@ from transitepi.contacts import (
     build_exposure_log,
     connected_components,
     degree_distribution,
+    encounter_counts,
 )
 
 T0 = 36_000.0  # 10:00
@@ -182,7 +189,6 @@ class TestExposureLog:
         log = build_exposure_log(table([]), 0.0)
         assert len(log) == 0
         assert list(log_events(log)) == []
-        assert log.direct_encounter_counts() == {}
 
     @pytest.mark.parametrize("d_t", [0.0, 3.0, 5.0])
     def test_tied_times_match_oracle_whatever_the_row_order(self, d_t):
@@ -234,31 +240,87 @@ class TestWithin:
             want = build_exposure_log(trips, d_t)
             for got in (wide.within(d_t), chained):
                 assert (got.d_t, got.cards, got.vehicles) == (d_t, want.cards, want.vehicles)
-                assert got.direct_encounter_counts() == want.direct_encounter_counts()
+                assert direct_encounter_counts(got) == direct_encounter_counts(want)
                 for column in LOG_COLUMNS + ("src_ride", "tgt_ride"):
                     a, b = log_column(got, column), log_column(want, column)
                     assert a.dtype == b.dtype and np.array_equal(a, b), column
 
 
+def presences(records):
+    return [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records]
+
+
+def direct_edges(records):
+    """The card pairs with overlapping rides, found by the quadratic oracle."""
+    return {(e[0], e[1]) for e in exposures_quadratic(presences(records), 0.0) if e[5] == "direct"}
+
+
+# integer times in a narrow range: touching rides, equal boardings and one
+# card's overlapping rides on one vehicle all occur; each also has an example
+RIDES = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 15), st.integers(1, 6)), max_size=40)
+CASES = {
+    "touching": [(0, 0, 0, 5), (1, 0, 5, 3), (2, 0, 8, 2)],
+    "equal-boardings": [(0, 0, 2, 3), (1, 0, 2, 5), (2, 0, 2, 1), (0, 1, 2, 2)],
+    "one-card-overlapping-itself": [(0, 0, 0, 6), (0, 0, 2, 3), (1, 0, 4, 4), (0, 0, 6, 1)],
+    "one-ride-vehicles": [(0, 0, 0, 3), (1, 1, 0, 3), (2, 2, 5, 1)],
+    "empty": [],
+}
+
+
+def with_cases(test):
+    for rides in CASES.values():
+        test = example(rides=rides)(test)
+    return given(rides=RIDES)(test)
+
+
+def ride_records(rides):
+    return [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
+
+
+class TestContactStatistics:
+    """The counts and the components from the rides equal the oracles' from all ride pairs."""
+
+    @with_cases
+    def test_encounter_counts_match_quadratic_oracle(self, rides):
+        records = ride_records(rides)
+        trips = table(records)
+        got = encounter_counts(trips)
+        assert got.dtype == np.int64 and got.shape == (len(trips.cards),)
+        oracle = direct_degree_quadratic(presences(records))
+        assert got.tolist() == [oracle.get(card, 0) for card in trips.cards]
+
+    @with_cases
+    def test_encounter_counts_are_a_logs_direct_sources(self, rides):
+        trips = table(ride_records(rides))
+        log = build_exposure_log(trips, minutes(60))
+        assert np.array_equal(encounter_counts(trips), np.bincount(log.src[log.direct], minlength=len(trips.cards)))
+
+    @with_cases
+    def test_components_match_bfs_oracle(self, rides):
+        records = ride_records(rides)
+        trips = table(records)
+        assert connected_components(trips) == component_sizes_bfs(trips.cards, direct_edges(records))
+
+    def test_invalid_interval_rejected(self):
+        for statistic in (encounter_counts, connected_components):
+            with pytest.raises(ValueError):
+                statistic(table([trip("A", "v", 10.0, 10.0)]))
+
+
 class TestDegreeDistribution:
     def test_three_mutual_overlaps(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "v", 20, 80)]
-        log = build_exposure_log(table(records), 0.0)
-        assert degree_distribution(log) == {2: 3}
+        assert degree_distribution(encounter_counts(table(records))) == {2: 3}
 
     def test_isolated_passenger_counts_zero(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 10, 90), trip("C", "w", 0, 50)]
-        log = build_exposure_log(table(records), 0.0)
-        assert degree_distribution(log) == {1: 2, 0: 1}
+        assert degree_distribution(encounter_counts(table(records))) == {1: 2, 0: 1}
 
     def test_matches_quadratic_oracle(self):
         records = random_records(7)
-        log = build_exposure_log(table(records), 0.0)
         cards = {r.card_id for r in records}
-        got = degree_distribution(log)
-        oracle = direct_degree_quadratic(
-            [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records]
-        )
+        got = degree_distribution(encounter_counts(table(records)))
+        oracle = direct_degree_quadratic(presences(records))
         want: dict[int, int] = {}
         for card in cards:
             want[oracle.get(card, 0)] = want.get(oracle.get(card, 0), 0) + 1
@@ -271,21 +333,17 @@ class TestConnectedComponents:
             trip("A", "v1", 0, 10), trip("B", "v1", 5, 15),
             trip("C", "v2", 0, 10), trip("D", "v2", 5, 15),
         ]
-        log = build_exposure_log(table(records), 0.0)
-        assert connected_components(log) == [2, 2]
+        assert connected_components(table(records)) == [2, 2]
 
     def test_chain_is_transitive(self):
         records = [
             trip("A", "v1", 0, 10), trip("B", "v1", 5, 15),
             trip("B", "v2", 100, 110), trip("C", "v2", 105, 115),
         ]
-        log = build_exposure_log(table(records), 0.0)
-        assert connected_components(log) == [3]
+        assert connected_components(table(records)) == [3]
 
     def test_matches_bfs_oracle(self):
         for seed in range(6):
             records = random_records(seed, n=50, cards=20)
-            log = build_exposure_log(table(records), 0.0)
             cards = {r.card_id for r in records}
-            edges = {(e.source, e.target) for e in log_events(log)}
-            assert connected_components(log) == component_sizes_bfs(cards, edges)
+            assert connected_components(table(records)) == component_sizes_bfs(cards, direct_edges(records))

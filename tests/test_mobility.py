@@ -8,7 +8,7 @@ import numpy as np
 
 from conftest import planar_stop, table, trip
 from oracles import gyration_direct, k_gyration_direct
-from transitepi.contacts import build_exposure_log
+from transitepi.contacts import encounter_counts
 from transitepi.geo import HAVERSINE, PLANAR, haversine_m
 from transitepi.mobility import mobility_table, radii_of_gyration, visit_counts
 
@@ -67,7 +67,7 @@ class TestVisitProfile:
 
     def test_empty_table_has_no_visits(self):
         assert all(a.size == 0 for a in visit_counts(table([])))
-        assert mobility_table(table([]), build_exposure_log(table([]), 0.0)) == []
+        assert mobility_table(table([])) == []
 
     def test_cards_counted_apart(self):
         a, b, c = planar_stop("A", 0, 0), planar_stop("B", 0, 1), planar_stop("C", 1, 0)
@@ -183,12 +183,16 @@ class TestGeo:
         assert lon[0] == pytest.approx(151.21, abs=1e-9)
 
 
+def encounters(records):
+    """{card: encounters} from encounter_counts."""
+    trips = table(records)
+    return dict(zip(trips.cards, encounter_counts(trips).tolist()))
+
+
 class TestEncounterCount:
     def test_single_overlap(self):
         records = [trip("A", "v", 0, 100), trip("B", "v", 50, 150)]
-        log = build_exposure_log(table(records), 0.0)
-        assert log.direct_encounter_counts().get("A", 0) == 1
-        assert log.direct_encounter_counts().get("B", 0) == 1
+        assert encounters(records) == {"A": 1, "B": 1}
 
     def test_three_separate_overlaps_count_thrice(self):
         records = []
@@ -196,8 +200,7 @@ class TestEncounterCount:
             base = i * 1000
             records.append(trip("A", "v", base, base + 100))
             records.append(trip("B", "v", base + 50, base + 150))
-        log = build_exposure_log(table(records), 0.0)
-        assert log.direct_encounter_counts().get("A", 0) == 3
+        assert encounters(records)["A"] == 3
 
     def test_matches_quadratic_oracle(self):
         from oracles import direct_degree_quadratic
@@ -209,12 +212,12 @@ class TestEncounterCount:
             veh = f"v{rnd.randint(0, 2)}"
             start = rnd.uniform(0, 1000)
             records.append(trip(card, veh, start, start + rnd.uniform(1, 300)))
-        log = build_exposure_log(table(records), 0.0)
+        got = encounters(records)
         oracle = direct_degree_quadratic(
             [(r.card_id, r.vehicle_id, r.board_time, r.alight_time) for r in records]
         )
         for card in {r.card_id for r in records}:
-            assert log.direct_encounter_counts().get(card, 0) == oracle.get(card, 0)
+            assert got[card] == oracle.get(card, 0)
 
 
 def test_mobility_table_is_sorted_and_complete():
@@ -223,7 +226,6 @@ def test_mobility_table_is_sorted_and_complete():
         trip("a", "v", 5, 20),
         trip("a", "v", 30, 40),
     ]
-    log = build_exposure_log(table(records), 0.0)
-    vectors = mobility_table(table(records), log, k=2, model=PLANAR)
+    vectors = mobility_table(table(records), k=2, model=PLANAR)
     assert [v.card_id for v in vectors] == ["a", "z"]
     assert all(v.k_used == 2 for v in vectors)

@@ -9,7 +9,6 @@ import pytest
 from conftest import same_table
 from transitepi.classify import GROUP_NAMES, classify_population
 from transitepi.cli import _load_synth_config
-from transitepi.contacts import build_exposure_log
 from transitepi.geo import latlon_to_local_km
 from transitepi.ingest import parse_trip_records, write_trip_csv
 from transitepi.mobility import mobility_table
@@ -104,8 +103,7 @@ class TestPassengers:
             archetype_mix={"commuter": 1.0},
         )
         _, records = synthesize(cfg)
-        log = build_exposure_log(records, 0.0)
-        vectors = mobility_table(records, log)
+        vectors = mobility_table(records)
         result = classify_population(vectors)
         explorer_share = sum(
             1 for g in result.assignments.values() if g.exploration == "exp"
@@ -115,8 +113,7 @@ class TestPassengers:
     def test_default_mix_fills_all_groups(self):
         cfg = SynthConfig(n_passengers=1200, n_routes=12, stops_per_route=15, days=30, rng_seed=1)
         _, records = synthesize(cfg)
-        log = build_exposure_log(records, 0.0)
-        vectors = mobility_table(records, log)
+        vectors = mobility_table(records)
         result = classify_population(vectors)
         sizes = Counter(g.name for g in result.assignments.values())
         assert all(sizes[name] > 0 for name in GROUP_NAMES), sizes
