@@ -46,6 +46,7 @@ from .ingest import (
     SchemaError,
     TripTable,
     _vocabulary,
+    check_delimiter,
     filter_by_min_trips,
     parse_trip_records,
     population_vs_threshold,
@@ -306,6 +307,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.min_trips < 1:
         raise UsageError(f"min_trips must be >= 1, got {args.min_trips}")
+    try:
+        check_delimiter(args.delimiter)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")

@@ -6,8 +6,14 @@ stream or a stop id given two coordinate pairs is fatal.
 
 Accepted trips are held in one columnar `TripTable`: integer codes for card,
 vehicle and stops over id-sorted vocabularies, float board and alight times,
-and one (lat, lon) pair per stop.  The parser appends each accepted row to
-typed columns, so no per-row Python object outlives its row.
+and one (lat, lon) pair per stop.  The parser reads the body in blocks of
+lines.  A block without a quote character is read by numpy's C reader in
+one call, then checked and coded column by column; a block it cannot take
+whole (a bad cell, a blank line, a stop conflict, ISO times) goes through a
+`csv` row loop that rejects row by row with a reason, and after a quote the
+row loop reads the rest, since a quoted field may span blocks.  Both paths
+append to the same typed columns, so no per-row Python object outlives its
+block.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +51,12 @@ REASON_NON_POSITIVE_DURATION = "non-positive duration"
 
 # rows formatted at a time by write_trip_csv
 BLOCK_ROWS = 8192
+
+# characters of whole lines read at a time by parse_trip_records
+_BLOCK_BYTES = 1 << 18
+
+# the required columns as numpy's reader gives them: ids as str objects, times and coordinates as float64
+_BLOCK_DTYPE = np.dtype([(c, object if c.endswith("_id") else np.float64) for c in REQUIRED_COLUMNS])
 
 
 class SchemaError(Exception):
@@ -78,16 +91,16 @@ class TripTable:
         return int(self.card.size)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Tuple[str, str, float, float, str, str]],
-                  stops: Mapping[str, Tuple[float, float]]) -> "TripTable":
-        """A table from (card, vehicle, board, alight, board stop, alight stop) rows, built column-wise.
+    def from_columns(cls, card: Sequence[str], vehicle: Sequence[str], board: Sequence[float],
+                     alight: Sequence[float], board_stop: Sequence[str], alight_stop: Sequence[str],
+                     stops: Mapping[str, Tuple[float, float]]) -> "TripTable":
+        """A table from one sequence per column, ids as str.
 
-        `stops` maps each stop id the rows name to its (lat, lon).
+        `stops` maps each stop id the columns name to its (lat, lon).
         """
-        card, vehicle, board, alight, board_stop, alight_stop = ([row[i] for row in rows] for i in range(6))
         cards, card = _vocabulary(card)
         vehicles, vehicle = _vocabulary(vehicle)
-        stop_ids, stop = _vocabulary(board_stop + alight_stop)
+        stop_ids, stop = _vocabulary([*board_stop, *alight_stop])
         return _table(cards, vehicles, stop_ids, [stops[s] for s in stop_ids], card, vehicle, *stop.reshape(2, -1),
                       np.array(board, np.float64), np.array(alight, np.float64))
 
@@ -167,15 +180,15 @@ class _TimeColumn:
     """
 
     def __init__(self) -> None:
-        self._format: Optional[Callable[[str], Optional[float]]] = None
+        self.format: Optional[Callable[[str], Optional[float]]] = None
 
     def parse(self, text: str) -> Optional[float]:
         if not text:
             return None
-        for parser in (self._format,) if self._format else (_parse_epoch, _parse_iso):
+        for parser in (self.format,) if self.format else (_parse_epoch, _parse_iso):
             value = parser(text)
             if value is not None:
-                self._format = parser
+                self.format = parser
                 return value
         return None
 
@@ -219,75 +232,189 @@ def parse_trip_records(
     Returns the accepted rows in input order plus an IngestReport whose
     counts reconcile exactly with the table.  Raises SchemaError when a
     required column is absent, OSError when the source cannot be read and
-    ValueError when accepted rows give one stop id two coordinate pairs.
+    ValueError when accepted rows give one stop id two coordinate pairs or
+    when `delimiter` fails `check_delimiter`.
     """
+    check_delimiter(delimiter)
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="", encoding="utf-8") as fh:
             return _parse_stream(fh, delimiter)
     return _parse_stream(source, delimiter)
 
 
+def check_delimiter(delimiter: str) -> None:
+    """Raise ValueError unless `delimiter` is one character other than a quote or a line break."""
+    if len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValueError(f"delimiter must be one character other than '\"', '\\r' or '\\n', got {delimiter!r}")
+
+
 def _parse_stream(stream: TextIO, delimiter: str) -> Tuple[TripTable, IngestReport]:
-    reader = csv.reader(stream, delimiter=delimiter)
     try:
-        header = next(reader)
+        header = next(csv.reader(stream, delimiter=delimiter))
     except StopIteration:
         raise SchemaError("empty input: no header row")
     positions = {name.strip(): i for i, name in enumerate(header)}
     missing = [c for c in REQUIRED_COLUMNS if c not in positions]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    idx = [positions[c] for c in REQUIRED_COLUMNS]
-    width = max(idx) + 1
+    columns = _Columns([positions[c] for c in REQUIRED_COLUMNS], delimiter)
+    while True:
+        lines = stream.readlines(_BLOCK_BYTES)
+        if not lines:
+            break
+        if '"' in "".join(lines):
+            # a quoted field may span blocks: the csv module reads the rest
+            columns.rows(csv.reader(chain(lines, stream), delimiter=delimiter))
+            break
+        if not columns.block(lines):
+            columns.rows(csv.reader(lines, delimiter=delimiter))
+    return columns.table(), columns.report
 
-    board_col = _TimeColumn()
-    alight_col = _TimeColumn()
-    cards: Dict[str, int] = {}
-    vehicles: Dict[str, int] = {}
-    stops: Dict[str, Tuple[int, Tuple[float, float]]] = {}
-    card, vehicle, board_stop, alight_stop = (array("i") for _ in range(4))
-    boards, alights = array("d"), array("d")
 
-    def stop_code(stop_id: str, coord: Tuple[float, float]) -> int:
-        code, known = stops.setdefault(stop_id, (len(stops), coord))
+class _Columns:
+    """Accepted rows so far: first-appearance id codes, stop coordinates by code, typed columns, the report.
+
+    `rows` takes csv rows one at a time and rejects bad ones with a reason;
+    `block` takes a whole block of lines at once, or nothing.  Both append to
+    the same accumulators, so blocks may take either path in any order.
+    """
+
+    def __init__(self, idx: List[int], delimiter: str) -> None:
+        self.idx = idx
+        self.delimiter = delimiter
+        self.board_col = _TimeColumn()
+        self.alight_col = _TimeColumn()
+        self.cards: Dict[str, int] = {}
+        self.vehicles: Dict[str, int] = {}
+        self.stops: Dict[str, int] = {}
+        self.stop_lat, self.stop_lon = array("d"), array("d")
+        self.card, self.vehicle, self.board_stop, self.alight_stop = (array("i") for _ in range(4))
+        self.board, self.alight = array("d"), array("d")
+        self.report = IngestReport()
+
+    def stop_code(self, stop_id: str, coord: Tuple[float, float]) -> int:
+        code = self.stops.setdefault(stop_id, len(self.stops))
+        if code == len(self.stop_lat):
+            self.stop_lat.append(coord[0])
+            self.stop_lon.append(coord[1])
+            return code
+        known = (self.stop_lat[code], self.stop_lon[code])
         if known != coord:
             raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
         return code
 
-    report = IngestReport()
-    for row in reader:
-        report.total_rows += 1
-        if len(row) < width:
-            report.reject(REASON_MISSING_FIELD)
-            continue
-        (card_id, vehicle_id, board_text, alight_text,
-         b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = [row[i].strip() for i in idx]
-        if not card_id or not vehicle_id or not b_stop or not a_stop:
-            report.reject(REASON_MISSING_FIELD)
-            continue
-        board_time = board_col.parse(board_text)
-        alight_time = alight_col.parse(alight_text)
-        if board_time is None or alight_time is None:
-            report.reject(REASON_BAD_TIMESTAMP)
-            continue
-        board_coord = _parse_coord(b_lat, b_lon)
-        alight_coord = _parse_coord(a_lat, a_lon)
-        if board_coord is None or alight_coord is None:
-            report.reject(REASON_BAD_COORDINATE)
-            continue
-        if not board_time < alight_time:
-            report.reject(REASON_NON_POSITIVE_DURATION)
-            continue
-        board_stop.append(stop_code(b_stop, board_coord))
-        alight_stop.append(stop_code(a_stop, alight_coord))
-        card.append(cards.setdefault(card_id, len(cards)))
-        vehicle.append(vehicles.setdefault(vehicle_id, len(vehicles)))
-        boards.append(board_time)
-        alights.append(alight_time)
-        report.accepted += 1
-    codes = (np.frombuffer(c, np.int32) for c in (card, vehicle, board_stop, alight_stop))
-    return _table(list(cards), list(vehicles), list(stops), [c for _, c in stops.values()], *codes,
-                  np.frombuffer(boards), np.frombuffer(alights)), report
+    def rows(self, reader: Iterable[List[str]]) -> None:
+        width = max(self.idx) + 1
+        report = self.report
+        for row in reader:
+            report.total_rows += 1
+            if len(row) < width:
+                report.reject(REASON_MISSING_FIELD)
+                continue
+            (card_id, vehicle_id, board_text, alight_text,
+             b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = [row[i].strip() for i in self.idx]
+            if not card_id or not vehicle_id or not b_stop or not a_stop:
+                report.reject(REASON_MISSING_FIELD)
+                continue
+            board_time = self.board_col.parse(board_text)
+            alight_time = self.alight_col.parse(alight_text)
+            if board_time is None or alight_time is None:
+                report.reject(REASON_BAD_TIMESTAMP)
+                continue
+            board_coord = _parse_coord(b_lat, b_lon)
+            alight_coord = _parse_coord(a_lat, a_lon)
+            if board_coord is None or alight_coord is None:
+                report.reject(REASON_BAD_COORDINATE)
+                continue
+            if not board_time < alight_time:
+                report.reject(REASON_NON_POSITIVE_DURATION)
+                continue
+            self.board_stop.append(self.stop_code(b_stop, board_coord))
+            self.alight_stop.append(self.stop_code(a_stop, alight_coord))
+            self.card.append(self.cards.setdefault(card_id, len(self.cards)))
+            self.vehicle.append(self.vehicles.setdefault(vehicle_id, len(self.vehicles)))
+            self.board.append(board_time)
+            self.alight.append(alight_time)
+            report.accepted += 1
+
+    def block(self, lines: List[str]) -> bool:
+        """Take every row of quote-free `lines` through numpy's C reader, or take nothing and return False.
+
+        It declines unless `rows` would accept every line with epoch times
+        and no stop conflict, so the row loop gives every rejection and error.
+        """
+        # a block of blank lines would make loadtxt warn of no data; the csv module refuses
+        # a field over its size limit and, before Python 3.11, a NUL: the row loop rejects
+        # or raises for all three
+        if (_parse_iso in (self.board_col.format, self.alight_col.format) or not lines[0].strip()
+                or max(map(len, lines)) > csv.field_size_limit() or "\x00" in "".join(lines)):
+            return False
+        try:
+            cols = np.loadtxt(lines, delimiter=self.delimiter, usecols=self.idx, dtype=_BLOCK_DTYPE,
+                              comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            return False
+        # loadtxt skips blank lines, which the row loop rejects
+        if cols.size != len(lines):
+            return False
+        board, alight = cols["board_time"], cols["alight_time"]
+        lat = np.stack([cols["board_lat"], cols["alight_lat"]], 1).ravel()
+        lon = np.stack([cols["board_lon"], cols["alight_lon"]], 1).ravel()
+        if not ((np.isfinite(board) & np.isfinite(alight) & (board < alight)).all()
+                and (np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):
+            return False
+        # stop ids interleaved as the row loop meets them: board, then alight
+        stop_ids = np.stack([cols["board_stop_id"], cols["alight_stop_id"]], 1).ravel()
+        plans = [_plan_codes(vocab, ids.tolist()) for vocab, ids in (
+            (self.cards, cols["card_id"]), (self.vehicles, cols["vehicle_id"]), (self.stops, stop_ids))]
+        if None in plans:
+            return False
+        (card, new_cards), (vehicle, new_vehicles), (stop, new_stops) = plans
+        # new stops take the highest codes; each keeps the coordinates of its first row
+        first = np.unique(stop, return_index=True)[1][-len(new_stops):] if new_stops else np.empty(0, np.intp)
+        known_lat = np.concatenate([np.array(self.stop_lat), lat[first]])
+        known_lon = np.concatenate([np.array(self.stop_lon), lon[first]])
+        if (known_lat[stop] != lat).any() or (known_lon[stop] != lon).any():
+            return False
+        for vocab, new in ((self.cards, new_cards), (self.vehicles, new_vehicles), (self.stops, new_stops)):
+            vocab.update(new)
+        for acc, values in ((self.stop_lat, lat[first]), (self.stop_lon, lon[first]),
+                            (self.card, card), (self.vehicle, vehicle),
+                            (self.board_stop, stop[0::2]), (self.alight_stop, stop[1::2]),
+                            (self.board, board), (self.alight, alight)):
+            acc.frombytes(values.tobytes())
+        self.board_col.format = self.alight_col.format = _parse_epoch
+        self.report.total_rows += len(lines)
+        self.report.accepted += len(lines)
+        return True
+
+    def table(self) -> TripTable:
+        codes = (np.frombuffer(c, np.int32) for c in (self.card, self.vehicle, self.board_stop, self.alight_stop))
+        coords = np.column_stack([np.frombuffer(self.stop_lat), np.frombuffer(self.stop_lon)])
+        return _table(list(self.cards), list(self.vehicles), list(self.stops), coords, *codes,
+                      np.frombuffer(self.board), np.frombuffer(self.alight))
+
+
+def _plan_codes(vocab: Dict[str, int], cells: List[str]) -> Optional[Tuple[np.ndarray, Dict[str, int]]]:
+    """Each stripped cell's int32 code over `vocab` extended in first-appearance order, and the extension.
+
+    None when a cell strips to nothing.  `vocab` itself is left as it is.
+    """
+    code = np.fromiter(map(vocab.get, cells, repeat(-1)), np.int32, len(cells))
+    new: Dict[str, int] = {}
+    missing = np.flatnonzero(code < 0).tolist()
+    if missing:
+        # ids not seen before, or cells that need stripping
+        unknown = [cells[i] for i in missing]
+        local: Dict[str, int] = dict.fromkeys(unknown)
+        for cell in local:
+            ident = cell.strip()
+            if not ident:
+                return None
+            known = vocab.get(ident)
+            local[cell] = new.setdefault(ident, len(vocab) + len(new)) if known is None else known
+        code[missing] = np.fromiter(map(local.__getitem__, unknown), np.int32, len(unknown))
+    return code, new
 
 
 def filter_by_min_trips(trips: TripTable, threshold: int) -> TripTable:

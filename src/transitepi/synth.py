@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -183,8 +182,8 @@ def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwor
     return BusNetwork(routes=tuple(routes))
 
 
-# (card, vehicle, board, alight, board stop, alight stop), the rows of a TripTable
-Trip = Tuple[str, str, float, float, str, str]
+# card ids, vehicle ids, board times, alight times, board stop ids and alight stop ids, one entry per trip
+Columns = Tuple[List[str], List[str], List[float], List[float], List[str], List[str]]
 
 
 def _vehicle_id(route: Route, dep_idx: int, forward: bool) -> str:
@@ -192,7 +191,8 @@ def _vehicle_id(route: Route, dep_idx: int, forward: bool) -> str:
     return f"{route.route_id}v{slot:02d}"
 
 
-def _make_trip(
+def _add_trip(
+    trips: Columns,
     card_id: str,
     network: BusNetwork,
     route: Route,
@@ -200,7 +200,7 @@ def _make_trip(
     i: int,
     j: int,
     desired_s: int,
-) -> Trip:
+) -> None:
     """Ride the run whose passage at the origin stop is nearest desired_s."""
     m = len(route.stops)
     forward = i < j
@@ -218,8 +218,13 @@ def _make_trip(
     day_start = network.base_time + day * 86_400
     board = day_start + deps[dep_idx] + pos_i * route.leg_seconds
     alight = day_start + deps[dep_idx] + pos_j * route.leg_seconds
-    return (card_id, _vehicle_id(route, dep_idx, forward), float(board), float(alight),
-            route.stops[i], route.stops[j])
+    card, vehicle, boards, alights, board_stop, alight_stop = trips
+    card.append(card_id)
+    vehicle.append(_vehicle_id(route, dep_idx, forward))
+    boards.append(float(board))
+    alights.append(float(alight))
+    board_stop.append(route.stops[i])
+    alight_stop.append(route.stops[j])
 
 
 def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
@@ -378,11 +383,11 @@ def generate_passengers(
             j += 1
         return ri, sis[i], sis[j]
 
-    records: List[Trip] = []
+    trips: Columns = ([], [], [], [], [], [])
     for p in passengers:
         route = routes[p.route_idx]
         activity = PEAK_ACTIVITY if p.archetype != "offpeak_regular" else OFFPEAK_ACTIVITY
-        my_trips: List[Trip] = []
+        first_trip = len(trips[0])
         active_days = []
         for day in range(config.days):
             weekday = day % 7 < 5
@@ -415,11 +420,9 @@ def generate_passengers(
                     novel = novel_pair(p)
                     if novel is not None:
                         nri, ni, nj = novel
-                        my_trips.append(
-                            _make_trip(p.card_id, network, routes[nri], day, ni, nj, desired)
-                        )
+                        _add_trip(trips, p.card_id, network, routes[nri], day, ni, nj, desired)
                         continue
-                my_trips.append(_make_trip(p.card_id, network, route, day, origin, dest, desired))
+                _add_trip(trips, p.card_id, network, route, day, origin, dest, desired)
 
         for day in range(config.days):
             if active_days[day]:
@@ -427,14 +430,14 @@ def generate_passengers(
         # backstop: everyone must reach the configured trip minimum; fill
         # inactive days first, then cycle through the period again
         day = 0
-        while len(my_trips) < config.min_trips_per_passenger:
+        while len(trips[0]) - first_trip < config.min_trips_per_passenger:
             if day >= config.days or not active_days[day]:
                 anchor_round_trip(day % config.days)
             day += 1
-        records.extend(my_trips)
 
-    records.sort(key=itemgetter(2, 0, 1))  # board time, card, vehicle
-    return TripTable.from_rows(records, network.stops)
+    table = TripTable.from_columns(*trips, network.stops)
+    # code order is id order: by board time, then card id, then vehicle id, ties in emission order
+    return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 
 def synthesize(config: SynthConfig) -> Tuple[BusNetwork, TripTable]:

@@ -57,8 +57,9 @@ def trip(
 def table(rides: Iterable[Ride]) -> TripTable:
     rides = list(rides)
     stops = {s[0]: (s[1], s[2]) for r in rides for s in (r.board_stop, r.alight_stop)}
-    return TripTable.from_rows(
-        [(r.card_id, r.vehicle_id, r.board_time, r.alight_time, r.board_stop[0], r.alight_stop[0]) for r in rides],
+    return TripTable.from_columns(
+        [r.card_id for r in rides], [r.vehicle_id for r in rides], [r.board_time for r in rides],
+        [r.alight_time for r in rides], [r.board_stop[0] for r in rides], [r.alight_stop[0] for r in rides],
         stops,
     )
 

@@ -362,6 +362,8 @@ def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
         ("sweep", "--k=0"), ("sweep", "--min-trips=-1"),
         ("analyze", "--k=0"), ("analyze", "--min-trips=0"),
         ("ingest", "--min-trips=0"), ("ingest", "--min-trips=-1"),
+        ("ingest", "--delimiter=;;"), ("ingest", "--delimiter="), ("ingest", '--delimiter="'),
+        ("ingest", "--delimiter=\r"), ("ingest", "--delimiter=\n"),
     ],
 )
 def test_invalid_front_half_parameter_is_usage_error_before_any_trip_is_read(tmp_path, monkeypatch, command, flag):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import csv
 import io
+import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import same_table, table, trip
 from transitepi import ingest
+from transitepi.synth import SynthConfig, synthesize
 from transitepi.ingest import (
     REQUIRED_COLUMNS,
     IngestReport,
@@ -97,6 +101,11 @@ class TestParse:
         text = "\n".join([HEADER.replace(",", ";"), row().replace(",", ";")])
         records, report = parse_trip_records(io.StringIO(text), delimiter=";")
         assert report.accepted == 1
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"', "\r", "\n"])
+    def test_bad_delimiter_rejected_before_reading(self, delimiter):
+        with pytest.raises(ValueError, match="delimiter"):
+            parse_trip_records("does-not-exist.csv", delimiter)
 
     def test_unreadable_path_raises(self, tmp_path):
         with pytest.raises(OSError):
@@ -281,3 +290,130 @@ def test_header_only_file_is_empty_not_error():
     records, report = parse_text(HEADER + "\n")
     assert len(records) == 0
     assert report.total_rows == 0
+
+
+# Cells for the block-versus-row-loop comparison: clean ones, then odd ones
+# that a row may carry in one cell.
+CLEAN = {"card_id": ["c1", "c2", "c3"], "vehicle_id": ["v1", "v2"], "board_time": ["100", "150.5"],
+         "alight_time": ["300", "250"], "board_stop_id": ["sA", "sB", "sC"], "alight_stop_id": ["sB", "sC", "sA"]}
+STOPS = {"sA": ("-33.8", "151.2"), "sB": ("-33.9", "151.3"), "sC": ("-33.7", "151.1")}
+ODD_IDS = [" c1", "c2\x00", "\x00", "", "  ", "c\r1", "sA ", "\tsB"]
+ODD_TIMES = [" 120 ", "nan", "-inf", "inf", "1e400", "1_000", "١٢", "", "x", "100", "2017-04-01T08:00:00"]
+ODD_COORDS = ["-33.80", " -33.9", "0", "151.3", "91", "-181", "nan", "oops", ""]
+LINE_KINDS = ["row"] * 6 + ["odd cell", "odd cell", "blank", "space", "short", "extra", "quoted", "quoted newline"]
+
+
+@st.composite
+def trip_csv(draw):
+    """A trip file as text, with its delimiter."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = draw(st.permutations(REQUIRED_COLUMNS + ("extra",)))
+    lines = [delimiter.join(header)]
+    for _ in range(draw(st.integers(0, 30))):
+        cells = {c: draw(st.sampled_from(pool)) for c, pool in CLEAN.items()}
+        for prefix in ("board", "alight"):
+            cells[f"{prefix}_lat"], cells[f"{prefix}_lon"] = STOPS[cells[f"{prefix}_stop_id"]]
+        cells["extra"] = "x"
+        kind = draw(st.sampled_from(LINE_KINDS))
+        if kind == "odd cell":
+            column = draw(st.sampled_from(REQUIRED_COLUMNS))
+            pool = ODD_IDS if column.endswith("_id") else ODD_TIMES if column.endswith("_time") else ODD_COORDS
+            cells[column] = draw(st.sampled_from(pool))
+        line = [cells[c] for c in header]
+        if kind == "blank":
+            line = []
+        elif kind == "space":
+            line = ["  "]
+        elif kind == "short":
+            line = line[:draw(st.integers(1, len(line) - 1))]
+        elif kind == "extra":
+            line += ["more", "cells"]
+        elif kind.startswith("quoted"):
+            at = header.index(draw(st.sampled_from(["card_id", "vehicle_id", "board_time", "extra"])))
+            line[at] = '"' + line[at] + ("\n" if kind == "quoted newline" else "") + '"'
+        lines.append(delimiter.join(line))
+    return delimiter, end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+TABLE_ARRAYS = ("stop_lat", "stop_lon", "card", "vehicle", "board_stop", "alight_stop", "board", "alight")
+
+
+def parse_outcome(text: str, delimiter: str):
+    """The parse of `text` as comparable values: every column with its dtype and the report, or the error."""
+    try:
+        trips, report = parse_trip_records(io.StringIO(text, newline=""), delimiter)
+    except (ValueError, SchemaError, csv.Error) as exc:
+        return type(exc), str(exc)
+    columns = {c: (getattr(trips, c).tolist(), getattr(trips, c).dtype) for c in TABLE_ARRAYS}
+    return trips.cards, trips.vehicles, trips.stops, columns, report
+
+
+def row_loop_only():
+    return mock.patch.object(ingest._Columns, "block", lambda self, lines: False)
+
+
+@pytest.mark.filterwarnings("error")
+class TestBlocks:
+    """Blocks taken by numpy's reader parse exactly as the row loop would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trip_csv(), st.sampled_from([1, 64, 300, 1 << 18]))
+    @example((",", "\n".join([HEADER, row(card='"c\n1"'), row(card="c2"), row(card="c3")]) + "\n"), 1)
+    def test_same_as_row_loop(self, case, block_bytes):
+        delimiter, text = case
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            vectorised = parse_outcome(text, delimiter)
+            with row_loop_only():
+                assert parse_outcome(text, delimiter) == vectorised
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_each_odd_line_same_as_row_loop(self, delimiter):
+        # one odd line before or between clean ones, alone in its block or in one block with them
+        clean = dict(zip(REQUIRED_COLUMNS, row().split(",")))
+        odd = [dict(clean, **{c: v}) for c in REQUIRED_COLUMNS
+               for v in (ODD_IDS if c.endswith("_id") else ODD_TIMES if c.endswith("_time") else ODD_COORDS)]
+        lines = [",".join(cells.values()) for cells in odd]
+        lines += ["", "  ", "c1,v1,100", row() + ",more", row(card='"c1"'), row(card='"c\n1"'),
+                  row(card="c" * (csv.field_size_limit() + 1))]
+        for line, at, block_bytes in itertools.product(lines, (0, 1), (1, 1 << 18)):
+            body = [row(), row(card="c2")]
+            body.insert(at, line)
+            text = "\r\n".join([HEADER, *body]).replace(",", delimiter) + "\r\n"
+            with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+                vectorised = parse_outcome(text, delimiter)
+                with row_loop_only():
+                    assert parse_outcome(text, delimiter) == vectorised, (line, at, block_bytes)
+
+    @pytest.mark.parametrize("first, then", [
+        # epoch blocks lock both columns to epoch, so later ISO rows are bad timestamps
+        ("100", "2017-04-01T08:00:00"),
+        # an ISO lock from the row loop sends later epoch blocks there, to be rejected
+        ("2017-04-01T08:00:00", "100"),
+    ])
+    def test_time_lock_holds_across_paths(self, first, then):
+        def timed(card, board):
+            return row(card=card, board=board, alight="2017-04-01T09:00:00" if board.startswith("2017") else "200")
+
+        rows = [timed("c0", first)] + [timed(f"c{i}", then) for i in range(1, 4)] + [timed("c9", first)]
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 1):
+            trips, report = parse_text("\n".join([HEADER, *rows]) + "\n")
+        assert report.rejected_by_reason == {"bad timestamp": 3}
+        assert trips.cards == ["c0", "c9"]
+
+    def test_synthetic_month_never_takes_the_row_loop(self, tmp_path):
+        _, trips = synthesize(SynthConfig(n_passengers=40, n_routes=4, stops_per_route=6, days=7, rng_seed=3))
+        write_trip_csv(trips, tmp_path / "trips.csv")
+        taken = []
+        block = ingest._Columns.block
+
+        def spy(self, lines):
+            taken.append(block(self, lines))
+            return taken[-1]
+
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 4096), mock.patch.object(ingest._Columns, "block", spy), \
+                mock.patch.object(ingest._Columns, "rows", side_effect=AssertionError("row loop")):
+            back, report = parse_trip_records(tmp_path / "trips.csv")
+        assert len(taken) > 1 and all(taken)
+        assert report.accepted == report.total_rows == len(trips)
+        assert same_table(back, trips)
