@@ -12,97 +12,79 @@ Three binary axes are combined per passenger:
 
 The two-means split is solved exactly by scanning all contiguous splits of
 the sorted values, so the result is deterministic and globally optimal.
+
+A classification is a column: one int8 code per card into `GROUP_NAMES`.
+The names are sorted, so a card's code is 4*returner + 2*low + short.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .mobility import MobilityVector
+from .mobility import MobilityTable
 
-EXPLORER = "exp"
-RETURNER = "ret"
-HIGH = "high"
-LOW = "low"
-LONG = "long"
-SHORT = "short"
+# exploration_connectivity_distance, sorted
+GROUP_NAMES: Tuple[str, ...] = tuple(
+    f"{e}_{c}_{d}" for e in ("exp", "ret") for c in ("high", "low") for d in ("long", "short")
+)
 
 
 class DegenerateClusteringError(ValueError):
     """All values on a clustering axis are identical; no split exists."""
 
 
-@dataclass(frozen=True, order=True)
-class MobilityGroup:
-    """One of the eight movement-behaviour groups."""
+class Assignments(NamedTuple):
+    """Each card's group: `group[i]` is the int8 code of `cards[i]` into GROUP_NAMES."""
 
-    exploration: str  # "exp" | "ret"
-    connectivity: str  # "high" | "low"
-    distance: str  # "long" | "short"
-
-    @property
-    def name(self) -> str:
-        return f"{self.exploration}_{self.connectivity}_{self.distance}"
-
-    @classmethod
-    def from_name(cls, name: str) -> "MobilityGroup":
-        exploration, connectivity, distance = name.split("_")
-        if (exploration not in (EXPLORER, RETURNER)
-                or connectivity not in (HIGH, LOW)
-                or distance not in (LONG, SHORT)):
-            raise ValueError(f"not a mobility group name: {name!r}")
-        return cls(exploration, connectivity, distance)
-
-
-ALL_GROUPS: Tuple[MobilityGroup, ...] = tuple(
-    sorted(
-        MobilityGroup(e, c, d)
-        for e in (EXPLORER, RETURNER)
-        for c in (HIGH, LOW)
-        for d in (LONG, SHORT)
-    )
-)
-GROUP_NAMES: Tuple[str, ...] = tuple(g.name for g in ALL_GROUPS)
+    cards: Sequence[str]
+    group: np.ndarray
 
 
 @dataclass
 class ClassificationResult:
-    assignments: Dict[str, MobilityGroup]
+    assignments: Assignments
     centroids: Dict[str, Tuple[float, float]]  # axis -> (low, high) on the normalized scale
-    shares: Dict[str, float]  # group name -> fraction of population
+
+    @property
+    def shares(self) -> Dict[str, float]:
+        """Group name -> fraction of the population."""
+        sizes = group_sizes(self.assignments)
+        return dict(zip(GROUP_NAMES, (sizes / sizes.sum()).tolist()))
 
     def to_summary_json(self) -> str:
         return json.dumps(
             {
-                "population": len(self.assignments),
+                "population": len(self.assignments.cards),
                 "centroids": {axis: list(c) for axis, c in sorted(self.centroids.items())},
-                "shares": {name: self.shares[name] for name in GROUP_NAMES},
-                "sizes": group_sizes(self.assignments),
+                "shares": self.shares,
+                "sizes": dict(zip(GROUP_NAMES, group_sizes(self.assignments).tolist())),
             },
             sort_keys=True,
             indent=2,
         )
 
 
-def classify_exploration(rg: float, rgk: float) -> str:
-    """Returner when recurrent mobility dominates total mobility.
+def is_returner(rg, rgk) -> np.ndarray:
+    """Returner mask: recurrent mobility dominates total mobility.
 
     A passenger with zero total radius (single location) is a returner by
     convention: their recurrent mobility trivially equals their total
     mobility.
     """
-    if rg < 0 or rgk < 0:
-        raise ValueError(f"radii must be non-negative, got rg={rg}, rgk={rgk}")
-    if rg == 0.0:
-        return RETURNER
-    return RETURNER if rgk > rg / 2.0 else EXPLORER
+    rg = np.asarray(rg, np.float64)
+    rgk = np.asarray(rgk, np.float64)
+    negative = (rg < 0) | (rgk < 0)
+    if negative.any():
+        i = np.flatnonzero(negative)[0]
+        raise ValueError(f"radii must be non-negative, got rg={rg.flat[i]}, rgk={rgk.flat[i]}")
+    return (rg == 0.0) | (rgk > rg / 2.0)
 
 
-def kmeans_1d(values: Sequence[float], k: int = 2) -> Tuple[np.ndarray, Tuple[float, float]]:
+def kmeans_1d(values: Sequence[float]) -> Tuple[np.ndarray, Tuple[float, float]]:
     """Globally optimal 1-D two-means clustering.
 
     Scans every contiguous split of the sorted values and picks the one with
@@ -110,8 +92,6 @@ def kmeans_1d(values: Sequence[float], k: int = 2) -> Tuple[np.ndarray, Tuple[fl
     Returns labels aligned with the input order (0 = cluster with the smaller
     centroid, 1 = larger) and the pair of centroids.
     """
-    if k != 2:
-        raise ValueError(f"only k=2 is supported, got k={k}")
     arr = np.asarray(values, dtype=float)
     n = arr.size
     if n < 2 or np.unique(arr).size < 2:
@@ -148,32 +128,21 @@ def _min_max_normalize(values: np.ndarray) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
-def classify_population(vectors: Sequence[MobilityVector]) -> ClassificationResult:
-    """Assign a MobilityGroup to every passenger.
+def classify_population(table: MobilityTable) -> ClassificationResult:
+    """The group of every card in `table`, as a column over its cards.
 
     The distance and connectivity axes are min-max normalized to [0, 1]
     before the two-means split; exploration uses the raw rule.
     """
-    if len(vectors) < 2:
+    if len(table.cards) < 2:
         raise DegenerateClusteringError("need at least two passengers to classify")
-    rg = np.array([v.rg for v in vectors], dtype=float)
-    enc = np.array([v.encounters for v in vectors], dtype=float)
-    dist_labels, dist_centroids = kmeans_1d(_min_max_normalize(rg))
-    conn_labels, conn_centroids = kmeans_1d(_min_max_normalize(enc))
-
-    assignments: Dict[str, MobilityGroup] = {}
-    for i, v in enumerate(vectors):
-        exploration = classify_exploration(v.rg, v.rgk)
-        connectivity = HIGH if conn_labels[i] == 1 else LOW
-        distance = LONG if dist_labels[i] == 1 else SHORT
-        assignments[v.card_id] = MobilityGroup(exploration, connectivity, distance)
-
-    population = len(assignments)
-    shares = {name: count / population for name, count in group_sizes(assignments).items()}
+    returner = is_returner(table.rg, table.rgk)
+    long_, dist_centroids = kmeans_1d(_min_max_normalize(table.rg))
+    high, conn_centroids = kmeans_1d(_min_max_normalize(table.encounters.astype(np.float64)))
+    group = (4 * returner + 2 * (1 - high) + (1 - long_)).astype(np.int8)
     return ClassificationResult(
-        assignments=assignments,
+        assignments=Assignments(table.cards, group),
         centroids={"distance": dist_centroids, "connectivity": conn_centroids},
-        shares=shares,
     )
 
 
@@ -183,47 +152,48 @@ def group_shares(result: ClassificationResult) -> Dict[str, float]:
     Uses largest-remainder apportionment at 0.1-point granularity so the
     rounded values always reconcile.
     """
-    if not result.assignments:
+    if not len(result.assignments.cards):
         raise ValueError("no assignments to summarize")
-    sizes = group_sizes(result.assignments)
-    population = len(result.assignments)
-    exact_tenths = {name: 1000.0 * sizes[name] / population for name in GROUP_NAMES}
-    floors = {name: int(exact_tenths[name]) for name in GROUP_NAMES}
-    remainder = 1000 - sum(floors.values())
-    by_fraction = sorted(
-        GROUP_NAMES, key=lambda name: (-(exact_tenths[name] - floors[name]), name)
-    )
-    for name in by_fraction[:remainder]:
-        floors[name] += 1
-    return {name: floors[name] / 10.0 for name in GROUP_NAMES}
+    sizes = group_sizes(result.assignments).tolist()
+    population = len(result.assignments.cards)
+    exact_tenths = [1000.0 * size / population for size in sizes]
+    floors = [int(t) for t in exact_tenths]
+    remainder = 1000 - sum(floors)
+    by_fraction = sorted(range(len(GROUP_NAMES)), key=lambda g: (-(exact_tenths[g] - floors[g]), g))
+    for g in by_fraction[:remainder]:
+        floors[g] += 1
+    return {name: floor / 10.0 for name, floor in zip(GROUP_NAMES, floors)}
 
 
-def group_sizes(assignments: Mapping[str, MobilityGroup]) -> Dict[str, int]:
-    """Members per group, every group in GROUP_NAMES order, empty ones as 0."""
-    sizes = {name: 0 for name in GROUP_NAMES}
-    for group in assignments.values():
-        sizes[group.name] += 1
-    return sizes
+def group_sizes(assignments: Assignments) -> np.ndarray:
+    """Members per group in GROUP_NAMES order, empty groups as 0."""
+    return np.bincount(assignments.group, minlength=len(GROUP_NAMES))
 
 
 ASSIGNMENTS_CSV_HEADER = ["card_id", "group"]
 
 
 def write_assignments_csv(result: ClassificationResult, path) -> None:
+    """One row per card, sorted by card id."""
     import csv
 
+    cards, group = result.assignments
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ASSIGNMENTS_CSV_HEADER)
-        for card_id in sorted(result.assignments):
-            writer.writerow([card_id, result.assignments[card_id].name])
+        for i in sorted(range(len(cards)), key=cards.__getitem__):
+            writer.writerow([cards[i], GROUP_NAMES[group[i]]])
 
 
-def read_assignments_csv(path) -> Dict[str, MobilityGroup]:
-    """Card -> group; any malformed line raises ValueError naming `file:line`."""
+def read_assignments_csv(path) -> Assignments:
+    """The cards of an assignments file, in file order, and their group codes.
+
+    Any malformed line raises ValueError naming `file:line`.
+    """
     import csv
 
-    out: Dict[str, MobilityGroup] = {}
+    code = {name: g for g, name in enumerate(GROUP_NAMES)}
+    out: Dict[str, int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -236,8 +206,7 @@ def read_assignments_csv(path) -> Dict[str, MobilityGroup]:
             card_id, name = row
             if card_id in out:
                 raise ValueError(f"{where}: card {card_id!r} is listed twice")
-            try:
-                out[card_id] = MobilityGroup.from_name(name)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-    return out
+            if name not in code:
+                raise ValueError(f"{where}: not a mobility group name: {name!r}")
+            out[card_id] = code[name]
+    return Assignments(list(out), np.array(list(out.values()), np.int8))

@@ -47,13 +47,14 @@ from .ingest import (
     TripTable,
     _vocabulary,
     check_delimiter,
+    check_thresholds,
     filter_by_min_trips,
     parse_trip_records,
     population_vs_threshold,
     trip_frequency_distribution,
     write_trip_csv,
 )
-from .mobility import DEFAULT_K, MobilityVector, mobility_table, write_mobility_csv
+from .mobility import DEFAULT_K, MobilityTable, mobility_table, write_mobility_csv
 from .sim import (
     INFECTION_CSV_HEADER,
     SimConfig,
@@ -269,10 +270,10 @@ def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> TripTable:
     return filtered
 
 
-def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[List[MobilityVector], ClassificationResult]:
-    """Mobility vectors of the trips and the eight groups."""
-    vectors = mobility_table(trips, k=spec.k, model=get_model(spec.distance_model))
-    return vectors, classify_population(vectors)
+def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[MobilityTable, ClassificationResult]:
+    """The mobility table of the trips and the eight groups."""
+    table = mobility_table(trips, k=spec.k, model=get_model(spec.distance_model))
+    return table, classify_population(table)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         check_delimiter(args.delimiter)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        thresholds = [int(t) for t in args.population_thresholds.split(",")]
+        check_thresholds(thresholds)
+    except ValueError as exc:
+        raise UsageError(f"--population-thresholds {args.population_thresholds!r}: {exc}") from None
     trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -320,7 +326,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.freq_csv:
         write_histogram_csv(trip_frequency_distribution(trips), args.freq_csv, value_name="trips_per_card")
     if args.population_csv:
-        thresholds = [int(t) for t in (args.population_thresholds or "1,2,5,10,15,20,30").split(",")]
         curve = population_vs_threshold(trips, thresholds)
         with open(args.population_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -336,14 +341,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     trips = _filtered_trips(spec, None)
-    vectors, result = _classified(trips, spec)
+    table, result = _classified(trips, spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
         Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
     if args.out_mobility:
-        write_mobility_csv(vectors, args.out_mobility)
+        write_mobility_csv(table, args.out_mobility)
     shares = group_shares(result)
-    logger.info("classified %d passengers; shares: %s", len(result.assignments), shares)
+    logger.info("classified %d passengers; shares: %s", len(table.cards), shares)
     return EXIT_OK
 
 
@@ -356,13 +361,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trips = _filtered_trips(spec, None)
     config = spec.sim_config()
-    vectors, result = _classified(trips, spec)  # before the log, so that their transients do not stack
+    table, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, config.d_t)
     outcomes = run_ensemble(trips, config, exposures=log, progress=lambda i, n: logger.info("run %d/%d", i, n))
     write_assignments_csv(result, out_dir / "assignments.csv")
     for outcome in outcomes:
         write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(outcomes, result.assignments, {v.card_id: v.encounters for v in vectors})
+    summary = per_group_summary(outcomes, result.assignments, table.cards, table.encounters)
     summary.to_csv(out_dir / "group_summary.csv")
     matrix = group_flow_matrix(outcomes, result.assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
@@ -502,7 +507,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
     outcomes = [_read_outcome_csv(path) for path in event_files]
 
-    summary = per_group_summary(outcomes, assignments, dict(zip(trips.cards, encounters.tolist())))
+    summary = per_group_summary(outcomes, assignments, trips.cards, encounters)
     summary.to_csv(out_dir / "group_summary.csv")
     matrix = group_flow_matrix(outcomes, assignments)
     matrix.to_csv(out_dir / "flow_matrix.csv")
@@ -583,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="IngestReport JSON")
     p.add_argument("--freq-csv", help="trip frequency histogram CSV")
     p.add_argument("--population-csv", help="population vs threshold CSV")
-    p.add_argument("--population-thresholds", help="comma-separated thresholds")
+    p.add_argument("--population-thresholds", default="1,2,5,10,15,20,30", help="comma-separated thresholds")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("classify", help="assign mobility groups")

@@ -5,9 +5,10 @@ order is fixed alphabetically over the canonical group names so files diff
 cleanly.  For ensembles, event counts are averaged over runs before being
 divided by group sizes (equivalent to averaging the per-run matrices).
 
-Both tallies read the runs' columnar `SimOutcome`s: each card vocabulary is
-mapped to group codes once, and the events' group pairs are counted with
-`np.bincount`.
+Both tallies read the runs' columnar `SimOutcome`s and the classification's
+group column: each card vocabulary is joined to group codes once, and the
+events' group pairs are counted with `np.bincount`.  The per-group summary
+joins the encounter column through the same card -> code mapping.
 """
 
 from __future__ import annotations
@@ -16,14 +17,17 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .classify import GROUP_NAMES, MobilityGroup, group_sizes
+from .classify import GROUP_NAMES, Assignments, group_sizes
 from .sim import SimOutcome
 
 logger = logging.getLogger(__name__)
+
+PRECISION = 9  # decimals of every value in a matrix or summary CSV
+CHORD_SCALE = 1000.0  # chord flows are matrix entries times this, rounded
 
 # fixed render colours, one per group in GROUP_NAMES order
 GROUP_COLORS: Dict[str, str] = {
@@ -59,12 +63,12 @@ class GroupMatrix:
         j = self.groups.index(target)
         return float(self.values[i, j])
 
-    def to_csv(self, path, precision: int = 9) -> None:
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["group"] + list(self.groups))
             for i, g in enumerate(self.groups):
-                writer.writerow([g] + [f"{v:.{precision}f}" for v in self.values[i]])
+                writer.writerow([g] + [f"{v:.{PRECISION}f}" for v in self.values[i]])
 
     @classmethod
     def from_csv(cls, path) -> "GroupMatrix":
@@ -79,30 +83,25 @@ class GroupMatrix:
 
 
 @dataclass
-class GroupStats:
-    population: int
-    total_encounters: float
-    total_transmitted: float
-    total_received: float
-
-    @property
-    def avg_encounters_per_individual(self) -> float:
-        return self.total_encounters / self.population if self.population else 0.0
-
-    @property
-    def avg_transmissions_per_individual(self) -> float:
-        return self.total_transmitted / self.population if self.population else 0.0
-
-    @property
-    def avg_receptions_per_individual(self) -> float:
-        return self.total_received / self.population if self.population else 0.0
-
-
-@dataclass
 class GroupSummary:
-    per_group: Dict[str, GroupStats]
+    """Per-group totals, each a column in GROUP_NAMES order.
 
-    def to_csv(self, path, precision: int = 9) -> None:
+    Transmissions and receptions are averaged over runs; encounters are a
+    property of the contact network, not the run.
+    """
+
+    population: np.ndarray
+    encounters: np.ndarray
+    transmitted: np.ndarray
+    received: np.ndarray
+
+    def per_individual(self, totals: np.ndarray) -> np.ndarray:
+        """`totals` over each group's population, 0 for an empty group."""
+        return np.divide(totals, self.population, out=np.zeros(len(GROUP_NAMES)), where=self.population > 0)
+
+    def to_csv(self, path) -> None:
+        totals = [self.encounters, self.transmitted, self.received]
+        columns = [c.tolist() for c in totals + [self.per_individual(t) for t in totals]]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -117,39 +116,30 @@ class GroupSummary:
                     "avg_receptions_per_individual",
                 ]
             )
-            for name in GROUP_NAMES:
-                st = self.per_group[name]
-                writer.writerow(
-                    [
-                        name,
-                        st.population,
-                        f"{st.total_encounters:.{precision}f}",
-                        f"{st.total_transmitted:.{precision}f}",
-                        f"{st.total_received:.{precision}f}",
-                        f"{st.avg_encounters_per_individual:.{precision}f}",
-                        f"{st.avg_transmissions_per_individual:.{precision}f}",
-                        f"{st.avg_receptions_per_individual:.{precision}f}",
-                    ]
-                )
+            for name, population, *values in zip(GROUP_NAMES, self.population.tolist(), *columns):
+                writer.writerow([name, population] + [f"{v:.{PRECISION}f}" for v in values])
 
 
-def _pair_counts(outcomes: Sequence[SimOutcome], assignments: Mapping[str, MobilityGroup]) -> np.ndarray:
+def _group_codes(cards: Sequence[str], assignments: Assignments) -> np.ndarray:
+    """The group code of each of `cards`, -1 where a card is not classified."""
+    code = dict(zip(assignments.cards, assignments.group.tolist()))
+    return np.array([code.get(c, -1) for c in cards], np.int64)
+
+
+def _pair_counts(outcomes: Sequence[SimOutcome], assignments: Assignments) -> np.ndarray:
     """Events per (infector group, infectee group) over all runs, in GROUP_NAMES order.
 
     Each card vocabulary is mapped to group codes once.  The first event
     naming an unclassified card is a `DataIntegrityError`.
     """
     n = len(GROUP_NAMES)
-    pos = {name: i for i, name in enumerate(GROUP_NAMES)}
     codes_of: Dict[int, np.ndarray] = {}
     counts = np.zeros(n * n, np.int64)
     for outcome in outcomes:
         cards = outcome.cards
         codes = codes_of.get(id(cards))
         if codes is None:
-            codes = codes_of[id(cards)] = np.array(
-                [pos[assignments[c].name] if c in assignments else -1 for c in cards], np.int64
-            )
+            codes = codes_of[id(cards)] = _group_codes(cards, assignments)
         src, tgt = codes[outcome.infector], codes[outcome.infectee]
         bad = np.flatnonzero((src < 0) | (tgt < 0))
         if bad.size:
@@ -162,41 +152,29 @@ def _pair_counts(outcomes: Sequence[SimOutcome], assignments: Mapping[str, Mobil
 
 def per_group_summary(
     outcomes: Sequence[SimOutcome],
-    assignments: Mapping[str, MobilityGroup],
-    encounters_by_card: Mapping[str, int],
+    assignments: Assignments,
+    cards: Sequence[str],
+    encounters: np.ndarray,
 ) -> GroupSummary:
     """Tally encounters and traced infections per group.
 
-    Every card in the infection logs must be classified.  The
-    transmitted/received totals are averaged over runs; encounter totals are
-    a property of the contact network, not the run.
+    `encounters[i]` is the encounter count of `cards[i]`; unclassified cards
+    are left out.  Every card in the infection logs must be classified.
     """
     if not outcomes:
         raise ValueError("no outcomes to summarize")
-    populations = group_sizes(assignments)
-    enc_totals = {name: 0.0 for name in GROUP_NAMES}
-    for card, group in assignments.items():
-        enc_totals[group.name] += encounters_by_card.get(card, 0)
-
+    codes = _group_codes(cards, assignments)
+    classified = codes >= 0
     counts = _pair_counts(outcomes, assignments)
-    sent, received = counts.sum(axis=1).tolist(), counts.sum(axis=0).tolist()
-    n_runs = len(outcomes)
-    per_group = {
-        name: GroupStats(
-            population=populations[name],
-            total_encounters=enc_totals[name],
-            total_transmitted=sent[i] / n_runs,
-            total_received=received[i] / n_runs,
-        )
-        for i, name in enumerate(GROUP_NAMES)
-    }
-    return GroupSummary(per_group=per_group)
+    return GroupSummary(
+        population=group_sizes(assignments),
+        encounters=np.bincount(codes[classified], encounters[classified], len(GROUP_NAMES)),
+        transmitted=counts.sum(axis=1) / len(outcomes),
+        received=counts.sum(axis=0) / len(outcomes),
+    )
 
 
-def group_flow_matrix(
-    outcomes: Sequence[SimOutcome],
-    assignments: Mapping[str, MobilityGroup],
-) -> GroupMatrix:
+def group_flow_matrix(outcomes: Sequence[SimOutcome], assignments: Assignments) -> GroupMatrix:
     """Average infections one member of the row group causes in the column group.
 
     Entry (i, j) is the run-averaged count of events with infector in group i
@@ -206,11 +184,10 @@ def group_flow_matrix(
     """
     if not outcomes:
         raise ValueError("no outcomes to aggregate")
-    sizes = group_sizes(assignments)
+    sizes = group_sizes(assignments).tolist()
     counts = _pair_counts(outcomes, assignments) / len(outcomes)
     values = np.zeros_like(counts)
-    for i, name in enumerate(GROUP_NAMES):
-        size = sizes[name]
+    for i, (name, size) in enumerate(zip(GROUP_NAMES, sizes)):
         if size == 0:
             if counts[i].any():
                 raise DataIntegrityError(f"events from empty group {name!r}")
@@ -227,8 +204,8 @@ def difference_matrix(baseline: GroupMatrix, variant: GroupMatrix) -> GroupMatri
     return GroupMatrix(values=variant.values - baseline.values, groups=baseline.groups)
 
 
-def chord_export(matrix: GroupMatrix, scale: float = 1000.0, path=None) -> Dict:
-    """Plot-ready chord data: flows scaled and rounded to integers.
+def chord_export(matrix: GroupMatrix, path=None) -> Dict:
+    """Plot-ready chord data: flows scaled by CHORD_SCALE and rounded to integers.
 
     The schema is {"groups": [{"name", "color"}], "flows": [{"source",
     "target", "value"}]} with one flow per ordered group pair, zeros
@@ -244,10 +221,10 @@ def chord_export(matrix: GroupMatrix, scale: float = 1000.0, path=None) -> Dict:
                 {
                     "source": source,
                     "target": target,
-                    "value": int(round(matrix.values[i, j] * scale)),
+                    "value": int(round(matrix.values[i, j] * CHORD_SCALE)),
                 }
             )
-    payload = {"scale": scale, "groups": groups, "flows": flows}
+    payload = {"scale": CHORD_SCALE, "groups": groups, "flows": flows}
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
@@ -256,7 +233,7 @@ def chord_export(matrix: GroupMatrix, scale: float = 1000.0, path=None) -> Dict:
 
 def chord_import(payload: Dict) -> GroupMatrix:
     """Rebuild the (rounded) matrix from a chord export."""
-    scale = float(payload.get("scale", 1000.0))
+    scale = float(payload.get("scale", CHORD_SCALE))
     groups = tuple(g["name"] for g in payload["groups"])
     pos = {name: i for i, name in enumerate(groups)}
     values = np.zeros((len(groups), len(groups)))

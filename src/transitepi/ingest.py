@@ -437,15 +437,20 @@ def trip_frequency_distribution(trips: TripTable) -> Dict[int, int]:
     return dict(zip(values.tolist(), n.tolist()))
 
 
+def check_thresholds(thresholds: Sequence[int]) -> None:
+    """Raise ValueError unless the thresholds are strictly increasing."""
+    for a, b in zip(thresholds, thresholds[1:]):
+        if not a < b:
+            raise ValueError(f"thresholds must be strictly increasing, got {a} before {b}")
+
+
 def population_vs_threshold(trips: TripTable, thresholds: Sequence[int]) -> List[Tuple[int, int]]:
     """Surviving population size for each minimum-trip threshold.
 
     Thresholds must be strictly increasing; the resulting populations are
     non-increasing.
     """
-    for a, b in zip(thresholds, thresholds[1:]):
-        if not a < b:
-            raise ValueError(f"thresholds must be strictly increasing, got {a} before {b}")
+    check_thresholds(thresholds)
     values = np.sort(_trips_per_card(trips))
     # cards with count >= t are those right of the leftmost insertion point
     return [(t, int(values.size - np.searchsorted(values, t))) for t in thresholds]

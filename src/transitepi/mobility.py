@@ -1,6 +1,7 @@
 """Per-passenger mobility statistics: visited stops, total and k-restricted
 radius of gyration, and direct-encounter counts, computed for every card at
-once from the columns of a `TripTable`.  The counts come from the rides
+once from the columns of a `TripTable` and kept as columns indexed by the
+table's card codes (`MobilityTable`).  The counts come from the rides
 themselves (`contacts.encounter_counts`), so no exposure log is built.
 
 The radius of gyration is the frequency-weighted RMS distance of a
@@ -17,7 +18,7 @@ stops in stop-id order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,14 +30,17 @@ DEFAULT_K = 2
 
 
 @dataclass(frozen=True)
-class MobilityVector:
-    """One passenger's position along the three mobility dimensions."""
+class MobilityTable:
+    """Every passenger's position along the three mobility dimensions.
 
-    card_id: str
-    rg: float
-    rgk: float
-    k_used: int
-    encounters: int
+    Row i of each column belongs to `cards[i]`; radii are in metres.
+    """
+
+    cards: Sequence[str]
+    k: int
+    rg: np.ndarray  # float64
+    rgk: np.ndarray  # float64
+    encounters: np.ndarray  # int64
 
 
 def visit_counts(trips: TripTable) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,27 +88,24 @@ def _gyration(card, lat, lon, weight, n: int, model) -> np.ndarray:
     return rg
 
 
-def mobility_table(trips: TripTable, k: int = DEFAULT_K, model=HAVERSINE) -> List[MobilityVector]:
-    """Assemble MobilityVectors for every card in `trips`.
+def mobility_table(trips: TripTable, k: int = DEFAULT_K, model=HAVERSINE) -> MobilityTable:
+    """The mobility columns of every card in `trips`, over its card vocabulary (sorted by id).
 
     A card's encounters are its direct co-presence episodes, so a pair
-    meeting on separate trips counts once per episode.  Output is sorted by
-    card id.
+    meeting on separate trips counts once per episode.
     """
     encounters = encounter_counts(trips)
     card, stop, visits = visit_counts(trips)
     rg, rgk = radii_of_gyration(card, trips.stop_lat[stop], trips.stop_lon[stop], visits, k, model)
-    return [
-        MobilityVector(card_id=c, rg=a, rgk=b, k_used=k, encounters=e)
-        for c, a, b, e in zip(trips.cards, rg.tolist(), rgk.tolist(), encounters.tolist())
-    ]
+    return MobilityTable(trips.cards, k, rg, rgk, encounters)
 
 
-def write_mobility_csv(vectors: Iterable[MobilityVector], path) -> None:
+def write_mobility_csv(table: MobilityTable, path) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["card_id", "rg_m", "rgk_m", "k", "encounters"])
-        for v in vectors:
-            writer.writerow([v.card_id, f"{v.rg:.6f}", f"{v.rgk:.6f}", v.k_used, v.encounters])
+        for card, rg, rgk, encounters in zip(table.cards, table.rg.tolist(), table.rgk.tolist(),
+                                             table.encounters.tolist()):
+            writer.writerow([card, f"{rg:.6f}", f"{rgk:.6f}", table.k, encounters])

@@ -88,11 +88,14 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.stops_per_route < 2:
             raise ValueError("stops_per_route must be >= 2")
-        if self.city_extent_km <= 0:
-            raise ValueError("city_extent_km must be positive")
+        if not (math.isfinite(self.city_extent_km) and self.city_extent_km > 0):
+            raise ValueError(f"city_extent_km must be positive and finite, got {self.city_extent_km}")
         unknown = set(self.archetype_mix) - set(ARCHETYPES)
         if unknown:
             raise ValueError(f"unknown archetypes: {sorted(unknown)}")
+        bad = {a: f for a, f in self.archetype_mix.items() if not (math.isfinite(f) and f >= 0)}
+        if bad:
+            raise ValueError(f"archetype fractions must be non-negative and finite, got {bad}")
         total = sum(self.archetype_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"archetype fractions must sum to 1, got {total}")

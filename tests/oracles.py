@@ -125,23 +125,53 @@ def kmeans2_brute(values: Sequence[float]) -> Tuple[List[int], Tuple[float, floa
     order = sorted(range(len(values)), key=lambda i: values[i])
     s = [values[i] for i in order]
     n = len(s)
-    best_cost = None
-    best_split = None
-    for split in range(1, n):
-        left = s[:split]
-        right = s[split:]
-        ml = sum(left) / len(left)
-        mr = sum(right) / len(right)
-        cost = sum((x - ml) ** 2 for x in left) + sum((x - mr) ** 2 for x in right)
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_split = split
+    costs = split_costs(values)
+    best_split = 1 + costs.index(min(costs))  # leftmost minimum
     labels = [0] * n
     for rank, orig in enumerate(order):
         labels[orig] = 0 if rank < best_split else 1
     left = s[:best_split]
     right = s[best_split:]
     return labels, (sum(left) / len(left), sum(right) / len(right))
+
+
+def split_costs(values: Sequence[float]) -> List[float]:
+    """Within-cluster sum of squares of each contiguous split of the sorted values, by direct summation.
+
+    Entry i is the cost of the split whose left cluster holds the i + 1 smallest values.
+    """
+    s = sorted(values)
+    costs = []
+    for split in range(1, len(s)):
+        left = s[:split]
+        right = s[split:]
+        ml = sum(left) / len(left)
+        mr = sum(right) / len(right)
+        costs.append(sum((x - ml) ** 2 for x in left) + sum((x - mr) ** 2 for x in right))
+    return costs
+
+
+def classify_reference(rows: Sequence[Tuple[str, float, float, int]]) -> Dict[str, str]:
+    """Group name of every card from (card, rg, rgk, encounters) rows, one card at a time.
+
+    Exploration: returner when rg is 0 or rgk exceeds rg / 2, explorer
+    otherwise.  Distance and connectivity: `kmeans2_brute` on the min-max
+    normalised rg and encounter values; the cluster with the larger centroid
+    is long, or high.
+    """
+    def normalised(values):
+        lo, hi = min(values), max(values)
+        return [(v - lo) / (hi - lo) for v in values]
+
+    far, _ = kmeans2_brute(normalised([rg for _, rg, _, _ in rows]))
+    busy, _ = kmeans2_brute(normalised([float(e) for _, _, _, e in rows]))
+    names = {}
+    for (card, rg, rgk, _), is_far, is_busy in zip(rows, far, busy):
+        exploration = "ret" if rg == 0.0 or rgk > rg / 2.0 else "exp"
+        connectivity = "high" if is_busy else "low"
+        distance = "long" if is_far else "short"
+        names[card] = f"{exploration}_{connectivity}_{distance}"
+    return names
 
 
 def kmeans2_welford(values: Sequence[float]) -> Tuple[List[int], Tuple[float, float]]:

@@ -25,7 +25,6 @@ from oracles import (
     outcome_events,
     reachable_infections,
 )
-from transitepi.classify import group_sizes
 from transitepi.cli import main as cli_main
 from transitepi.flows import GroupMatrix
 
@@ -91,28 +90,22 @@ def test_criterion_2_classification():
 
         # exploration labels survive 100 random positive rescalings
         rnd = random.Random(202)
-        pairs = [(rnd.uniform(0, 50_000), rnd.uniform(0, 40_000)) for _ in range(200)]
-        base = [te.classify_exploration(rg, rgk) for rg, rgk in pairs]
+        rg, rgk = np.array([(rnd.uniform(0, 50_000), rnd.uniform(0, 40_000)) for _ in range(200)]).T
+        base = te.is_returner(rg, rgk)
         for _ in range(100):
             c = rnd.uniform(1e-9, 1e9)
-            assert [te.classify_exploration(c * rg, c * rgk) for rg, rgk in pairs] == base
+            assert np.array_equal(te.is_returner(c * rg, c * rgk), base)
 
         # the eight groups partition every classified population
         for seed in range(5):
             rnd = random.Random(303 + seed)
-            vectors = [
-                te.MobilityVector(
-                    card_id=f"c{i}",
-                    rg=rnd.uniform(0, 2e4),
-                    rgk=rnd.uniform(0, 1.2e4),
-                    k_used=2,
-                    encounters=rnd.randint(0, 700),
-                )
-                for i in range(500)
-            ]
-            result = te.classify_population(vectors)
-            assert set(result.assignments) == {v.card_id for v in vectors}
-            assert sum(group_sizes(result.assignments).values()) == 500
+            cards = [f"c{i}" for i in range(500)]
+            rows = [(rnd.uniform(0, 2e4), rnd.uniform(0, 1.2e4), rnd.randint(0, 700)) for _ in cards]
+            rg, rgk, encounters = (np.array(c) for c in zip(*rows))
+            result = te.classify_population(te.MobilityTable(cards, 2, rg, rgk, encounters.astype(np.int64)))
+            assert list(result.assignments.cards) == cards
+            assert set(result.assignments.group.tolist()) <= set(range(len(te.GROUP_NAMES)))
+            assert te.group_sizes(result.assignments).sum() == 500
             assert sum(result.shares.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -204,8 +197,8 @@ def test_criterion_5_conservation_attribution_flows():
         cfg = te.SynthConfig(n_passengers=600, n_routes=10, stops_per_route=14, days=21, rng_seed=5)
         _, records = te.synthesize(cfg)
         records = te.filter_by_min_trips(records, 15)
-        vectors = te.mobility_table(records)
-        result = te.classify_population(vectors)
+        mobility = te.mobility_table(records)
+        result = te.classify_population(mobility)
         population = records.cards
 
         sim_cfg = te.SimConfig(beta=0.6, d_t=0.0, n_seeds=10, n_runs=10, master_seed=11)
@@ -228,26 +221,23 @@ def test_criterion_5_conservation_attribution_flows():
             assert all(v == 1 for v in inbound.values())
             assert set(inbound) == outcome.infected_set - set(outcome.seeds)
 
-        encounters = {v.card_id: v.encounters for v in vectors}
-        sizes = group_sizes(result.assignments)
-        summary = te.per_group_summary(outcomes, result.assignments, encounters)
+        sizes = te.group_sizes(result.assignments).tolist()
+        summary = te.per_group_summary(outcomes, result.assignments, mobility.cards, mobility.encounters)
         matrix = te.group_flow_matrix(outcomes, result.assignments)
         names = matrix.groups
+        transmissions = summary.per_individual(summary.transmitted)
+        receptions = summary.per_individual(summary.received)
         for i, name in enumerate(names):
-            assert matrix.values[i].sum() == pytest.approx(
-                summary.per_group[name].avg_transmissions_per_individual, abs=1e-9
-            )
+            assert matrix.values[i].sum() == pytest.approx(transmissions[i], abs=1e-9)
         for j, name in enumerate(names):
-            if sizes[name] == 0:
+            if sizes[j] == 0:
                 continue
-            weighted = sum(matrix.values[i, j] * sizes[gi] for i, gi in enumerate(names))
-            assert weighted / sizes[name] == pytest.approx(
-                summary.per_group[name].avg_receptions_per_individual, abs=1e-9
-            )
+            weighted = sum(matrix.values[i, j] * sizes[i] for i in range(len(names)))
+            assert weighted / sizes[j] == pytest.approx(receptions[j], abs=1e-9)
         total_events = sum(len(outcome_events(o)) for o in outcomes) / len(outcomes)
         mass = sum(
-            matrix.values[i, j] * sizes[gi]
-            for i, gi in enumerate(names)
+            matrix.values[i, j] * sizes[i]
+            for i in range(len(names))
             for j in range(len(names))
         )
         assert mass == pytest.approx(total_events, abs=1e-9)
@@ -268,9 +258,9 @@ def test_criterion_6_desk_scale_reproduction():
         records = te.filter_by_min_trips(records, 15)
         population = records.cards
 
-        vectors = te.mobility_table(records)
-        result = te.classify_population(vectors)
-        sizes = group_sizes(result.assignments)
+        mobility = te.mobility_table(records)
+        result = te.classify_population(mobility)
+        sizes = dict(zip(te.GROUP_NAMES, te.group_sizes(result.assignments).tolist()))
 
         # (a) every group populated
         assert all(sizes[name] > 0 for name in te.GROUP_NAMES), sizes
@@ -281,10 +271,8 @@ def test_criterion_6_desk_scale_reproduction():
         assert giant_share >= 0.95, f"giant component only {giant_share:.3f}"
         sim_cfg = te.SimConfig(beta=1.0, d_t=0.0, n_seeds=50, n_runs=20, master_seed=0)
         outcomes0 = te.run_ensemble(records, sim_cfg)
-        encounters = {v.card_id: v.encounters for v in vectors}
-        summary = te.per_group_summary(outcomes0, result.assignments, encounters)
-        for name in te.GROUP_NAMES:
-            receptions = summary.per_group[name].avg_receptions_per_individual
+        summary = te.per_group_summary(outcomes0, result.assignments, mobility.cards, mobility.encounters)
+        for name, receptions in zip(te.GROUP_NAMES, summary.per_individual(summary.received).tolist()):
             assert 0.85 <= receptions <= 1.05, f"{name}: receptions {receptions:.3f}"
 
         # (c) suspension-time difference matrix exists and is antisymmetric

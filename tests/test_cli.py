@@ -70,6 +70,20 @@ class TestGenerate:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--mix", "commuter=1.5,roamer=-0.5"], ["--extent-km", "nan"], ["--extent-km", "inf"]],
+        ids=["negative-fraction", "nan-extent", "inf-extent"],
+    )
+    def test_bad_fraction_or_extent_is_config_error(self, tmp_path, caplog, flags):
+        code = main([
+            "generate", "--out", str(tmp_path / "t.csv"), "--passengers", "10", "--days", "3",
+            "--min-trips-per-passenger", "1", *flags,
+        ])
+        assert code == 2
+        assert "must be" in caplog.text
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
         "content, named",
         [([SYNTH], "synth config must be a JSON object"), ({"n_passenger": 10}, "'n_passenger'")],
         ids=["not-an-object", "unknown-key"],
@@ -364,6 +378,8 @@ def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
         ("ingest", "--min-trips=0"), ("ingest", "--min-trips=-1"),
         ("ingest", "--delimiter=;;"), ("ingest", "--delimiter="), ("ingest", '--delimiter="'),
         ("ingest", "--delimiter=\r"), ("ingest", "--delimiter=\n"),
+        ("ingest", "--population-thresholds=5,2"), ("ingest", "--population-thresholds=2,2"),
+        ("ingest", "--population-thresholds=1,x"), ("ingest", "--population-thresholds="),
     ],
 )
 def test_invalid_front_half_parameter_is_usage_error_before_any_trip_is_read(tmp_path, monkeypatch, command, flag):
@@ -570,8 +586,10 @@ class TestAnalyze:
             ("", 1),
             ("card_id,group\nc1,exp_high_long\nonlyone\n", 3),
             ("card_id,group\nc1,exp_high_long\nc1,ret_low_short\n", 3),
+            ("card_id,group\nc1,exp_high_long\nc2,exp_high_medium\n", 3),
+            ("card_id,group\nc1,exp_high\n", 2),
         ],
-        ids=["empty", "one-field-row", "card-twice"],
+        ids=["empty", "one-field-row", "card-twice", "unknown-group", "two-part-group"],
     )
     def test_malformed_assignments_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
         assignments = tmp_path / "assignments.csv"

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from transitepi.classify import GROUP_NAMES, MobilityGroup
+from transitepi.classify import GROUP_NAMES, Assignments
 from transitepi.flows import (
     DataIntegrityError,
     GroupMatrix,
@@ -41,44 +41,76 @@ def event(infector, infectee, t=100.0):
 
 
 def assign(card_groups):
-    return {card: MobilityGroup.from_name(name) for card, name in card_groups.items()}
+    """{card: group name} as an assignment column."""
+    return Assignments(list(card_groups), np.array([GROUP_NAMES.index(g) for g in card_groups.values()], np.int8))
+
+
+def summarize(outcomes, assignments, encounters):
+    """per_group_summary with the encounters given as {card: count}."""
+    return per_group_summary(outcomes, assignments, list(encounters), np.array(list(encounters.values()), np.int64))
+
+
+def at(name):
+    return GROUP_NAMES.index(name)
 
 
 class TestPerGroupSummary:
     def test_average_is_total_over_population(self):
         assignments = assign({f"c{i}": "exp_high_long" for i in range(4)} | {"x": "ret_low_short"})
         events = [event("c0", "x"), event("c1", "x")]
-        summary = per_group_summary([outcome(events)], assignments, {})
-        stats = summary.per_group["exp_high_long"]
-        assert stats.total_transmitted == 2
-        assert stats.avg_transmissions_per_individual == 0.5
-        assert summary.per_group["ret_low_short"].avg_receptions_per_individual == 2.0
+        summary = summarize([outcome(events)], assignments, {})
+        assert summary.transmitted[at("exp_high_long")] == 2
+        assert summary.per_individual(summary.transmitted)[at("exp_high_long")] == 0.5
+        assert summary.per_individual(summary.received)[at("ret_low_short")] == 2.0
 
     def test_totals_match_independent_scan(self):
         rnd = random.Random(0)
         cards = [f"c{i}" for i in range(40)]
-        assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
+        groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(200)]
         encounters = {c: rnd.randint(0, 50) for c in cards}
-        summary = per_group_summary([outcome(events)], assignments, encounters)
-        for name in GROUP_NAMES:
-            sent = sum(1 for e in events if assignments[e.infector].name == name)
-            got = sum(1 for e in events if assignments[e.infectee].name == name)
-            enc = sum(encounters[c] for c in cards if assignments[c].name == name)
-            assert summary.per_group[name].total_transmitted == sent
-            assert summary.per_group[name].total_received == got
-            assert summary.per_group[name].total_encounters == enc
+        summary = summarize([outcome(events)], assign(groups), encounters)
+        for i, name in enumerate(GROUP_NAMES):
+            sent = sum(1 for e in events if groups[e.infector] == name)
+            got = sum(1 for e in events if groups[e.infectee] == name)
+            enc = sum(encounters[c] for c in cards if groups[c] == name)
+            assert summary.transmitted[i] == sent
+            assert summary.received[i] == got
+            assert summary.encounters[i] == enc
+
+    def test_encounters_join_by_card_id(self):
+        # the encounter vocabulary is in another order than the assignments,
+        # holds an unclassified card and misses a classified one
+        assignments = assign({"a": "exp_high_long", "b": "ret_low_short", "c": "ret_low_short"})
+        summary = summarize([outcome([])], assignments, {"zz": 100, "c": 7, "a": 3})
+        assert summary.encounters.tolist() == [3, 0, 0, 0, 0, 0, 0, 7]
+        assert summary.population.tolist() == [1, 0, 0, 0, 0, 0, 0, 2]
 
     def test_ensemble_averages_totals(self):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
         runs = [outcome([event("a", "b")]), outcome([event("a", "b"), event("a", "b")])]
-        summary = per_group_summary(runs, assignments, {})
-        assert summary.per_group["exp_high_long"].total_transmitted == pytest.approx(1.5)
+        summary = summarize(runs, assignments, {})
+        assert summary.transmitted[at("exp_high_long")] == pytest.approx(1.5)
 
     def test_unclassified_passenger_is_an_error(self):
         assignments = assign({"a": "exp_high_long"})
         with pytest.raises(DataIntegrityError):
-            per_group_summary([outcome([event("a", "mystery")])], assignments, {})
+            summarize([outcome([event("a", "mystery")])], assignments, {})
+
+    def test_csv_columns(self, tmp_path):
+        assignments = assign({"a": "exp_high_long", "b": "exp_high_long", "c": "ret_low_short"})
+        runs = [outcome([event("a", "c")]), outcome([event("a", "c"), event("b", "c")])]
+        summarize(runs, assignments, {"a": 4, "b": 1, "c": 2}).to_csv(tmp_path / "s.csv")
+        rows = {r[0]: r[1:] for r in (line.split(",") for line in (tmp_path / "s.csv").read_text().splitlines())}
+        assert rows["group"] == ["population", "total_encounters", "total_transmitted", "total_received",
+                                 "avg_encounters_per_individual", "avg_transmissions_per_individual",
+                                 "avg_receptions_per_individual"]
+        assert rows["exp_high_long"] == ["2", "5.000000000", "1.500000000", "0.000000000",
+                                         "2.500000000", "0.750000000", "0.000000000"]
+        assert rows["ret_low_short"] == ["1", "2.000000000", "0.000000000", "1.500000000",
+                                         "2.000000000", "0.000000000", "1.500000000"]
+        assert rows["exp_low_long"] == ["0"] + ["0.000000000"] * 6
+        assert list(rows)[1:] == list(GROUP_NAMES)
 
 
 class TestFlowMatrix:
@@ -98,16 +130,16 @@ class TestFlowMatrix:
     def test_matches_independent_tally(self):
         rnd = random.Random(1)
         cards = [f"c{i}" for i in range(60)]
-        assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
+        groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(500)]
-        matrix = group_flow_matrix([outcome(events)], assignments)
-        sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
+        matrix = group_flow_matrix([outcome(events)], assign(groups))
+        sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
         for i, gi in enumerate(GROUP_NAMES):
             for j, gj in enumerate(GROUP_NAMES):
                 count = sum(
                     1
                     for e in events
-                    if assignments[e.infector].name == gi and assignments[e.infectee].name == gj
+                    if groups[e.infector] == gi and groups[e.infectee] == gj
                 )
                 want = count / sizes[gi] if sizes[gi] else 0.0
                 assert matrix.values[i, j] == pytest.approx(want, abs=1e-12)
@@ -115,17 +147,17 @@ class TestFlowMatrix:
     def test_row_and_column_identities(self):
         rnd = random.Random(2)
         cards = [f"c{i}" for i in range(50)]
-        assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
+        groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         runs = [
             outcome([event(rnd.choice(cards), rnd.choice(cards)) for _ in range(rnd.randint(50, 120))], run=r)
             for r in range(4)
         ]
-        sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix(runs, assignments)
-        summary = per_group_summary(runs, assignments, {})
+        sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
+        matrix = group_flow_matrix(runs, assign(groups))
+        summary = summarize(runs, assign(groups), {})
         for i, name in enumerate(GROUP_NAMES):
             assert matrix.values[i].sum() == pytest.approx(
-                summary.per_group[name].avg_transmissions_per_individual, abs=1e-9
+                summary.per_individual(summary.transmitted)[i], abs=1e-9
             )
         for j, name in enumerate(GROUP_NAMES):
             if sizes[name] == 0:
@@ -134,16 +166,16 @@ class TestFlowMatrix:
                 matrix.values[i, j] * sizes[gi] for i, gi in enumerate(GROUP_NAMES)
             )
             assert weighted / sizes[name] == pytest.approx(
-                summary.per_group[name].avg_receptions_per_individual, abs=1e-9
+                summary.per_individual(summary.received)[j], abs=1e-9
             )
 
     def test_total_mass_identity(self):
         rnd = random.Random(3)
         cards = [f"c{i}" for i in range(30)]
-        assignments = assign({c: GROUP_NAMES[rnd.randrange(8)] for c in cards})
+        groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(321)]
-        sizes = {name: sum(1 for g in assignments.values() if g.name == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix([outcome(events)], assignments)
+        sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
+        matrix = group_flow_matrix([outcome(events)], assign(groups))
         total = sum(
             matrix.values[i, j] * sizes[gi]
             for i, gi in enumerate(GROUP_NAMES)
@@ -214,10 +246,16 @@ class TestChordExport:
         assert [g["name"] for g in payload["groups"]] == list(GROUP_NAMES)
         assert all(g["color"].startswith("#") for g in payload["groups"])
 
-    def test_custom_scale_round_trips(self):
+    def test_export_records_its_scale(self):
+        assert chord_export(GroupMatrix(values=np.zeros((8, 8))))["scale"] == 1000.0
+
+    def test_import_honours_a_recorded_scale(self):
         rng = np.random.default_rng(7)
         matrix = GroupMatrix(values=rng.random((8, 8)))
-        payload = chord_export(matrix, scale=10_000.0)
+        payload = chord_export(matrix)
+        payload["scale"] = 10_000.0
+        for f in payload["flows"]:
+            f["value"] = int(round(matrix.entry(f["source"], f["target"]) * 10_000.0))
         back = chord_import(payload)
         assert np.max(np.abs(back.values - matrix.values)) <= 0.00005
 

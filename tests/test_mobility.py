@@ -67,7 +67,7 @@ class TestVisitProfile:
 
     def test_empty_table_has_no_visits(self):
         assert all(a.size == 0 for a in visit_counts(table([])))
-        assert mobility_table(table([])) == []
+        assert len(mobility_table(table([])).cards) == 0
 
     def test_cards_counted_apart(self):
         a, b, c = planar_stop("A", 0, 0), planar_stop("B", 0, 1), planar_stop("C", 1, 0)
@@ -226,6 +226,8 @@ def test_mobility_table_is_sorted_and_complete():
         trip("a", "v", 5, 20),
         trip("a", "v", 30, 40),
     ]
-    vectors = mobility_table(table(records), k=2, model=PLANAR)
-    assert [v.card_id for v in vectors] == ["a", "z"]
-    assert all(v.k_used == 2 for v in vectors)
+    mobility = mobility_table(table(records), k=2, model=PLANAR)
+    assert list(mobility.cards) == ["a", "z"]
+    assert mobility.k == 2
+    assert [c.dtype for c in (mobility.rg, mobility.rgk, mobility.encounters)] == [np.float64, np.float64, np.int64]
+    assert mobility.rg.shape == mobility.rgk.shape == mobility.encounters.shape == (2,)

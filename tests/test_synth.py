@@ -103,19 +103,17 @@ class TestPassengers:
             archetype_mix={"commuter": 1.0},
         )
         _, records = synthesize(cfg)
-        vectors = mobility_table(records)
-        result = classify_population(vectors)
+        result = classify_population(mobility_table(records))
         explorer_share = sum(
-            1 for g in result.assignments.values() if g.exploration == "exp"
-        ) / len(result.assignments)
+            1 for g in result.assignments.group.tolist() if GROUP_NAMES[g].startswith("exp_")
+        ) / len(result.assignments.cards)
         assert explorer_share == 0.0
 
     def test_default_mix_fills_all_groups(self):
         cfg = SynthConfig(n_passengers=1200, n_routes=12, stops_per_route=15, days=30, rng_seed=1)
         _, records = synthesize(cfg)
-        vectors = mobility_table(records)
-        result = classify_population(vectors)
-        sizes = Counter(g.name for g in result.assignments.values())
+        result = classify_population(mobility_table(records))
+        sizes = Counter(GROUP_NAMES[g] for g in result.assignments.group.tolist())
         assert all(sizes[name] > 0 for name in GROUP_NAMES), sizes
 
 
@@ -127,6 +125,20 @@ class TestConfig:
     def test_unknown_archetype_rejected(self):
         with pytest.raises(ValueError, match="unknown archetypes"):
             SynthConfig(archetype_mix={"wanderer": 1.0}).validate()
+
+    @pytest.mark.parametrize(
+        "mix",
+        [{"commuter": 1.5, "roamer": -0.5}, {"commuter": float("nan")}, {"commuter": float("inf"), "roamer": 1.0}],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_fractions_must_be_non_negative_and_finite(self, mix):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            SynthConfig(archetype_mix=mix).validate()
+
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0.0, -3.0])
+    def test_extent_must_be_positive_and_finite(self, extent):
+        with pytest.raises(ValueError, match="city_extent_km"):
+            SynthConfig(city_extent_km=extent).validate()
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
