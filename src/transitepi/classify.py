@@ -146,25 +146,6 @@ def classify_population(table: MobilityTable) -> ClassificationResult:
     )
 
 
-def group_shares(result: ClassificationResult) -> Dict[str, float]:
-    """Group percentages rounded to one decimal, summing to 100.0.
-
-    Uses largest-remainder apportionment at 0.1-point granularity so the
-    rounded values always reconcile.
-    """
-    if not len(result.assignments.cards):
-        raise ValueError("no assignments to summarize")
-    sizes = group_sizes(result.assignments).tolist()
-    population = len(result.assignments.cards)
-    exact_tenths = [1000.0 * size / population for size in sizes]
-    floors = [int(t) for t in exact_tenths]
-    remainder = 1000 - sum(floors)
-    by_fraction = sorted(range(len(GROUP_NAMES)), key=lambda g: (-(exact_tenths[g] - floors[g]), g))
-    for g in by_fraction[:remainder]:
-        floors[g] += 1
-    return {name: floor / 10.0 for name, floor in zip(GROUP_NAMES, floors)}
-
-
 def group_sizes(assignments: Assignments) -> np.ndarray:
     """Members per group in GROUP_NAMES order, empty groups as 0."""
     return np.bincount(assignments.group, minlength=len(GROUP_NAMES))

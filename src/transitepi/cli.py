@@ -27,7 +27,6 @@ from .classify import (
     ClassificationResult,
     DegenerateClusteringError,
     classify_population,
-    group_shares,
     read_assignments_csv,
     write_assignments_csv,
 )
@@ -347,8 +346,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
     if args.out_mobility:
         write_mobility_csv(table, args.out_mobility)
-    shares = group_shares(result)
-    logger.info("classified %d passengers; shares: %s", len(table.cards), shares)
+    logger.info("classified %d passengers; shares: %s", len(table.cards), result.shares)
     return EXIT_OK
 
 

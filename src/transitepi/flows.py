@@ -70,17 +70,6 @@ class GroupMatrix:
             for i, g in enumerate(self.groups):
                 writer.writerow([g] + [f"{v:.{PRECISION}f}" for v in self.values[i]])
 
-    @classmethod
-    def from_csv(cls, path) -> "GroupMatrix":
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            groups = tuple(header[1:])
-            rows = []
-            for row in reader:
-                rows.append([float(v) for v in row[1:]])
-        return cls(values=np.array(rows), groups=groups)
-
 
 @dataclass
 class GroupSummary:

@@ -14,6 +14,13 @@ whole (a bad cell, a blank line, a stop conflict, ISO times) goes through a
 row loop reads the rest, since a quoted field may span blocks.  Both paths
 append to the same typed columns, so no per-row Python object outlives its
 block.
+
+A file is parsed once.  Its table and report go to a hidden sidecar next to
+it (`.trips.csv.table` for `trips.csv`), keyed by a hash of the file's
+bytes, the delimiter and a hash of this module's source, and a later parse
+with the same key reads them back after checking the `TripTable` contract.
+A sidecar that is missing, stale, damaged or cannot be written costs only
+the parse; it never changes a result.
 """
 
 from __future__ import annotations
@@ -21,9 +28,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import stat
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from importlib.util import source_hash
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
@@ -57,6 +67,13 @@ _BLOCK_BYTES = 1 << 18
 
 # the required columns as numpy's reader gives them: ids as str objects, times and coordinates as float64
 _BLOCK_DTYPE = np.dtype([(c, object if c.endswith("_id") else np.float64) for c in REQUIRED_COLUMNS])
+
+# bytes of a trip file hashed at a time: the file is never held whole
+_HASH_CHUNK = 1 << 20
+
+# the TripTable arrays in the order a sidecar stores them, with their stored dtypes
+_SIDECAR_ARRAYS = (("stop_lat", "<f8"), ("stop_lon", "<f8"), ("card", "<i4"), ("vehicle", "<i4"),
+                   ("board_stop", "<i4"), ("alight_stop", "<i4"), ("board", "<f8"), ("alight", "<f8"))
 
 
 class SchemaError(Exception):
@@ -234,12 +251,140 @@ def parse_trip_records(
     required column is absent, OSError when the source cannot be read and
     ValueError when accepted rows give one stop id two coordinate pairs or
     when `delimiter` fails `check_delimiter`.
+
+    A path to a regular file is parsed once: a successful parse is stored in
+    the file's sidecar, and a later call for the same bytes, delimiter and
+    parser returns the stored table and report.  Streams are always parsed.
     """
     check_delimiter(delimiter)
-    if isinstance(source, (str, Path)):
-        with open(source, "r", newline="", encoding="utf-8") as fh:
-            return _parse_stream(fh, delimiter)
-    return _parse_stream(source, delimiter)
+    if not isinstance(source, (str, Path)):
+        return _parse_stream(source, delimiter)
+    key = _source_key(source, delimiter)
+    if key:
+        stored = _read_sidecar(_sidecar(source), key)
+        if stored:
+            return stored
+    with open(source, "r", newline="", encoding="utf-8") as fh:
+        trips, report = _parse_stream(fh, delimiter)
+    # a file that changed while it was parsed is not stored under either content's key
+    if key and _source_key(source, delimiter) == key:
+        _write_sidecar(_sidecar(source), key, trips, report)
+    return trips, report
+
+
+def _sidecar(path: Union[str, Path]) -> Path:
+    """Where the parse of the file at `path` is kept: `.trips.csv.table` next to `trips.csv`."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.table")
+
+
+def _parser_identity() -> str:
+    """A hash of this module's source and numpy's version: any other parser's sidecars are stale."""
+    return f"{source_hash(Path(__file__).read_bytes()).hex()} numpy {np.__version__}"
+
+
+def _source_key(path: Union[str, Path], delimiter: str) -> Optional[bytes]:
+    """The first line a sidecar must start with to stand for `path` parsed with `delimiter`.
+
+    It names a hash of the file's bytes, their count, the delimiter and the
+    parser.  None when `path` is not a regular file that can be read: a
+    pipe would be drained by the hashing.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        digests, size = [], 0
+        chunk = memoryview(bytearray(_HASH_CHUNK))
+        with open(path, "rb", buffering=0) as fh:
+            while n := fh.readinto(chunk):
+                digests.append(source_hash(chunk[:n]))
+                size += n
+        parser = _parser_identity()
+    except OSError:
+        return None
+    key = {"bytes": size, "delimiter": delimiter, "hash": source_hash(b"".join(digests)).hex(), "parser": parser}
+    return json.dumps(key, sort_keys=True).encode("ascii") + b"\n"
+
+
+def _write_sidecar(path: Path, key: bytes, trips: TripTable, report: IngestReport) -> None:
+    """Store a parse for `_read_sidecar`: the key line, a JSON header line, then the arrays' raw bytes.
+
+    The header holds the report and the vocabularies; the arrays are stored
+    little-endian in `_SIDECAR_ARRAYS` order.  The sidecar is written to a
+    temporary file and renamed into place, so a reader finds a whole one or
+    none; a directory that cannot be written, or a full disk, leaves none.
+    """
+    header = {"report": vars(report), "cards": trips.cards, "vehicles": trips.vehicles, "stops": trips.stops}
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            fh.write(key + json.dumps(header).encode("ascii") + b"\n")
+            for name, dtype in _SIDECAR_ARRAYS:
+                fh.write(np.ascontiguousarray(getattr(trips, name), dtype))
+        os.replace(temp, path)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+
+
+def _read_sidecar(path: Path, key: bytes) -> Optional[Tuple[TripTable, IngestReport]]:
+    """The parse stored at `path` under `key`, or None when there is none or it fails a check."""
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline(len(key)) != key:
+                return None
+            header = json.loads(fh.readline())
+            report = IngestReport(header["report"]["total_rows"], header["report"]["accepted"],
+                                  header["report"]["rejected_by_reason"])
+            vocabularies = header["cards"], header["vehicles"], header["stops"]
+            if not (_reconciles(report) and all(map(_sorted_ids, vocabularies))):
+                return None
+            counts = [len(header["stops"])] * 2 + [report.accepted] * 6
+            expected = sum(n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(counts, _SIDECAR_ARRAYS))
+            if os.fstat(fh.fileno()).st_size - fh.tell() != expected:
+                return None
+            arrays = {name: np.fromfile(fh, dtype, n).astype(dtype[1:], copy=False)
+                      for n, (name, dtype) in zip(counts, _SIDECAR_ARRAYS)}
+        trips = TripTable(*vocabularies, **arrays)
+        return (trips, report) if _well_formed(trips) else None
+    # a damaged header can fail as any of these, and a nested one as RecursionError
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+
+
+def _reconciles(report: IngestReport) -> bool:
+    """Non-negative integer counts, known rejection reasons, and accepted plus rejected rows equal to all rows."""
+    rejected = report.rejected_by_reason
+    if not isinstance(rejected, dict):
+        return False
+    reasons = {REASON_MISSING_FIELD, REASON_BAD_TIMESTAMP, REASON_BAD_COORDINATE, REASON_NON_POSITIVE_DURATION}
+    counts = [report.total_rows, report.accepted, *rejected.values()]
+    return (all(type(n) is int and n >= 0 for n in counts) and set(rejected) <= reasons
+            and 0 not in rejected.values() and report.total_rows == report.accepted + report.rejected)
+
+
+def _sorted_ids(ids) -> bool:
+    """A list of str in strictly increasing order."""
+    return isinstance(ids, list) and all(isinstance(i, str) for i in ids) and all(map(str.__lt__, ids, ids[1:]))
+
+
+def _well_formed(trips: TripTable) -> bool:
+    """Whether the arrays keep the TripTable contract.
+
+    Every code lies within its vocabulary, every id is used, every time is
+    finite with board before alight, and every stop lies on the globe.
+    """
+    def uses_each(codes: np.ndarray, ids: List[str]) -> bool:
+        counts = np.bincount(codes, minlength=len(ids))  # ValueError on a negative code
+        return counts.size == len(ids) and bool(counts.all())
+
+    stops = np.concatenate([trips.board_stop, trips.alight_stop])
+    return (uses_each(trips.card, trips.cards) and uses_each(trips.vehicle, trips.vehicles)
+            and uses_each(stops, trips.stops)
+            and bool((np.isfinite(trips.board) & np.isfinite(trips.alight) & (trips.board < trips.alight)).all())
+            and bool(((np.abs(trips.stop_lat) <= 90.0) & (np.abs(trips.stop_lon) <= 180.0)).all()))
 
 
 def check_delimiter(delimiter: str) -> None:

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .geo import local_km_to_latlon
+from .geo import latlon_to_local_km, local_km_to_latlon
 from .ingest import TripTable
 
 ARCHETYPES = ("commuter", "roamer", "long_hauler", "offpeak_regular")
@@ -46,6 +46,9 @@ DEFAULT_MIX: Dict[str, float] = {
 CITY_ORIGIN_LAT = -33.8688
 CITY_ORIGIN_LON = 151.2093
 BASE_EPOCH = 1_491_004_800  # 2017-04-01T00:00:00Z, start of day 0
+# stops lie up to the extent east and north of the origin: the largest extent
+# whose far corner still has a valid latitude and longitude
+MAX_EXTENT_KM = min(latlon_to_local_km(90.0, 180.0, CITY_ORIGIN_LAT, CITY_ORIGIN_LON))
 
 BUS_SPEED_KMH = 20.0
 PEAK_WINDOWS = ((7 * 3600, 9 * 3600), (17 * 3600, 19 * 3600))
@@ -88,8 +91,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.stops_per_route < 2:
             raise ValueError("stops_per_route must be >= 2")
-        if not (math.isfinite(self.city_extent_km) and self.city_extent_km > 0):
-            raise ValueError(f"city_extent_km must be positive and finite, got {self.city_extent_km}")
+        if not 0 < self.city_extent_km <= MAX_EXTENT_KM:
+            raise ValueError(f"city_extent_km must be positive and at most {MAX_EXTENT_KM:.1f} so that every stop "
+                             f"has a valid latitude and longitude, got {self.city_extent_km}")
         unknown = set(self.archetype_mix) - set(ARCHETYPES)
         if unknown:
             raise ValueError(f"unknown archetypes: {sorted(unknown)}")

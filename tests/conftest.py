@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import sys
 from pathlib import Path
 from typing import Iterable, NamedTuple, Tuple
@@ -18,6 +19,7 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+from transitepi.flows import GroupMatrix
 from transitepi.ingest import TripTable
 
 Stop = Tuple[str, float, float]  # (stop id, lat, lon)
@@ -74,3 +76,10 @@ def same_table(a: TripTable, b: TripTable) -> bool:
         np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype
         for x, y in ((getattr(a, c), getattr(b, c)) for c in TABLE_COLUMNS)
     )
+
+
+def read_group_matrix(path) -> GroupMatrix:
+    """A matrix CSV as `GroupMatrix.to_csv` writes it: a header of group names, then one row per group."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    return GroupMatrix(values=np.array([[float(v) for v in row[1:]] for row in rows]), groups=tuple(header[1:]))

@@ -13,7 +13,6 @@ from transitepi.classify import (
     ClassificationResult,
     DegenerateClusteringError,
     classify_population,
-    group_shares,
     group_sizes,
     is_returner,
     kmeans_1d,
@@ -229,29 +228,6 @@ class TestColumnarClassification:
 
 
 class TestGroupShares:
-    def test_four_even_groups(self):
-        codes = [GROUP_NAMES.index(n) for n in ("exp_high_long", "exp_low_short", "ret_high_long", "ret_low_short")]
-        result = ClassificationResult(Assignments(["a", "b", "c", "d"], np.array(codes, np.int8)), centroids={})
-        shares = group_shares(result)
-        assert shares["exp_high_long"] == 25.0
-        assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
-
-    def test_shares_match_tally_oracle(self):
-        rnd = random.Random(13)
-        group = np.array([rnd.randrange(8) for _ in range(997)], np.int8)
-        result = ClassificationResult(Assignments([f"c{i}" for i in range(997)], group), centroids={})
-        shares = group_shares(result)
-        tally = {name: 0 for name in GROUP_NAMES}
-        for g in group.tolist():
-            tally[GROUP_NAMES[g]] += 1
-        assert sum(shares.values()) == pytest.approx(100.0, abs=0.1)
-        for name in GROUP_NAMES:
-            assert shares[name] == pytest.approx(100.0 * tally[name] / 997, abs=0.1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            group_shares(ClassificationResult(Assignments([], np.zeros(0, np.int8)), centroids={}))
-
     def test_sizes_count_every_group(self):
         sizes = group_sizes(Assignments(["a", "b", "c"], np.array([7, 0, 7], np.int8)))
         assert sizes.tolist() == [1, 0, 0, 0, 0, 0, 0, 2]

@@ -9,9 +9,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transitepi import cli, sim
+from conftest import read_group_matrix
+from transitepi import cli, ingest, sim
 from transitepi.cli import main
-from transitepi.flows import GroupMatrix
 from transitepi.ingest import parse_trip_records
 
 SYNTH = {
@@ -71,8 +71,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--mix", "commuter=1.5,roamer=-0.5"], ["--extent-km", "nan"], ["--extent-km", "inf"]],
-        ids=["negative-fraction", "nan-extent", "inf-extent"],
+        [["--mix", "commuter=1.5,roamer=-0.5"], ["--extent-km", "nan"], ["--extent-km", "inf"],
+         ["--extent-km", "1e308"]],
+        ids=["negative-fraction", "nan-extent", "inf-extent", "off-the-globe-extent"],
     )
     def test_bad_fraction_or_extent_is_config_error(self, tmp_path, caplog, flags):
         code = main([
@@ -396,7 +397,7 @@ def test_invalid_front_half_parameter_is_usage_error_before_any_trip_is_read(tmp
 
 
 class TestRowOrder:
-    """Every artifact is the same whatever the order of the trip file's rows."""
+    """Every artifact is the same whatever the order of the trip file's rows, parsed or read from its sidecar."""
 
     @pytest.fixture(scope="class")
     def unshuffled(self, tmp_path_factory):
@@ -424,6 +425,16 @@ class TestRowOrder:
         assert main(["analyze", "--input", str(work / "trips.csv"), "--assignments", str(out / "sim" / "assignments.csv"),
                      "--events-dir", str(out / "sim"), "--out-dir", str(out / "analysis")]) == 0
         return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_same_artifacts_with_and_without_the_sidecar(self, unshuffled):
+        work, text, want = unshuffled
+        (work / "trips.csv").write_text(text)
+        (work / ".trips.csv.table").unlink(missing_ok=True)
+        with mock.patch.object(ingest, "_write_sidecar"):
+            assert self.artifacts(work) == want  # every command parses
+        parse_trip_records(work / "trips.csv")
+        with mock.patch.object(ingest, "_parse_stream", side_effect=AssertionError("trips parsed")):
+            assert self.artifacts(work) == want  # no command parses
 
     @settings(max_examples=4)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -524,8 +535,8 @@ class TestAnalyze:
             "--events-dir", str(sim_dir), "--out-dir", str(out_dir),
         ])
         assert code == 0
-        matrix = GroupMatrix.from_csv(out_dir / "flow_matrix.csv")
-        reference = GroupMatrix.from_csv(sim_dir / "flow_matrix.csv")
+        matrix = read_group_matrix(out_dir / "flow_matrix.csv")
+        reference = read_group_matrix(sim_dir / "flow_matrix.csv")
         assert (matrix.values == reference.values).all()
         chord = json.loads((out_dir / "chord.json").read_text())
         assert len(chord["flows"]) == 64

@@ -16,6 +16,7 @@ from transitepi.flows import (
     group_flow_matrix,
     per_group_summary,
 )
+from conftest import read_group_matrix
 from oracles import InfectionEvent
 from transitepi.sim import SimOutcome
 
@@ -265,6 +266,6 @@ def test_matrix_csv_round_trip(tmp_path):
     matrix = GroupMatrix(values=rng.random((8, 8)))
     path = tmp_path / "m.csv"
     matrix.to_csv(path)
-    back = GroupMatrix.from_csv(path)
+    back = read_group_matrix(path)
     assert back.groups == matrix.groups
     assert np.max(np.abs(back.values - matrix.values)) < 1e-9

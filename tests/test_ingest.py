@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
+import json
+import os
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -341,12 +348,41 @@ TABLE_ARRAYS = ("stop_lat", "stop_lon", "card", "vehicle", "board_stop", "alight
 
 def parse_outcome(text: str, delimiter: str):
     """The parse of `text` as comparable values: every column with its dtype and the report, or the error."""
+    return outcome(io.StringIO(text, newline=""), delimiter)
+
+
+def outcome(source, delimiter: str):
     try:
-        trips, report = parse_trip_records(io.StringIO(text, newline=""), delimiter)
+        trips, report = parse_trip_records(source, delimiter)
     except (ValueError, SchemaError, csv.Error) as exc:
         return type(exc), str(exc)
     columns = {c: (getattr(trips, c).tolist(), getattr(trips, c).dtype) for c in TABLE_ARRAYS}
     return trips.cards, trips.vehicles, trips.stops, columns, report
+
+
+SIDECAR = ".trips.csv.table"
+
+
+def not_parsed():
+    return mock.patch.object(ingest, "_parse_stream", side_effect=AssertionError("parsed, not read from the sidecar"))
+
+
+def file_outcome(text: str, delimiter: str):
+    """`parse_outcome` of `text` saved as a file, parsed cold and then warm.
+
+    The cold parse stores a sidecar unless it raises, and the warm one reads
+    it back with the same outcome.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trips.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        cold = outcome(path, delimiter)
+        stored = (Path(tmp) / SIDECAR).exists()
+        assert stored == (len(cold) != 2)  # an error outcome is (type, message)
+        with not_parsed() if stored else contextlib.nullcontext():
+            assert outcome(path, delimiter) == cold
+        return cold
 
 
 def row_loop_only():
@@ -364,6 +400,7 @@ class TestBlocks:
         delimiter, text = case
         with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             vectorised = parse_outcome(text, delimiter)
+            assert file_outcome(text, delimiter) == vectorised
             with row_loop_only():
                 assert parse_outcome(text, delimiter) == vectorised
 
@@ -382,6 +419,7 @@ class TestBlocks:
             text = "\r\n".join([HEADER, *body]).replace(",", delimiter) + "\r\n"
             with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
                 vectorised = parse_outcome(text, delimiter)
+                assert file_outcome(text, delimiter) == vectorised, (line, at, block_bytes)
                 with row_loop_only():
                     assert parse_outcome(text, delimiter) == vectorised, (line, at, block_bytes)
 
@@ -396,8 +434,10 @@ class TestBlocks:
             return row(card=card, board=board, alight="2017-04-01T09:00:00" if board.startswith("2017") else "200")
 
         rows = [timed("c0", first)] + [timed(f"c{i}", then) for i in range(1, 4)] + [timed("c9", first)]
+        text = "\n".join([HEADER, *rows]) + "\n"
         with mock.patch.object(ingest, "_BLOCK_BYTES", 1):
-            trips, report = parse_text("\n".join([HEADER, *rows]) + "\n")
+            trips, report = parse_text(text)
+            assert file_outcome(text, ",") == parse_outcome(text, ",")
         assert report.rejected_by_reason == {"bad timestamp": 3}
         assert trips.cards == ["c0", "c9"]
 
@@ -417,3 +457,190 @@ class TestBlocks:
         assert len(taken) > 1 and all(taken)
         assert report.accepted == report.total_rows == len(trips)
         assert same_table(back, trips)
+        with not_parsed():
+            warm, warm_report = parse_trip_records(tmp_path / "trips.csv")
+        assert same_table(warm, back) and warm_report == report
+
+
+def write_month(directory: Path) -> Path:
+    """A small synthetic month as `directory / trips.csv`."""
+    _, trips = synthesize(SynthConfig(n_passengers=30, n_routes=4, stops_per_route=6, days=5, rng_seed=4))
+    write_trip_csv(trips, directory / "trips.csv")
+    return directory / "trips.csv"
+
+
+def load_sidecar(path: Path):
+    """A sidecar's key line, its JSON header and its arrays by name."""
+    with open(path, "rb") as fh:
+        key, header = fh.readline(), json.loads(fh.readline())
+        arrays = {name: np.fromfile(fh, dtype, len(header["stops"]) if name.startswith("stop_")
+                                    else header["report"]["accepted"])
+                  for name, dtype in ingest._SIDECAR_ARRAYS}
+    return key, header, arrays
+
+
+def save_sidecar(path: Path, key: bytes, header: dict, arrays: dict) -> None:
+    with open(path, "wb") as fh:
+        fh.write(key + json.dumps(header).encode("ascii") + b"\n")
+        for name, dtype in ingest._SIDECAR_ARRAYS:
+            fh.write(arrays[name].astype(dtype).tobytes())
+
+
+def tampered(change):
+    """A damage to a sidecar that keeps its key: `change` edits the header and arrays in place."""
+    def damage(path: Path) -> None:
+        key, header, arrays = load_sidecar(path)
+        change(header, arrays)
+        save_sidecar(path, key, header, arrays)
+    return damage
+
+
+def rewritten(path: Path, data) -> None:
+    path.write_bytes(data(path.read_bytes()))
+
+
+def another_delimiter(path: Path) -> None:
+    _, header, arrays = load_sidecar(path)
+    save_sidecar(path, ingest._source_key(path.with_name("trips.csv"), ";"), header, arrays)
+
+
+def array_item(name, index, value):
+    """A tampering that sets one array element; `value` may be a function of the header and the arrays."""
+    def change(header, arrays):
+        arrays[name][index] = value(header, arrays) if callable(value) else value
+    return change
+
+
+def report_fields(**fields):
+    """A tampering that sets report fields; each value may be a function of the report."""
+    def change(header, arrays):
+        report = header["report"]
+        report.update({k: v(report) if callable(v) else v for k, v in fields.items()})
+    return change
+
+
+DAMAGES = {
+    "truncated": lambda p: rewritten(p, lambda b: b[: len(b) // 2]),
+    "one byte short": lambda p: rewritten(p, lambda b: b[:-1]),
+    "one byte long": lambda p: rewritten(p, lambda b: b + b"\0"),
+    "garbage": lambda p: rewritten(p, lambda b: bytes(range(256)) * 4),
+    "garbage after the key": lambda p: rewritten(p, lambda b: b.split(b"\n")[0] + b"\n[[[{\n" + b"\xff" * 64),
+    "empty": lambda p: rewritten(p, lambda b: b""),
+    "another delimiter": another_delimiter,
+    "code out of range": tampered(array_item("card", 0, lambda h, a: len(h["cards"]))),
+    "negative code": tampered(array_item("vehicle", 0, -1)),
+    "stop code out of range": tampered(array_item("alight_stop", -1, lambda h, a: len(h["stops"]))),
+    "unsorted vocabulary": tampered(lambda h, a: h["cards"].reverse()),
+    "duplicate id": tampered(lambda h, a: h["vehicles"].__setitem__(1, h["vehicles"][0])),
+    "unused vocabulary id": tampered(lambda h, a: h["cards"].append("~unused")),
+    "id not a string": tampered(lambda h, a: h["stops"].__setitem__(0, 7)),
+    "board at alight": tampered(array_item("board", 3, lambda h, a: a["alight"][3])),
+    "board after alight": tampered(array_item("board", 0, lambda h, a: a["alight"][0] + 1.0)),
+    "non-finite alight": tampered(array_item("alight", 2, np.inf)),
+    "nan board": tampered(array_item("board", 1, np.nan)),
+    "stop off the globe": tampered(array_item("stop_lat", 0, 91.0)),
+    "total rows off": tampered(report_fields(total_rows=lambda r: r["total_rows"] + 1)),
+    "accepted off": tampered(report_fields(accepted=lambda r: r["accepted"] - 1)),
+    "unknown reason": tampered(report_fields(total_rows=lambda r: r["total_rows"] + 1,
+                                             rejected_by_reason={"gremlins": 1})),
+    "count not an integer": tampered(report_fields(total_rows=lambda r: float(r["total_rows"]))),
+    "reasons not an object": tampered(report_fields(rejected_by_reason=[])),
+    "report not an object": tampered(lambda h, a: h.update(report=[1, 2, 3])),
+}
+
+
+class TestSidecar:
+    """A trip file is parsed once; its sidecar never changes a result."""
+
+    def test_warm_parse_equals_cold(self, tmp_path):
+        path = write_month(tmp_path)
+        cold, cold_report = parse_trip_records(path)
+        assert (tmp_path / SIDECAR).is_file()
+        with not_parsed():
+            warm, warm_report = parse_trip_records(str(path))
+        assert same_table(warm, cold) and warm_report == cold_report
+        assert same_table(cold, parse_trip_records(io.StringIO(path.read_bytes().decode(), newline=""))[0])
+
+    def test_changed_byte_at_same_size_reparses(self, tmp_path):
+        path = write_month(tmp_path)
+        parse_trip_records(path)
+        data = path.read_bytes()
+        at = data.rindex(b"\n", 0, len(data) - 1) + 1  # the last row starts with its card id
+        changed = data[:at] + (b"Q" if data[at:at + 1] != b"Q" else b"R") + data[at + 1:]
+        path.write_bytes(changed)
+        trips, report = parse_trip_records(path)
+        want, want_report = parse_trip_records(io.StringIO(changed.decode(), newline=""))
+        assert same_table(trips, want) and report == want_report
+        with not_parsed():
+            assert same_table(parse_trip_records(path)[0], want)
+
+    @pytest.mark.parametrize("damage", DAMAGES.values(), ids=DAMAGES.keys())
+    def test_damaged_sidecar_is_ignored_and_rewritten(self, tmp_path, damage):
+        path = write_month(tmp_path)
+        cold, cold_report = parse_trip_records(path)
+        sidecar = tmp_path / SIDECAR
+        good = sidecar.read_bytes()
+        damage(sidecar)
+        assert sidecar.read_bytes() != good
+        parse = mock.Mock(wraps=ingest._parse_stream)
+        with mock.patch.object(ingest, "_parse_stream", parse):
+            trips, report = parse_trip_records(path)
+        assert parse.call_count == 1
+        assert same_table(trips, cold) and report == cold_report
+        assert sidecar.read_bytes() == good
+
+    def test_parser_identity_is_part_of_the_key(self, tmp_path, monkeypatch):
+        path = write_month(tmp_path)
+        cold, _ = parse_trip_records(path)
+        monkeypatch.setattr(ingest, "_parser_identity", lambda: "another parser")
+        parse = mock.Mock(wraps=ingest._parse_stream)
+        with mock.patch.object(ingest, "_parse_stream", parse):
+            trips, _ = parse_trip_records(path)
+            assert parse.call_count == 1
+            parse_trip_records(path)
+            assert parse.call_count == 1
+        assert same_table(trips, cold)
+        assert b"another parser" in (tmp_path / SIDECAR).read_bytes().split(b"\n")[0]
+
+    def test_read_only_directory_parses_and_writes_nothing(self, tmp_path, monkeypatch):
+        path = write_month(tmp_path)
+        want, want_report = parse_trip_records(io.StringIO(path.read_bytes().decode(), newline=""))
+        if os.geteuid() == 0:
+            # a superuser writes past the mode bits: refuse new files as the mode would
+            def refuse_writes(file, mode="r", *args, **kwargs):
+                if "w" in mode or "x" in mode:
+                    raise PermissionError(13, "Permission denied", str(file))
+                return open(file, mode, *args, **kwargs)
+
+            monkeypatch.setattr(ingest, "open", refuse_writes, raising=False)
+        tmp_path.chmod(0o555)
+        try:
+            for _ in range(2):
+                trips, report = parse_trip_records(path)
+                assert same_table(trips, want) and report == want_report
+        finally:
+            tmp_path.chmod(0o755)
+        assert [p.name for p in tmp_path.iterdir()] == ["trips.csv"]
+
+    def test_stream_writes_nothing(self, tmp_path):
+        path = write_month(tmp_path)
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            trips, _ = parse_trip_records(fh)
+        assert len(trips) and [p.name for p in tmp_path.iterdir()] == ["trips.csv"]
+
+    def test_pipe_is_not_read_for_a_key(self, tmp_path):
+        fifo = tmp_path / "trips.csv"
+        os.mkfifo(fifo)
+        assert ingest._source_key(fifo, ",") is None  # an open would block here, with no writer
+
+    @pytest.mark.parametrize("text, error", [
+        (HEADER.replace("vehicle_id", "bus") + "\n" + row() + "\n", SchemaError),
+        ("\n".join([HEADER, row(), row(card="c2", blat="-33.7")]) + "\n", ValueError),
+    ], ids=["schema", "stop conflict"])
+    def test_failed_parse_stores_nothing(self, tmp_path, text, error):
+        path = tmp_path / "trips.csv"
+        path.write_text(text)
+        for _ in range(2):
+            with pytest.raises(error):
+                parse_trip_records(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["trips.csv"]

@@ -15,6 +15,7 @@ from transitepi.mobility import mobility_table
 from transitepi.synth import (
     CITY_ORIGIN_LAT,
     CITY_ORIGIN_LON,
+    MAX_EXTENT_KM,
     SynthConfig,
     generate_network,
     synthesize,
@@ -135,10 +136,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="non-negative and finite"):
             SynthConfig(archetype_mix=mix).validate()
 
-    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0.0, -3.0])
+    # 1e200 and 1e308 would put stops off the globe, the latter overflowing on the way
+    @pytest.mark.parametrize("extent", [float("nan"), float("inf"), 0.0, -3.0, 1e200, 1e308, MAX_EXTENT_KM * 1.001])
     def test_extent_must_be_positive_and_finite(self, extent):
         with pytest.raises(ValueError, match="city_extent_km"):
             SynthConfig(city_extent_km=extent).validate()
+
+    def test_largest_extent_reingests_with_zero_rejections(self):
+        cfg = SynthConfig(n_passengers=20, n_routes=4, stops_per_route=6, days=3, rng_seed=2,
+                          min_trips_per_passenger=1, city_extent_km=MAX_EXTENT_KM)
+        _, records = synthesize(cfg)
+        back, report = parse_trip_records(io.StringIO(csv_bytes(records).decode()))
+        assert report.rejected == 0
+        assert same_table(back, records)
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
