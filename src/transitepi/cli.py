@@ -640,7 +640,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
-    except (SchemaError, DataIntegrityError, DegenerateClusteringError, OSError, ValueError) as exc:
+    except (SchemaError, DataIntegrityError, DegenerateClusteringError, OSError, ValueError, csv.Error) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -7,13 +7,13 @@ stream or a stop id given two coordinate pairs is fatal.
 Accepted trips are held in one columnar `TripTable`: integer codes for card,
 vehicle and stops over id-sorted vocabularies, float board and alight times,
 and one (lat, lon) pair per stop.  The parser reads the body in blocks of
-lines.  A block without a quote character is read by numpy's C reader in
-one call, then checked and coded column by column; a block it cannot take
-whole (a bad cell, a blank line, a stop conflict, ISO times) goes through a
-`csv` row loop that rejects row by row with a reason, and after a quote the
-row loop reads the rest, since a quoted field may span blocks.  Both paths
-append to the same typed columns, so no per-row Python object outlives its
-block.
+lines and turns each block into columns: numpy's C reader takes a
+quote-free block it can read whole, ids as text and numbers as float64,
+and the `csv` module any other (a blank line, a cell that is no number, a
+NUL) and after a quote the rest, since a quoted field may span blocks.
+One vectorised checker then gives each row its first failing reason,
+keeps each time column's format (epoch seconds or ISO-8601, fixed by its
+first cell that parses), and codes the accepted rows into typed columns.
 
 A file is parsed once.  Its table and report go to a hidden sidecar next to
 it (`.trips.csv.table` for `trips.csv`), keyed by a hash of the file's
@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import stat
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib.util import source_hash
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -64,9 +64,6 @@ BLOCK_ROWS = 8192
 
 # characters of whole lines read at a time by parse_trip_records
 _BLOCK_BYTES = 1 << 18
-
-# the required columns as numpy's reader gives them: ids as str objects, times and coordinates as float64
-_BLOCK_DTYPE = np.dtype([(c, object if c.endswith("_id") else np.float64) for c in REQUIRED_COLUMNS])
 
 # bytes of a trip file hashed at a time: the file is never held whole
 _HASH_CHUNK = 1 << 20
@@ -170,8 +167,8 @@ class IngestReport:
     accepted: int = 0
     rejected_by_reason: Dict[str, int] = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + 1
+    def reject(self, reason: str, rows: int = 1) -> None:
+        self.rejected_by_reason[reason] = self.rejected_by_reason.get(reason, 0) + rows
 
     @property
     def rejected(self) -> int:
@@ -187,58 +184,6 @@ class IngestReport:
             sort_keys=True,
             indent=2,
         )
-
-
-class _TimeColumn:
-    """Per-column timestamp parser for stripped cells.
-
-    The format (epoch seconds or ISO-8601) is locked on the first cell that
-    parses; later cells must follow the same format.
-    """
-
-    def __init__(self) -> None:
-        self.format: Optional[Callable[[str], Optional[float]]] = None
-
-    def parse(self, text: str) -> Optional[float]:
-        if not text:
-            return None
-        for parser in (self.format,) if self.format else (_parse_epoch, _parse_iso):
-            value = parser(text)
-            if value is not None:
-                self.format = parser
-                return value
-        return None
-
-
-def _parse_epoch(text: str) -> Optional[float]:
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _parse_iso(text: str) -> Optional[float]:
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
-
-
-def _parse_coord(lat_text: str, lon_text: str) -> Optional[Tuple[float, float]]:
-    try:
-        lat = float(lat_text)
-        lon = float(lon_text)
-    except ValueError:
-        return None
-    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
-        return None
-    return (lat, lon)
 
 
 def parse_trip_records(
@@ -402,164 +347,224 @@ def _parse_stream(stream: TextIO, delimiter: str) -> Tuple[TripTable, IngestRepo
     missing = [c for c in REQUIRED_COLUMNS if c not in positions]
     if missing:
         raise SchemaError(f"missing required column(s): {', '.join(missing)}")
-    columns = _Columns([positions[c] for c in REQUIRED_COLUMNS], delimiter)
-    while True:
-        lines = stream.readlines(_BLOCK_BYTES)
-        if not lines:
-            break
-        if '"' in "".join(lines):
-            # a quoted field may span blocks: the csv module reads the rest
-            columns.rows(csv.reader(chain(lines, stream), delimiter=delimiter))
-            break
-        if not columns.block(lines):
-            columns.rows(csv.reader(lines, delimiter=delimiter))
+    columns = _Columns()
+    for cells, short in _blocks(stream, [positions[c] for c in REQUIRED_COLUMNS], delimiter, columns.dtype):
+        columns.add(cells, short)
     return columns.table(), columns.report
 
 
-class _Columns:
-    """Accepted rows so far: first-appearance id codes, stop coordinates by code, typed columns, the report.
+def _blocks(stream: TextIO, idx: List[int], delimiter: str,
+            dtype: Callable[[], np.dtype]) -> Iterator[Tuple[List[np.ndarray], np.ndarray]]:
+    """The body a block at a time: the cells at `idx` of each row as columns, and which rows are too short for them.
 
-    `rows` takes csv rows one at a time and rejects bad ones with a reason;
-    `block` takes a whole block of lines at once, or nothing.  Both append to
-    the same accumulators, so blocks may take either path in any order.
+    A quote-free block that numpy's C reader splits whole with the `dtype()`
+    of that moment is read in one call.  Any other block, say with a blank
+    line or a cell that is no number, goes through the `csv` module, and
+    from the first quote on so does the rest of the stream, since a quoted
+    field may span blocks.  Text cells come unstripped as str objects.
+    """
+    while lines := stream.readlines(_BLOCK_BYTES):
+        text = "".join(lines)
+        if '"' in text:
+            yield from _csv_blocks(chain(lines, stream), idx, delimiter, len(lines))
+            return
+        # numpy's reader skips blank lines and takes a NUL or a field over the csv
+        # module's size limit, which csv (before Python 3.11, for a NUL) refuses
+        if lines[0].strip() and "\x00" not in text and max(map(len, lines)) <= csv.field_size_limit():
+            try:
+                cells = np.loadtxt(lines, delimiter=delimiter, usecols=idx, dtype=dtype(), comments=None,
+                                   quotechar=None, ndmin=1)
+            except ValueError:
+                cells = ()
+            if len(cells) == len(lines):
+                yield [cells[c] for c in REQUIRED_COLUMNS], np.zeros(len(lines), bool)
+                continue
+        yield from _csv_blocks(lines, idx, delimiter, len(lines))
+
+
+def _csv_blocks(lines: Iterable[str], idx: List[int], delimiter: str,
+                block_rows: int) -> Iterator[Tuple[List[np.ndarray], np.ndarray]]:
+    """`_blocks` for lines read by the `csv` module, `block_rows` rows at a time.
+
+    A csv error is raised once the rows before it are yielded, so a stop
+    conflict among them still comes first.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    width = max(idx) + 1
+    pad = [""] * width
+    while True:
+        rows: List[List[str]] = []
+        error = None
+        try:
+            rows.extend(islice(reader, block_rows))  # keeps the rows read before an error
+        except csv.Error as exc:
+            error = exc
+        if rows:
+            short = np.fromiter(map(len, rows), np.intp, len(rows)) < width
+            # a short row is padded with empty cells, which `short` overrides
+            cells = list(map(itemgetter(*idx), map(add, rows, repeat(pad))))
+            yield list(np.array(cells, object).T), short
+        if error is not None:
+            raise error
+        if len(rows) < block_rows:
+            return
+
+
+class _Columns:
+    """Rows accepted so far as typed columns, and the report, one block of rows at a time.
+
+    The vocabularies code every id a row names, accepted or not; a stop's
+    coordinates are NaN until a row with it is accepted, and `table` keeps
+    only what accepted rows use.  Each time column keeps its format across
+    blocks: None until one of its cells parses, then whether it is ISO-8601.
     """
 
-    def __init__(self, idx: List[int], delimiter: str) -> None:
-        self.idx = idx
-        self.delimiter = delimiter
-        self.board_col = _TimeColumn()
-        self.alight_col = _TimeColumn()
-        self.cards: Dict[str, int] = {}
-        self.vehicles: Dict[str, int] = {}
-        self.stops: Dict[str, int] = {}
-        self.stop_lat, self.stop_lon = array("d"), array("d")
+    def __init__(self) -> None:
+        self.board_iso: Optional[bool] = None
+        self.alight_iso: Optional[bool] = None
+        self.cards, self.vehicles, self.stops = {}, {}, {}  # id -> code
+        self.stop_coords = np.empty((0, 2))  # (lat, lon) by stop code
         self.card, self.vehicle, self.board_stop, self.alight_stop = (array("i") for _ in range(4))
         self.board, self.alight = array("d"), array("d")
         self.report = IngestReport()
 
-    def stop_code(self, stop_id: str, coord: Tuple[float, float]) -> int:
-        code = self.stops.setdefault(stop_id, len(self.stops))
-        if code == len(self.stop_lat):
-            self.stop_lat.append(coord[0])
-            self.stop_lon.append(coord[1])
-            return code
-        known = (self.stop_lat[code], self.stop_lon[code])
-        if known != coord:
-            raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
-        return code
+    def dtype(self) -> np.dtype:
+        """How numpy's reader reads the next block: ids, and times locked to ISO-8601, as text, the rest as float64."""
+        text = {"board_time": self.board_iso, "alight_time": self.alight_iso}
+        return np.dtype([(c, object if c.endswith("_id") or text.get(c) else np.float64) for c in REQUIRED_COLUMNS])
 
-    def rows(self, reader: Iterable[List[str]]) -> None:
-        width = max(self.idx) + 1
-        report = self.report
-        for row in reader:
-            report.total_rows += 1
-            if len(row) < width:
-                report.reject(REASON_MISSING_FIELD)
-                continue
-            (card_id, vehicle_id, board_text, alight_text,
-             b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = [row[i].strip() for i in self.idx]
-            if not card_id or not vehicle_id or not b_stop or not a_stop:
-                report.reject(REASON_MISSING_FIELD)
-                continue
-            board_time = self.board_col.parse(board_text)
-            alight_time = self.alight_col.parse(alight_text)
-            if board_time is None or alight_time is None:
-                report.reject(REASON_BAD_TIMESTAMP)
-                continue
-            board_coord = _parse_coord(b_lat, b_lon)
-            alight_coord = _parse_coord(a_lat, a_lon)
-            if board_coord is None or alight_coord is None:
-                report.reject(REASON_BAD_COORDINATE)
-                continue
-            if not board_time < alight_time:
-                report.reject(REASON_NON_POSITIVE_DURATION)
-                continue
-            self.board_stop.append(self.stop_code(b_stop, board_coord))
-            self.alight_stop.append(self.stop_code(a_stop, alight_coord))
-            self.card.append(self.cards.setdefault(card_id, len(self.cards)))
-            self.vehicle.append(self.vehicles.setdefault(vehicle_id, len(self.vehicles)))
-            self.board.append(board_time)
-            self.alight.append(alight_time)
-            report.accepted += 1
+    def add(self, cells: Sequence[np.ndarray], short: np.ndarray) -> None:
+        """Check one block's rows, count each rejected row under its first failing reason, keep the rest.
 
-    def block(self, lines: List[str]) -> bool:
-        """Take every row of quote-free `lines` through numpy's C reader, or take nothing and return False.
-
-        It declines unless `rows` would accept every line with epoch times
-        and no stop conflict, so the row loop gives every rejection and error.
+        `cells` holds a column per entry of `REQUIRED_COLUMNS`, as `_blocks`
+        gives them, and `short` the rows too short to hold them.  The first
+        row that gives a stop other coordinates than its first accepted row
+        raises ValueError.
         """
-        # a block of blank lines would make loadtxt warn of no data; the csv module refuses
-        # a field over its size limit and, before Python 3.11, a NUL: the row loop rejects
-        # or raises for all three
-        if (_parse_iso in (self.board_col.format, self.alight_col.format) or not lines[0].strip()
-                or max(map(len, lines)) > csv.field_size_limit() or "\x00" in "".join(lines)):
-            return False
-        try:
-            cols = np.loadtxt(lines, delimiter=self.delimiter, usecols=self.idx, dtype=_BLOCK_DTYPE,
-                              comments=None, quotechar=None, ndmin=1)
-        except ValueError:
-            return False
-        # loadtxt skips blank lines, which the row loop rejects
-        if cols.size != len(lines):
-            return False
-        board, alight = cols["board_time"], cols["alight_time"]
-        lat = np.stack([cols["board_lat"], cols["alight_lat"]], 1).ravel()
-        lon = np.stack([cols["board_lon"], cols["alight_lon"]], 1).ravel()
-        if not ((np.isfinite(board) & np.isfinite(alight) & (board < alight)).all()
-                and (np.abs(lat) <= 90.0).all() and (np.abs(lon) <= 180.0).all()):
-            return False
-        # stop ids interleaved as the row loop meets them: board, then alight
-        stop_ids = np.stack([cols["board_stop_id"], cols["alight_stop_id"]], 1).ravel()
-        plans = [_plan_codes(vocab, ids.tolist()) for vocab, ids in (
-            (self.cards, cols["card_id"]), (self.vehicles, cols["vehicle_id"]), (self.stops, stop_ids))]
-        if None in plans:
-            return False
-        (card, new_cards), (vehicle, new_vehicles), (stop, new_stops) = plans
-        # new stops take the highest codes; each keeps the coordinates of its first row
-        first = np.unique(stop, return_index=True)[1][-len(new_stops):] if new_stops else np.empty(0, np.intp)
-        known_lat = np.concatenate([np.array(self.stop_lat), lat[first]])
-        known_lon = np.concatenate([np.array(self.stop_lon), lon[first]])
-        if (known_lat[stop] != lat).any() or (known_lon[stop] != lon).any():
-            return False
-        for vocab, new in ((self.cards, new_cards), (self.vehicles, new_vehicles), (self.stops, new_stops)):
-            vocab.update(new)
-        for acc, values in ((self.stop_lat, lat[first]), (self.stop_lon, lon[first]),
-                            (self.card, card), (self.vehicle, vehicle),
+        card, vehicle = _codes(self.cards, cells[0]), _codes(self.vehicles, cells[1])
+        # each row's board point, then its alight point: stop code, latitude, longitude
+        stop = _codes(self.stops, np.stack([cells[4], cells[7]], 1).ravel())
+        lat = _floats(np.stack([cells[5], cells[8]], 1).ravel())
+        lon = _floats(np.stack([cells[6], cells[9]], 1).ravel())
+        coded, on_globe = stop >= 0, (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0)
+        missing = short | (card < 0) | (vehicle < 0) | ~(coded[0::2] & coded[1::2])
+        # a row that misses a field parses no time, so it locks no format
+        board, self.board_iso = _times(cells[2], ~missing, self.board_iso)
+        alight, self.alight_iso = _times(cells[3], ~missing, self.alight_iso)
+        timed = ~(missing | np.isnan(board) | np.isnan(alight))
+        placed = timed & on_globe[0::2] & on_globe[1::2]
+        accepted = placed & (board < alight)
+        report = self.report
+        report.total_rows += len(short)
+        report.accepted += int(np.count_nonzero(accepted))
+        for reason, rejected in ((REASON_MISSING_FIELD, missing), (REASON_BAD_TIMESTAMP, ~(missing | timed)),
+                                 (REASON_BAD_COORDINATE, timed & ~placed),
+                                 (REASON_NON_POSITIVE_DURATION, placed & ~accepted)):
+            if rejected.any():
+                report.reject(reason, int(np.count_nonzero(rejected)))
+
+        # the accepted rows' points in the order the rows meet them
+        points = np.repeat(accepted, 2)
+        stop, lat, lon = stop[points], lat[points], lon[points]
+        known = np.concatenate([self.stop_coords, np.full((len(self.stops) - len(self.stop_coords), 2), np.nan)])
+        # a stop no earlier row placed takes the coordinates of its first row here
+        fresh = np.flatnonzero(np.isnan(known[stop, 0]))
+        codes, first = np.unique(stop[fresh], return_index=True)
+        known[codes, 0], known[codes, 1] = lat[fresh[first]], lon[fresh[first]]
+        moved = np.flatnonzero((known[stop, 0] != lat) | (known[stop, 1] != lon))
+        if moved.size:
+            at = moved[0]
+            raise ValueError(f"stop {list(self.stops)[stop[at]]!r} has two coordinate pairs: "
+                             f"{tuple(known[stop[at]].tolist())} and {(float(lat[at]), float(lon[at]))}")
+        self.stop_coords = known
+        for acc, values in ((self.card, card[accepted]), (self.vehicle, vehicle[accepted]),
                             (self.board_stop, stop[0::2]), (self.alight_stop, stop[1::2]),
-                            (self.board, board), (self.alight, alight)):
+                            (self.board, board[accepted]), (self.alight, alight[accepted])):
             acc.frombytes(values.tobytes())
-        self.board_col.format = self.alight_col.format = _parse_epoch
-        self.report.total_rows += len(lines)
-        self.report.accepted += len(lines)
-        return True
 
     def table(self) -> TripTable:
         codes = (np.frombuffer(c, np.int32) for c in (self.card, self.vehicle, self.board_stop, self.alight_stop))
-        coords = np.column_stack([np.frombuffer(self.stop_lat), np.frombuffer(self.stop_lon)])
-        return _table(list(self.cards), list(self.vehicles), list(self.stops), coords, *codes,
+        return _table(list(self.cards), list(self.vehicles), list(self.stops), self.stop_coords, *codes,
                       np.frombuffer(self.board), np.frombuffer(self.alight))
 
 
-def _plan_codes(vocab: Dict[str, int], cells: List[str]) -> Optional[Tuple[np.ndarray, Dict[str, int]]]:
-    """Each stripped cell's int32 code over `vocab` extended in first-appearance order, and the extension.
+def _codes(vocab: Dict[str, int], cells: np.ndarray) -> np.ndarray:
+    """Each cell's int32 code over `vocab` once stripped, -1 where it strips to nothing.
 
-    None when a cell strips to nothing.  `vocab` itself is left as it is.
+    `vocab` takes the ids it lacks, in first-appearance order.
     """
+    cells = cells.tolist()
     code = np.fromiter(map(vocab.get, cells, repeat(-1)), np.int32, len(cells))
-    new: Dict[str, int] = {}
-    missing = np.flatnonzero(code < 0).tolist()
-    if missing:
+    unknown = np.flatnonzero(code < 0).tolist()
+    if unknown:
         # ids not seen before, or cells that need stripping
-        unknown = [cells[i] for i in missing]
-        local: Dict[str, int] = dict.fromkeys(unknown)
-        for cell in local:
+        raw = [cells[i] for i in unknown]
+        local = {}
+        for cell in dict.fromkeys(raw):
             ident = cell.strip()
-            if not ident:
-                return None
-            known = vocab.get(ident)
-            local[cell] = new.setdefault(ident, len(vocab) + len(new)) if known is None else known
-        code[missing] = np.fromiter(map(local.__getitem__, unknown), np.int32, len(unknown))
-    return code, new
+            local[cell] = vocab.setdefault(ident, len(vocab)) if ident else -1
+        code[unknown] = np.fromiter(map(local.__getitem__, raw), np.int32, len(raw))
+    return code
+
+
+def _times(cells: np.ndarray, eligible: np.ndarray, iso: Optional[bool]) -> Tuple[np.ndarray, Optional[bool]]:
+    """Each cell of one time column as seconds since the Unix epoch, and the column's format after them.
+
+    A cell that is no time in the column's format reads NaN.  `iso` is the
+    format so far: None until an `eligible` cell parses, then whether it is
+    ISO-8601.  The first eligible cell that parses, as finite epoch seconds
+    before ISO-8601, locks it.
+    """
+    if iso is None:
+        candidates = cells[eligible]
+        at = np.flatnonzero(~np.isnan(_floats(candidates)))
+        # the cells before the first epoch time are no times, or one of them locks ISO;
+        # a cell numpy's reader read as a number is none
+        before = candidates[:at[0] if at.size else len(candidates)]
+        if before.dtype == object and not np.isnan(_iso_seconds(before)).all():
+            iso = True
+        elif at.size:
+            iso = False
+    return (_iso_seconds(cells) if iso else _floats(cells)), iso
+
+
+def _floats(cells: np.ndarray) -> np.ndarray:
+    """Each cell as Python's `float` reads it once stripped, NaN where that is no finite number.
+
+    numpy's reader reads no number `float` refuses, and the cast of str cells
+    calls `float`: only a block whose cast fails is read cell by cell.
+    """
+    try:
+        values = cells.astype(np.float64, copy=False)
+    except ValueError:
+        values = np.fromiter(map(_float, cells.ravel().tolist()), np.float64, cells.size).reshape(cells.shape)
+    return np.where(np.isfinite(values), values, np.nan)
+
+
+def _float(cell: str) -> float:
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return np.nan
+
+
+def _iso_seconds(cells: np.ndarray) -> np.ndarray:
+    """Each cell as ISO-8601 seconds since the Unix epoch, naive times as UTC, NaN where it is none."""
+    cells = cells.tolist()
+    return np.fromiter(map(_parse_iso, cells), np.float64, len(cells))
+
+
+def _parse_iso(text: str) -> float:
+    text = text.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        return np.nan
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
 
 
 def filter_by_min_trips(trips: TripTable, threshold: int) -> TripTable:

@@ -63,10 +63,6 @@ import numpy as np
 from .contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
 from .ingest import TripTable
 
-SUSCEPTIBLE = "S"
-INFECTIOUS = "I"
-RECOVERED = "R"
-
 DEFAULT_SEEDS = 500
 DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
 DEFAULT_RUNS = 100
@@ -99,6 +95,9 @@ class SimConfig:
             raise ValueError(f"infectious_period must be finite and > 0, got {self.infectious_period}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        for name, value in (("start_time", self.start_time), ("end_time", self.end_time)):
+            if value is not None and not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.start_time is not None and self.end_time is not None:
             if self.end_time < self.start_time:
                 raise ValueError("end_time before start_time")
@@ -136,16 +135,6 @@ class SimOutcome:
     @property
     def attack_rate(self) -> float:
         return (len(self.seeds) + self.infectee.size) / len(self.population)
-
-    @property
-    def final_state(self) -> Dict[str, str]:
-        """Every passenger's state at `end_time`."""
-        state = dict.fromkeys(self.population, SUSCEPTIBLE)
-        infected = [(c, self.start_time) for c in self.seeds]
-        infected += zip([self.cards[v] for v in self.infectee.tolist()], self.time.tolist())
-        for card, t0 in infected:
-            state[card] = RECOVERED if t0 + self.period <= self.end_time else INFECTIOUS
-        return state
 
 
 # splitmix64 constants for the keyed Bernoulli stream

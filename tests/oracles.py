@@ -4,29 +4,188 @@ Everything here is deliberately written from first principles (plain loops,
 no shared helpers with the package) so a bug in the library cannot hide in
 its own oracle.  The one exception is `sir_reference`, which draws its seeds
 and keyed uniforms through the package so that its events can be compared
-with the simulator's one for one.
+with the simulator's one for one.  `parse_reference` builds its result with
+the package's `TripTable.from_columns` and `IngestReport`, which hold none
+of the rules it checks.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from datetime import datetime, timezone
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, TextIO, Tuple
 
 import numpy as np
 
 from transitepi.contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
-from transitepi.ingest import TripTable
-from transitepi.sim import (
-    INFECTIOUS,
-    RECOVERED,
-    SUSCEPTIBLE,
-    SimConfig,
-    SimOutcome,
-    _run_streams,
-    exposure_uniforms,
+from transitepi.ingest import (
+    REASON_BAD_COORDINATE,
+    REASON_BAD_TIMESTAMP,
+    REASON_MISSING_FIELD,
+    REASON_NON_POSITIVE_DURATION,
+    REQUIRED_COLUMNS,
+    IngestReport,
+    SchemaError,
+    TripTable,
 )
+from transitepi.sim import SimConfig, SimOutcome, _run_streams, exposure_uniforms
+
+SUSCEPTIBLE = "S"
+INFECTIOUS = "I"
+RECOVERED = "R"
+
+
+# --- trip records, one row at a time ------------------------------------------
+
+def parse_reference(stream: TextIO, delimiter: str = ",") -> Tuple[TripTable, IngestReport]:
+    """The trip-CSV rules applied by a `csv` row loop: the reference for `ingest.parse_trip_records`.
+
+    Each row is rejected with the first reason it fails (missing field, bad
+    timestamp, bad coordinate, non-positive duration); each time column
+    locks to the format of its first cell that parses, epoch seconds before
+    ISO-8601; the first accepted row that gives a stop a second coordinate
+    pair raises ValueError.
+    """
+    try:
+        header = next(csv.reader(stream, delimiter=delimiter))
+    except StopIteration:
+        raise SchemaError("empty input: no header row")
+    positions = {name.strip(): i for i, name in enumerate(header)}
+    missing = [c for c in REQUIRED_COLUMNS if c not in positions]
+    if missing:
+        raise SchemaError(f"missing required column(s): {', '.join(missing)}")
+    rows = _ReferenceRows([positions[c] for c in REQUIRED_COLUMNS])
+    rows.read(csv.reader(stream, delimiter=delimiter))
+    return rows.table(), rows.report
+
+
+class _TimeColumn:
+    """Per-column timestamp parser for stripped cells.
+
+    The format (epoch seconds or ISO-8601) is locked on the first cell that
+    parses; later cells must follow the same format.
+    """
+
+    def __init__(self) -> None:
+        self.format: Optional[Callable[[str], Optional[float]]] = None
+
+    def parse(self, text: str) -> Optional[float]:
+        if not text:
+            return None
+        for parser in (self.format,) if self.format else (_parse_epoch, _parse_iso):
+            value = parser(text)
+            if value is not None:
+                self.format = parser
+                return value
+        return None
+
+
+def _parse_epoch(text: str) -> Optional[float]:
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _parse_iso(text: str) -> Optional[float]:
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        dt = datetime.fromisoformat(text)
+    except ValueError:
+        return None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.timestamp()
+
+
+def _parse_coord(lat_text: str, lon_text: str) -> Optional[Tuple[float, float]]:
+    try:
+        lat = float(lat_text)
+        lon = float(lon_text)
+    except ValueError:
+        return None
+    if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+        return None
+    return (lat, lon)
+
+
+class _ReferenceRows:
+    """Accepted rows so far as first-appearance id codes, stop coordinates by stop id, and the report."""
+
+    def __init__(self, idx: List[int]) -> None:
+        self.idx = idx
+        self.board_col = _TimeColumn()
+        self.alight_col = _TimeColumn()
+        self.cards: Dict[str, int] = {}
+        self.vehicles: Dict[str, int] = {}
+        self.stops: Dict[str, int] = {}
+        self.stop_lat: List[float] = []
+        self.stop_lon: List[float] = []
+        self.card: List[int] = []
+        self.vehicle: List[int] = []
+        self.board_stop: List[int] = []
+        self.alight_stop: List[int] = []
+        self.board: List[float] = []
+        self.alight: List[float] = []
+        self.report = IngestReport()
+
+    def stop_code(self, stop_id: str, coord: Tuple[float, float]) -> int:
+        code = self.stops.setdefault(stop_id, len(self.stops))
+        if code == len(self.stop_lat):
+            self.stop_lat.append(coord[0])
+            self.stop_lon.append(coord[1])
+            return code
+        known = (self.stop_lat[code], self.stop_lon[code])
+        if known != coord:
+            raise ValueError(f"stop {stop_id!r} has two coordinate pairs: {known} and {coord}")
+        return code
+
+    def read(self, reader: Iterable[List[str]]) -> None:
+        width = max(self.idx) + 1
+        report = self.report
+        for row in reader:
+            report.total_rows += 1
+            if len(row) < width:
+                report.reject(REASON_MISSING_FIELD)
+                continue
+            (card_id, vehicle_id, board_text, alight_text,
+             b_stop, b_lat, b_lon, a_stop, a_lat, a_lon) = [row[i].strip() for i in self.idx]
+            if not card_id or not vehicle_id or not b_stop or not a_stop:
+                report.reject(REASON_MISSING_FIELD)
+                continue
+            board_time = self.board_col.parse(board_text)
+            alight_time = self.alight_col.parse(alight_text)
+            if board_time is None or alight_time is None:
+                report.reject(REASON_BAD_TIMESTAMP)
+                continue
+            board_coord = _parse_coord(b_lat, b_lon)
+            alight_coord = _parse_coord(a_lat, a_lon)
+            if board_coord is None or alight_coord is None:
+                report.reject(REASON_BAD_COORDINATE)
+                continue
+            if not board_time < alight_time:
+                report.reject(REASON_NON_POSITIVE_DURATION)
+                continue
+            self.board_stop.append(self.stop_code(b_stop, board_coord))
+            self.alight_stop.append(self.stop_code(a_stop, alight_coord))
+            self.card.append(self.cards.setdefault(card_id, len(self.cards)))
+            self.vehicle.append(self.vehicles.setdefault(vehicle_id, len(self.vehicles)))
+            self.board.append(board_time)
+            self.alight.append(alight_time)
+            report.accepted += 1
+
+    def table(self) -> TripTable:
+        cards, vehicles, stops = list(self.cards), list(self.vehicles), list(self.stops)
+        return TripTable.from_columns(
+            [cards[c] for c in self.card], [vehicles[v] for v in self.vehicle], self.board, self.alight,
+            [stops[s] for s in self.board_stop], [stops[s] for s in self.alight_stop],
+            {s: (self.stop_lat[c], self.stop_lon[c]) for c, s in enumerate(stops)},
+        )
 
 
 # --- exposure events ----------------------------------------------------------
@@ -350,6 +509,16 @@ def outcome_events(outcome: SimOutcome) -> List[InfectionEvent]:
             outcome.vehicle.tolist(), outcome.direct.tolist(),
         )
     ]
+
+
+def final_state(outcome: SimOutcome) -> Dict[str, str]:
+    """Every passenger's state at the outcome's `end_time`: S, I or R."""
+    state = dict.fromkeys(outcome.population, SUSCEPTIBLE)
+    infected = [(c, outcome.start_time) for c in outcome.seeds]
+    infected += zip([outcome.cards[v] for v in outcome.infectee.tolist()], outcome.time.tolist())
+    for card, t0 in infected:
+        state[card] = RECOVERED if t0 + outcome.period <= outcome.end_time else INFECTIOUS
+    return state
 
 
 @dataclass

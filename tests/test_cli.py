@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import random
 import shutil
@@ -139,6 +140,15 @@ class TestIngest:
         ])
         assert code == 2
         assert repr(stop) in caplog.text
+
+    def test_field_over_the_csv_size_limit_is_data_error(self, tmp_path, caplog):
+        path = tmp_path / "big.csv"
+        path.write_text(",".join(ingest.REQUIRED_COLUMNS) + "\n" + '"' + "c" * (csv.field_size_limit() + 1)
+                        + '",v1,100,200,sA,-33.8,151.2,sB,-33.9,151.3\n')
+        out = tmp_path / "out.csv"
+        assert main(["ingest", "--input", str(path), "--min-trips", "1", "--out", str(out)]) == 2
+        assert "field larger than field limit" in caplog.text
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
@@ -590,6 +600,23 @@ class TestAnalyze:
         ])
         assert code == 2
         assert f"infections_run000.csv:{line}:" in caplog.text
+
+    def test_field_over_the_csv_size_limit_in_infection_log_is_data_error(self, tmp_path, trips_csv, caplog):
+        events_dir = tmp_path / "events"
+        events_dir.mkdir()
+        (events_dir / "infections_run000.csv").write_text(
+            'infector,infectee,time,vehicle_id,kind\n"' + "a" * (csv.field_size_limit() + 1) + '",b,100.0,v,direct\n'
+        )
+        assignments = tmp_path / "assignments.csv"
+        assignments.write_text("card_id,group\n")
+        out_dir = tmp_path / "analysis"
+        code = main([
+            "analyze", "--input", trips_csv, "--min-trips", "10",
+            "--assignments", str(assignments), "--events-dir", str(events_dir), "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        assert "field larger than field limit" in caplog.text
+        assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
         "content, line",

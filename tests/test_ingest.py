@@ -8,6 +8,8 @@ import json
 import os
 import random
 import tempfile
+import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import same_table, table, trip
+from oracles import parse_reference
 from transitepi import ingest
 from transitepi.synth import SynthConfig, synthesize
 from transitepi.ingest import (
@@ -40,6 +43,16 @@ def row(card="c1", veh="v1", board="100", alight="200", bstop="sA", blat="-33.8"
 
 def parse_text(text: str):
     return parse_trip_records(io.StringIO(text))
+
+
+@pytest.fixture
+def local_zone_not_utc(monkeypatch):
+    """The process's local time zone set to UTC+10 for the test: naive ISO times must still read as UTC."""
+    monkeypatch.setenv("TZ", "AEST-10")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
 
 
 class TestParse:
@@ -80,12 +93,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="alight_time"):
             parse_text(header + "\n" + row())
 
-    def test_iso_timestamps(self):
+    def test_iso_timestamps(self, local_zone_not_utc):
         text = "\n".join(
             [HEADER, row(board="2017-04-01T08:00:00", alight="2017-04-01T08:10:00")]
         )
         records, _ = parse_text(text)
         assert records.alight[0] - records.board[0] == 600.0
+        assert records.board[0] == 1_491_033_600.0  # naive is UTC
 
     def test_mixed_timestamp_formats_in_column_rejected(self):
         rows = [row(board="100"), row(board="2017-04-01T08:00:00", alight="9999999999")]
@@ -299,32 +313,50 @@ def test_header_only_file_is_empty_not_error():
     assert report.total_rows == 0
 
 
-# Cells for the block-versus-row-loop comparison: clean ones, then odd ones
-# that a row may carry in one cell.
-CLEAN = {"card_id": ["c1", "c2", "c3"], "vehicle_id": ["v1", "v2"], "board_time": ["100", "150.5"],
-         "alight_time": ["300", "250"], "board_stop_id": ["sA", "sB", "sC"], "alight_stop_id": ["sB", "sC", "sA"]}
+# Cells for the comparison with the reference row loop: clean ones, then odd
+# ones that a row may carry in one cell.  Clean times are seconds after DAY0,
+# written in the file's time format.
+DAY0 = 1_491_004_800  # 2017-04-01T00:00:00Z
+CLEAN = {"card_id": ["c1", "c2", "c3"], "vehicle_id": ["v1", "v2"], "board_time": [100, 150.5],
+         "alight_time": [300, 250], "board_stop_id": ["sA", "sB", "sC"], "alight_stop_id": ["sB", "sC", "sA"]}
 STOPS = {"sA": ("-33.8", "151.2"), "sB": ("-33.9", "151.3"), "sC": ("-33.7", "151.1")}
 ODD_IDS = [" c1", "c2\x00", "\x00", "", "  ", "c\r1", "sA ", "\tsB"]
-ODD_TIMES = [" 120 ", "nan", "-inf", "inf", "1e400", "1_000", "١٢", "", "x", "100", "2017-04-01T08:00:00"]
-ODD_COORDS = ["-33.80", " -33.9", "0", "151.3", "91", "-181", "nan", "oops", ""]
-LINE_KINDS = ["row"] * 6 + ["odd cell", "odd cell", "blank", "space", "short", "extra", "quoted", "quoted newline"]
+ODD_TIMES = [" 120 ", "nan", "-inf", "inf", "1e400", "1_000", "١٢", "", "x", "100", "2017-04-01T08:00:00",
+             " 2017-04-01T08:00:00Z ", "2017-04-01T08:00:00+10:00", "20170401", "１２"]
+ODD_COORDS = ["-33.80", " -33.9", "0", "151.3", "91", "-181", "nan", "oops", "", "4\x1c", "\u2003-33.8"]
+LINE_KINDS = ["row"] * 6 + ["odd cell", "odd cell", "odd cells", "blank", "space", "short", "extra", "quoted",
+                            "quoted newline"]
+
+
+def naive_utc(t: float) -> str:
+    return datetime.fromtimestamp(DAY0 + t, timezone.utc).replace(tzinfo=None).isoformat()
+
+
+TIME_FORMATS = {
+    "epoch": lambda t: ingest._format_time(DAY0 + t),
+    "iso": naive_utc,
+    "iso with Z": lambda t: naive_utc(t) + "Z",
+    "iso with offset": lambda t: datetime.fromtimestamp(DAY0 + t, timezone(timedelta(hours=-5))).isoformat(),
+}
 
 
 @st.composite
 def trip_csv(draw):
-    """A trip file as text, with its delimiter."""
+    """A trip file as text, with its delimiter; one time format per file."""
     delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
+    time_format = TIME_FORMATS[draw(st.sampled_from(sorted(TIME_FORMATS)))]
     header = draw(st.permutations(REQUIRED_COLUMNS + ("extra",)))
     lines = [delimiter.join(header)]
     for _ in range(draw(st.integers(0, 30))):
         cells = {c: draw(st.sampled_from(pool)) for c, pool in CLEAN.items()}
         for prefix in ("board", "alight"):
+            cells[f"{prefix}_time"] = time_format(cells[f"{prefix}_time"])
             cells[f"{prefix}_lat"], cells[f"{prefix}_lon"] = STOPS[cells[f"{prefix}_stop_id"]]
         cells["extra"] = "x"
         kind = draw(st.sampled_from(LINE_KINDS))
-        if kind == "odd cell":
-            column = draw(st.sampled_from(REQUIRED_COLUMNS))
+        odd = {"odd cell": 1, "odd cells": 2}.get(kind, 0)
+        for column in draw(st.sets(st.sampled_from(REQUIRED_COLUMNS), min_size=odd, max_size=odd)):
             pool = ODD_IDS if column.endswith("_id") else ODD_TIMES if column.endswith("_time") else ODD_COORDS
             cells[column] = draw(st.sampled_from(pool))
         line = [cells[c] for c in header]
@@ -346,18 +378,24 @@ def trip_csv(draw):
 TABLE_ARRAYS = ("stop_lat", "stop_lon", "card", "vehicle", "board_stop", "alight_stop", "board", "alight")
 
 
-def parse_outcome(text: str, delimiter: str):
-    """The parse of `text` as comparable values: every column with its dtype and the report, or the error."""
-    return outcome(io.StringIO(text, newline=""), delimiter)
-
-
-def outcome(source, delimiter: str):
+def outcome(parse, source, delimiter: str):
+    """A parse as comparable values: every column with its dtype, the vocabularies and the report, or the error."""
     try:
-        trips, report = parse_trip_records(source, delimiter)
+        trips, report = parse(source, delimiter)
     except (ValueError, SchemaError, csv.Error) as exc:
         return type(exc), str(exc)
     columns = {c: (getattr(trips, c).tolist(), getattr(trips, c).dtype) for c in TABLE_ARRAYS}
     return trips.cards, trips.vehicles, trips.stops, columns, report
+
+
+def parse_outcome(text: str, delimiter: str):
+    """`outcome` of `parse_trip_records` on `text` as a stream."""
+    return outcome(parse_trip_records, io.StringIO(text, newline=""), delimiter)
+
+
+def reference_outcome(text: str, delimiter: str):
+    """`outcome` of the reference row loop on `text`."""
+    return outcome(parse_reference, io.StringIO(text, newline=""), delimiter)
 
 
 SIDECAR = ".trips.csv.table"
@@ -368,7 +406,7 @@ def not_parsed():
 
 
 def file_outcome(text: str, delimiter: str):
-    """`parse_outcome` of `text` saved as a file, parsed cold and then warm.
+    """`outcome` of `parse_trip_records` on `text` saved as a file, parsed cold and then warm.
 
     The cold parse stores a sidecar unless it raises, and the warm one reads
     it back with the same outcome.
@@ -377,88 +415,110 @@ def file_outcome(text: str, delimiter: str):
         path = Path(tmp) / "trips.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        cold = outcome(path, delimiter)
+        cold = outcome(parse_trip_records, path, delimiter)
         stored = (Path(tmp) / SIDECAR).exists()
         assert stored == (len(cold) != 2)  # an error outcome is (type, message)
         with not_parsed() if stored else contextlib.nullcontext():
-            assert outcome(path, delimiter) == cold
+            assert outcome(parse_trip_records, path, delimiter) == cold
         return cold
 
 
-def row_loop_only():
-    return mock.patch.object(ingest._Columns, "block", lambda self, lines: False)
+def iso_copy(text: str) -> str:
+    """A trip CSV with its epoch times written as ISO-8601 UTC date-times."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    times = [rows[0].index("board_time"), rows[0].index("alight_time")]
+    for row in rows[1:]:
+        for i in times:
+            row[i] = datetime.fromtimestamp(float(row[i]), timezone.utc).isoformat()
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 @pytest.mark.filterwarnings("error")
 class TestBlocks:
-    """Blocks taken by numpy's reader parse exactly as the row loop would."""
+    """Every block parses exactly as the reference row loop: on a stream, cold from a file, warm from its sidecar."""
 
     @settings(max_examples=300, deadline=None)
     @given(trip_csv(), st.sampled_from([1, 64, 300, 1 << 18]))
     @example((",", "\n".join([HEADER, row(card='"c\n1"'), row(card="c2"), row(card="c3")]) + "\n"), 1)
     def test_same_as_row_loop(self, case, block_bytes):
         delimiter, text = case
+        want = reference_outcome(text, delimiter)
         with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
-            vectorised = parse_outcome(text, delimiter)
-            assert file_outcome(text, delimiter) == vectorised
-            with row_loop_only():
-                assert parse_outcome(text, delimiter) == vectorised
+            assert parse_outcome(text, delimiter) == want
+            assert file_outcome(text, delimiter) == want
 
     @pytest.mark.parametrize("delimiter", [",", "\t"])
-    def test_each_odd_line_same_as_row_loop(self, delimiter):
+    @pytest.mark.parametrize("time_format", ["epoch", "iso with offset"])
+    def test_each_odd_line_same_as_row_loop(self, delimiter, time_format, local_zone_not_utc):
         # one odd line before or between clean ones, alone in its block or in one block with them
-        clean = dict(zip(REQUIRED_COLUMNS, row().split(",")))
+        times = {"board": TIME_FORMATS[time_format](100), "alight": TIME_FORMATS[time_format](200)}
+        clean = dict(zip(REQUIRED_COLUMNS, row(**times).split(",")))
         odd = [dict(clean, **{c: v}) for c in REQUIRED_COLUMNS
                for v in (ODD_IDS if c.endswith("_id") else ODD_TIMES if c.endswith("_time") else ODD_COORDS)]
         lines = [",".join(cells.values()) for cells in odd]
-        lines += ["", "  ", "c1,v1,100", row() + ",more", row(card='"c1"'), row(card='"c\n1"'),
-                  row(card="c" * (csv.field_size_limit() + 1))]
+        lines += ["", "  ", "c1,v1,100", row(**times) + ",more", row(card='"c1"', **times),
+                  row(card='"c\n1"', **times), row(card="c" * (csv.field_size_limit() + 1), **times)]
         for line, at, block_bytes in itertools.product(lines, (0, 1), (1, 1 << 18)):
-            body = [row(), row(card="c2")]
+            body = [row(**times), row(card="c2", **times)]
             body.insert(at, line)
             text = "\r\n".join([HEADER, *body]).replace(",", delimiter) + "\r\n"
+            want = reference_outcome(text, delimiter)
             with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
-                vectorised = parse_outcome(text, delimiter)
-                assert file_outcome(text, delimiter) == vectorised, (line, at, block_bytes)
-                with row_loop_only():
-                    assert parse_outcome(text, delimiter) == vectorised, (line, at, block_bytes)
+                assert parse_outcome(text, delimiter) == want, (line, at, block_bytes)
+                assert file_outcome(text, delimiter) == want, (line, at, block_bytes)
 
     @pytest.mark.parametrize("first, then", [
-        # epoch blocks lock both columns to epoch, so later ISO rows are bad timestamps
+        # epoch times lock both columns to epoch, so later ISO rows are bad timestamps
         ("100", "2017-04-01T08:00:00"),
-        # an ISO lock from the row loop sends later epoch blocks there, to be rejected
+        # and ISO times lock them to ISO, so later epoch rows are
         ("2017-04-01T08:00:00", "100"),
     ])
-    def test_time_lock_holds_across_paths(self, first, then):
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["numpy", "csv"])
+    def test_time_lock_holds_across_paths(self, first, then, block_bytes, quoted):
         def timed(card, board):
             return row(card=card, board=board, alight="2017-04-01T09:00:00" if board.startswith("2017") else "200")
 
-        rows = [timed("c0", first)] + [timed(f"c{i}", then) for i in range(1, 4)] + [timed("c9", first)]
-        text = "\n".join([HEADER, *rows]) + "\n"
-        with mock.patch.object(ingest, "_BLOCK_BYTES", 1):
+        rows = [timed("c0", first)] + [timed(f"c{i}", then) for i in range(1, 4)]
+        text = "\n".join([HEADER, *rows, timed('"c9"' if quoted else "c9", first)]) + "\n"
+        want = reference_outcome(text, ",")
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
             trips, report = parse_text(text)
-            assert file_outcome(text, ",") == parse_outcome(text, ",")
+            assert parse_outcome(text, ",") == want
+            assert file_outcome(text, ",") == want
         assert report.rejected_by_reason == {"bad timestamp": 3}
         assert trips.cards == ["c0", "c9"]
 
-    def test_synthetic_month_never_takes_the_row_loop(self, tmp_path):
+    @pytest.mark.parametrize("conflict_first", [True, False])
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("block_bytes", [1, 1 << 18])
+    def test_first_error_in_row_order(self, conflict_first, quoted, block_bytes):
+        # the csv module refuses the long field only after the rows before it are checked
+        long_id = "c" * (csv.field_size_limit() + 1)
+        rows = [row(card="c2", blat="0"), row(card=f'"{long_id}"' if quoted else long_id)]
+        text = "\n".join([HEADER, row(), *(rows if conflict_first else rows[::-1])]) + "\n"
+        want = reference_outcome(text, ",")
+        assert want[0] is (ValueError if conflict_first else csv.Error)
+        with mock.patch.object(ingest, "_BLOCK_BYTES", block_bytes):
+            assert parse_outcome(text, ",") == want
+            assert file_outcome(text, ",") == want
+
+    def test_synthetic_month_and_its_iso_copy_parse_alike(self, tmp_path):
         _, trips = synthesize(SynthConfig(n_passengers=40, n_routes=4, stops_per_route=6, days=7, rng_seed=3))
         write_trip_csv(trips, tmp_path / "trips.csv")
-        taken = []
-        block = ingest._Columns.block
-
-        def spy(self, lines):
-            taken.append(block(self, lines))
-            return taken[-1]
-
-        with mock.patch.object(ingest, "_BLOCK_BYTES", 4096), mock.patch.object(ingest._Columns, "block", spy), \
-                mock.patch.object(ingest._Columns, "rows", side_effect=AssertionError("row loop")):
+        (tmp_path / "iso").mkdir()
+        iso = tmp_path / "iso" / "trips.csv"
+        iso.write_text(iso_copy((tmp_path / "trips.csv").read_text()), newline="")
+        with mock.patch.object(ingest, "_BLOCK_BYTES", 4096):
             back, report = parse_trip_records(tmp_path / "trips.csv")
-        assert len(taken) > 1 and all(taken)
+            iso_back, iso_report = parse_trip_records(iso)
         assert report.accepted == report.total_rows == len(trips)
         assert same_table(back, trips)
+        assert same_table(iso_back, back) and iso_report == report
         with not_parsed():
-            warm, warm_report = parse_trip_records(tmp_path / "trips.csv")
+            warm, warm_report = parse_trip_records(iso)
         assert same_table(warm, back) and warm_report == report
 
 

@@ -10,12 +10,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import table, trip
-from oracles import log_events, outcome_events, reachable_infections, sir_reference
+from oracles import RECOVERED, SUSCEPTIBLE, final_state, log_events, outcome_events, reachable_infections, sir_reference
 from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.sim import (
-    RECOVERED,
-    SUSCEPTIBLE,
     SimConfig,
     run_ensemble,
     run_lanes,
@@ -130,8 +128,8 @@ class TestSingleRun:
                 break
         else:
             pytest.fail("no run drew seed {A}")
-        assert out.final_state["B"] == RECOVERED
-        assert out.final_state["C"] == SUSCEPTIBLE
+        assert final_state(out)["B"] == RECOVERED
+        assert final_state(out)["C"] == SUSCEPTIBLE
         inbound_b = [e for e in outcome_events(out) if e.infectee == "B"]
         assert len(inbound_b) == 1
 
@@ -175,7 +173,7 @@ class TestSingleRun:
         b = run_sir(table(records), cfg, 3)
         assert a.seeds == b.seeds
         assert outcome_events(a) == outcome_events(b)
-        assert a.final_state == b.final_state
+        assert final_state(a) == final_state(b)
 
     def test_outcome_columns_are_typed_codes_over_the_log_vocabularies(self):
         records = random_instance(5, n_cards=20, n_trips=80)
@@ -211,6 +209,14 @@ class TestSingleRun:
         records = random_instance(7)
         with pytest.raises(ValueError, match="exceeds population"):
             run_sir(table(records), config(n_seeds=1000), 0)
+
+    @pytest.mark.parametrize("start, end", [(np.nan, None), (0.0, np.nan), (0.0, np.inf)],
+                             ids=["nan-start", "nan-end", "inf-end"])
+    def test_non_finite_simulation_time_rejected(self, start, end):
+        # a NaN start would infect no one, and a NaN end would leave every infected card infectious
+        records = [trip("A", "v", 0.0, 600.0), trip("B", "v", 0.0, 600.0), trip("C", "v", 700.0, 900.0)]
+        with pytest.raises(ValueError, match="must be finite"):
+            run_sir(table(records), config(start=start, end=end), 0)
 
     def test_conservation_at_every_event(self):
         records = random_instance(8, n_cards=25, n_trips=100)
@@ -325,7 +331,7 @@ class TestEnsemble:
         recomputed = sum(len(outcome_events(o)) for o in outcomes) / len(outcomes)
         assert np.mean([o.infectee.size for o in outcomes]) == pytest.approx(recomputed, abs=1e-12)
         for o in outcomes:  # the attack rate counted from seeds and infectees, as from the states
-            assert o.attack_rate == len(o.infected_set) / len(o.final_state)
+            assert o.attack_rate == len(o.infected_set) / len(final_state(o))
 
     def test_runs_vary(self):
         records = random_instance(6, n_cards=30, n_trips=150)
@@ -335,7 +341,7 @@ class TestEnsemble:
 
 
 def _trace(outcome):
-    return outcome.per_run_seed, outcome.seeds, outcome_events(outcome), outcome.final_state
+    return outcome.per_run_seed, outcome.seeds, outcome_events(outcome), final_state(outcome)
 
 
 class TestLanes:
