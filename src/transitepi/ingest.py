@@ -36,6 +36,7 @@ from importlib.util import source_hash
 from itertools import chain, islice, repeat
 from operator import add, itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
@@ -607,24 +608,38 @@ def population_vs_threshold(trips: TripTable, thresholds: Sequence[int]) -> List
 
 
 def write_trip_csv(trips: TripTable, path: Union[str, Path]) -> None:
-    """Write a table in the canonical trip CSV schema, one block of rows at a time."""
-    lat = [f"{x:.6f}" for x in trips.stop_lat.tolist()]
-    lon = [f"{x:.6f}" for x in trips.stop_lon.tolist()]
+    """Write a table in the canonical trip CSV schema, one block of rows at a time.
+
+    The bytes are those of `csv.writer` writing each row in the default
+    dialect.  A time that is not finite raises ValueError naming its row
+    before the file is opened.
+    """
+    finite = np.isfinite(trips.board) & np.isfinite(trips.alight)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise ValueError(f"trip row {at} has a time that is not finite: board {float(trips.board[at])}, "
+                         f"alight {float(trips.alight[at])}")
+    # each id as the rows' writer quotes it: writerow returns what the file's write
+    # returns, here the line, and an empty second field keeps an empty id unquoted
+    line = csv.writer(SimpleNamespace(write=str)).writerow
+    cards, vehicles, stops = ([line((i, ""))[:-3] for i in ids] for ids in (trips.cards, trips.vehicles, trips.stops))
+    stops = [f"{s},{lat:.6f},{lon:.6f}" for s, lat, lon in zip(stops, trips.stop_lat.tolist(), trips.stop_lon.tolist())]
+    cards, vehicles, stops = (np.array(text, object) for text in (cards, vehicles, stops))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REQUIRED_COLUMNS)
+        csv.writer(fh).writerow(REQUIRED_COLUMNS)
         for lo in range(0, len(trips), BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
-            b_stop = trips.board_stop[rows].tolist()
-            a_stop = trips.alight_stop[rows].tolist()
-            writer.writerows(zip(
-                map(trips.cards.__getitem__, trips.card[rows].tolist()),
-                map(trips.vehicles.__getitem__, trips.vehicle[rows].tolist()),
-                map(_format_time, trips.board[rows].tolist()),
-                map(_format_time, trips.alight[rows].tolist()),
-                map(trips.stops.__getitem__, b_stop), map(lat.__getitem__, b_stop), map(lon.__getitem__, b_stop),
-                map(trips.stops.__getitem__, a_stop), map(lat.__getitem__, a_stop), map(lon.__getitem__, a_stop),
-            ))
+            columns = (cards[trips.card[rows]].tolist(), vehicles[trips.vehicle[rows]].tolist(),
+                       _time_text(trips.board[rows]), _time_text(trips.alight[rows]),
+                       stops[trips.board_stop[rows]].tolist(), stops[trips.alight_stop[rows]].tolist())
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _time_text(times: np.ndarray) -> List[str]:
+    """Each finite time as `_format_time` writes it, through int64 when every one is integral and fits."""
+    if ((times == np.trunc(times)) & (np.abs(times) < 2.0 ** 63)).all():
+        return times.astype(np.int64).astype(str).tolist()
+    return list(map(_format_time, times.tolist()))
 
 
 def _format_time(t: float) -> str:

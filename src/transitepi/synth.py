@@ -26,14 +26,14 @@ yields byte-identical trip files.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .geo import latlon_to_local_km, local_km_to_latlon
-from .ingest import TripTable
+from .ingest import TripTable, _table
 
 ARCHETYPES = ("commuter", "roamer", "long_hauler", "offpeak_regular")
 DEFAULT_MIX: Dict[str, float] = {
@@ -89,6 +89,8 @@ class SynthConfig:
         ):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.stops_per_route < 2:
             raise ValueError("stops_per_route must be >= 2")
         if not 0 < self.city_extent_km <= MAX_EXTENT_KM:
@@ -189,51 +191,6 @@ def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwor
     return BusNetwork(routes=tuple(routes))
 
 
-# card ids, vehicle ids, board times, alight times, board stop ids and alight stop ids, one entry per trip
-Columns = Tuple[List[str], List[str], List[float], List[float], List[str], List[str]]
-
-
-def _vehicle_id(route: Route, dep_idx: int, forward: bool) -> str:
-    slot = (2 * dep_idx + (0 if forward else 1)) % route.vehicle_pool
-    return f"{route.route_id}v{slot:02d}"
-
-
-def _add_trip(
-    trips: Columns,
-    card_id: str,
-    network: BusNetwork,
-    route: Route,
-    day: int,
-    i: int,
-    j: int,
-    desired_s: int,
-) -> None:
-    """Ride the run whose passage at the origin stop is nearest desired_s."""
-    m = len(route.stops)
-    forward = i < j
-    pos_i = i if forward else (m - 1 - i)
-    pos_j = j if forward else (m - 1 - j)
-    target_dep = desired_s - pos_i * route.leg_seconds
-    deps = route.departures
-    k = bisect_left(deps, target_dep)
-    if k == 0:
-        dep_idx = 0
-    elif k >= len(deps):
-        dep_idx = len(deps) - 1
-    else:
-        dep_idx = k if deps[k] - target_dep < target_dep - deps[k - 1] else k - 1
-    day_start = network.base_time + day * 86_400
-    board = day_start + deps[dep_idx] + pos_i * route.leg_seconds
-    alight = day_start + deps[dep_idx] + pos_j * route.leg_seconds
-    card, vehicle, boards, alights, board_stop, alight_stop = trips
-    card.append(card_id)
-    vehicle.append(_vehicle_id(route, dep_idx, forward))
-    boards.append(float(board))
-    alights.append(float(alight))
-    board_stop.append(route.stops[i])
-    alight_stop.append(route.stops[j])
-
-
 def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
     """Largest-remainder split of n passengers over the archetype mix."""
     exact = {a: n * mix.get(a, 0.0) for a in ARCHETYPES}
@@ -270,7 +227,6 @@ def _anchor_pair(
 
 @dataclass
 class _Passenger:
-    card_id: str
     archetype: str
     route_idx: int
     anchor_a: int
@@ -279,7 +235,8 @@ class _Passenger:
     preferred_out_s: int
     preferred_back_s: int
     roam_far: bool = False
-    near_candidates: Tuple[Tuple[int, int], ...] = ()  # (route_idx, stop_idx)
+    # a near roamer's routes with two or more stops inside the radius: (route_idx, stop indices)
+    near_routes: Tuple[Tuple[int, List[int]], ...] = ()
 
 
 def generate_passengers(
@@ -313,11 +270,8 @@ def generate_passengers(
     ys_a = np.array(ys)
 
     passengers: List[_Passenger] = []
-    pid = 0
     for archetype in ARCHETYPES:
         for _ in range(counts[archetype]):
-            card_id = f"c{pid:05d}"
-            pid += 1
             if archetype == "long_hauler" and long_routes:
                 route_idx = int(long_routes[int(rng.integers(0, len(long_routes)))])
             else:
@@ -347,7 +301,6 @@ def generate_passengers(
                 back_s = int(13 * 3600 + 1800 + rng.integers(0, 3 * 3600))
 
             p = _Passenger(
-                card_id=card_id,
                 archetype=archetype,
                 route_idx=route_idx,
                 anchor_a=a,
@@ -361,10 +314,10 @@ def generate_passengers(
                 if not p.roam_far:
                     hx, hy = route.xy_km[a]
                     near = (xs_a - hx) ** 2 + (ys_a - hy) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2
-                    p.near_candidates = tuple(
-                        (int(r_), int(s_))
-                        for r_, s_ in zip(stop_route_a[near], stop_idx_a[near])
-                    )
+                    by_route: Dict[int, List[int]] = {}
+                    for r_, s_ in zip(stop_route_a[near].tolist(), stop_idx_a[near].tolist()):
+                        by_route.setdefault(r_, []).append(s_)
+                    p.near_routes = tuple((ri, sis) for ri, sis in sorted(by_route.items()) if len(sis) >= 2)
             passengers.append(p)
 
     def novel_pair(p: _Passenger) -> Optional[Tuple[int, int, int]]:
@@ -377,24 +330,20 @@ def generate_passengers(
                 j += 1
             return ri, i, j
         # near roamer: two distinct stops of one route inside the radius
-        by_route: Dict[int, List[int]] = {}
-        for ri, si in p.near_candidates:
-            by_route.setdefault(ri, []).append(si)
-        options = [(ri, sis) for ri, sis in sorted(by_route.items()) if len(sis) >= 2]
-        if not options:
+        if not p.near_routes:
             return None
-        ri, sis = options[int(rng.integers(0, len(options)))]
+        ri, sis = p.near_routes[int(rng.integers(0, len(p.near_routes)))]
         i = int(rng.integers(0, len(sis)))
         j = int(rng.integers(0, len(sis) - 1))
         if j >= i:
             j += 1
         return ri, sis[i], sis[j]
 
-    trips: Columns = ([], [], [], [], [], [])
-    for p in passengers:
-        route = routes[p.route_idx]
+    # six ints per leg: card, route, day, origin stop, destination stop, desired time at the origin
+    legs = array("q")
+    for card, p in enumerate(passengers):
         activity = PEAK_ACTIVITY if p.archetype != "offpeak_regular" else OFFPEAK_ACTIVITY
-        first_trip = len(trips[0])
+        first_leg = len(legs)
         active_days = []
         for day in range(config.days):
             weekday = day % 7 < 5
@@ -411,25 +360,25 @@ def generate_passengers(
             jit_out = int(rng.integers(-600, 601))
             jit_back = int(rng.integers(-600, 601))
             if p.peak:
-                legs = [
+                day_legs = [
                     (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
                     (p.anchor_b, p.anchor_a, p.preferred_out_s + jit_out + 2700),
                     (p.anchor_a, p.anchor_b, p.preferred_back_s + jit_back),
                     (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back + 2700),
                 ]
             else:
-                legs = [
+                day_legs = [
                     (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
                     (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back),
                 ]
-            for origin, dest, desired in legs:
+            for origin, dest, desired in day_legs:
                 if p.archetype == "roamer" and rng.random() < NOVELTY_P:
                     novel = novel_pair(p)
                     if novel is not None:
                         nri, ni, nj = novel
-                        _add_trip(trips, p.card_id, network, routes[nri], day, ni, nj, desired)
+                        legs.extend((card, nri, day, ni, nj, desired))
                         continue
-                _add_trip(trips, p.card_id, network, route, day, origin, dest, desired)
+                legs.extend((card, p.route_idx, day, origin, dest, desired))
 
         for day in range(config.days):
             if active_days[day]:
@@ -437,14 +386,51 @@ def generate_passengers(
         # backstop: everyone must reach the configured trip minimum; fill
         # inactive days first, then cycle through the period again
         day = 0
-        while len(trips[0]) - first_trip < config.min_trips_per_passenger:
+        while len(legs) - first_leg < 6 * config.min_trips_per_passenger:
             if day >= config.days or not active_days[day]:
                 anchor_round_trip(day % config.days)
             day += 1
 
-    table = TripTable.from_columns(*trips, network.stops)
+    table = _ride_legs(network, len(passengers), np.frombuffer(legs, np.int64).reshape(-1, 6))
     # code order is id order: by board time, then card id, then vehicle id, ties in emission order
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
+
+
+def _ride_legs(network: BusNetwork, n_cards: int, legs: np.ndarray) -> TripTable:
+    """Each leg ridden on the run whose passage at its origin stop is nearest its desired time.
+
+    `legs` holds one row per leg: card number, route, day, origin stop,
+    destination stop and desired time.  An exact tie between two runs takes
+    the earlier one.  Card number `k` is card id `c{k:05d}`.
+    """
+    card, route_of, day, origin, dest, desired = legs.T
+    routes = network.routes
+    vehicle, board_stop, alight_stop = (np.empty(len(legs), np.int32) for _ in range(3))
+    board, alight = np.empty(len(legs)), np.empty(len(legs))
+    first_vehicle = np.cumsum([0] + [r.vehicle_pool for r in routes])
+    first_stop = np.cumsum([0] + [len(r.stops) for r in routes])
+    for ri, route in enumerate(routes):
+        at = np.flatnonzero(route_of == ri)
+        i, j = origin[at], dest[at]
+        backward = i >= j
+        last = len(route.stops) - 1
+        pos_i, pos_j = np.where(backward, last - i, i), np.where(backward, last - j, j)
+        deps = np.array(route.departures, np.int64)
+        target = desired[at] - pos_i * route.leg_seconds
+        after = np.minimum(np.searchsorted(deps, target), len(deps) - 1)
+        before = np.maximum(after - 1, 0)
+        dep = np.where(deps[after] - target < target - deps[before], after, before)
+        start = network.base_time + day[at] * 86_400 + deps[dep]
+        board[at] = start + pos_i * route.leg_seconds
+        alight[at] = start + pos_j * route.leg_seconds
+        vehicle[at] = first_vehicle[ri] + (2 * dep + backward) % route.vehicle_pool
+        board_stop[at], alight_stop[at] = first_stop[ri] + i, first_stop[ri] + j
+    cards = [f"c{k:05d}" for k in range(n_cards)]
+    vehicles = [f"{r.route_id}v{slot:02d}" for r in routes for slot in range(r.vehicle_pool)]
+    stops = [s for r in routes for s in r.stops]
+    coords = [c for r in routes for c in r.coords]
+    return _table(cards, vehicles, stops, coords, card.astype(np.int32), vehicle, board_stop, alight_stop,
+                  board, alight)
 
 
 def synthesize(config: SynthConfig) -> Tuple[BusNetwork, TripTable]:

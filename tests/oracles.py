@@ -188,6 +188,27 @@ class _ReferenceRows:
         )
 
 
+def write_reference(trips: TripTable, path) -> None:
+    """Write a table in the canonical trip CSV schema with `csv.writer`, one row at a time.
+
+    A time is written as an integer when it is one, else as its `repr`.
+    """
+    def time_text(t: float) -> str:
+        return str(int(t)) if t == int(t) else repr(t)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REQUIRED_COLUMNS)
+        for k in range(len(trips)):
+            b, a = int(trips.board_stop[k]), int(trips.alight_stop[k])
+            writer.writerow([
+                trips.cards[trips.card[k]], trips.vehicles[trips.vehicle[k]],
+                time_text(float(trips.board[k])), time_text(float(trips.alight[k])),
+                trips.stops[b], f"{float(trips.stop_lat[b]):.6f}", f"{float(trips.stop_lon[b]):.6f}",
+                trips.stops[a], f"{float(trips.stop_lat[a]):.6f}", f"{float(trips.stop_lon[a]):.6f}",
+            ])
+
+
 # --- exposure events ----------------------------------------------------------
 
 @dataclass(frozen=True)

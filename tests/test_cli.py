@@ -85,6 +85,19 @@ class TestGenerate:
         assert "must be" in caplog.text
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "synth-config"])
+    def test_negative_seed_is_config_error(self, tmp_path, caplog, from_config):
+        out = tmp_path / "t.csv"
+        if from_config:
+            path = tmp_path / "synth.json"
+            path.write_text(json.dumps({**SYNTH, "rng_seed": -1}))
+            flags = ["--synth-config", str(path)]
+        else:
+            flags = ["--passengers", "10", "--days", "3", "--min-trips-per-passenger", "1", "--seed", "-1"]
+        assert main(["generate", "--out", str(out), *flags]) == 2
+        assert "rng_seed must be >= 0, got -1" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, named",
         [([SYNTH], "synth config must be a JSON object"), ({"n_passenger": 10}, "'n_passenger'")],

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import same_table, table, trip
-from oracles import parse_reference
+from oracles import parse_reference, write_reference
 from transitepi import ingest
 from transitepi.synth import SynthConfig, synthesize
 from transitepi.ingest import (
@@ -286,6 +286,55 @@ def test_written_blocks_change_nothing(tmp_path, monkeypatch, block):
     monkeypatch.setattr(ingest, "BLOCK_ROWS", block)
     write_trip_csv(records, tmp_path / "blocked.csv")
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+# ids the csv module must quote, or must not touch, and times on either side of
+# the integral, 2**53 and int64 limits
+WRITER_ID_TEXT = [",", '"', "\r", "\n", " ", "é", "日", "a", "7"]
+WRITER_IDS = st.text(
+    st.one_of(st.sampled_from(WRITER_ID_TEXT), st.characters(codec="utf-8", exclude_characters="\x00")), max_size=5)
+WRITER_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, 100.0, 1.5, -1.5, -7.0, 2.0 ** 53, 2.0 ** 53 + 2, -(2.0 ** 53) - 2, 2.0 ** 63 - 1024,
+                     2.0 ** 63, -(2.0 ** 63), -(2.0 ** 63) - 2048, 2.0 ** 64, 1e300, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2 ** 70), 2 ** 70).map(float))
+
+
+@st.composite
+def writer_tables(draw):
+    """A table of odd ids, times and coordinates; a single time column may mix integral and fractional times."""
+    stops = draw(st.lists(st.tuples(WRITER_IDS, st.floats(-90, 90), st.floats(-180, 180)), min_size=1, max_size=4))
+    stop = st.sampled_from(stops)
+    rides = draw(st.lists(st.builds(trip, WRITER_IDS, WRITER_IDS, WRITER_TIMES, WRITER_TIMES, stop, stop),
+                          max_size=12))
+    return table(rides)
+
+
+@given(trips=writer_tables(), block=st.integers(1, 4))
+@example(trips=table([trip(card, vehicle, board, alight, (stop, -0.0, 180.0), (stop[::-1], -33.8, 151.2))
+                      for card, vehicle, stop, (board, alight) in zip(
+                          [" c1", "c2 ", "c,3", 'c"4', "c\r5", "c\n6", "ć7", ""],
+                          ["v 1", "v,2", '"v3"', "v\r\n4", "vé5", " ", "v7", "v8"],
+                          [" s", "s,", 's"', "s\n", "s\r", "ś", "", "s 8"],
+                          [(100.0, 200.5), (-0.0, 1.0), (-5.0, -2.5), (2.0 ** 53, 2.0 ** 53 + 2),
+                           (2.0 ** 63 - 1024, 2.0 ** 63), (-(2.0 ** 63), 2.0 ** 64), (1e300, 1e301), (0.1, 0.2)])]),
+         block=3)
+def test_written_bytes_match_the_reference_row_loop(trips, block):
+    with tempfile.TemporaryDirectory() as work:
+        write_reference(trips, Path(work) / "reference.csv")
+        with mock.patch.object(ingest, "BLOCK_ROWS", block):
+            write_trip_csv(trips, Path(work) / "trips.csv")
+        assert (Path(work) / "trips.csv").read_bytes() == (Path(work) / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column", ["board", "alight"])
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_time_is_refused_before_the_file_is_opened(tmp_path, column, bad):
+    records = make_records({"a": 2, "b": 3})
+    getattr(records, column)[3] = bad
+    getattr(records, column)[4] = bad
+    with pytest.raises(ValueError, match="trip row 3 has a time that is not finite"):
+        write_trip_csv(records, tmp_path / "trips.csv")
+    assert not (tmp_path / "trips.csv").exists()
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 from collections import Counter
 
@@ -76,6 +77,21 @@ class TestPassengers:
         _, b = synthesize(SMALL)
         assert csv_bytes(a) == csv_bytes(b)
 
+    # a change to the generator or the writer that moves one byte of a trip file fails here
+    @pytest.mark.parametrize("config, trips, digest", [
+        (SMALL, 15_692, "0afb72db3607ed2abf29fc680afe181b61293a0325158feab7d58a76d56b2c0c"),
+        (SynthConfig(n_passengers=300, n_routes=6, stops_per_route=10, days=14, rng_seed=5, city_extent_km=60.0,
+                     archetype_mix={"roamer": 1.0}),
+         7_688, "3f6b5eb14d501b712f244745e352ce4e67842e98f6c2807214b12e070d553b2f"),
+        (SynthConfig(n_passengers=200, n_routes=6, stops_per_route=10, days=14, rng_seed=6, city_extent_km=30.0,
+                     archetype_mix={"long_hauler": 1.0}),
+         4_518, "f2655c1c45b5a2c667124c1a5d9359471c6b03f73490abca7b20642a42cd152d"),
+    ], ids=["default-mix", "roamers", "long-haulers"])
+    def test_pinned_file_digest(self, config, trips, digest):
+        _, records = synthesize(config)
+        assert len(records) == trips
+        assert hashlib.sha256(csv_bytes(records)).hexdigest() == digest
+
     def test_different_seed_differs(self):
         _, a = synthesize(SMALL)
         cfg2 = SynthConfig(**{**SMALL.__dict__, "rng_seed": 12})
@@ -149,6 +165,10 @@ class TestConfig:
         back, report = parse_trip_records(io.StringIO(csv_bytes(records).decode()))
         assert report.rejected == 0
         assert same_table(back, records)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            SynthConfig(rng_seed=-1).validate()
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
