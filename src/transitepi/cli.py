@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import shutil
 import sys
@@ -31,20 +30,17 @@ from .classify import (
     write_assignments_csv,
 )
 from .contacts import (
-    DIRECT,
-    INDIRECT,
     build_exposure_log,
     connected_components,
     degree_distribution,
     encounter_counts,
     write_histogram_csv,
 )
-from .flows import DataIntegrityError, GroupMatrix, chord_export, difference_matrix, group_flow_matrix, per_group_summary
+from .flows import GroupMatrix, chord_export, difference_matrix, group_flow_matrix, per_group_summary
 from .geo import get_model
 from .ingest import (
     SchemaError,
     TripTable,
-    _vocabulary,
     check_delimiter,
     check_thresholds,
     filter_by_min_trips,
@@ -54,14 +50,7 @@ from .ingest import (
     write_trip_csv,
 )
 from .mobility import DEFAULT_K, MobilityTable, mobility_table, write_mobility_csv
-from .sim import (
-    INFECTION_CSV_HEADER,
-    SimConfig,
-    SimOutcome,
-    run_ensemble,
-    run_lanes,
-    write_infection_csv,
-)
+from .sim import DataIntegrityError, SimConfig, read_infection_csv, run_ensemble, run_lanes, write_infection_csv
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -85,7 +74,6 @@ class ExperimentSpec:
     """Everything one experiment needs; mirrors the JSON spec file."""
 
     dataset: Optional[str] = None
-    synth: Optional[SynthConfig] = None
     k: int = DEFAULT_K
     min_trips: int = DEFAULT_MIN_TRIPS
     distance_model: str = "haversine"
@@ -151,8 +139,6 @@ def _check_fields(path, what: str, data, cls) -> None:
 
 def _json_fits(value, hint) -> bool:
     """Whether a JSON value can stand for a field annotated `hint`."""
-    if dataclasses.is_dataclass(hint):
-        return isinstance(value, dict)  # a nested section, checked on its own
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Union:
         return any(_json_fits(value, arg) for arg in args)
@@ -165,31 +151,25 @@ def _json_fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _synth_config(path, what: str, data) -> SynthConfig:
-    _check_fields(path, what, data, SynthConfig)
-    config = SynthConfig(**data)
-    config.validate()
-    return config
-
-
 def _load_spec(path) -> ExperimentSpec:
-    """A --spec file: every section checked, the grids made floats."""
+    """A --spec file: every field checked, the grids made floats."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     _check_fields(path, "spec", data, ExperimentSpec)
-    synth = data.pop("synth", None)
     spec = ExperimentSpec(**data)
-    if synth is not None:
-        spec.synth = _synth_config(path, "synth", synth)
     spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
     spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
     return spec
 
 
 def _load_synth_config(path) -> SynthConfig:
-    """A --synth-config file, checked like the synth section of a spec."""
+    """A --synth-config file: a JSON object of `SynthConfig` fields, validated."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _synth_config(path, "synth config", json.load(fh))
+        data = json.load(fh)
+    _check_fields(path, "synth config", data, SynthConfig)
+    config = SynthConfig(**data)
+    config.validate()
+    return config
 
 
 def _fmt_num(x: float) -> str:
@@ -239,30 +219,19 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(spec, attr, value)
-    if getattr(args, "synth_config", None):
-        spec.synth = _load_synth_config(args.synth_config)
+    if not spec.dataset:
+        raise UsageError("no dataset: pass --input or a spec file's dataset")
     if spec.output_dir is None:
         spec.output_dir = os.environ.get(OUTDIR_ENV)
     spec.validate_front_half()  # before any trip is read
     return spec
 
 
-def _filtered_trips(spec: ExperimentSpec, staging: Optional[Path]) -> TripTable:
-    """The trips of cards with at least `min_trips` trips.
-
-    The dataset path wins; otherwise the trips are synthesized, and all of
-    them are written to `staging` when it is given.
-    """
-    if spec.dataset:
-        trips, report = parse_trip_records(spec.dataset)
-        if report.rejected:
-            logger.warning("ingest rejected %d of %d rows", report.rejected, report.total_rows)
-    elif spec.synth is None:
-        raise UsageError("no dataset: pass --input or a synth config")
-    else:
-        _, trips = synthesize(spec.synth)
-        if staging is not None:
-            write_trip_csv(trips, staging / "trips.csv")
+def _filtered_trips(spec: ExperimentSpec) -> TripTable:
+    """The dataset's trips of cards with at least `min_trips` trips."""
+    trips, report = parse_trip_records(spec.dataset)
+    if report.rejected:
+        logger.warning("ingest rejected %d of %d rows", report.rejected, report.total_rows)
     filtered = filter_by_min_trips(trips, spec.min_trips)
     if not filtered:
         raise DataIntegrityError(f"no passengers survive the {spec.min_trips}-trip threshold")
@@ -339,7 +308,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    trips = _filtered_trips(spec, None)
+    trips = _filtered_trips(spec)
     table, result = _classified(trips, spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
@@ -357,7 +326,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _filtered_trips(spec, None)
+    trips = _filtered_trips(spec)
     config = spec.sim_config()
     table, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, config.d_t)
@@ -418,16 +387,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     """Produce all sweep artifacts inside `staging`; returns their names."""
-    trips = _filtered_trips(spec, staging)
+    trips = _filtered_trips(spec)
     _, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, 60.0 * spec.dt_grid_minutes[-1])
 
-    artifacts: List[str] = []
-    if (staging / "trips.csv").exists():
-        artifacts.append("trips.csv")
     write_assignments_csv(result, staging / "assignments.csv")
     (staging / "classification.json").write_text(result.to_summary_json() + "\n", encoding="utf-8")
-    artifacts += ["assignments.csv", "classification.json"]
+    artifacts = ["assignments.csv", "classification.json"]
 
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
     # widest column first: each narrower log is a row mask of the one before,
@@ -442,7 +408,7 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
         del lanes
 
     manifest = {
-        "dataset": spec.dataset or "trips.csv",
+        "dataset": spec.dataset,
         "parameters": {
             "beta_grid": list(spec.beta_grid),
             "dt_grid_minutes": list(spec.dt_grid_minutes),
@@ -495,7 +461,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise UsageError("analyze needs --out-dir (or TRANSITEPI_OUTDIR)")
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _filtered_trips(spec, None)
+    trips = _filtered_trips(spec)
     assignments = read_assignments_csv(args.assignments)
     encounters = encounter_counts(trips)
 
@@ -503,7 +469,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     event_files = sorted(events_dir.glob("infections_run*.csv"))
     if not event_files:
         raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
-    outcomes = [_read_outcome_csv(path) for path in event_files]
+    outcomes = [read_infection_csv(path) for path in event_files]
 
     summary = per_group_summary(outcomes, assignments, trips.cards, encounters)
     summary.to_csv(out_dir / "group_summary.csv")
@@ -517,44 +483,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     logger.info("analyze: %d runs aggregated from %s", len(outcomes), events_dir)
     return EXIT_OK
-
-
-def _read_outcome_csv(path: Path) -> SimOutcome:
-    """One stored run's infections as an outcome; any malformed line is a data error.
-
-    The log records no seeds, population or clock, so the outcome serves the
-    group tallies only.
-    """
-    rows: List[Tuple[str, str, float, str, bool]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INFECTION_CSV_HEADER:
-            raise DataIntegrityError(
-                f"{path}:1: expected header {','.join(INFECTION_CSV_HEADER)}, got {header!r}"
-            )
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(INFECTION_CSV_HEADER):
-                raise DataIntegrityError(f"{where}: expected {len(INFECTION_CSV_HEADER)} fields, got {len(row)}")
-            infector, infectee, time_text, vehicle_id, kind = row
-            try:
-                time = float(time_text)
-            except ValueError:
-                time = math.nan
-            if not math.isfinite(time):
-                raise DataIntegrityError(f"{where}: time {time_text!r} is not a finite number")
-            if kind not in (DIRECT, INDIRECT):
-                raise DataIntegrityError(f"{where}: kind {kind!r} is neither {DIRECT} nor {INDIRECT}")
-            rows.append((infector, infectee, time, vehicle_id, kind == DIRECT))
-    infectors, infectees, times, vehicle_ids, direct = list(zip(*rows)) or [()] * 5
-    cards, card_codes = _vocabulary(infectors + infectees)
-    vehicles, vehicle_codes = _vocabulary(vehicle_ids)
-    return SimOutcome(
-        cards, vehicles, card_codes[:len(rows)], card_codes[len(rows):],
-        vehicle_codes, np.array(times, np.float64), np.array(direct, bool),
-        seeds=(), per_run_seed=-1, population=[], start_time=math.nan, end_time=math.nan, period=math.nan,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="ExperimentSpec JSON file; flags override it")
     p.add_argument("--input", help="trip CSV path")
-    p.add_argument("--synth-config", help="SynthConfig JSON (used when no --input)")
     p.add_argument("--min-trips", type=int, dest="min_trips")
     p.add_argument("--k", type=int)
     p.add_argument("--distance-model", choices=("haversine", "planar"), dest="distance_model")

@@ -22,7 +22,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .classify import GROUP_NAMES, Assignments, group_sizes
-from .sim import SimOutcome
+from .sim import DataIntegrityError, SimOutcome
 
 logger = logging.getLogger(__name__)
 
@@ -40,10 +40,6 @@ GROUP_COLORS: Dict[str, str] = {
     "ret_low_long": "#a65628",
     "ret_low_short": "#f781bf",
 }
-
-
-class DataIntegrityError(Exception):
-    """A log references a passenger with no classification."""
 
 
 @dataclass

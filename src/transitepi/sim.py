@@ -49,19 +49,22 @@ A run's result, `SimOutcome`, holds its infections as columns: int32
 infector, infectee and vehicle codes over the exposure log's card and
 vehicle vocabularies, float64 times and a bool direct flag.  Its infected
 set and attack rate follow from the seeds and the infectees; the state of
-every passenger is derived only when asked for.
+every passenger is derived only when asked for.  `write_infection_csv`
+stores one run's infections as a CSV log, and `read_infection_csv` reads
+such a log back for the group tallies.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
-from .ingest import TripTable
+from .ingest import TripTable, _floats, _vocabulary
 
 DEFAULT_SEEDS = 500
 DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
@@ -95,12 +98,18 @@ class SimConfig:
             raise ValueError(f"infectious_period must be finite and > 0, got {self.infectious_period}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for name, value in (("start_time", self.start_time), ("end_time", self.end_time)):
             if value is not None and not -np.inf < value < np.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.start_time is not None and self.end_time is not None:
             if self.end_time < self.start_time:
                 raise ValueError("end_time before start_time")
+
+
+class DataIntegrityError(Exception):
+    """A stored log is malformed, or references a passenger with no classification."""
 
 
 @dataclass
@@ -398,3 +407,53 @@ def write_infection_csv(outcome: SimOutcome, path) -> None:
                 outcome.vehicle.tolist(), outcome.direct.tolist(),
             )
         )
+
+
+def read_infection_csv(path) -> SimOutcome:
+    """One run's infections as `write_infection_csv` stored them; a malformed log is a data error.
+
+    The error names the first bad line and what is wrong with it: a wrong
+    header or field count, a time that is not a finite number, an unknown
+    kind, a card that infects itself or a card infected a second time.  The
+    log records no seeds, population or clock, so the outcome serves the
+    group tallies only.
+    """
+    width = len(INFECTION_CSV_HEADER)
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != INFECTION_CSV_HEADER:
+            raise DataIntegrityError(f"{path}:1: expected header {','.join(INFECTION_CSV_HEADER)}, got {header!r}")
+        rows, lines = [], []  # each row and the line it ends on
+        for row in reader:
+            rows.append(row)
+            lines.append(reader.line_num)
+    n = len(rows)
+    fields = np.fromiter(map(len, rows), np.int64, n)
+    if (fields != width).any():  # pad or cut, so that the checks below see columns
+        rows = [(row + [""] * width)[:width] for row in rows]
+    infectors, infectees, time_texts, vehicle_ids, kinds = zip(*rows) if rows else [()] * width
+    cards, card_codes = _vocabulary(infectors + infectees)
+    infector, infectee = card_codes[:n], card_codes[n:]
+    vehicles, vehicle = _vocabulary(vehicle_ids)
+    time = _floats(np.array(time_texts, object))
+    kind = np.array(kinds, object)
+    direct = kind == DIRECT
+    order = np.argsort(infectee, kind="stable")
+    first = order[np.searchsorted(infectee[order], infectee)]  # the first row that infects each row's infectee
+    checks = [
+        (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
+        (~np.isfinite(time), lambda i: f"time {time_texts[i]!r} is not a finite number"),
+        (~direct & (kind != INDIRECT), lambda i: f"kind {kinds[i]!r} is neither {DIRECT} nor {INDIRECT}"),
+        (infector == infectee, lambda i: f"card {infectees[i]!r} infects itself"),
+        (first != np.arange(n), lambda i: f"card {infectees[i]!r} is infected again, first at line {lines[first[i]]}"),
+    ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(describe for failed, describe in checks if failed[i])
+        raise DataIntegrityError(f"{path}:{lines[i]}: {message(i)}")
+    return SimOutcome(
+        cards, vehicles, infector, infectee, vehicle, time, direct,
+        seeds=(), per_run_seed=-1, population=[], start_time=math.nan, end_time=math.nan, period=math.nan,
+    )

@@ -335,7 +335,7 @@ class TestSweep:
         [
             ([{"n_runs": 1}], "spec must be a JSON object"),
             ({"n_run": 1}, "'n_run'"),
-            ({"synth": {"n_passenger": 10}}, "'n_passenger'"),
+            ({"synth": {"n_passenger": 10}}, "'synth'"),  # only generate synthesizes
         ],
         ids=["not-an-object", "unknown-key", "unknown-synth-key"],
     )
@@ -378,6 +378,7 @@ def test_wrongly_typed_value_is_usage_error(tmp_path, trips_csv, caplog, command
         ("dt", "nan"), ("dt", "inf"), ("dt", "-5"),
         ("seeds", "0"), ("runs", "0"),
         ("infectious-days", "nan"), ("infectious-days", "inf"), ("infectious-days", "0"),
+        ("master-seed", "-1"),
     ],
 )
 def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
@@ -389,6 +390,29 @@ def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
         ("sweep", "beta"): "--beta-grid", ("sweep", "dt"): "--dt-grid-minutes",
     }.get((command, param), f"--{param}")
     assert main([command, "--input", trips_csv, f"{flag}={value}", "--out-dir", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _no_dataset_argv(command: str, out: Path) -> list:
+    return [command] + {
+        "classify": ["--out-assignments", str(out / "a.csv")],
+        "analyze": ["--assignments", str(out / "a.csv"), "--events-dir", str(out), "--out-dir", str(out)],
+    }.get(command, ["--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "sweep", "analyze"])
+def test_no_dataset_is_usage_error_before_any_output(tmp_path, caplog, command):
+    out = tmp_path / "out"
+    assert main(_no_dataset_argv(command, out)) == 1
+    assert "no dataset" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate", "sweep", "analyze"])
+def test_only_generate_synthesizes(tmp_path, synth_config, command):
+    with pytest.raises(SystemExit) as exc:
+        main(_no_dataset_argv(command, tmp_path / "out") + ["--synth-config", synth_config])
+    assert exc.value.code == 1  # an unrecognized argument
     assert not (tmp_path / "out").exists()
 
 
@@ -569,7 +593,7 @@ class TestAnalyze:
     def test_ids_ending_in_nul_read_back_whole(self, tmp_path):
         path = tmp_path / "infections_run000.csv"
         path.write_text("infector,infectee,time,vehicle_id,kind\na\x00,b,100.0,v\x00,direct\n", encoding="utf-8")
-        outcome = cli._read_outcome_csv(path)
+        outcome = sim.read_infection_csv(path)
         assert outcome.cards == ["a\x00", "b"]
         assert outcome.vehicles == ["v\x00"]
         assert (outcome.infector.tolist(), outcome.infectee.tolist(), outcome.vehicle.tolist()) == ([0], [1], [0])
@@ -597,8 +621,10 @@ class TestAnalyze:
             ("infector,infectee,time,vehicle_id,kind\na,b,100.0\n", 2),
             ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,inf,v,direct\n", 3),
             ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,airborne\n", 2),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nc,c,200.0,v,direct\n", 3),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,150.0,v,indirect\nc,b,200.0,v,direct\n", 4),
         ],
-        ids=["header", "short-row", "non-finite-time", "unknown-kind"],
+        ids=["header", "short-row", "non-finite-time", "unknown-kind", "self-infection", "infected-twice"],
     )
     def test_malformed_infection_log_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
         events_dir = tmp_path / "events"

@@ -15,9 +15,12 @@ from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.sim import (
     SimConfig,
+    SimOutcome,
+    read_infection_csv,
     run_ensemble,
     run_lanes,
     run_sir,
+    write_infection_csv,
 )
 
 DAY = 86_400.0
@@ -431,3 +434,50 @@ class TestDraws:
         # the keyed bits seldom land next to the cut: check the draws there directly
         near = np.arange(max(0, cut - 2), min(2**53, cut + 2), dtype=np.uint64)
         assert ((near < np.uint64(cut)) == (near.astype(np.float64) * 2.0 ** -53 < beta)).all()
+
+
+# ids that the CSV writer must quote, or that a reader could strip
+_ids = st.text(st.sampled_from(list('ab,"\r\n\x00 é')), max_size=4)
+
+
+def _stored(cards, vehicles, infector, infectee, vehicle, time, direct) -> SimOutcome:
+    return SimOutcome(
+        cards, vehicles, np.array(infector, np.int32), np.array(infectee, np.int32), np.array(vehicle, np.int32),
+        np.array(time, np.float64), np.array(direct, bool),
+        seeds=(), per_run_seed=0, population=cards, start_time=0.0, end_time=0.0, period=1.0,
+    )
+
+
+@st.composite
+def _outcomes(draw) -> SimOutcome:
+    """A run's infections: each card infected at most once, never by itself."""
+    cards = draw(st.lists(_ids, min_size=2, max_size=8, unique=True))
+    vehicles = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
+    infectee = draw(st.permutations(range(len(cards))))[:draw(st.integers(0, len(cards)))]
+    infector = [draw(st.sampled_from([u for u in range(len(cards)) if u != v])) for v in infectee]
+    n = len(infectee)
+    return _stored(
+        cards, vehicles, infector, infectee,
+        draw(st.lists(st.integers(0, len(vehicles) - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )
+
+
+class TestInfectionLog:
+    @given(outcome=_outcomes())
+    @example(outcome=_stored(
+        ["a,b", 'q"', "cr\r\nlf", "nul\x00", "\r"], ["v,1", "\n\x00"],
+        [0, 1, 2, 4], [1, 2, 3, 0], [0, 1, 1, 0], [0.1, -2.5, 1e-300, 86_400.000001], [True, False, True, False],
+    ))
+    def test_written_log_reads_back(self, tmp_path_factory, outcome):
+        path = tmp_path_factory.mktemp("log") / "infections_run000.csv"
+        write_infection_csv(outcome, path)
+        back = read_infection_csv(path)
+
+        def events(o):
+            return [(o.cards[u], o.cards[v], o.vehicles[w]) for u, v, w in zip(o.infector, o.infectee, o.vehicle)]
+
+        assert events(back) == events(outcome)
+        assert back.time.tobytes() == outcome.time.tobytes()
+        assert back.direct.tolist() == outcome.direct.tolist()
