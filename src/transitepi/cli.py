@@ -8,6 +8,7 @@ configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -18,7 +19,7 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,10 +108,10 @@ class ExperimentSpec:
             if value < 1:
                 raise UsageError(f"{name} must be >= 1, got {value}")
 
-    def sim_config(self, dt_minutes: Optional[float] = None) -> SimConfig:
+    def sim_config(self, dt_minutes: float) -> SimConfig:
         return SimConfig(
             beta=self.beta,
-            d_t=60.0 * (self.dt_minutes if dt_minutes is None else dt_minutes),
+            d_t=60.0 * dt_minutes,
             n_seeds=self.n_seeds,
             infectious_period=self.infectious_days * 86_400.0,
             n_runs=self.n_runs,
@@ -199,32 +200,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = _load_spec(args.spec) if getattr(args, "spec", None) else ExperimentSpec()
-    for attr, flag in (
-        ("dataset", "input"),
-        ("k", "k"),
-        ("min_trips", "min_trips"),
-        ("distance_model", "distance_model"),
-        ("beta", "beta"),
-        ("dt_minutes", "dt_minutes"),
-        ("n_seeds", "seeds"),
-        ("infectious_days", "infectious_days"),
-        ("n_runs", "runs"),
-        ("master_seed", "master_seed"),
-        ("beta_grid", "beta_grid"),
-        ("dt_grid_minutes", "dt_grid_minutes"),
-        ("output_dir", "out_dir"),
-    ):
-        value = getattr(args, flag, None)
+def _override(config, args: argparse.Namespace) -> None:
+    """Set each field of the dataclass `config` whose flag was given; a flag's dest is its field's name."""
+    for f in dataclasses.fields(config):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(spec, attr, value)
+            setattr(config, f.name, value)
+
+
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    spec = _load_spec(args.spec) if args.spec else ExperimentSpec()
+    _override(spec, args)
     if not spec.dataset:
         raise UsageError("no dataset: pass --input or a spec file's dataset")
     if spec.output_dir is None:
         spec.output_dir = os.environ.get(OUTDIR_ENV)
     spec.validate_front_half()  # before any trip is read
     return spec
+
+
+@contextlib.contextmanager
+def _staged(spec: ExperimentSpec, command: str) -> Iterator[Path]:
+    """A fresh `<out-dir>/.staging` for the command's files.
+
+    They replace their namesakes in `--out-dir` only if the command succeeds;
+    the staging directory is removed either way.
+    """
+    if spec.output_dir is None:
+        raise UsageError(f"{command} needs --out-dir (or {OUTDIR_ENV})")
+    out_dir = Path(spec.output_dir)
+    staging = out_dir / ".staging"
+    if staging.exists():
+        shutil.rmtree(staging)
+    staging.mkdir(parents=True)
+    try:
+        yield staging
+        for path in staging.iterdir():
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _filtered_trips(spec: ExperimentSpec) -> TripTable:
@@ -249,23 +263,8 @@ def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[MobilityTable, 
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.synth_config:
-        config = _load_synth_config(args.synth_config)
-    else:
-        config = SynthConfig()
-    overrides = {
-        "n_passengers": args.passengers,
-        "n_routes": args.routes,
-        "stops_per_route": args.stops_per_route,
-        "days": args.days,
-        "rng_seed": args.seed,
-        "city_extent_km": args.extent_km,
-        "min_trips_per_passenger": args.min_trips_per_passenger,
-        "archetype_mix": args.mix,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(config, name, value)
+    config = _load_synth_config(args.synth_config) if args.synth_config else SynthConfig()
+    _override(config, args)
     config.validate()
     _, trips = synthesize(config)
     write_trip_csv(trips, args.out)
@@ -322,42 +321,42 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     spec.validate_grids((spec.beta,), (spec.dt_minutes,))  # before any trip is read
-    if spec.output_dir is None:
-        raise UsageError("simulate needs --out-dir (or TRANSITEPI_OUTDIR)")
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _filtered_trips(spec)
-    config = spec.sim_config()
-    table, result = _classified(trips, spec)  # before the log, so that their transients do not stack
-    log = build_exposure_log(trips, config.d_t)
-    outcomes = run_ensemble(trips, config, exposures=log, progress=lambda i, n: logger.info("run %d/%d", i, n))
-    write_assignments_csv(result, out_dir / "assignments.csv")
-    for outcome in outcomes:
-        write_infection_csv(outcome, out_dir / f"infections_run{outcome.per_run_seed:03d}.csv")
-    summary = per_group_summary(outcomes, result.assignments, table.cards, table.encounters)
-    summary.to_csv(out_dir / "group_summary.csv")
-    matrix = group_flow_matrix(outcomes, result.assignments)
-    matrix.to_csv(out_dir / "flow_matrix.csv")
-    chord_export(matrix, path=out_dir / "chord.json")
-    infections = [o.infectee.size for o in outcomes]
-    mean_infections = float(np.mean(infections))
-    payload = {
-        "config": {
-            "beta": config.beta,
-            "d_t_seconds": config.d_t,
-            "n_seeds": config.n_seeds,
-            "infectious_period_seconds": config.infectious_period,
-            "n_runs": config.n_runs,
-            "master_seed": config.master_seed,
-        },
-        "ensemble": {
-            "n_runs": len(outcomes),
-            "mean_infections": mean_infections,
-            "mean_attack_rate": float(np.mean([o.attack_rate for o in outcomes])),
-            "per_run_infections": infections,
-        },
-    }
-    (out_dir / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with _staged(spec, "simulate") as staging:
+        trips = _filtered_trips(spec)
+        config = spec.sim_config(spec.dt_minutes)
+        table, result = _classified(trips, spec)  # before the log, so that their transients do not stack
+        log = build_exposure_log(trips, config.d_t)
+        outcomes = run_ensemble(trips, config, exposures=log)
+        write_assignments_csv(result, staging / "assignments.csv")
+        for outcome in outcomes:
+            write_infection_csv(outcome, staging / f"infections_run{outcome.per_run_seed:03d}.csv")
+        summary = per_group_summary(outcomes, result.assignments, table.cards, table.encounters)
+        summary.to_csv(staging / "group_summary.csv")
+        matrix = group_flow_matrix(outcomes, result.assignments)
+        matrix.to_csv(staging / "flow_matrix.csv")
+        chord_export(matrix, path=staging / "chord.json")
+        infections = [o.infectee.size for o in outcomes]
+        mean_infections = float(np.mean(infections))
+        payload = {
+            "config": {
+                "beta": config.beta,
+                "d_t_seconds": config.d_t,
+                "n_seeds": config.n_seeds,
+                "infectious_period_seconds": config.infectious_period,
+                "n_runs": config.n_runs,
+                "master_seed": config.master_seed,
+            },
+            "ensemble": {
+                "n_runs": len(outcomes),
+                "mean_infections": mean_infections,
+                "mean_attack_rate": float(np.mean([o.attack_rate for o in outcomes])),
+                "per_run_infections": infections,
+            },
+        }
+        (staging / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        for stale in Path(spec.output_dir).glob("infections_run*.csv"):  # an earlier run's, which analyze would add
+            if not (staging / stale.name).exists():
+                stale.unlink()
     logger.info("simulate: mean infections %.1f over %d runs", mean_infections, config.n_runs)
     return EXIT_OK
 
@@ -365,42 +364,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     spec.validate_grids(spec.beta_grid, spec.dt_grid_minutes)  # before any trip is read
-    if spec.output_dir is None:
-        raise UsageError("sweep needs --out-dir (or TRANSITEPI_OUTDIR)")
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = out_dir / ".staging"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir()
-    try:
-        artifacts = _run_sweep(spec, staging)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    for name in artifacts:
-        os.replace(staging / name, out_dir / name)
-    shutil.rmtree(staging, ignore_errors=True)
-    logger.info("sweep complete: %d artifacts in %s", len(artifacts), out_dir)
+    with _staged(spec, "sweep") as staging:
+        _run_sweep(spec, staging)
+        logger.info("sweep complete: %d artifacts in %s", len(os.listdir(staging)), spec.output_dir)
     return EXIT_OK
 
 
-def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
-    """Produce all sweep artifacts inside `staging`; returns their names."""
+def _run_sweep(spec: ExperimentSpec, staging: Path) -> None:
+    """Write every sweep artifact into `staging`."""
     trips = _filtered_trips(spec)
     _, result = _classified(trips, spec)  # before the log, so that their transients do not stack
     log = build_exposure_log(trips, 60.0 * spec.dt_grid_minutes[-1])
 
     write_assignments_csv(result, staging / "assignments.csv")
     (staging / "classification.json").write_text(result.to_summary_json() + "\n", encoding="utf-8")
-    artifacts = ["assignments.csv", "classification.json"]
 
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
     # widest column first: each narrower log is a row mask of the one before,
     # which is released, with the lanes that reference it, as it is replaced
     for dt in reversed(spec.dt_grid_minutes):
         log = log.within(60.0 * dt)
-        config = spec.sim_config(dt_minutes=dt)
+        config = spec.sim_config(dt)
         lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=log)
         for k, beta in enumerate(spec.beta_grid):
             matrices[(beta, dt)] = group_flow_matrix(lanes.outcomes(k), result.assignments)
@@ -425,7 +409,6 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     for (beta, dt), matrix in sorted(matrices.items()):
         name = f"flow_beta{_fmt_num(beta)}_dt{_fmt_num(dt)}m.csv"
         matrix.to_csv(staging / name)
-        artifacts.append(name)
         manifest["matrices"].append({"beta": beta, "dt_minutes": dt, "path": name})
 
     dt0 = spec.dt_grid_minutes[0]
@@ -434,7 +417,6 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
             diff = difference_matrix(matrices[(beta, dt0)], matrices[(beta, dt)])
             name = f"diff_dt{_fmt_num(dt)}m_vs_dt{_fmt_num(dt0)}m_beta{_fmt_num(beta)}.csv"
             diff.to_csv(staging / name)
-            artifacts.append(name)
             manifest["differences"].append(
                 {"axis": "dt", "beta": beta, "baseline_dt_minutes": dt0, "dt_minutes": dt, "path": name}
             )
@@ -443,7 +425,6 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
             diff = difference_matrix(matrices[(b_low, dt)], matrices[(b_high, dt)])
             name = f"diff_beta{_fmt_num(b_high)}_vs_beta{_fmt_num(b_low)}_dt{_fmt_num(dt)}m.csv"
             diff.to_csv(staging / name)
-            artifacts.append(name)
             manifest["differences"].append(
                 {"axis": "beta", "dt_minutes": dt, "baseline_beta": b_low, "beta": b_high, "path": name}
             )
@@ -451,36 +432,31 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> List[str]:
     (staging / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    artifacts.append("manifest.json")
-    return artifacts
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    if spec.output_dir is None:
-        raise UsageError("analyze needs --out-dir (or TRANSITEPI_OUTDIR)")
-    out_dir = Path(spec.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trips = _filtered_trips(spec)
-    assignments = read_assignments_csv(args.assignments)
-    encounters = encounter_counts(trips)
+    with _staged(spec, "analyze") as staging:
+        trips = _filtered_trips(spec)
+        assignments = read_assignments_csv(args.assignments)
+        encounters = encounter_counts(trips)
 
-    events_dir = Path(args.events_dir)
-    event_files = sorted(events_dir.glob("infections_run*.csv"))
-    if not event_files:
-        raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
-    outcomes = [read_infection_csv(path) for path in event_files]
+        events_dir = Path(args.events_dir)
+        event_files = sorted(events_dir.glob("infections_run*.csv"))
+        if not event_files:
+            raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
+        outcomes = [read_infection_csv(path) for path in event_files]
 
-    summary = per_group_summary(outcomes, assignments, trips.cards, encounters)
-    summary.to_csv(out_dir / "group_summary.csv")
-    matrix = group_flow_matrix(outcomes, assignments)
-    matrix.to_csv(out_dir / "flow_matrix.csv")
-    chord_export(matrix, path=out_dir / "chord.json")
-    comps = connected_components(trips)
-    write_histogram_csv(degree_distribution(encounters), out_dir / "degree_distribution.csv", value_name="degree")
-    (out_dir / "components.json").write_text(
-        json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
-    )
+        summary = per_group_summary(outcomes, assignments, trips.cards, encounters)
+        summary.to_csv(staging / "group_summary.csv")
+        matrix = group_flow_matrix(outcomes, assignments)
+        matrix.to_csv(staging / "flow_matrix.csv")
+        chord_export(matrix, path=staging / "chord.json")
+        comps = connected_components(trips)
+        write_histogram_csv(degree_distribution(encounters), staging / "degree_distribution.csv", value_name="degree")
+        (staging / "components.json").write_text(
+            json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
+        )
     logger.info("analyze: %d runs aggregated from %s", len(outcomes), events_dir)
     return EXIT_OK
 
@@ -496,14 +472,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a synthetic trip CSV")
     p.add_argument("--out", required=True)
     p.add_argument("--synth-config", help="SynthConfig JSON file")
-    p.add_argument("--passengers", type=int)
-    p.add_argument("--routes", type=int)
+    # each flag's dest is the SynthConfig field it sets
+    p.add_argument("--passengers", type=int, dest="n_passengers")
+    p.add_argument("--routes", type=int, dest="n_routes")
     p.add_argument("--stops-per-route", type=int)
     p.add_argument("--days", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--extent-km", type=float)
+    p.add_argument("--seed", type=int, dest="rng_seed")
+    p.add_argument("--extent-km", type=float, dest="city_extent_km")
     p.add_argument("--min-trips-per-passenger", type=int)
-    p.add_argument("--mix", type=_parse_mix, help="e.g. commuter=0.45,roamer=0.3,long_hauler=0.1,offpeak_regular=0.15")
+    p.add_argument("--mix", type=_parse_mix, dest="archetype_mix",
+                   help="e.g. commuter=0.45,roamer=0.3,long_hauler=0.1,offpeak_regular=0.15")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("ingest", help="validate, filter and profile a trip CSV")
@@ -546,16 +524,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
+    """The flags every spec command takes; each flag's dest is the ExperimentSpec field it sets."""
     p.add_argument("--spec", help="ExperimentSpec JSON file; flags override it")
-    p.add_argument("--input", help="trip CSV path")
-    p.add_argument("--min-trips", type=int, dest="min_trips")
+    p.add_argument("--input", dest="dataset", help="trip CSV path")
+    p.add_argument("--min-trips", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--distance-model", choices=("haversine", "planar"), dest="distance_model")
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--infectious-days", type=float, dest="infectious_days")
-    p.add_argument("--master-seed", type=int, dest="master_seed")
-    p.add_argument("--out-dir", dest="out_dir")
+    p.add_argument("--distance-model", choices=("haversine", "planar"))
+    p.add_argument("--seeds", type=int, dest="n_seeds")
+    p.add_argument("--runs", type=int, dest="n_runs")
+    p.add_argument("--infectious-days", type=float)
+    p.add_argument("--master-seed", type=int)
+    p.add_argument("--out-dir", dest="output_dir")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -225,7 +225,6 @@ def run_lanes(
     betas: Sequence[float],
     runs: Sequence[int],
     exposures: Optional[ExposureLog] = None,
-    progress=None,
 ) -> LaneTraces:
     """Run one lane per (beta, run) pair over the table's cards; a lane runs `config` with its beta.
 
@@ -264,8 +263,6 @@ def run_lanes(
         lanes = _Lanes(codes, config.infectious_period, keys, np.array(tokens), cuts)
         for lane, code in enumerate(lanes.run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
-        if progress is not None:
-            progress(first + len(batch), len(runs))
     row_of_key = np.empty(len(log), np.int32)
     row_of_key[codes.key] = np.arange(len(log), dtype=np.int32)
     for lane, code in traces.events.items():
@@ -388,10 +385,9 @@ def run_ensemble(
     trips: TripTable,
     config: SimConfig,
     exposures: Optional[ExposureLog] = None,
-    progress=None,
 ) -> List[SimOutcome]:
     """Run n_runs independent runs; per-run streams derive from the master seed."""
-    lanes = run_lanes(trips, config, (config.beta,), range(config.n_runs), exposures, progress)
+    lanes = run_lanes(trips, config, (config.beta,), range(config.n_runs), exposures)
     return lanes.outcomes(0)
 
 

@@ -223,6 +223,7 @@ class TestSimulate:
             "--runs", "1", "--min-trips", "10", "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 2
+        assert list((tmp_path / "x").iterdir()) == []  # a failed command moves nothing and leaves no staging
 
     def test_integer_in_spec_writes_like_the_flag(self, tmp_path, trips_csv):
         spec = tmp_path / "spec.json"
@@ -416,6 +417,17 @@ def test_only_generate_synthesizes(tmp_path, synth_config, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "analyze"])
+def test_no_out_dir_is_usage_error_before_any_trip_is_read(tmp_path, monkeypatch, caplog, command):
+    monkeypatch.delenv("TRANSITEPI_OUTDIR", raising=False)
+    monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
+    argv = [command, "--input", str(tmp_path / "trips.csv")]
+    if command == "analyze":
+        argv += ["--assignments", str(tmp_path / "a.csv"), "--events-dir", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"{command} needs --out-dir (or TRANSITEPI_OUTDIR)" in caplog.text
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -570,11 +582,17 @@ class TestFrontHalfOnce:
 class TestAnalyze:
     def test_reaggregates_simulation_outputs(self, tmp_path, trips_csv):
         sim_dir = tmp_path / "sim"
-        code = main([
-            "simulate", "--input", trips_csv, "--beta", "1", "--seeds", "5",
-            "--runs", "2", "--min-trips", "10", "--out-dir", str(sim_dir),
-        ])
-        assert code == 0
+        # a longer run first: the rerun into the same directory replaces its infection logs
+        for flags in (["--beta", "0.5", "--dt-minutes", "15", "--runs", "3"], ["--beta", "1", "--runs", "2"]):
+            code = main([
+                "simulate", "--input", trips_csv, "--seeds", "5", "--min-trips", "10", "--out-dir", str(sim_dir),
+                *flags,
+            ])
+            assert code == 0
+        assert sorted(p.name for p in sim_dir.glob("infections_run*.csv")) == [
+            "infections_run000.csv", "infections_run001.csv",
+        ]
+        assert not (sim_dir / ".staging").exists()
         out_dir = tmp_path / "analysis"
         code = main([
             "analyze", "--input", trips_csv, "--min-trips", "10",
@@ -589,6 +607,7 @@ class TestAnalyze:
         assert len(chord["flows"]) == 64
         for name in ("flow_matrix.csv", "group_summary.csv", "chord.json"):
             assert (out_dir / name).read_bytes() == (sim_dir / name).read_bytes(), name
+        assert not (out_dir / ".staging").exists()
 
     def test_ids_ending_in_nul_read_back_whole(self, tmp_path):
         path = tmp_path / "infections_run000.csv"
