@@ -24,6 +24,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .classify import (
+    Assignments,
     ClassificationResult,
     DegenerateClusteringError,
     classify_population,
@@ -51,7 +52,8 @@ from .ingest import (
     write_trip_csv,
 )
 from .mobility import DEFAULT_K, MobilityTable, mobility_table, write_mobility_csv
-from .sim import DataIntegrityError, SimConfig, read_infection_csv, run_ensemble, run_lanes, write_infection_csv
+from .sim import (DataIntegrityError, SimConfig, SimOutcome, read_infection_csv, run_ensemble, run_lanes,
+                  write_infection_csv)
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -119,11 +121,13 @@ class ExperimentSpec:
         )
 
 
-def _check_fields(path, what: str, data, cls) -> None:
-    """A spec section must be a JSON object naming only fields of `cls`, each with a value of its type.
+def _load_fields(path, what: str, cls):
+    """A `cls` from a JSON file holding an object that names only fields of `cls`, each with a value of its type.
 
-    Float fields given as JSON integers are made floats in place.
+    Float fields, and grids of floats, given as JSON integers are made floats.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError(f"{path}: {what} must be a JSON object, got {type(data).__name__}")
     types = typing.get_type_hints(cls)
@@ -134,8 +138,12 @@ def _check_fields(path, what: str, data, cls) -> None:
         if not _json_fits(value, types[key]):
             name = types[key].__name__ if isinstance(types[key], type) else str(types[key]).replace("typing.", "")
             raise UsageError(f"{path}: {what} key {key!r} must be {name}, got {json.dumps(value)}")
-        if types[key] is float:  # a JSON 1 must write as 1.0, as the flag's value does
+        # a JSON 1 must write as 1.0, as the flag's value does
+        if types[key] is float:
             data[key] = float(value)
+        elif types[key] == Tuple[float, ...]:
+            data[key] = tuple(map(float, value))
+    return cls(**data)
 
 
 def _json_fits(value, hint) -> bool:
@@ -150,27 +158,6 @@ def _json_fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _load_spec(path) -> ExperimentSpec:
-    """A --spec file: every field checked, the grids made floats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    _check_fields(path, "spec", data, ExperimentSpec)
-    spec = ExperimentSpec(**data)
-    spec.beta_grid = tuple(float(b) for b in spec.beta_grid)
-    spec.dt_grid_minutes = tuple(float(d) for d in spec.dt_grid_minutes)
-    return spec
-
-
-def _load_synth_config(path) -> SynthConfig:
-    """A --synth-config file: a JSON object of `SynthConfig` fields, validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    _check_fields(path, "synth config", data, SynthConfig)
-    config = SynthConfig(**data)
-    config.validate()
-    return config
 
 
 def _fmt_num(x: float) -> str:
@@ -209,7 +196,7 @@ def _override(config, args: argparse.Namespace) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    spec = _load_spec(args.spec) if args.spec else ExperimentSpec()
+    spec = _load_fields(args.spec, "spec", ExperimentSpec) if args.spec else ExperimentSpec()
     _override(spec, args)
     if not spec.dataset:
         raise UsageError("no dataset: pass --input or a spec file's dataset")
@@ -258,12 +245,22 @@ def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[MobilityTable, 
     return table, classify_population(table)
 
 
+def _write_tallies(outcomes: Sequence[SimOutcome], assignments: Assignments, cards: Sequence[str],
+                   encounters: np.ndarray, staging: Path) -> None:
+    """An ensemble's per-group summary, its group flow matrix and the matrix's chord export."""
+    per_group_summary(outcomes, assignments, cards, encounters).to_csv(staging / "group_summary.csv")
+    matrix = group_flow_matrix(outcomes, assignments)
+    matrix.to_csv(staging / "flow_matrix.csv")
+    chord_export(matrix, path=staging / "chord.json")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_synth_config(args.synth_config) if args.synth_config else SynthConfig()
+    config = _load_fields(args.synth_config, "synth config", SynthConfig) if args.synth_config else SynthConfig()
+    config.validate()  # the file on its own, before any flag overrides it
     _override(config, args)
     config.validate()
     _, trips = synthesize(config)
@@ -330,11 +327,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_assignments_csv(result, staging / "assignments.csv")
         for outcome in outcomes:
             write_infection_csv(outcome, staging / f"infections_run{outcome.per_run_seed:03d}.csv")
-        summary = per_group_summary(outcomes, result.assignments, table.cards, table.encounters)
-        summary.to_csv(staging / "group_summary.csv")
-        matrix = group_flow_matrix(outcomes, result.assignments)
-        matrix.to_csv(staging / "flow_matrix.csv")
-        chord_export(matrix, path=staging / "chord.json")
+        _write_tallies(outcomes, result.assignments, table.cards, table.encounters, staging)
         infections = [o.infectee.size for o in outcomes]
         mean_infections = float(np.mean(infections))
         payload = {
@@ -447,11 +440,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
         outcomes = [read_infection_csv(path) for path in event_files]
 
-        summary = per_group_summary(outcomes, assignments, trips.cards, encounters)
-        summary.to_csv(staging / "group_summary.csv")
-        matrix = group_flow_matrix(outcomes, assignments)
-        matrix.to_csv(staging / "flow_matrix.csv")
-        chord_export(matrix, path=staging / "chord.json")
+        _write_tallies(outcomes, assignments, trips.cards, encounters, staging)
         comps = connected_components(trips)
         write_histogram_csv(degree_distribution(encounters), staging / "degree_distribution.csv", value_name="degree")
         (staging / "components.json").write_text(

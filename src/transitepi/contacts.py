@@ -75,14 +75,6 @@ class ExposureLog:
         return int(self.src_ride.size)
 
     @property
-    def cards(self) -> List[str]:
-        return self.trips.cards
-
-    @property
-    def vehicles(self) -> List[str]:
-        return self.trips.vehicles
-
-    @property
     def src(self) -> np.ndarray:
         return self.trips.card.take(self.src_ride)
 

@@ -36,8 +36,6 @@ def haversine_m(a, b):
 class PlanarModel:
     """Flat-plane geometry. Centre of mass is the weighted arithmetic mean."""
 
-    name = "planar"
-
     def distance(self, a, b):
         """Planar distance; coordinates are already metres."""
         return np.hypot(np.subtract(a[0], b[0]), np.subtract(a[1], b[1]))
@@ -56,8 +54,6 @@ class HaversineModel:
     renormalizing, then converting back to (lat, lon).  This avoids the
     antimeridian and polar artefacts of naive lat/lon averaging.
     """
-
-    name = "haversine"
 
     def distance(self, a, b):
         return haversine_m(a, b)

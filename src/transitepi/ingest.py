@@ -9,8 +9,8 @@ vehicle and stops over id-sorted vocabularies, float board and alight times,
 and one (lat, lon) pair per stop.  The parser reads the body in blocks of
 lines and turns each block into columns: numpy's C reader takes a
 quote-free block it can read whole, ids as text and numbers as float64,
-and the `csv` module any other (a blank line, a cell that is no number, a
-NUL) and after a quote the rest, since a quoted field may span blocks.
+and the `csv` module any other (a blank line, a cell that is no number)
+and after a quote the rest, since a quoted field may span blocks.
 One vectorised checker then gives each row its first failing reason,
 keeps each time column's format (epoch seconds or ISO-8601, fixed by its
 first cell that parses), and codes the accepted rows into typed columns.
@@ -124,12 +124,9 @@ class TripTable:
 
         The vocabularies shrink to the ids the selected rows use.
         """
-        cards, card, _ = _renumber(self.cards, self.card[rows])
-        vehicles, vehicle, _ = _renumber(self.vehicles, self.vehicle[rows])
-        stops, stop, used = _renumber(self.stops, np.concatenate([self.board_stop[rows], self.alight_stop[rows]]))
-        n = card.size
-        return TripTable(cards, vehicles, stops, self.stop_lat[used], self.stop_lon[used], card, vehicle,
-                         stop[:n], stop[n:], self.board[rows], self.alight[rows])
+        return _table(self.cards, self.vehicles, self.stops, np.column_stack([self.stop_lat, self.stop_lon]),
+                      self.card[rows], self.vehicle[rows], self.board_stop[rows], self.alight_stop[rows],
+                      self.board[rows], self.alight[rows])
 
 
 def _vocabulary(ids: Sequence[str]) -> Tuple[List[str], np.ndarray]:
@@ -369,9 +366,9 @@ def _blocks(stream: TextIO, idx: List[int], delimiter: str,
         if '"' in text:
             yield from _csv_blocks(chain(lines, stream), idx, delimiter, len(lines))
             return
-        # numpy's reader skips blank lines and takes a NUL or a field over the csv
-        # module's size limit, which csv (before Python 3.11, for a NUL) refuses
-        if lines[0].strip() and "\x00" not in text and max(map(len, lines)) <= csv.field_size_limit():
+        # numpy's reader skips a blank line, which csv counts as a row, and takes a field
+        # over the csv module's size limit, which csv refuses: such a block goes to csv
+        if lines[0].strip() and max(map(len, lines)) <= csv.field_size_limit():
             try:
                 cells = np.loadtxt(lines, delimiter=delimiter, usecols=idx, dtype=dtype(), comments=None,
                                    quotechar=None, ndmin=1)

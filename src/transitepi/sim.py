@@ -213,8 +213,8 @@ class LaneTraces:
             rows, times = self.events[(k, run)]
             events = log.take(rows)
             out.append(SimOutcome(
-                log.cards, log.vehicles, events.src, events.tgt, events.veh, times, events.direct,
-                seeds, run, log.cards, self.start_time, self.end_time, self.period,
+                log.trips.cards, log.trips.vehicles, events.src, events.tgt, events.veh, times, events.direct,
+                seeds, run, log.trips.cards, self.start_time, self.end_time, self.period,
             ))
         return out
 
@@ -234,11 +234,11 @@ def run_lanes(
     for beta in betas:
         replace(config, beta=beta).validate()
     log = build_exposure_log(trips, config.d_t) if exposures is None else exposures
-    if log.cards != trips.cards:
+    if log.trips.cards != trips.cards:
         raise ValueError("the exposure log's cards are not the trip table's")
     if log.d_t != config.d_t:
         raise ValueError(f"the exposure log is at d_t={log.d_t}, the config at d_t={config.d_t}")
-    n = len(log.cards)
+    n = len(trips.cards)
     if config.n_seeds > n:
         raise ValueError(f"n_seeds={config.n_seeds} exceeds population {n}")
     start_time = float(trips.board.min()) if config.start_time is None else config.start_time
@@ -250,16 +250,16 @@ def run_lanes(
     cuts = np.ceil(np.asarray(betas, np.float64) * 2.0 ** 53).astype(np.uint64)
     codes = _Codes(log, start_time, end_time)
     runs = list(runs)
-    per_batch = max(1, BATCH_BYTES // max(1, len(betas) * len(log.cards) * _LANE_BYTES_PER_CARD))
+    per_batch = max(1, BATCH_BYTES // max(1, len(betas) * n * _LANE_BYTES_PER_CARD))
     for first in range(0, len(runs), per_batch):
         batch = runs[first:first + per_batch]
         seeds, tokens = [], []
         for run in batch:
             rng, token = _run_streams(config.master_seed, run)
-            # the population is the log's id-sorted card vocabulary
+            # the population is the table's id-sorted card vocabulary
             seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
             tokens.append(token)
-            traces.seeds[run] = tuple(log.cards[j] for j in seeds[-1].tolist())
+            traces.seeds[run] = tuple(trips.cards[j] for j in seeds[-1].tolist())
         lanes = _Lanes(codes, config.infectious_period, keys, np.array(tokens), cuts)
         for lane, code in enumerate(lanes.run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
@@ -297,7 +297,7 @@ class _Codes:
         self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
         self.time_rank = np.delete(rank, at).take(self.key)
         del starts, new, rank
-        self.bounds = np.searchsorted(log.src, np.arange(len(log.cards) + 1))
+        self.bounds = np.searchsorted(log.src, np.arange(len(log.trips.cards) + 1))
         self.tgt = log.tgt
         # direct: the later boarding to the earlier alighting; indirect: the source's ride
         self.opens = log.trips.board.take(log.src_ride)

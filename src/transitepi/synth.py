@@ -125,12 +125,6 @@ class Route:
 @dataclass(frozen=True)
 class BusNetwork:
     routes: Tuple[Route, ...]
-    base_time: int = BASE_EPOCH
-
-    @property
-    def stops(self) -> Dict[str, Tuple[float, float]]:
-        """Every stop id with its (lat, lon)."""
-        return {s: c for route in self.routes for s, c in zip(route.stops, route.coords)}
 
 
 def _daily_departures(rng: np.random.Generator) -> Tuple[int, ...]:
@@ -420,7 +414,7 @@ def _ride_legs(network: BusNetwork, n_cards: int, legs: np.ndarray) -> TripTable
         after = np.minimum(np.searchsorted(deps, target), len(deps) - 1)
         before = np.maximum(after - 1, 0)
         dep = np.where(deps[after] - target < target - deps[before], after, before)
-        start = network.base_time + day[at] * 86_400 + deps[dep]
+        start = BASE_EPOCH + day[at] * 86_400 + deps[dep]
         board[at] = start + pos_i * route.leg_seconds
         alight[at] = start + pos_j * route.leg_seconds
         vehicle[at] = first_vehicle[ri] + (2 * dep + backward) % route.vehicle_pool

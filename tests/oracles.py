@@ -229,9 +229,9 @@ def log_events(log: ExposureLog) -> Iterator[ExposureEvent]:
     src_enter = log.trips.board[log.src_ride]
     for i in np.lexsort((log.veh, log.end, log.tgt, log.src, log.start)):
         yield ExposureEvent(
-            source=log.cards[log.src[i]],
-            target=log.cards[log.tgt[i]],
-            vehicle_id=log.vehicles[log.veh[i]],
+            source=log.trips.cards[log.src[i]],
+            target=log.trips.cards[log.tgt[i]],
+            vehicle_id=log.trips.vehicles[log.veh[i]],
             exposure_start=float(log.start[i]),
             exposure_end=float(log.end[i]),
             kind=DIRECT if log.direct[i] else INDIRECT,
@@ -419,8 +419,8 @@ def exposures_quadratic(
 
 def direct_encounter_counts(log: ExposureLog) -> Dict[str, int]:
     """Per-card count of a log's direct rows by source: the reference for `contacts.encounter_counts`."""
-    counts = np.bincount(log.src[log.direct], minlength=len(log.cards))
-    return {card: int(counts[i]) for i, card in enumerate(log.cards) if counts[i]}
+    counts = np.bincount(log.src[log.direct], minlength=len(log.trips.cards))
+    return {card: int(counts[i]) for i, card in enumerate(log.trips.cards) if counts[i]}
 
 
 def direct_degree_quadratic(
@@ -569,18 +569,18 @@ def sir_reference(
     if exposures is None:
         exposures = build_exposure_log(trips, config.d_t)
     if population is None:
-        population = exposures.cards if trips is None else trips.cards
+        population = exposures.trips.cards if trips is None else trips.cards
     population = sorted(population)
     n = len(population)
     if config.n_seeds > n:
         raise ValueError(f"n_seeds={config.n_seeds} exceeds population {n}")
-    extra = set(exposures.cards) - set(population)
+    extra = set(exposures.trips.cards) - set(population)
     if extra:
         raise ValueError(
             f"exposure log covers {len(extra)} card(s) outside the population, e.g. {sorted(extra)[:3]}"
         )
 
-    card_pos = {c: i for i, c in enumerate(exposures.cards)}
+    card_pos = {c: i for i, c in enumerate(exposures.trips.cards)}
     e_dep_a = exposures.trips.board[exposures.src_ride]  # the source ride's boarding
     start_time = config.start_time
     if start_time is None:
@@ -604,7 +604,7 @@ def sir_reference(
     e_ok = uvals < config.beta
 
     # the log is stored grouped by source, so u's exposures are bounds[u]:bounds[u + 1]
-    n_log_cards = len(exposures.cards)
+    n_log_cards = len(exposures.trips.cards)
     bounds = np.searchsorted(exposures.src, np.arange(n_log_cards + 1))
     e_tgt = exposures.tgt
     e_veh = exposures.veh
@@ -674,10 +674,10 @@ def sir_reference(
         n_susceptible -= 1
         events.append(
             InfectionEvent(
-                infector=exposures.cards[u],
-                infectee=exposures.cards[v],
+                infector=exposures.trips.cards[u],
+                infectee=exposures.trips.cards[v],
                 time=t,
-                vehicle_id=exposures.vehicles[veh],
+                vehicle_id=exposures.trips.vehicles[veh],
                 kind=DIRECT if direct else INDIRECT,
             )
         )

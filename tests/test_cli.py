@@ -85,15 +85,17 @@ class TestGenerate:
         assert "must be" in caplog.text
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "synth-config"])
-    def test_negative_seed_is_config_error(self, tmp_path, caplog, from_config):
+    # a file's seed is checked on its own, before a flag overrides it
+    @pytest.mark.parametrize("source", ["flag", "synth-config", "synth-config-and-flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, caplog, source):
         out = tmp_path / "t.csv"
-        if from_config:
-            path = tmp_path / "synth.json"
-            path.write_text(json.dumps({**SYNTH, "rng_seed": -1}))
-            flags = ["--synth-config", str(path)]
-        else:
-            flags = ["--passengers", "10", "--days", "3", "--min-trips-per-passenger", "1", "--seed", "-1"]
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps({**SYNTH, "rng_seed": -1}))
+        flags = {
+            "flag": ["--passengers", "10", "--days", "3", "--min-trips-per-passenger", "1", "--seed", "-1"],
+            "synth-config": ["--synth-config", str(path)],
+            "synth-config-and-flag": ["--synth-config", str(path), "--seed", "3"],
+        }[source]
         assert main(["generate", "--out", str(out), *flags]) == 2
         assert "rng_seed must be >= 0, got -1" in caplog.text
         assert not out.exists()
@@ -314,12 +316,14 @@ class TestSweep:
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
 
-    def test_spec_file_with_flag_override(self, tmp_path, trips_csv):
+    # JSON integers in a grid are floats, as a flag's values are
+    @pytest.mark.parametrize("beta, dt", [(1.0, 0.0), (1, 0)], ids=["float-grids", "integer-grids"])
+    def test_spec_file_with_flag_override(self, tmp_path, trips_csv, beta, dt):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "dataset": trips_csv,
-            "beta_grid": [1.0],
-            "dt_grid_minutes": [0.0],
+            "beta_grid": [beta],
+            "dt_grid_minutes": [dt],
             "n_seeds": 5,
             "n_runs": 3,
             "min_trips": 10,
@@ -330,6 +334,8 @@ class TestSweep:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["parameters"]["n_runs"] == 1  # flag wins
         assert manifest["parameters"]["n_seeds"] == 5
+        assert repr(manifest["parameters"]["beta_grid"]) == "[1.0]"
+        assert repr(manifest["parameters"]["dt_grid_minutes"]) == "[0.0]"
 
     @pytest.mark.parametrize(
         "content, named",
@@ -634,18 +640,23 @@ class TestAnalyze:
         assert "'stranger'" in caplog.text
 
     @pytest.mark.parametrize(
-        "content, line",
+        "content, where",
         [
-            ("infector,infectee,time\n", 1),
-            ("infector,infectee,time,vehicle_id,kind\na,b,100.0\n", 2),
-            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,inf,v,direct\n", 3),
-            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,airborne\n", 2),
-            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nc,c,200.0,v,direct\n", 3),
-            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,150.0,v,indirect\nc,b,200.0,v,direct\n", 4),
+            ("infector,infectee,time\n", "1:"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0\n", "2: expected 5 fields, got 3"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct,x\n", "2: expected 5 fields, got 6"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,inf,v,direct\n",
+             "3: time 'inf' is not a finite number"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,airborne\n", "2:"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nc,c,200.0,v,direct\n", "3:"),
+            ('infector,infectee,time,vehicle_id,kind\n"a\nx",b,100.0,v,direct\nc,c,200.0,v,direct\n',
+             "4: card 'c' infects itself"),
+            ("infector,infectee,time,vehicle_id,kind\na,b,100.0,v,direct\nb,c,150.0,v,indirect\nc,b,200.0,v,direct\n", "4:"),
         ],
-        ids=["header", "short-row", "non-finite-time", "unknown-kind", "self-infection", "infected-twice"],
+        ids=["header", "short-row", "long-row", "non-finite-time", "unknown-kind", "self-infection",
+             "self-infection-after-a-two-line-id", "infected-twice"],
     )
-    def test_malformed_infection_log_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
+    def test_malformed_infection_log_is_data_error(self, tmp_path, trips_csv, caplog, content, where):
         events_dir = tmp_path / "events"
         events_dir.mkdir()
         (events_dir / "infections_run000.csv").write_text(content)
@@ -657,7 +668,7 @@ class TestAnalyze:
             "--out-dir", str(tmp_path / "analysis"),
         ])
         assert code == 2
-        assert f"infections_run000.csv:{line}:" in caplog.text
+        assert f"infections_run000.csv:{where}" in caplog.text
 
     def test_field_over_the_csv_size_limit_in_infection_log_is_data_error(self, tmp_path, trips_csv, caplog):
         events_dir = tmp_path / "events"
@@ -677,17 +688,18 @@ class TestAnalyze:
         assert list(out_dir.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "content, line",
+        "content, where",
         [
-            ("", 1),
-            ("card_id,group\nc1,exp_high_long\nonlyone\n", 3),
-            ("card_id,group\nc1,exp_high_long\nc1,ret_low_short\n", 3),
-            ("card_id,group\nc1,exp_high_long\nc2,exp_high_medium\n", 3),
-            ("card_id,group\nc1,exp_high\n", 2),
+            ("", "1:"),
+            ("card_id,group\nc1,exp_high_long\nonlyone\n", "3: expected 2 fields, got 1"),
+            ("card_id,group\nc1,exp_high_long,x\n", "2: expected 2 fields, got 3"),
+            ("card_id,group\nc1,exp_high_long\nc1,ret_low_short\n", "3:"),
+            ("card_id,group\nc1,exp_high_long\nc2,exp_high_medium\n", "3:"),
+            ("card_id,group\nc1,exp_high\n", "2:"),
         ],
-        ids=["empty", "one-field-row", "card-twice", "unknown-group", "two-part-group"],
+        ids=["empty", "one-field-row", "three-field-row", "card-twice", "unknown-group", "two-part-group"],
     )
-    def test_malformed_assignments_is_data_error(self, tmp_path, trips_csv, caplog, content, line):
+    def test_malformed_assignments_is_data_error(self, tmp_path, trips_csv, caplog, content, where):
         assignments = tmp_path / "assignments.csv"
         assignments.write_text(content)
         code = main([
@@ -696,4 +708,4 @@ class TestAnalyze:
             "--out-dir", str(tmp_path / "analysis"),
         ])
         assert code == 2
-        assert f"assignments.csv:{line}:" in caplog.text
+        assert f"assignments.csv:{where}" in caplog.text

@@ -239,7 +239,7 @@ class TestWithin:
             chained = chained.within(d_t)
             want = build_exposure_log(trips, d_t)
             for got in (wide.within(d_t), chained):
-                assert (got.d_t, got.cards, got.vehicles) == (d_t, want.cards, want.vehicles)
+                assert (got.d_t, got.trips.cards, got.trips.vehicles) == (d_t, want.trips.cards, want.trips.vehicles)
                 assert direct_encounter_counts(got) == direct_encounter_counts(want)
                 for column in LOG_COLUMNS + ("src_ride", "tgt_ride"):
                     a, b = log_column(got, column), log_column(want, column)

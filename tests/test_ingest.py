@@ -26,6 +26,7 @@ from transitepi.ingest import (
     REQUIRED_COLUMNS,
     IngestReport,
     SchemaError,
+    TripTable,
     filter_by_min_trips,
     parse_trip_records,
     population_vs_threshold,
@@ -324,6 +325,20 @@ def test_written_bytes_match_the_reference_row_loop(trips, block):
         with mock.patch.object(ingest, "BLOCK_ROWS", block):
             write_trip_csv(trips, Path(work) / "trips.csv")
         assert (Path(work) / "trips.csv").read_bytes() == (Path(work) / "reference.csv").read_bytes()
+
+
+@given(trips=writer_tables(), data=st.data())
+def test_take_is_a_table_of_the_selected_rows(trips, data):
+    """The vocabularies shrink to the ids the selected rows use, and each kept stop keeps its own coordinates."""
+    n = len(trips)
+    rows = data.draw(st.one_of(st.lists(st.booleans(), min_size=n, max_size=n).map(lambda m: np.array(m, bool)),
+                               st.lists(st.integers(0, n - 1) if n else st.nothing()).map(lambda i: np.array(i, int))))
+    stops = dict(zip(trips.stops, zip(trips.stop_lat.tolist(), trips.stop_lon.tolist())))
+    want = TripTable.from_columns(
+        [trips.cards[c] for c in trips.card[rows]], [trips.vehicles[v] for v in trips.vehicle[rows]],
+        trips.board[rows], trips.alight[rows], [trips.stops[s] for s in trips.board_stop[rows]],
+        [trips.stops[s] for s in trips.alight_stop[rows]], stops)
+    assert same_table(trips.take(rows), want)
 
 
 @pytest.mark.parametrize("column", ["board", "alight"])

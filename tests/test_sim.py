@@ -182,7 +182,7 @@ class TestSingleRun:
         records = random_instance(5, n_cards=20, n_trips=80)
         log = build_exposure_log(table(records), 0.0)
         out = run_sir(table(records), config(beta=1.0, n_seeds=2), 0, exposures=log)
-        assert out.cards is log.cards and out.vehicles is log.vehicles
+        assert out.cards is log.trips.cards and out.vehicles is log.trips.vehicles
         assert [c.dtype for c in (out.infector, out.infectee, out.vehicle, out.time, out.direct)] == [
             np.int32, np.int32, np.int32, np.float64, np.bool_
         ]
@@ -409,7 +409,7 @@ class TestLanes:
         log = build_exposure_log(table(random_instance(3)), 0.0)
         cuts, tokens = np.array([1, 2, 3], np.uint64), np.arange(4, dtype=np.uint64)
         lanes = sim._Lanes(sim._Codes(log, 0.0, DAY), DAY, sim._exposure_keys(log), tokens, cuts)
-        per_run = cuts.size * len(log.cards) * sim._LANE_BYTES_PER_CARD
+        per_run = cuts.size * len(log.trips.cards) * sim._LANE_BYTES_PER_CARD
         assert len(log) > 0
         assert lanes.n_lanes == cuts.size * tokens.size
         assert lanes.best.nbytes <= tokens.size * per_run

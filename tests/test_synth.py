@@ -9,7 +9,7 @@ import pytest
 
 from conftest import same_table
 from transitepi.classify import GROUP_NAMES, classify_population
-from transitepi.cli import _load_synth_config
+from transitepi.cli import _load_fields
 from transitepi.geo import latlon_to_local_km
 from transitepi.ingest import parse_trip_records, write_trip_csv
 from transitepi.mobility import mobility_table
@@ -58,7 +58,7 @@ class TestNetwork:
             cfg = SynthConfig(n_passengers=1, n_routes=4, stops_per_route=6, rng_seed=seed,
                               city_extent_km=18.0)
             net = generate_network(cfg, np.random.default_rng(seed))
-            for lat, lon in net.stops.values():
+            for lat, lon in (c for route in net.routes for c in route.coords):
                 x, y = latlon_to_local_km(lat, lon, CITY_ORIGIN_LAT, CITY_ORIGIN_LON)
                 assert -0.01 <= x <= cfg.city_extent_km + 0.01
                 assert -0.01 <= y <= cfg.city_extent_km + 0.01
@@ -179,7 +179,7 @@ class TestConfig:
 
         path = tmp_path / "synth.json"
         path.write_text(json.dumps({"n_passengers": 42, "rng_seed": 9}))
-        cfg = _load_synth_config(path)
+        cfg = _load_fields(path, "synth config", SynthConfig)
         assert cfg.n_passengers == 42
         assert cfg.rng_seed == 9
         assert cfg.days == 30
