@@ -94,12 +94,14 @@ def kmeans_1d(values: Sequence[float]) -> Tuple[np.ndarray, Tuple[float, float]]
     """
     arr = np.asarray(values, dtype=float)
     n = arr.size
-    if n < 2 or np.unique(arr).size < 2:
+    order = np.argsort(arr, kind="stable")
+    s = arr[order]
+    # sorted, NaN last: fewer than two distinct values (NaNs alike) iff the ends are equal or all NaN;
+    # np.unique would import numpy.ma on numpy 2
+    if n < 2 or s[0] == s[-1] or np.isnan(s[0]):
         raise DegenerateClusteringError(
             "two-means needs at least two distinct values"
         )
-    order = np.argsort(arr, kind="stable")
-    s = arr[order]
     prefix = np.concatenate(([0.0], np.cumsum(s)))
     prefix_sq = np.concatenate(([0.0], np.cumsum(s * s)))
     sizes_left = np.arange(1, n, dtype=float)

@@ -284,7 +284,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
-    filtered = filter_by_min_trips(trips, args.min_trips) if args.min_trips > 1 else trips
+    filtered = filter_by_min_trips(trips, args.min_trips)
     if args.out:
         write_trip_csv(filtered, args.out)
     if args.freq_csv:

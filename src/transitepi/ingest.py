@@ -568,11 +568,13 @@ def _parse_iso(text: str) -> float:
 def filter_by_min_trips(trips: TripTable, threshold: int) -> TripTable:
     """Drop all rows of cards with fewer than `threshold` trips.
 
-    Surviving rows keep their values and their order.
+    Surviving rows keep their values and their order; when no card falls
+    below the threshold the result is `trips` itself.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    return trips.take(_trips_per_card(trips)[trips.card] >= threshold)
+    keep = _trips_per_card(trips) >= threshold
+    return trips if keep.all() else trips.take(keep[trips.card])
 
 
 def _trips_per_card(trips: TripTable) -> np.ndarray:
@@ -635,7 +637,7 @@ def write_trip_csv(trips: TripTable, path: Union[str, Path]) -> None:
 def _time_text(times: np.ndarray) -> List[str]:
     """Each finite time as `_format_time` writes it, through int64 when every one is integral and fits."""
     if ((times == np.trunc(times)) & (np.abs(times) < 2.0 ** 63)).all():
-        return times.astype(np.int64).astype(str).tolist()
+        return list(map(str, times.astype(np.int64).tolist()))
     return list(map(_format_time, times.tolist()))
 
 

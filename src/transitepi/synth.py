@@ -21,6 +21,14 @@ radius of gyration.
 
 Generation is a pure function of (config, seed): the same SynthConfig always
 yields byte-identical trip files.
+
+Each passenger draws its day flags in one `random(k)` call, and a
+non-roamer the jitters of all its round trips in one `integers(..., size)`
+call.  numpy's Generator fills these from the same bit stream as k scalar
+calls, so the files are those of one call per day and per jitter.  A
+roamer still draws its jitters and its legs one call at a time: each leg's
+novelty draw decides whether the leg draws a novel route and stops, three
+more integers, so no batch of fixed size fits.
 """
 
 from __future__ import annotations
@@ -233,11 +241,8 @@ class _Passenger:
     near_routes: Tuple[Tuple[int, List[int]], ...] = ()
 
 
-def generate_passengers(
-    config: SynthConfig, network: BusNetwork, rng: np.random.Generator
-) -> TripTable:
-    """Emit every passenger's trips for the whole period, chronologically."""
-    config.validate()
+def _draw_passengers(config: SynthConfig, network: BusNetwork, rng: np.random.Generator) -> List[_Passenger]:
+    """Each passenger's archetype, route, anchors and preferred times, archetype by archetype."""
     routes = network.routes
     n_routes = len(routes)
     long_routes = [
@@ -313,81 +318,119 @@ def generate_passengers(
                         by_route.setdefault(r_, []).append(s_)
                     p.near_routes = tuple((ri, sis) for ri, sis in sorted(by_route.items()) if len(sis) >= 2)
             passengers.append(p)
+    return passengers
 
-    def novel_pair(p: _Passenger) -> Optional[Tuple[int, int, int]]:
-        if p.roam_far:
-            ri = int(rng.integers(0, n_routes))
-            m = len(routes[ri].stops)
-            i = int(rng.integers(0, m))
-            j = int(rng.integers(0, m - 1))
-            if j >= i:
-                j += 1
-            return ri, i, j
-        # near roamer: two distinct stops of one route inside the radius
-        if not p.near_routes:
-            return None
-        ri, sis = p.near_routes[int(rng.integers(0, len(p.near_routes)))]
-        i = int(rng.integers(0, len(sis)))
-        j = int(rng.integers(0, len(sis) - 1))
+
+def _novel_pair(p: _Passenger, routes: Tuple[Route, ...], rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
+    """A roamer's novelty ride as (route, origin stop, destination stop), or None for a near roamer with no route."""
+    if p.roam_far:
+        ri = int(rng.integers(0, len(routes)))
+        m = len(routes[ri].stops)
+        i = int(rng.integers(0, m))
+        j = int(rng.integers(0, m - 1))
         if j >= i:
             j += 1
-        return ri, sis[i], sis[j]
+        return ri, i, j
+    # near roamer: two distinct stops of one route inside the radius
+    if not p.near_routes:
+        return None
+    ri, sis = p.near_routes[int(rng.integers(0, len(p.near_routes)))]
+    i = int(rng.integers(0, len(sis)))
+    j = int(rng.integers(0, len(sis) - 1))
+    if j >= i:
+        j += 1
+    return ri, sis[i], sis[j]
 
-    # six ints per leg: card, route, day, origin stop, destination stop, desired time at the origin
-    legs = array("q")
-    for card, p in enumerate(passengers):
-        activity = PEAK_ACTIVITY if p.archetype != "offpeak_regular" else OFFPEAK_ACTIVITY
-        first_leg = len(legs)
-        active_days = []
-        for day in range(config.days):
-            weekday = day % 7 < 5
-            if p.archetype == "offpeak_regular":
-                active = rng.random() < activity
-            else:
-                active = weekday and rng.random() < activity
-            active_days.append(active)
 
-        def anchor_round_trip(day: int) -> None:
-            # peak riders run a round trip inside each rush window, which
-            # concentrates their co-presence; off-peak riders do one midday
-            # round trip
-            jit_out = int(rng.integers(-600, 601))
-            jit_back = int(rng.integers(-600, 601))
-            if p.peak:
-                day_legs = [
-                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
-                    (p.anchor_b, p.anchor_a, p.preferred_out_s + jit_out + 2700),
-                    (p.anchor_a, p.anchor_b, p.preferred_back_s + jit_back),
-                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back + 2700),
-                ]
-            else:
-                day_legs = [
-                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
-                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back),
-                ]
-            for origin, dest, desired in day_legs:
-                if p.archetype == "roamer" and rng.random() < NOVELTY_P:
-                    novel = novel_pair(p)
-                    if novel is not None:
-                        nri, ni, nj = novel
-                        legs.extend((card, nri, day, ni, nj, desired))
-                        continue
-                legs.extend((card, p.route_idx, day, origin, dest, desired))
-
-        for day in range(config.days):
-            if active_days[day]:
-                anchor_round_trip(day)
-        # backstop: everyone must reach the configured trip minimum; fill
-        # inactive days first, then cycle through the period again
-        day = 0
-        while len(legs) - first_leg < 6 * config.min_trips_per_passenger:
-            if day >= config.days or not active_days[day]:
-                anchor_round_trip(day % config.days)
-            day += 1
-
-    table = _ride_legs(network, len(passengers), np.frombuffer(legs, np.int64).reshape(-1, 6))
+def generate_passengers(
+    config: SynthConfig, network: BusNetwork, rng: np.random.Generator
+) -> TripTable:
+    """Emit every passenger's trips for the whole period, chronologically."""
+    config.validate()
+    passengers = _draw_passengers(config, network, rng)
+    table = _ride_legs(network, len(passengers), _legs(config, network, passengers, rng))
     # code order is id order: by board time, then card id, then vehicle id, ties in emission order
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
+
+
+def _legs(config: SynthConfig, network: BusNetwork, passengers: List[_Passenger],
+          rng: np.random.Generator) -> np.ndarray:
+    """Every passenger's legs, card by card, six ints each as `_ride_legs` takes them.
+
+    A passenger draws its day flags in one call, and a non-roamer the
+    jitters of all its round trips in one more: the same draws, in the same
+    order, as one call per day and per jitter.
+    """
+    every_day = np.arange(config.days)
+    weekdays = every_day[every_day % 7 < 5]
+    trip_days, jitter = [], []
+    novel = array("q")  # leg, route, origin stop, destination stop of each roamer leg that rides elsewhere
+    n_legs = 0
+    for p in passengers:
+        # off-peak regulars may ride any day, everyone else only on weekdays
+        offpeak = p.archetype == "offpeak_regular"
+        eligible, activity = (every_day, OFFPEAK_ACTIVITY) if offpeak else (weekdays, PEAK_ACTIVITY)
+        legs_per_trip = 4 if p.peak else 2
+        days = _round_trip_days(eligible[rng.random(eligible.size) < activity], config.days,
+                                -(-config.min_trips_per_passenger // legs_per_trip))
+        trip_days.append(days)
+        if p.archetype != "roamer":
+            jitter.append(rng.integers(-600, 601, size=(days.size, 2)))
+        else:
+            # a roamer's novelty draw decides, leg by leg, whether _novel_pair draws: no batch fits
+            pairs = []
+            for first in range(n_legs, n_legs + days.size * legs_per_trip, legs_per_trip):
+                pairs.append((rng.integers(-600, 601), rng.integers(-600, 601)))
+                for leg in range(first, first + legs_per_trip):
+                    if rng.random() < NOVELTY_P:
+                        pair = _novel_pair(p, network.routes, rng)
+                        if pair is not None:
+                            novel.extend((leg, *pair))
+            jitter.append(np.array(pairs, np.int64))
+        n_legs += days.size * legs_per_trip
+
+    legs = _anchor_legs(passengers, trip_days, np.concatenate(jitter))
+    if novel:
+        leg, route, origin, dest = np.frombuffer(novel, np.int64).reshape(-1, 4).T
+        legs[leg, 1], legs[leg, 3], legs[leg, 4] = route, origin, dest
+    return legs
+
+
+def _round_trip_days(active: np.ndarray, n_days: int, round_trips: int) -> np.ndarray:
+    """The day of each round trip: every active day, in order, then a backstop up to `round_trips`.
+
+    Everyone must reach the configured trip minimum: the backstop fills
+    inactive days first, then cycles through the period again from day 0.
+    """
+    short = round_trips - active.size
+    if short <= 0:
+        return active
+    inactive = np.ones(n_days, bool)
+    inactive[active] = False
+    return np.concatenate([active, np.flatnonzero(inactive), np.arange(short) % n_days])[:round_trips]
+
+
+def _anchor_legs(passengers: List[_Passenger], trip_days: List[np.ndarray], jitter: np.ndarray) -> np.ndarray:
+    """Every round trip between a passenger's anchors as legs, six ints each as `_ride_legs` takes them.
+
+    `trip_days[c]` holds the days of card c's round trips.  `jitter` has one
+    row per round trip, in card and then trip order, that shifts its
+    outbound and its return time.  Peak riders run a round trip inside each
+    rush window, which concentrates their co-presence; off-peak riders do
+    one midday round trip.
+    """
+    card = np.repeat(np.arange(len(passengers)), [d.size for d in trip_days])
+    route, a, b, peak, out, back = np.array([(p.route_idx, p.anchor_a, p.anchor_b, p.peak, p.preferred_out_s,
+                                              p.preferred_back_s) for p in passengers], np.int64).T[:, card]
+    # four legs a trip: a to b and back 45 minutes later, around the outbound and then the return
+    # time; an off-peak trip keeps the first and the last, with no lag
+    trip, slot = np.divmod(np.flatnonzero((peak == 1)[:, None] | [True, False, False, True]), 4)
+    returning = slot % 2 == 1
+    legs = np.empty((trip.size, 6), np.int64)
+    legs[:, 0], legs[:, 1], legs[:, 2] = card[trip], route[trip], np.concatenate(trip_days)[trip]
+    legs[:, 3], legs[:, 4] = np.where(returning, b[trip], a[trip]), np.where(returning, a[trip], b[trip])
+    legs[:, 5] = (jitter + np.column_stack([out, back]))[trip, slot // 2] + 2700 * (peak[trip] & returning)
+    return legs
 
 
 def _ride_legs(network: BusNetwork, n_cards: int, legs: np.ndarray) -> TripTable:

@@ -6,7 +6,9 @@ its own oracle.  The one exception is `sir_reference`, which draws its seeds
 and keyed uniforms through the package so that its events can be compared
 with the simulator's one for one.  `parse_reference` builds its result with
 the package's `TripTable.from_columns` and `IngestReport`, which hold none
-of the rules it checks.
+of the rules it checks.  `passengers_reference` draws its passengers and a
+roamer's novelty rides and rides its legs through the package, so that only
+the emission it checks, day by day and one draw per call, is its own.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ from transitepi.ingest import (
     TripTable,
 )
 from transitepi.sim import SimConfig, SimOutcome, _run_streams, exposure_uniforms
+from transitepi.synth import (
+    NOVELTY_P,
+    OFFPEAK_ACTIVITY,
+    PEAK_ACTIVITY,
+    BusNetwork,
+    SynthConfig,
+    _draw_passengers,
+    _novel_pair,
+    _ride_legs,
+)
 
 SUSCEPTIBLE = "S"
 INFECTIOUS = "I"
@@ -207,6 +219,70 @@ def write_reference(trips: TripTable, path) -> None:
                 trips.stops[b], f"{float(trips.stop_lat[b]):.6f}", f"{float(trips.stop_lon[b]):.6f}",
                 trips.stops[a], f"{float(trips.stop_lat[a]):.6f}", f"{float(trips.stop_lon[a]):.6f}",
             ])
+
+
+# --- synthetic passengers, one draw per call ---------------------------------
+
+def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.random.Generator) -> TripTable:
+    """`synth.generate_passengers` with one scalar draw per call: the reference for its batched draws.
+
+    Each passenger draws its day flags one day at a time (every day for an
+    off-peak regular, weekdays only for the rest), then two jitters per
+    round trip on its active days and then on the backstop's days, which
+    fill inactive days first and then cycle through the period again until
+    the passenger has `min_trips_per_passenger` legs.  A roamer's legs each
+    draw their novelty in between.
+    """
+    config.validate()
+    passengers = _draw_passengers(config, network, rng)
+    legs: List[Tuple[int, int, int, int, int, int]] = []
+    for card, p in enumerate(passengers):
+        activity = OFFPEAK_ACTIVITY if p.archetype == "offpeak_regular" else PEAK_ACTIVITY
+        first_leg = len(legs)
+        active_days = []
+        for day in range(config.days):
+            weekday = day % 7 < 5
+            if p.archetype == "offpeak_regular":
+                active = rng.random() < activity
+            else:
+                active = weekday and rng.random() < activity
+            active_days.append(active)
+
+        def anchor_round_trip(day: int) -> None:
+            jit_out = int(rng.integers(-600, 601))
+            jit_back = int(rng.integers(-600, 601))
+            if p.peak:
+                day_legs = [
+                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
+                    (p.anchor_b, p.anchor_a, p.preferred_out_s + jit_out + 2700),
+                    (p.anchor_a, p.anchor_b, p.preferred_back_s + jit_back),
+                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back + 2700),
+                ]
+            else:
+                day_legs = [
+                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
+                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back),
+                ]
+            for origin, dest, desired in day_legs:
+                if p.archetype == "roamer" and rng.random() < NOVELTY_P:
+                    novel = _novel_pair(p, network.routes, rng)
+                    if novel is not None:
+                        nri, ni, nj = novel
+                        legs.append((card, nri, day, ni, nj, desired))
+                        continue
+                legs.append((card, p.route_idx, day, origin, dest, desired))
+
+        for day in range(config.days):
+            if active_days[day]:
+                anchor_round_trip(day)
+        day = 0
+        while len(legs) - first_leg < config.min_trips_per_passenger:
+            if day >= config.days or not active_days[day]:
+                anchor_round_trip(day % config.days)
+            day += 1
+
+    table = _ride_legs(network, len(passengers), np.array(legs, np.int64).reshape(-1, 6))
+    return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 
 # --- exposure events ----------------------------------------------------------

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,11 @@ from transitepi.classify import (
     read_assignments_csv,
     write_assignments_csv,
 )
+from transitepi.ingest import write_trip_csv
 from transitepi.mobility import MobilityTable
+from transitepi.synth import SynthConfig, synthesize
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestExplorationRule:
@@ -71,6 +79,31 @@ class TestKmeans1d:
     def test_identical_values_degenerate(self):
         with pytest.raises(DegenerateClusteringError):
             kmeans_1d([2.0, 2.0, 2.0])
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1.0, -2.5, 1e300]),
+                    max_size=6))
+    def test_degenerate_exactly_when_fewer_than_two_distinct_values(self, values):
+        # distinct as np.unique counts it: NaNs are one value, and -0.0 is 0.0
+        if np.unique(np.array(values, float)).size < 2:
+            with pytest.raises(DegenerateClusteringError):
+                kmeans_1d(values)
+        else:
+            with np.errstate(all="ignore"):  # sums over infinities and NaNs; only the check is under test
+                kmeans_1d(values)
+
+    def test_classify_does_not_import_numpy_ma(self, tmp_path):
+        if subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.ma' in sys.modules)"]).returncode:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        _, trips = synthesize(SynthConfig(n_passengers=60, n_routes=4, stops_per_route=8, days=7, rng_seed=2))
+        write_trip_csv(trips, tmp_path / "trips.csv")
+        script = ("import sys\nfrom transitepi.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\nsys.exit('numpy.ma' in sys.modules)")
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        command = ["classify", "--input", str(tmp_path / "trips.csv"), "--min-trips", "1",
+                   "--out-assignments", str(tmp_path / "assignments.csv")]
+        done = subprocess.run([sys.executable, "-c", script, *command], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_labels_ignore_input_order(self):
         values = [0.9, 0.0, 1.0, 0.1]

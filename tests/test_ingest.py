@@ -211,6 +211,18 @@ class TestFilter:
         records = make_records({"A": 3, "B": 1})
         assert same_table(filter_by_min_trips(records, 1), records)
 
+    @given(st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=3),
+                           st.integers(min_value=1, max_value=20), max_size=8),
+           st.integers(min_value=1, max_value=10))
+    def test_no_card_dropped_returns_the_table_itself(self, counts, threshold):
+        records = make_records(counts)
+        out = filter_by_min_trips(records, threshold)
+        keep = np.array([counts[records.cards[c]] >= threshold for c in records.card.tolist()], bool)
+        if keep.all():
+            assert out is records
+        else:
+            assert same_table(out, records.take(keep))
+
     def test_all_below_threshold(self):
         records = make_records({"A": 3, "B": 1})
         assert len(filter_by_min_trips(records, 10)) == 0

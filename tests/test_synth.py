@@ -6,8 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import same_table
+from oracles import passengers_reference
 from transitepi.classify import GROUP_NAMES, classify_population
 from transitepi.cli import _load_fields
 from transitepi.geo import latlon_to_local_km
@@ -16,9 +18,11 @@ from transitepi.mobility import mobility_table
 from transitepi.synth import (
     CITY_ORIGIN_LAT,
     CITY_ORIGIN_LON,
+    DEFAULT_MIX,
     MAX_EXTENT_KM,
     SynthConfig,
     generate_network,
+    generate_passengers,
     synthesize,
 )
 
@@ -91,6 +95,23 @@ class TestPassengers:
         _, records = synthesize(config)
         assert len(records) == trips
         assert hashlib.sha256(csv_bytes(records)).hexdigest() == digest
+
+    @given(passengers=st.integers(1, 40), days=st.integers(1, 30), min_trips=st.integers(1, 150),
+           routes=st.integers(1, 6), extent=st.sampled_from([10.0, 30.0, 60.0]), seed=st.integers(0, 2 ** 32),
+           mix=st.sampled_from([DEFAULT_MIX, {"offpeak_regular": 1.0}, {"commuter": 1.0}, {"long_hauler": 1.0},
+                                {"roamer": 1.0}]))
+    # the backstop runs out of inactive days and wraps past the period's end
+    @example(passengers=12, days=7, min_trips=100, routes=3, extent=30.0, seed=3, mix=DEFAULT_MIX)
+    def test_batched_draws_match_the_scalar_reference(self, passengers, days, min_trips, routes, extent, seed, mix):
+        config = SynthConfig(n_passengers=passengers, n_routes=routes, stops_per_route=8, days=days,
+                             archetype_mix=mix, city_extent_km=extent, min_trips_per_passenger=min_trips)
+        rng = np.random.default_rng(seed)
+        network = generate_network(config, rng)
+        reference_rng = np.random.default_rng()
+        reference_rng.bit_generator.state = rng.bit_generator.state
+        trips = generate_passengers(config, network, rng)
+        assert same_table(trips, passengers_reference(config, network, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_different_seed_differs(self):
         _, a = synthesize(SMALL)
