@@ -102,6 +102,8 @@ def kmeans_1d(values: Sequence[float]) -> Tuple[np.ndarray, Tuple[float, float]]
         raise DegenerateClusteringError(
             "two-means needs at least two distinct values"
         )
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1])):  # sorted, NaN last: the ends bound every value
+        raise ValueError(f"two-means needs finite values, got {s[0]} .. {s[-1]}")
     prefix = np.concatenate(([0.0], np.cumsum(s)))
     prefix_sq = np.concatenate(([0.0], np.cumsum(s * s)))
     sizes_left = np.arange(1, n, dtype=float)

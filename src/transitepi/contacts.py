@@ -122,8 +122,8 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     The log's card and vehicle vocabularies are the table's, so a passenger
     who never shares a vehicle is still one of its cards.
     """
-    if d_t < 0:
-        raise ValueError(f"d_t must be >= 0, got {d_t}")
+    if not 0 <= d_t < np.inf:  # NaN fails every comparison
+        raise ValueError(f"d_t must be finite and >= 0, got {d_t}")
     _check_rides(trips)
     card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
     n, n_vehicles = len(trips), len(trips.vehicles)

@@ -6,6 +6,12 @@ dense peak service and sparse off-peak service, and is worked by a small
 pool of physical vehicles that cycle through the day's runs (so suspended
 pathogens can bridge consecutive runs of the same bus).
 
+Every route has the same number of stops, so `BusNetwork` is columns: stop
+positions and coordinates indexed by [route, stop], one stop spacing, leg
+time and vehicle pool per route, and one departure array per route.  Stop
+ids, vehicle ids and the flat stop codes of the trip table are derived from
+those indices where the table is built.
+
 Passengers follow one of four archetypes:
 
   * commuter: two anchor stops on one route, round trips at peak hours;
@@ -115,27 +121,18 @@ class SynthConfig:
             raise ValueError(f"archetype fractions must sum to 1, got {total}")
 
 
-@dataclass(frozen=True)
-class Route:
-    route_id: str
-    stops: Tuple[str, ...]  # stop ids
-    coords: Tuple[Tuple[float, float], ...]  # (lat, lon), parallel to stops
-    xy_km: Tuple[Tuple[float, float], ...]  # local coordinates, parallel to stops
-    departures: Tuple[int, ...]  # seconds after local midnight, strictly increasing
-    leg_seconds: int
-    vehicle_pool: int
-
-    def spacing_km(self) -> float:
-        (x0, y0), (x1, y1) = self.xy_km[0], self.xy_km[-1]
-        return math.hypot(x1 - x0, y1 - y0) / (len(self.stops) - 1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BusNetwork:
-    routes: Tuple[Route, ...]
+    """The routes as columns; stop `si` of route `ri` is stop code `ri * stops + si`, id `r{ri:02d}s{si:02d}`."""
+    xy_km: np.ndarray  # (routes, stops, 2) local (east, north) km
+    coords: np.ndarray  # (routes, stops, 2) (lat, lon), each rounded to 6 places
+    spacing_km: np.ndarray  # per route: the distance between consecutive stops
+    leg_seconds: np.ndarray  # per route: the run time between consecutive stops
+    vehicle_pool: np.ndarray  # per route: the vehicles working it, ids r{ri:02d}v{slot:02d}
+    departures: Tuple[np.ndarray, ...]  # per route: seconds after local midnight, strictly increasing
 
 
-def _daily_departures(rng: np.random.Generator) -> Tuple[int, ...]:
+def _daily_departures(rng: np.random.Generator) -> np.ndarray:
     phase = int(rng.integers(0, 300))
     out: List[int] = []
     t = SERVICE_START_S + phase
@@ -147,50 +144,33 @@ def _daily_departures(rng: np.random.Generator) -> Tuple[int, ...]:
                 headway = PEAK_HEADWAY_S
                 break
         t += headway
-    return tuple(out)
+    return np.array(out, np.int64)
 
 
 def generate_network(config: SynthConfig, rng: np.random.Generator) -> BusNetwork:
     """Lay out routes and stops; deterministic for a given generator state."""
     config.validate()
-    extent = config.city_extent_km
+    extent, m = config.city_extent_km, config.stops_per_route
     # the first third of the routes are long enough for >= 15 km anchor pairs
     # when the city extent allows it
     n_long = config.n_routes // 3 if extent * 0.72 >= LONG_ANCHOR_KM else 0
-    routes: List[Route] = []
+    xy = np.empty((config.n_routes, m, 2))
+    spacing, departures = np.empty(config.n_routes), []
     for ri in range(config.n_routes):
-        want_long = ri < n_long
-        min_len = 0.72 * extent if want_long else 0.25 * extent
+        min_len = 0.72 * extent if ri < n_long else 0.25 * extent
         while True:
             x0, y0, x1, y1 = rng.uniform(0.0, extent, size=4)
-            if math.hypot(x1 - x0, y1 - y0) >= min_len:
+            length = math.hypot(x1 - x0, y1 - y0)
+            if length >= min_len:
                 break
-        m = config.stops_per_route
-        xs = np.linspace(x0, x1, m)
-        ys = np.linspace(y0, y1, m)
-        coords = []
-        xy = []
-        for si in range(m):
-            lat, lon = local_km_to_latlon(float(xs[si]), float(ys[si]), CITY_ORIGIN_LAT, CITY_ORIGIN_LON)
-            coords.append((round(lat, 6), round(lon, 6)))
-            xy.append((float(xs[si]), float(ys[si])))
-        spacing = math.hypot(x1 - x0, y1 - y0) / (m - 1)
-        leg = max(30, int(round(spacing / BUS_SPEED_KMH * 3600)))
-        departures = _daily_departures(rng)
-        duration = (m - 1) * leg
-        pool = 2 * (duration // PEAK_HEADWAY_S + 2)
-        routes.append(
-            Route(
-                route_id=f"r{ri:02d}",
-                stops=tuple(f"r{ri:02d}s{si:02d}" for si in range(m)),
-                coords=tuple(coords),
-                xy_km=tuple(xy),
-                departures=departures,
-                leg_seconds=leg,
-                vehicle_pool=int(pool),
-            )
-        )
-    return BusNetwork(routes=tuple(routes))
+        xy[ri, :, 0], xy[ri, :, 1] = np.linspace(x0, x1, m), np.linspace(y0, y1, m)
+        spacing[ri] = length / (m - 1)
+        departures.append(_daily_departures(rng))
+    lat, lon = local_km_to_latlon(xy[..., 0], xy[..., 1], CITY_ORIGIN_LAT, CITY_ORIGIN_LON)
+    coords = np.array([round(c, 6) for c in np.stack([lat, lon], -1).ravel().tolist()]).reshape(xy.shape)
+    leg = np.maximum(30, np.rint(spacing / BUS_SPEED_KMH * 3600)).astype(np.int64)  # rint: round half to even
+    pool = 2 * ((m - 1) * leg // PEAK_HEADWAY_S + 2)
+    return BusNetwork(xy, coords, spacing, leg, pool, tuple(departures))
 
 
 def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
@@ -204,12 +184,8 @@ def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
     return floors
 
 
-def _anchor_pair(
-    route: Route, rng: np.random.Generator, want_long: bool
-) -> Tuple[int, int]:
-    """Pick anchor stop indices on a route, targeting a separation in km."""
-    m = len(route.stops)
-    spacing = route.spacing_km()
+def _anchor_pair(m: int, spacing: float, rng: np.random.Generator, want_long: bool) -> Tuple[int, int]:
+    """Pick anchor stop indices on a route of `m` stops `spacing` km apart, targeting a separation in km."""
     if want_long:
         delta_min = int(math.ceil(LONG_ANCHOR_KM / spacing))
         if delta_min <= m - 1:
@@ -243,49 +219,28 @@ class _Passenger:
 
 def _draw_passengers(config: SynthConfig, network: BusNetwork, rng: np.random.Generator) -> List[_Passenger]:
     """Each passenger's archetype, route, anchors and preferred times, archetype by archetype."""
-    routes = network.routes
-    n_routes = len(routes)
-    long_routes = [
-        ri
-        for ri, r in enumerate(routes)
-        if r.spacing_km() * (len(r.stops) - 1) >= LONG_ANCHOR_KM
-    ]
+    n_routes, m = network.xy_km.shape[:2]
+    long_routes = np.flatnonzero(network.spacing_km * (m - 1) >= LONG_ANCHOR_KM).tolist()
     counts = _apportion(config.n_passengers, config.archetype_mix)
-
-    # flat stop table in local km for radius queries
-    stop_route: List[int] = []
-    stop_idx: List[int] = []
-    xs: List[float] = []
-    ys: List[float] = []
-    for ri, r in enumerate(routes):
-        for si, (x, y) in enumerate(r.xy_km):
-            stop_route.append(ri)
-            stop_idx.append(si)
-            xs.append(x)
-            ys.append(y)
-    stop_route_a = np.array(stop_route)
-    stop_idx_a = np.array(stop_idx)
-    xs_a = np.array(xs)
-    ys_a = np.array(ys)
+    spacings = network.spacing_km.tolist()
+    xs, ys = network.xy_km.reshape(-1, 2).T  # by stop code, for radius queries
 
     passengers: List[_Passenger] = []
     for archetype in ARCHETYPES:
         for _ in range(counts[archetype]):
             if archetype == "long_hauler" and long_routes:
-                route_idx = int(long_routes[int(rng.integers(0, len(long_routes)))])
+                route_idx = long_routes[int(rng.integers(0, len(long_routes)))]
             else:
                 route_idx = int(rng.integers(0, n_routes))
-            route = routes[route_idx]
+            spacing = spacings[route_idx]
             if archetype == "commuter" or archetype == "offpeak_regular":
                 want_long = rng.random() < COMMUTER_LONG_P and route_idx in long_routes
-                a, b = _anchor_pair(route, rng, want_long)
+                a, b = _anchor_pair(m, spacing, rng, want_long)
                 peak = archetype == "commuter"
             elif archetype == "long_hauler":
-                a, b = _anchor_pair(route, rng, True)
+                a, b = _anchor_pair(m, spacing, rng, True)
                 peak = rng.random() < LONG_HAULER_PEAK_P
             else:  # roamer: commuter-like anchor ride, exploration on top
-                m = len(route.stops)
-                spacing = route.spacing_km()
                 delta = max(1, min(m - 1, int(round(float(rng.uniform(1.0, 4.0)) / spacing))))
                 i = int(rng.integers(0, m - delta))
                 a, b = i, i + delta
@@ -311,21 +266,20 @@ def _draw_passengers(config: SynthConfig, network: BusNetwork, rng: np.random.Ge
             if archetype == "roamer":
                 p.roam_far = rng.random() < 0.5
                 if not p.roam_far:
-                    hx, hy = route.xy_km[a]
-                    near = (xs_a - hx) ** 2 + (ys_a - hy) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2
+                    hx, hy = network.xy_km[route_idx, a]
                     by_route: Dict[int, List[int]] = {}
-                    for r_, s_ in zip(stop_route_a[near].tolist(), stop_idx_a[near].tolist()):
-                        by_route.setdefault(r_, []).append(s_)
-                    p.near_routes = tuple((ri, sis) for ri, sis in sorted(by_route.items()) if len(sis) >= 2)
+                    for code in np.flatnonzero((xs - hx) ** 2 + (ys - hy) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2).tolist():
+                        by_route.setdefault(code // m, []).append(code % m)
+                    p.near_routes = tuple((ri, sis) for ri, sis in by_route.items() if len(sis) >= 2)
             passengers.append(p)
     return passengers
 
 
-def _novel_pair(p: _Passenger, routes: Tuple[Route, ...], rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
+def _novel_pair(p: _Passenger, network: BusNetwork, rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
     """A roamer's novelty ride as (route, origin stop, destination stop), or None for a near roamer with no route."""
     if p.roam_far:
-        ri = int(rng.integers(0, len(routes)))
-        m = len(routes[ri].stops)
+        n_routes, m = network.xy_km.shape[:2]
+        ri = int(rng.integers(0, n_routes))
         i = int(rng.integers(0, m))
         j = int(rng.integers(0, m - 1))
         if j >= i:
@@ -383,7 +337,7 @@ def _legs(config: SynthConfig, network: BusNetwork, passengers: List[_Passenger]
                 pairs.append((rng.integers(-600, 601), rng.integers(-600, 601)))
                 for leg in range(first, first + legs_per_trip):
                     if rng.random() < NOVELTY_P:
-                        pair = _novel_pair(p, network.routes, rng)
+                        pair = _novel_pair(p, network, rng)
                         if pair is not None:
                             novel.extend((leg, *pair))
             jitter.append(np.array(pairs, np.int64))
@@ -440,34 +394,28 @@ def _ride_legs(network: BusNetwork, n_cards: int, legs: np.ndarray) -> TripTable
     destination stop and desired time.  An exact tie between two runs takes
     the earlier one.  Card number `k` is card id `c{k:05d}`.
     """
-    card, route_of, day, origin, dest, desired = legs.T
-    routes = network.routes
-    vehicle, board_stop, alight_stop = (np.empty(len(legs), np.int32) for _ in range(3))
-    board, alight = np.empty(len(legs)), np.empty(len(legs))
-    first_vehicle = np.cumsum([0] + [r.vehicle_pool for r in routes])
-    first_stop = np.cumsum([0] + [len(r.stops) for r in routes])
-    for ri, route in enumerate(routes):
-        at = np.flatnonzero(route_of == ri)
-        i, j = origin[at], dest[at]
-        backward = i >= j
-        last = len(route.stops) - 1
-        pos_i, pos_j = np.where(backward, last - i, i), np.where(backward, last - j, j)
-        deps = np.array(route.departures, np.int64)
-        target = desired[at] - pos_i * route.leg_seconds
-        after = np.minimum(np.searchsorted(deps, target), len(deps) - 1)
+    card, route, day, origin, dest, desired = legs.T
+    n_routes, m = network.xy_km.shape[:2]
+    backward = origin >= dest
+    pos_i, pos_j = np.where(backward, m - 1 - origin, origin), np.where(backward, m - 1 - dest, dest)
+    leg_s = network.leg_seconds[route]
+    target = desired - pos_i * leg_s
+    run, depart = np.empty(len(legs), np.int64), np.empty(len(legs), np.int64)
+    for ri, deps in enumerate(network.departures):
+        at = np.flatnonzero(route == ri)
+        after = np.minimum(np.searchsorted(deps, target[at]), len(deps) - 1)
         before = np.maximum(after - 1, 0)
-        dep = np.where(deps[after] - target < target - deps[before], after, before)
-        start = BASE_EPOCH + day[at] * 86_400 + deps[dep]
-        board[at] = start + pos_i * route.leg_seconds
-        alight[at] = start + pos_j * route.leg_seconds
-        vehicle[at] = first_vehicle[ri] + (2 * dep + backward) % route.vehicle_pool
-        board_stop[at], alight_stop[at] = first_stop[ri] + i, first_stop[ri] + j
+        run[at] = np.where(deps[after] - target[at] < target[at] - deps[before], after, before)
+        depart[at] = deps[run[at]]
+    start = BASE_EPOCH + day * 86_400 + depart
+    board, alight = ((start + pos * leg_s).astype(np.float64) for pos in (pos_i, pos_j))
+    pool = network.vehicle_pool
+    vehicle = (np.cumsum(pool) - pool)[route] + (2 * run + backward) % pool[route]
     cards = [f"c{k:05d}" for k in range(n_cards)]
-    vehicles = [f"{r.route_id}v{slot:02d}" for r in routes for slot in range(r.vehicle_pool)]
-    stops = [s for r in routes for s in r.stops]
-    coords = [c for r in routes for c in r.coords]
-    return _table(cards, vehicles, stops, coords, card.astype(np.int32), vehicle, board_stop, alight_stop,
-                  board, alight)
+    vehicles = [f"r{ri:02d}v{slot:02d}" for ri, size in enumerate(pool.tolist()) for slot in range(size)]
+    stops = [f"r{ri:02d}s{si:02d}" for ri in range(n_routes) for si in range(m)]
+    return _table(cards, vehicles, stops, network.coords.reshape(-1, 2), card, vehicle, route * m + origin,
+                  route * m + dest, board, alight)
 
 
 def synthesize(config: SynthConfig) -> Tuple[BusNetwork, TripTable]:

@@ -265,7 +265,7 @@ def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.rando
                 ]
             for origin, dest, desired in day_legs:
                 if p.archetype == "roamer" and rng.random() < NOVELTY_P:
-                    novel = _novel_pair(p, network.routes, rng)
+                    novel = _novel_pair(p, network, rng)
                     if novel is not None:
                         nri, ni, nj = novel
                         legs.append((card, nri, day, ni, nj, desired))

@@ -69,6 +69,13 @@ class TestExtractExposures:
         with pytest.raises(ValueError):
             build_exposure_log(table([trip("A", "v", 0, 1)]), -1.0)
 
+    @pytest.mark.parametrize("d_t", [float("nan"), float("inf")])
+    def test_non_finite_suspension_rejected(self, d_t):
+        # a NaN suspension passed `d_t < 0` and exposed every later rider of the vehicle
+        records = [trip("A", "v", 0, 100), trip("B", "v", 10_000, 10_100)]
+        with pytest.raises(ValueError, match="finite"):
+            build_exposure_log(table(records), d_t)
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             build_exposure_log(table([trip("A", "v", 10.0, 10.0)]), 0.0)

@@ -49,30 +49,43 @@ class TestNetwork:
     def test_seed_determinism(self):
         a = generate_network(SMALL, np.random.default_rng(7))
         b = generate_network(SMALL, np.random.default_rng(7))
-        assert a == b
+        for name in ("xy_km", "coords", "spacing_km", "leg_seconds", "vehicle_pool"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert len(a.departures) == len(b.departures) == SMALL.n_routes
+        assert all(np.array_equal(x, y) for x, y in zip(a.departures, b.departures))
 
     def test_minimal_network(self):
         cfg = SynthConfig(n_passengers=1, n_routes=1, stops_per_route=2, days=1, rng_seed=0)
         net = generate_network(cfg, np.random.default_rng(0))
-        assert len(net.routes) == 1
-        assert len(net.routes[0].stops) == 2
+        assert net.xy_km.shape == net.coords.shape == (1, 2, 2)
+        assert net.spacing_km.shape == net.leg_seconds.shape == net.vehicle_pool.shape == (1,)
+        assert len(net.departures) == 1
 
     def test_stops_inside_city_extent(self):
         for seed in range(100):
             cfg = SynthConfig(n_passengers=1, n_routes=4, stops_per_route=6, rng_seed=seed,
                               city_extent_km=18.0)
             net = generate_network(cfg, np.random.default_rng(seed))
-            for lat, lon in (c for route in net.routes for c in route.coords):
+            for lat, lon in net.coords.reshape(-1, 2).tolist():
                 x, y = latlon_to_local_km(lat, lon, CITY_ORIGIN_LAT, CITY_ORIGIN_LON)
                 assert -0.01 <= x <= cfg.city_extent_km + 0.01
                 assert -0.01 <= y <= cfg.city_extent_km + 0.01
 
     def test_schedules_strictly_increasing(self):
         net = generate_network(SMALL, np.random.default_rng(3))
-        for route in net.routes:
-            deps = route.departures
-            assert all(a < b for a, b in zip(deps, deps[1:]))
-            assert len(route.stops) >= 2
+        assert len(net.departures) == SMALL.n_routes
+        for deps in net.departures:
+            assert deps.size >= 1 and np.all(deps[1:] > deps[:-1])
+        assert net.xy_km.shape[1] >= 2
+
+    @given(routes=st.integers(1, 8), stops=st.integers(2, 30), extent=st.floats(0.5, 200.0),
+           seed=st.integers(0, 2 ** 32))
+    def test_consecutive_stops_lie_one_spacing_apart(self, routes, stops, extent, seed):
+        cfg = SynthConfig(n_passengers=1, n_routes=routes, stops_per_route=stops, city_extent_km=extent)
+        net = generate_network(cfg, np.random.default_rng(seed))
+        gaps = np.hypot(*np.diff(net.xy_km, axis=1).transpose(2, 0, 1))
+        assert gaps.shape == (routes, stops - 1)
+        np.testing.assert_allclose(gaps, np.repeat(net.spacing_km[:, None], stops - 1, 1), rtol=1e-9)
 
 
 class TestPassengers:
