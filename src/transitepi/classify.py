@@ -19,6 +19,7 @@ The names are sorted, so a card's code is 4*returner + 2*low + short.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Sequence, Tuple
@@ -160,8 +161,6 @@ ASSIGNMENTS_CSV_HEADER = ["card_id", "group"]
 
 def write_assignments_csv(result: ClassificationResult, path) -> None:
     """One row per card, sorted by card id."""
-    import csv
-
     cards, group = result.assignments
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -175,8 +174,6 @@ def read_assignments_csv(path) -> Assignments:
 
     Any malformed line raises ValueError naming `file:line`.
     """
-    import csv
-
     code = {name: g for g, name in enumerate(GROUP_NAMES)}
     out: Dict[str, int] = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:

@@ -264,7 +264,7 @@ def connected_components(trips: TripTable) -> List[int]:
     return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
 
-def write_histogram_csv(hist: Dict[int, int], path, value_name: str = "value") -> None:
+def write_histogram_csv(hist: Dict[int, int], path, value_name: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([value_name, "count"])

@@ -17,6 +17,7 @@ stops in stop-id order.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -101,8 +102,6 @@ def mobility_table(trips: TripTable, k: int = DEFAULT_K, model=HAVERSINE) -> Mob
 
 
 def write_mobility_csv(table: MobilityTable, path) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["card_id", "rg_m", "rgk_m", "k", "encounters"])

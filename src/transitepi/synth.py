@@ -20,6 +20,12 @@ Passengers follow one of four archetypes:
   * long_hauler: anchor stops at least 15 km apart on a long route;
   * offpeak_regular: anchored round trips during low-occupancy hours.
 
+Passengers are columns too: one int64 row per card (archetype index, route,
+anchor stops, peak flag, outbound and return time) and one roam list per
+roamer, the routes its novelty rides may take with their stops.  Every
+roamer uses one novelty rule, a route of its list and then two distinct
+stops of it; a far roamer's list is every stop of every route.
+
 Together the archetypes populate all eight mobility groups: roamers become
 explorers, everyone else returners; peak travel drives encounter counts up,
 off-peak travel keeps them low; anchor separation and roaming range set the
@@ -42,7 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +86,9 @@ LONG_HAULER_PEAK_P = 0.5
 COMMUTER_LONG_P = 0.2
 PEAK_ACTIVITY = 0.75
 OFFPEAK_ACTIVITY = 0.6
+
+# the routes a roamer's novelty rides may take, each with the stops they may use
+Roam = List[Tuple[int, Sequence[int]]]
 
 
 @dataclass
@@ -203,30 +212,25 @@ def _anchor_pair(m: int, spacing: float, rng: np.random.Generator, want_long: bo
     return 0, m - 1
 
 
-@dataclass
-class _Passenger:
-    archetype: str
-    route_idx: int
-    anchor_a: int
-    anchor_b: int
-    peak: bool
-    preferred_out_s: int
-    preferred_back_s: int
-    roam_far: bool = False
-    # a near roamer's routes with two or more stops inside the radius: (route_idx, stop indices)
-    near_routes: Tuple[Tuple[int, List[int]], ...] = ()
+def _draw_passengers(config: SynthConfig, network: BusNetwork,
+                     rng: np.random.Generator) -> Tuple[np.ndarray, List[Optional[Roam]]]:
+    """Each passenger's anchor ride and roaming range, archetype by archetype.
 
-
-def _draw_passengers(config: SynthConfig, network: BusNetwork, rng: np.random.Generator) -> List[_Passenger]:
-    """Each passenger's archetype, route, anchors and preferred times, archetype by archetype."""
+    Returns one row per card: archetype index, route, anchor stops a and b,
+    peak flag, outbound and return time; and each card's roam list, None for
+    a non-roamer.  A far roamer roams every stop of every route; a near
+    roamer, its routes with two or more stops inside the radius of home.
+    """
     n_routes, m = network.xy_km.shape[:2]
     long_routes = np.flatnonzero(network.spacing_km * (m - 1) >= LONG_ANCHOR_KM).tolist()
     counts = _apportion(config.n_passengers, config.archetype_mix)
     spacings = network.spacing_km.tolist()
     xs, ys = network.xy_km.reshape(-1, 2).T  # by stop code, for radius queries
+    city: Roam = [(ri, range(m)) for ri in range(n_routes)]
 
-    passengers: List[_Passenger] = []
-    for archetype in ARCHETYPES:
+    rows: List[Tuple[int, ...]] = []
+    roams: List[Optional[Roam]] = []
+    for kind, archetype in enumerate(ARCHETYPES):
         for _ in range(counts[archetype]):
             if archetype == "long_hauler" and long_routes:
                 route_idx = long_routes[int(rng.integers(0, len(long_routes)))]
@@ -253,42 +257,29 @@ def _draw_passengers(config: SynthConfig, network: BusNetwork, rng: np.random.Ge
             else:
                 out_s = int(10 * 3600 + rng.integers(0, 3 * 3600))
                 back_s = int(13 * 3600 + 1800 + rng.integers(0, 3 * 3600))
+            rows.append((kind, route_idx, a, b, peak, out_s, back_s))
 
-            p = _Passenger(
-                archetype=archetype,
-                route_idx=route_idx,
-                anchor_a=a,
-                anchor_b=b,
-                peak=peak,
-                preferred_out_s=out_s,
-                preferred_back_s=back_s,
-            )
+            roam: Optional[Roam] = None
             if archetype == "roamer":
-                p.roam_far = rng.random() < 0.5
-                if not p.roam_far:
+                roam = city
+                if rng.random() >= 0.5:  # half the roamers roam near home
                     hx, hy = network.xy_km[route_idx, a]
                     by_route: Dict[int, List[int]] = {}
                     for code in np.flatnonzero((xs - hx) ** 2 + (ys - hy) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2).tolist():
                         by_route.setdefault(code // m, []).append(code % m)
-                    p.near_routes = tuple((ri, sis) for ri, sis in by_route.items() if len(sis) >= 2)
-            passengers.append(p)
-    return passengers
+                    roam = [(ri, sis) for ri, sis in by_route.items() if len(sis) >= 2]
+            roams.append(roam)
+    return np.array(rows, np.int64).reshape(-1, 7), roams
 
 
-def _novel_pair(p: _Passenger, network: BusNetwork, rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
-    """A roamer's novelty ride as (route, origin stop, destination stop), or None for a near roamer with no route."""
-    if p.roam_far:
-        n_routes, m = network.xy_km.shape[:2]
-        ri = int(rng.integers(0, n_routes))
-        i = int(rng.integers(0, m))
-        j = int(rng.integers(0, m - 1))
-        if j >= i:
-            j += 1
-        return ri, i, j
-    # near roamer: two distinct stops of one route inside the radius
-    if not p.near_routes:
+def _novel_pair(roam: Roam, rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
+    """A roamer's novelty ride as (route, origin stop, destination stop), or None when it roams no route.
+
+    The ride takes two distinct stops of one route of the roam list.
+    """
+    if not roam:
         return None
-    ri, sis = p.near_routes[int(rng.integers(0, len(p.near_routes)))]
+    ri, sis = roam[int(rng.integers(0, len(roam)))]
     i = int(rng.integers(0, len(sis)))
     j = int(rng.integers(0, len(sis) - 1))
     if j >= i:
@@ -301,13 +292,13 @@ def generate_passengers(
 ) -> TripTable:
     """Emit every passenger's trips for the whole period, chronologically."""
     config.validate()
-    passengers = _draw_passengers(config, network, rng)
-    table = _ride_legs(network, len(passengers), _legs(config, network, passengers, rng))
+    people, roams = _draw_passengers(config, network, rng)
+    table = _ride_legs(network, len(people), _legs(config, people, roams, rng))
     # code order is id order: by board time, then card id, then vehicle id, ties in emission order
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 
-def _legs(config: SynthConfig, network: BusNetwork, passengers: List[_Passenger],
+def _legs(config: SynthConfig, people: np.ndarray, roams: List[Optional[Roam]],
           rng: np.random.Generator) -> np.ndarray:
     """Every passenger's legs, card by card, six ints each as `_ride_legs` takes them.
 
@@ -320,15 +311,16 @@ def _legs(config: SynthConfig, network: BusNetwork, passengers: List[_Passenger]
     trip_days, jitter = [], []
     novel = array("q")  # leg, route, origin stop, destination stop of each roamer leg that rides elsewhere
     n_legs = 0
-    for p in passengers:
+    offpeak_kind = ARCHETYPES.index("offpeak_regular")
+    for kind, peak, roam in zip(people[:, 0].tolist(), people[:, 4].tolist(), roams):
         # off-peak regulars may ride any day, everyone else only on weekdays
-        offpeak = p.archetype == "offpeak_regular"
+        offpeak = kind == offpeak_kind
         eligible, activity = (every_day, OFFPEAK_ACTIVITY) if offpeak else (weekdays, PEAK_ACTIVITY)
-        legs_per_trip = 4 if p.peak else 2
+        legs_per_trip = 4 if peak else 2
         days = _round_trip_days(eligible[rng.random(eligible.size) < activity], config.days,
                                 -(-config.min_trips_per_passenger // legs_per_trip))
         trip_days.append(days)
-        if p.archetype != "roamer":
+        if roam is None:
             jitter.append(rng.integers(-600, 601, size=(days.size, 2)))
         else:
             # a roamer's novelty draw decides, leg by leg, whether _novel_pair draws: no batch fits
@@ -337,13 +329,13 @@ def _legs(config: SynthConfig, network: BusNetwork, passengers: List[_Passenger]
                 pairs.append((rng.integers(-600, 601), rng.integers(-600, 601)))
                 for leg in range(first, first + legs_per_trip):
                     if rng.random() < NOVELTY_P:
-                        pair = _novel_pair(p, network, rng)
+                        pair = _novel_pair(roam, rng)
                         if pair is not None:
                             novel.extend((leg, *pair))
             jitter.append(np.array(pairs, np.int64))
         n_legs += days.size * legs_per_trip
 
-    legs = _anchor_legs(passengers, trip_days, np.concatenate(jitter))
+    legs = _anchor_legs(people, trip_days, np.concatenate(jitter))
     if novel:
         leg, route, origin, dest = np.frombuffer(novel, np.int64).reshape(-1, 4).T
         legs[leg, 1], legs[leg, 3], legs[leg, 4] = route, origin, dest
@@ -364,7 +356,7 @@ def _round_trip_days(active: np.ndarray, n_days: int, round_trips: int) -> np.nd
     return np.concatenate([active, np.flatnonzero(inactive), np.arange(short) % n_days])[:round_trips]
 
 
-def _anchor_legs(passengers: List[_Passenger], trip_days: List[np.ndarray], jitter: np.ndarray) -> np.ndarray:
+def _anchor_legs(people: np.ndarray, trip_days: List[np.ndarray], jitter: np.ndarray) -> np.ndarray:
     """Every round trip between a passenger's anchors as legs, six ints each as `_ride_legs` takes them.
 
     `trip_days[c]` holds the days of card c's round trips.  `jitter` has one
@@ -373,9 +365,8 @@ def _anchor_legs(passengers: List[_Passenger], trip_days: List[np.ndarray], jitt
     rush window, which concentrates their co-presence; off-peak riders do
     one midday round trip.
     """
-    card = np.repeat(np.arange(len(passengers)), [d.size for d in trip_days])
-    route, a, b, peak, out, back = np.array([(p.route_idx, p.anchor_a, p.anchor_b, p.peak, p.preferred_out_s,
-                                              p.preferred_back_s) for p in passengers], np.int64).T[:, card]
+    card = np.repeat(np.arange(len(people)), [d.size for d in trip_days])
+    route, a, b, peak, out, back = people[card, 1:].T
     # four legs a trip: a to b and back 45 minutes later, around the outbound and then the return
     # time; an off-peak trip keeps the first and the last, with no lag
     trip, slot = np.divmod(np.flatnonzero((peak == 1)[:, None] | [True, False, False, True]), 4)

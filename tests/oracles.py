@@ -35,6 +35,7 @@ from transitepi.ingest import (
 )
 from transitepi.sim import SimConfig, SimOutcome, _run_streams, exposure_uniforms
 from transitepi.synth import (
+    ARCHETYPES,
     NOVELTY_P,
     OFFPEAK_ACTIVITY,
     PEAK_ACTIVITY,
@@ -234,15 +235,17 @@ def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.rando
     draw their novelty in between.
     """
     config.validate()
-    passengers = _draw_passengers(config, network, rng)
+    people, roams = _draw_passengers(config, network, rng)
     legs: List[Tuple[int, int, int, int, int, int]] = []
-    for card, p in enumerate(passengers):
-        activity = OFFPEAK_ACTIVITY if p.archetype == "offpeak_regular" else PEAK_ACTIVITY
+    for card, (row, roam) in enumerate(zip(people.tolist(), roams)):
+        kind, route_idx, anchor_a, anchor_b, peak, out_s, back_s = row
+        archetype = ARCHETYPES[kind]
+        activity = OFFPEAK_ACTIVITY if archetype == "offpeak_regular" else PEAK_ACTIVITY
         first_leg = len(legs)
         active_days = []
         for day in range(config.days):
             weekday = day % 7 < 5
-            if p.archetype == "offpeak_regular":
+            if archetype == "offpeak_regular":
                 active = rng.random() < activity
             else:
                 active = weekday and rng.random() < activity
@@ -251,26 +254,26 @@ def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.rando
         def anchor_round_trip(day: int) -> None:
             jit_out = int(rng.integers(-600, 601))
             jit_back = int(rng.integers(-600, 601))
-            if p.peak:
+            if peak:
                 day_legs = [
-                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
-                    (p.anchor_b, p.anchor_a, p.preferred_out_s + jit_out + 2700),
-                    (p.anchor_a, p.anchor_b, p.preferred_back_s + jit_back),
-                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back + 2700),
+                    (anchor_a, anchor_b, out_s + jit_out),
+                    (anchor_b, anchor_a, out_s + jit_out + 2700),
+                    (anchor_a, anchor_b, back_s + jit_back),
+                    (anchor_b, anchor_a, back_s + jit_back + 2700),
                 ]
             else:
                 day_legs = [
-                    (p.anchor_a, p.anchor_b, p.preferred_out_s + jit_out),
-                    (p.anchor_b, p.anchor_a, p.preferred_back_s + jit_back),
+                    (anchor_a, anchor_b, out_s + jit_out),
+                    (anchor_b, anchor_a, back_s + jit_back),
                 ]
             for origin, dest, desired in day_legs:
-                if p.archetype == "roamer" and rng.random() < NOVELTY_P:
-                    novel = _novel_pair(p, network, rng)
+                if archetype == "roamer" and rng.random() < NOVELTY_P:
+                    novel = _novel_pair(roam, rng)
                     if novel is not None:
                         nri, ni, nj = novel
                         legs.append((card, nri, day, ni, nj, desired))
                         continue
-                legs.append((card, p.route_idx, day, origin, dest, desired))
+                legs.append((card, route_idx, day, origin, dest, desired))
 
         for day in range(config.days):
             if active_days[day]:
@@ -281,7 +284,7 @@ def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.rando
                 anchor_round_trip(day % config.days)
             day += 1
 
-    table = _ride_legs(network, len(passengers), np.array(legs, np.int64).reshape(-1, 6))
+    table = _ride_legs(network, len(people), np.array(legs, np.int64).reshape(-1, 6))
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 

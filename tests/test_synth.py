@@ -21,6 +21,7 @@ from transitepi.synth import (
     DEFAULT_MIX,
     MAX_EXTENT_KM,
     SynthConfig,
+    _novel_pair,
     generate_network,
     generate_passengers,
     synthesize,
@@ -125,6 +126,16 @@ class TestPassengers:
         trips = generate_passengers(config, network, rng)
         assert same_table(trips, passengers_reference(config, network, reference_rng))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @given(routes=st.integers(1, 40), stops=st.integers(2, 25), seed=st.integers(0, 2 ** 32))
+    def test_novelty_on_the_whole_city_draws_the_far_rule(self, routes, stops, seed):
+        # a far roamer roams every stop of every route: any route, then two distinct stops of it
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        city = [(ri, range(stops)) for ri in range(routes)]
+        for _ in range(5):
+            ri, i, j = int(twin.integers(0, routes)), int(twin.integers(0, stops)), int(twin.integers(0, stops - 1))
+            assert _novel_pair(city, rng) == (ri, i, j + (j >= i))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_different_seed_differs(self):
         _, a = synthesize(SMALL)
