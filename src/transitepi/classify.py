@@ -19,13 +19,13 @@ The names are sorted, so a card's code is 4*returner + 2*low + short.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import first_rows, raise_first_failure, read_csv, write_csv
+from .ingest import _vocabulary
 from .mobility import MobilityTable
 
 # exploration_connectivity_distance, sorted
@@ -56,17 +56,15 @@ class ClassificationResult:
         sizes = group_sizes(self.assignments)
         return dict(zip(GROUP_NAMES, (sizes / sizes.sum()).tolist()))
 
-    def to_summary_json(self) -> str:
-        return json.dumps(
-            {
-                "population": len(self.assignments.cards),
-                "centroids": {axis: list(c) for axis, c in sorted(self.centroids.items())},
-                "shares": self.shares,
-                "sizes": dict(zip(GROUP_NAMES, group_sizes(self.assignments).tolist())),
-            },
-            sort_keys=True,
-            indent=2,
-        )
+    @property
+    def summary(self) -> Dict[str, object]:
+        """The classification's JSON summary: population, centroids, shares and group sizes."""
+        return {
+            "population": len(self.assignments.cards),
+            "centroids": {axis: list(c) for axis, c in self.centroids.items()},
+            "shares": self.shares,
+            "sizes": dict(zip(GROUP_NAMES, group_sizes(self.assignments).tolist())),
+        }
 
 
 def is_returner(rg, rgk) -> np.ndarray:
@@ -162,33 +160,24 @@ ASSIGNMENTS_CSV_HEADER = ["card_id", "group"]
 def write_assignments_csv(result: ClassificationResult, path) -> None:
     """One row per card, sorted by card id."""
     cards, group = result.assignments
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ASSIGNMENTS_CSV_HEADER)
-        for i in sorted(range(len(cards)), key=cards.__getitem__):
-            writer.writerow([cards[i], GROUP_NAMES[group[i]]])
+    write_csv(path, ASSIGNMENTS_CSV_HEADER,
+              ([cards[i], GROUP_NAMES[group[i]]] for i in sorted(range(len(cards)), key=cards.__getitem__)))
 
 
 def read_assignments_csv(path) -> Assignments:
     """The cards of an assignments file, in file order, and their group codes.
 
-    Any malformed line raises ValueError naming `file:line`.
+    Any malformed line raises DataIntegrityError naming `file:line`: a wrong
+    header or field count, a card listed twice or an unknown group name.
     """
+    (cards, names), fields, lines = read_csv(path, ASSIGNMENTS_CSV_HEADER)
+    width = len(ASSIGNMENTS_CSV_HEADER)
     code = {name: g for g, name in enumerate(GROUP_NAMES)}
-    out: Dict[str, int] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ASSIGNMENTS_CSV_HEADER:
-            raise ValueError(f"{path}:1: expected header {','.join(ASSIGNMENTS_CSV_HEADER)}, got {header!r}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(ASSIGNMENTS_CSV_HEADER):
-                raise ValueError(f"{where}: expected {len(ASSIGNMENTS_CSV_HEADER)} fields, got {len(row)}")
-            card_id, name = row
-            if card_id in out:
-                raise ValueError(f"{where}: card {card_id!r} is listed twice")
-            if name not in code:
-                raise ValueError(f"{where}: not a mobility group name: {name!r}")
-            out[card_id] = code[name]
-    return Assignments(list(out), np.array(list(out.values()), np.int8))
+    group = np.fromiter((code.get(name, -1) for name in names), np.int8, len(names))
+    first = first_rows(_vocabulary(cards)[1])
+    raise_first_failure(path, lines, [
+        (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
+        (first != np.arange(len(cards)), lambda i: f"card {cards[i]!r} is listed twice"),
+        (group < 0, lambda i: f"not a mobility group name: {names[i]!r}"),
+    ])
+    return Assignments(list(cards), group)

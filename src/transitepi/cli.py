@@ -23,14 +23,9 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classify import (
-    Assignments,
-    ClassificationResult,
-    DegenerateClusteringError,
-    classify_population,
-    read_assignments_csv,
-    write_assignments_csv,
-)
+from .artifacts import DataIntegrityError, write_csv, write_json
+from .classify import (Assignments, ClassificationResult, classify_population, read_assignments_csv,
+                       write_assignments_csv)
 from .contacts import (
     build_exposure_log,
     connected_components,
@@ -52,8 +47,7 @@ from .ingest import (
     write_trip_csv,
 )
 from .mobility import DEFAULT_K, MobilityTable, mobility_table, write_mobility_csv
-from .sim import (DataIntegrityError, SimConfig, SimOutcome, read_infection_csv, run_ensemble, run_lanes,
-                  write_infection_csv)
+from .sim import SimConfig, SimOutcome, read_infection_csv, run_ensemble, run_lanes, write_infection_csv
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -283,18 +277,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise UsageError(f"--population-thresholds {args.population_thresholds!r}: {exc}") from None
     trips, report = parse_trip_records(args.input, args.delimiter)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        write_json(args.report, vars(report))
     filtered = filter_by_min_trips(trips, args.min_trips)
     if args.out:
         write_trip_csv(filtered, args.out)
     if args.freq_csv:
         write_histogram_csv(trip_frequency_distribution(trips), args.freq_csv, value_name="trips_per_card")
     if args.population_csv:
-        curve = population_vs_threshold(trips, thresholds)
-        with open(args.population_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "population"])
-            writer.writerows(curve)
+        write_csv(args.population_csv, ["threshold", "population"], population_vs_threshold(trips, thresholds))
     logger.info(
         "accepted %d/%d rows; %d records after min-trips filter (threshold %d)",
         report.accepted, report.total_rows, len(filtered), args.min_trips,
@@ -308,7 +298,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     table, result = _classified(trips, spec)
     write_assignments_csv(result, args.out_assignments)
     if args.out_summary:
-        Path(args.out_summary).write_text(result.to_summary_json() + "\n", encoding="utf-8")
+        write_json(args.out_summary, result.summary)
     if args.out_mobility:
         write_mobility_csv(table, args.out_mobility)
     logger.info("classified %d passengers; shares: %s", len(table.cards), result.shares)
@@ -346,7 +336,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "per_run_infections": infections,
             },
         }
-        (staging / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(staging / "summary.json", payload)
         for stale in Path(spec.output_dir).glob("infections_run*.csv"):  # an earlier run's, which analyze would add
             if not (staging / stale.name).exists():
                 stale.unlink()
@@ -370,7 +360,7 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> None:
     log = build_exposure_log(trips, 60.0 * spec.dt_grid_minutes[-1])
 
     write_assignments_csv(result, staging / "assignments.csv")
-    (staging / "classification.json").write_text(result.to_summary_json() + "\n", encoding="utf-8")
+    write_json(staging / "classification.json", result.summary)
 
     matrices: Dict[Tuple[float, float], GroupMatrix] = {}
     # widest column first: each narrower log is a row mask of the one before,
@@ -422,9 +412,7 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> None:
                 {"axis": "beta", "dt_minutes": dt, "baseline_beta": b_low, "beta": b_high, "path": name}
             )
 
-    (staging / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(staging / "manifest.json", manifest)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -443,9 +431,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_tallies(outcomes, assignments, trips.cards, encounters, staging)
         comps = connected_components(trips)
         write_histogram_csv(degree_distribution(encounters), staging / "degree_distribution.csv", value_name="degree")
-        (staging / "components.json").write_text(
-            json.dumps({"component_sizes": comps}, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(staging / "components.json", {"component_sizes": comps})
     logger.info("analyze: %d runs aggregated from %s", len(outcomes), events_dir)
     return EXIT_OK
 
@@ -535,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
-    except (SchemaError, DataIntegrityError, DegenerateClusteringError, OSError, ValueError, csv.Error) as exc:
+    except (SchemaError, OSError, ValueError, csv.Error) as exc:
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -39,13 +39,13 @@ histogram of the counts.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .ingest import TripTable
 
 DIRECT = "direct"
@@ -265,8 +265,4 @@ def connected_components(trips: TripTable) -> List[int]:
 
 
 def write_histogram_csv(hist: Dict[int, int], path, value_name: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([value_name, "count"])
-        for key in sorted(hist):
-            writer.writerow([key, hist[key]])
+    write_csv(path, [value_name, "count"], sorted(hist.items()))

@@ -13,7 +13,6 @@ joins the encounter column through the same card -> code mapping.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -21,8 +20,9 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import DataIntegrityError, write_csv
 from .classify import GROUP_NAMES, Assignments, group_sizes
-from .sim import DataIntegrityError, SimOutcome
+from .sim import SimOutcome
 
 logger = logging.getLogger(__name__)
 
@@ -60,11 +60,8 @@ class GroupMatrix:
         return float(self.values[i, j])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group"] + list(self.groups))
-            for i, g in enumerate(self.groups):
-                writer.writerow([g] + [f"{v:.{PRECISION}f}" for v in self.values[i]])
+        write_csv(path, ["group", *self.groups],
+                  ([g] + [f"{v:.{PRECISION}f}" for v in row] for g, row in zip(self.groups, self.values)))
 
 
 @dataclass
@@ -87,22 +84,10 @@ class GroupSummary:
     def to_csv(self, path) -> None:
         totals = [self.encounters, self.transmitted, self.received]
         columns = [c.tolist() for c in totals + [self.per_individual(t) for t in totals]]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "group",
-                    "population",
-                    "total_encounters",
-                    "total_transmitted",
-                    "total_received",
-                    "avg_encounters_per_individual",
-                    "avg_transmissions_per_individual",
-                    "avg_receptions_per_individual",
-                ]
-            )
-            for name, population, *values in zip(GROUP_NAMES, self.population.tolist(), *columns):
-                writer.writerow([name, population] + [f"{v:.{PRECISION}f}" for v in values])
+        header = ["group", "population", "total_encounters", "total_transmitted", "total_received",
+                  "avg_encounters_per_individual", "avg_transmissions_per_individual", "avg_receptions_per_individual"]
+        write_csv(path, header, ([name, population] + [f"{v:.{PRECISION}f}" for v in values]
+                                 for name, population, *values in zip(GROUP_NAMES, self.population.tolist(), *columns)))
 
 
 def _group_codes(cards: Sequence[str], assignments: Assignments) -> np.ndarray:

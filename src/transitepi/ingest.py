@@ -172,17 +172,6 @@ class IngestReport:
     def rejected(self) -> int:
         return sum(self.rejected_by_reason.values())
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "total_rows": self.total_rows,
-                "accepted": self.accepted,
-                "rejected_by_reason": dict(sorted(self.rejected_by_reason.items())),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def parse_trip_records(
     source: Union[str, Path, TextIO], delimiter: str = ","

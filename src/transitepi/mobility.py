@@ -17,12 +17,12 @@ stops in stop-id order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import write_csv
 from .contacts import encounter_counts
 from .geo import HAVERSINE
 from .ingest import TripTable
@@ -102,9 +102,8 @@ def mobility_table(trips: TripTable, k: int = DEFAULT_K, model=HAVERSINE) -> Mob
 
 
 def write_mobility_csv(table: MobilityTable, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["card_id", "rg_m", "rgk_m", "k", "encounters"])
+    write_csv(path, ["card_id", "rg_m", "rgk_m", "k", "encounters"], (
+        [card, f"{rg:.6f}", f"{rgk:.6f}", table.k, encounters]
         for card, rg, rgk, encounters in zip(table.cards, table.rg.tolist(), table.rgk.tolist(),
-                                             table.encounters.tolist()):
-            writer.writerow([card, f"{rg:.6f}", f"{rgk:.6f}", table.k, encounters])
+                                             table.encounters.tolist())
+    ))

@@ -56,13 +56,13 @@ such a log back for the group tallies.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import first_rows, raise_first_failure, read_csv, write_csv
 from .contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
 from .ingest import TripTable, _floats, _vocabulary
 
@@ -106,10 +106,6 @@ class SimConfig:
         if self.start_time is not None and self.end_time is not None:
             if self.end_time < self.start_time:
                 raise ValueError("end_time before start_time")
-
-
-class DataIntegrityError(Exception):
-    """A stored log is malformed, or references a passenger with no classification."""
 
 
 @dataclass
@@ -392,17 +388,14 @@ def run_ensemble(
 
 
 def write_infection_csv(outcome: SimOutcome, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INFECTION_CSV_HEADER)
-        cards, vehicles = outcome.cards, outcome.vehicles
-        writer.writerows(
-            [cards[u], cards[v], repr(t), vehicles[w], DIRECT if d else INDIRECT]
-            for u, v, t, w, d in zip(
-                outcome.infector.tolist(), outcome.infectee.tolist(), outcome.time.tolist(),
-                outcome.vehicle.tolist(), outcome.direct.tolist(),
-            )
+    cards, vehicles = outcome.cards, outcome.vehicles
+    write_csv(path, INFECTION_CSV_HEADER, (
+        [cards[u], cards[v], repr(t), vehicles[w], DIRECT if d else INDIRECT]
+        for u, v, t, w, d in zip(
+            outcome.infector.tolist(), outcome.infectee.tolist(), outcome.time.tolist(),
+            outcome.vehicle.tolist(), outcome.direct.tolist(),
         )
+    ))
 
 
 def read_infection_csv(path) -> SimOutcome:
@@ -414,41 +407,22 @@ def read_infection_csv(path) -> SimOutcome:
     log records no seeds, population or clock, so the outcome serves the
     group tallies only.
     """
-    width = len(INFECTION_CSV_HEADER)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != INFECTION_CSV_HEADER:
-            raise DataIntegrityError(f"{path}:1: expected header {','.join(INFECTION_CSV_HEADER)}, got {header!r}")
-        rows, lines = [], []  # each row and the line it ends on
-        for row in reader:
-            rows.append(row)
-            lines.append(reader.line_num)
-    n = len(rows)
-    fields = np.fromiter(map(len, rows), np.int64, n)
-    if (fields != width).any():  # pad or cut, so that the checks below see columns
-        rows = [(row + [""] * width)[:width] for row in rows]
-    infectors, infectees, time_texts, vehicle_ids, kinds = zip(*rows) if rows else [()] * width
+    (infectors, infectees, time_texts, vehicle_ids, kinds), fields, lines = read_csv(path, INFECTION_CSV_HEADER)
+    n, width = len(lines), len(INFECTION_CSV_HEADER)
     cards, card_codes = _vocabulary(infectors + infectees)
     infector, infectee = card_codes[:n], card_codes[n:]
     vehicles, vehicle = _vocabulary(vehicle_ids)
     time = _floats(np.array(time_texts, object))
     kind = np.array(kinds, object)
     direct = kind == DIRECT
-    order = np.argsort(infectee, kind="stable")
-    first = order[np.searchsorted(infectee[order], infectee)]  # the first row that infects each row's infectee
-    checks = [
+    first = first_rows(infectee)
+    raise_first_failure(path, lines, [
         (fields != width, lambda i: f"expected {width} fields, got {fields[i]}"),
         (~np.isfinite(time), lambda i: f"time {time_texts[i]!r} is not a finite number"),
         (~direct & (kind != INDIRECT), lambda i: f"kind {kinds[i]!r} is neither {DIRECT} nor {INDIRECT}"),
         (infector == infectee, lambda i: f"card {infectees[i]!r} infects itself"),
         (first != np.arange(n), lambda i: f"card {infectees[i]!r} is infected again, first at line {lines[first[i]]}"),
-    ]
-    bad = np.logical_or.reduce([failed for failed, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        message = next(describe for failed, describe in checks if failed[i])
-        raise DataIntegrityError(f"{path}:{lines[i]}: {message(i)}")
+    ])
     return SimOutcome(
         cards, vehicles, infector, infectee, vehicle, time, direct,
         seeds=(), per_run_seed=-1, population=[], start_time=math.nan, end_time=math.nan, period=math.nan,

@@ -4,11 +4,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from oracles import classify_reference, kmeans2_brute, kmeans2_welford, split_costs
 from transitepi.classify import (
@@ -278,6 +279,18 @@ def test_assignments_csv_round_trip_sorted_by_card(tmp_path):
     cards, group = read_assignments_csv(tmp_path / "a.csv")
     assert cards == ["a", "b", "c"]
     assert group.dtype == np.int8 and group.tolist() == [3, 7, 0]
+
+
+@given(groups=st.dictionaries(st.text(st.sampled_from(' ,"\r\n\x00aé') | st.characters(), max_size=6),
+                              st.integers(0, len(GROUP_NAMES) - 1), max_size=12))
+@example(groups={" c1": 0, "c,2": 1, 'c"3': 2, "c\r4": 3, "c\n5": 4, "c\r\n6": 5, "c\x007": 6, "": 7})
+def test_assignments_csv_round_trip_holds_any_id(groups):
+    result = ClassificationResult(Assignments(list(groups), np.array(list(groups.values()), np.int8)), centroids={})
+    with tempfile.TemporaryDirectory() as work:
+        write_assignments_csv(result, Path(work) / "a.csv")
+        cards, group = read_assignments_csv(Path(work) / "a.csv")
+    assert cards == sorted(groups)
+    assert dict(zip(cards, group.tolist())) == groups
 
 
 def test_group_names_fixed_and_sorted():

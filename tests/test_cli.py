@@ -696,8 +696,12 @@ class TestAnalyze:
             ("card_id,group\nc1,exp_high_long\nc1,ret_low_short\n", "3:"),
             ("card_id,group\nc1,exp_high_long\nc2,exp_high_medium\n", "3:"),
             ("card_id,group\nc1,exp_high\n", "2:"),
+            ("card_id,group\nc1,exp_high_long\n\nc2,ret_low_short\n", "3: expected 2 fields, got 0"),
+            ('card_id,group\n"a\nb",exp_high_long\nc1,exp_high_long\nc1,ret_low_short\n',
+             "5: card 'c1' is listed twice"),
         ],
-        ids=["empty", "one-field-row", "three-field-row", "card-twice", "unknown-group", "two-part-group"],
+        ids=["empty", "one-field-row", "three-field-row", "card-twice", "unknown-group", "two-part-group",
+             "blank-line", "card-twice-after-a-two-line-id"],
     )
     def test_malformed_assignments_is_data_error(self, tmp_path, trips_csv, caplog, content, where):
         assignments = tmp_path / "assignments.csv"
