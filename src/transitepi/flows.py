@@ -54,11 +54,6 @@ class GroupMatrix:
         if self.values.shape != (len(self.groups), len(self.groups)):
             raise ValueError(f"matrix shape {self.values.shape} does not match groups")
 
-    def entry(self, source: str, target: str) -> float:
-        i = self.groups.index(source)
-        j = self.groups.index(target)
-        return float(self.values[i, j])
-
     def to_csv(self, path) -> None:
         write_csv(path, ["group", *self.groups],
                   ([g] + [f"{v:.{PRECISION}f}" for v in row] for g, row in zip(self.groups, self.values)))

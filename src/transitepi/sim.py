@@ -30,17 +30,20 @@ exactly the rules above.
 one (beta, run) pair; the lanes of one run share its seeds and its token.
 The keyed draw is counter-based, so a lane draws a row's trial only when it
 evaluates the row: the row transmits iff the draw's top 53 bits are below
-ceil(beta * 2**53), which is exactly u < beta.  Each lane keeps one int64
-cell per target: the code of its least pending candidate (the time's rank
-times the log length plus the key; every infection time is the start time
-or a window start, so ranking those orders times exactly), or a mark for
-none pending or infected.  One step infects the argmin of every lane's
+ceil(beta * 2**53), which is exactly u < beta.  The engine keeps time as
+integer ranks among the rides' boardings and the start time: every
+infection time is the start time or a window start, which is a boarding,
+so the ranks order times exactly and decode to the same floats, and a
+window's bounds become the ranks between which its source must be infected.
+Each lane keeps one int64 cell per target: the code of its least pending
+candidate (the time's rank times the log length plus the key), or a mark
+for none pending or infected.  One step infects the argmin of every lane's
 cells, evaluates the exposure slices of those cards in one batch of numpy
 calls and lowers their targets' cells with `np.minimum.at`: one pending
 candidate per (lane, target) changes no event, as a higher one could only
 pop after the lower one infected it.  Lanes run in batches of whole runs
-whose cells fit in `BATCH_BYTES`, so memory does not grow with the number
-of runs or betas.
+whose cells and infection record fit in `BATCH_BYTES`, so memory does not
+grow with the number of runs or betas.
 
 An infected passenger recovers exactly `infectious_period` seconds after
 infection and is never re-infected.
@@ -71,9 +74,9 @@ DEFAULT_INFECTIOUS_PERIOD_S = 5 * 86_400.0
 DEFAULT_RUNS = 100
 INFECTION_CSV_HEADER = ["infector", "infectee", "time", "vehicle_id", "kind"]
 
-# memory the cells of one batch of lanes may hold: 8 bytes per (lane, card)
-BATCH_BYTES = 32 << 20
-_LANE_BYTES_PER_CARD = 8
+# memory one batch of lanes may hold: 16 bytes per (lane, card), its cell and its infection record
+BATCH_BYTES = 64 << 20
+_LANE_BYTES_PER_CARD = 16
 
 
 @dataclass
@@ -149,7 +152,7 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    z = (x + _SM_GAMMA).astype(np.uint64)
+    z = x + _SM_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM_M1
     z = (z ^ (z >> np.uint64(27))) * _SM_M2
     return z ^ (z >> np.uint64(31))
@@ -244,7 +247,7 @@ def run_lanes(
     keys = _exposure_keys(log)
     # u < beta iff bits < beta * 2**53, a product exact in float64, iff bits < its ceiling
     cuts = np.ceil(np.asarray(betas, np.float64) * 2.0 ** 53).astype(np.uint64)
-    codes = _Codes(log, start_time, end_time)
+    codes = _Codes(log, start_time, end_time, config.infectious_period)
     runs = list(runs)
     per_batch = max(1, BATCH_BYTES // max(1, len(betas) * n * _LANE_BYTES_PER_CARD))
     for first in range(0, len(runs), per_batch):
@@ -256,7 +259,7 @@ def run_lanes(
             seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
             tokens.append(token)
             traces.seeds[run] = tuple(trips.cards[j] for j in seeds[-1].tolist())
-        lanes = _Lanes(codes, config.infectious_period, keys, np.array(tokens), cuts)
+        lanes = _Lanes(codes, keys, np.array(tokens), cuts)
         for lane, code in enumerate(lanes.run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
     row_of_key = np.empty(len(log), np.int32)
@@ -269,37 +272,52 @@ def run_lanes(
 class _Codes:
     """The per-row columns that the lanes of one call read, and candidate codes.
 
-    A code is its time's rank (`clock[rank]` is the time) times the log
-    length, plus its row's key.  The log stores rows by (infector, start,
-    infectee, vehicle, kind), so one stable sort by start gives each row's
-    rank under (start, infector, ...).  Source u's rows are bounds[u]:bounds[u + 1].
+    Times are ranks in `clock`: the rides' distinct boardings and the start
+    time, every time an infection can have.  A code is its time's rank times
+    the log length, plus its row's key, the row's rank under (start,
+    infector, infectee, vehicle, kind); rows are stored by infector first,
+    so that is their rank under (start rank, stored position).  A source
+    infected at rank r can transmit through a row iff open_rank <= r <
+    close_rank: opens < clock[r] + period and clock[r] <= closes for its
+    window [opens, closes], and no code is stamped after the end.
+    Source u's rows are bounds[u]:bounds[u + 1].
     """
 
-    def __init__(self, log: ExposureLog, start_time: float, end_time: float) -> None:
+    def __init__(self, log: ExposureLog, start_time: float, end_time: float, period: float) -> None:
         n = self.n = len(log)
-        if n > np.iinfo(np.int32).max:  # which also keeps (time rank + 1) * rows within int64
-            raise ValueError(f"{n} exposures exceed the simulator's int32 keys")
-        start = log.start
-        order = np.argsort(start, kind="stable")
+        trips = log.trips
+        # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte the sweep would not load
+        times = np.sort(np.append(trips.board, start_time))
+        self.clock = times[np.concatenate(([True], times[1:] != times[:-1]))]
+        del times
+        # int32 ranks and keys, and codes below 2**62, which keeps every code under _NONE
+        if max(n, self.clock.size) > np.iinfo(np.int32).max or self.clock.size * n >= 2 ** 62:
+            raise ValueError(f"{n} exposures over {self.clock.size} times exceed the simulator's codes")
+        self.start_rank = int(np.searchsorted(self.clock, start_time))
+        self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
+        src, tgt, direct = log.src_ride, log.tgt_ride, log.direct
+        # a rank is monotone in its time: a row's is the max or min of its two rides'
+        board = np.searchsorted(self.clock, trips.board).astype(np.int32)
+        self.time_rank = np.maximum(board.take(src), board.take(tgt))
+        # direct: the later boarding to the earlier alighting; indirect: the source's ride
+        opens = np.searchsorted(self.clock + period, trips.board, "right").astype(np.int32)
+        self.open_rank = opens.take(src)
+        np.maximum(self.open_rank, opens.take(tgt), out=self.open_rank, where=direct)
+        closes = np.searchsorted(self.clock, trips.alight, "right").astype(np.int32)
+        self.close_rank = closes.take(src)
+        np.minimum(self.close_rank, closes.take(tgt), out=self.close_rank, where=direct)
+        # rows that start after the end never open; a seed infected after the end (which run_lanes'
+        # defaults allow) finds every row starting after the end or closing before the start
+        self.close_rank[self.time_rank > self.last_rank] = 0
+        order = np.multiply(self.time_rank, n, dtype=np.int64)
+        order += np.arange(n, dtype=np.int32)
+        order.sort()
+        order %= n  # the stored position of each row, in key order
         self.key = np.empty(n, np.int32)
         self.key[order] = np.arange(n, dtype=np.int32)
-        at = int(np.count_nonzero(start < start_time))
-        starts = np.insert(start.take(order), at, start_time)  # every time an infection can have
-        del order, start
-        new = np.concatenate(([True], starts[1:] != starts[:-1]))
-        self.clock = starts[new]
-        rank = np.cumsum(new, dtype=np.int32) - 1
-        self.start_rank = int(rank[at])
-        self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
-        self.time_rank = np.delete(rank, at).take(self.key)
-        del starts, new, rank
-        self.bounds = np.searchsorted(log.src, np.arange(len(log.trips.cards) + 1))
+        del order
+        self.bounds = np.searchsorted(log.src, np.arange(len(trips.cards) + 1))
         self.tgt = log.tgt
-        # direct: the later boarding to the earlier alighting; indirect: the source's ride
-        self.opens = log.trips.board.take(log.src_ride)
-        np.maximum(self.opens, log.trips.board.take(log.tgt_ride), out=self.opens, where=log.direct)
-        self.closes = log.trips.alight.take(log.src_ride)
-        np.minimum(log.trips.alight.take(log.tgt_ride), self.closes, out=self.closes, where=log.direct)
 
 
 # a lane's cell holds its target's least pending code, or one of these
@@ -310,60 +328,59 @@ _INFECTED = np.iinfo(np.int64).max
 class _Lanes:
     """One batch of lanes in lockstep: lane i * n_betas + k is the batch's run i at beta k."""
 
-    def __init__(self, codes: _Codes, period: float, keys: np.ndarray, tokens: np.ndarray, cuts: np.ndarray) -> None:
+    def __init__(self, codes: _Codes, keys: np.ndarray, tokens: np.ndarray, cuts: np.ndarray) -> None:
         self.codes = codes
-        self.period = period
         self.keys = keys
         self.tokens = np.repeat(tokens, cuts.size)  # lane i * n_betas + k: run i's token
         self.cuts = np.tile(cuts, tokens.size)  # and beta k's cut
         self.n_cards = codes.bounds.size - 1
         self.n_lanes = self.cuts.size
         self.best = np.full(self.n_lanes * self.n_cards, _NONE, np.int64)
+        self.record = np.empty((self.n_lanes, self.n_cards), np.int64)
 
     def push(self, lanes: np.ndarray, cards: np.ndarray, time_ranks: np.ndarray) -> None:
         """Push the candidates of cards[i], infectious from int64 time rank time_ranks[i] in lane lanes[i]."""
         codes = self.codes
         lo = codes.bounds.take(cards)
         counts = codes.bounds.take(cards + 1) - lo
-        entry = np.repeat(np.arange(cards.size), counts)
-        rows = np.arange(entry.size) + (lo - (np.cumsum(counts) - counts)).take(entry)
-        t_u = codes.clock.take(time_ranks).take(entry)
-        feasible = np.flatnonzero((codes.closes.take(rows) >= t_u) & (codes.opens.take(rows) < t_u + self.period))
-        rows, entry = rows.take(feasible), entry.take(feasible)
+        entry = np.arange(cards.size).repeat(counts)
+        rows = np.arange(entry.size) + (lo - (counts.cumsum() - counts)).take(entry)
+        r = time_ranks.take(entry)
+        feasible = ((codes.open_rank.take(rows) <= r) & (r < codes.close_rank.take(rows))).nonzero()[0]
+        rows, r, lane = rows.take(feasible), r.take(feasible), lanes.take(entry.take(feasible))
         # each lane's Bernoulli(beta) trial, drawn only for the rows it can transmit through
-        lane = lanes.take(entry)
-        hit = np.flatnonzero(_draw_bits(self.keys.take(rows), self.tokens.take(lane)) < self.cuts.take(lane))
-        rows, entry, lane = rows.take(hit), entry.take(hit), lane.take(hit)
-        t_star = np.maximum(codes.time_rank.take(rows), time_ranks.take(entry))
+        hit = (_draw_bits(self.keys.take(rows), self.tokens.take(lane)) < self.cuts.take(lane)).nonzero()[0]
+        rows, r, lane = rows.take(hit), r.take(hit), lane.take(hit)
         cell = lane * self.n_cards + codes.tgt.take(rows)
-        keep = np.flatnonzero((t_star <= codes.last_rank) & (self.best.take(cell) != _INFECTED))
-        code = t_star.take(keep) * codes.n + codes.key.take(rows.take(keep))
+        keep = (self.best.take(cell) != _INFECTED).nonzero()[0]
+        rows = rows.take(keep)
+        code = np.maximum(codes.time_rank.take(rows), r.take(keep)) * codes.n + codes.key.take(rows)
         np.minimum.at(self.best, cell.take(keep), code)
 
     def run(self, seeds: List[np.ndarray]) -> List[np.ndarray]:
         """Infect each run's seeds at the start time, advance every lane to its end, return its infection codes."""
-        best, n_cards = self.best, self.n_cards
+        best, n_cards, codes = self.best, self.n_cards, self.codes
         n_betas = self.n_lanes // len(seeds)
         for lane in range(self.n_lanes):
             pos = seeds[lane // n_betas]
             best[lane * n_cards + pos] = _INFECTED
-            self.push(np.full(pos.size, lane), pos, np.full(pos.size, self.codes.start_rank))
+            self.push(np.full(pos.size, lane), pos, np.full(pos.size, codes.start_rank))
         cells = best.reshape(self.n_lanes, n_cards)
-        popped = [(np.empty(0, np.int64),) * 2]  # (lanes, codes) of each step
+        # lane i's infection codes in pop order are record[i, :filled[i]]
+        record, filled = self.record, np.zeros(self.n_lanes, np.int64)
         while n_cards:
             # one step: every lane infects the target of its least pending code
             cards = cells.argmin(axis=1)
             code = cells[np.arange(self.n_lanes), cards]
-            lanes = np.flatnonzero(code < _NONE)
+            lanes = (code < _NONE).nonzero()[0]
             if not lanes.size:
                 break
             cards, code = cards.take(lanes), code.take(lanes)
             best[lanes * n_cards + cards] = _INFECTED
-            popped.append((lanes, code))
-            self.push(lanes, cards, code // self.codes.n)
-        lanes, code = map(np.concatenate, zip(*popped))
-        split = np.cumsum(np.bincount(lanes, minlength=self.n_lanes))[:-1]
-        return np.split(code.take(np.argsort(lanes, kind="stable")), split)
+            record[lanes, filled.take(lanes)] = code
+            filled[lanes] += 1
+            self.push(lanes, cards, code // codes.n)
+        return [record[lane, :count] for lane, count in enumerate(filled.tolist())]
 
 
 def run_sir(

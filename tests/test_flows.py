@@ -121,7 +121,7 @@ class TestFlowMatrix:
         )
         events = [event("g1_0", "t"), event("g1_1", "t")]
         matrix = group_flow_matrix([outcome(events)], assignments)
-        assert matrix.entry("exp_high_long", "ret_low_short") == 0.5
+        assert matrix.values[at("exp_high_long"), at("ret_low_short")] == 0.5
 
     def test_no_events_zero_matrix(self):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
@@ -189,7 +189,7 @@ class TestFlowMatrix:
         with caplog.at_level("WARNING"):
             matrix = group_flow_matrix([outcome([event("a", "b")])], assignments)
         assert "empty" in caplog.text
-        assert matrix.entry("exp_low_long", "ret_low_short") == 0.0
+        assert matrix.values[at("exp_low_long"), at("ret_low_short")] == 0.0
 
 
 class TestDifferenceMatrix:
@@ -256,7 +256,7 @@ class TestChordExport:
         payload = chord_export(matrix)
         payload["scale"] = 10_000.0
         for f in payload["flows"]:
-            f["value"] = int(round(matrix.entry(f["source"], f["target"]) * 10_000.0))
+            f["value"] = int(round(matrix.values[at(f["source"]), at(f["target"])] * 10_000.0))
         back = chord_import(payload)
         assert np.max(np.abs(back.values - matrix.values)) <= 0.00005
 

@@ -347,14 +347,17 @@ def _trace(outcome):
     return outcome.per_run_seed, outcome.seeds, outcome_events(outcome), final_state(outcome)
 
 
+# (card, vehicle, board, ride length) with integer times, so that ties occur
+_rides = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 15), st.integers(1, 6)), min_size=2, max_size=40,
+)
+
+
 class TestLanes:
     """`run_lanes` against the scalar reference, with integer ride times so that ties occur."""
 
     @given(
-        rides=st.lists(
-            st.tuples(st.integers(0, 5), st.integers(0, 1), st.integers(0, 15), st.integers(1, 6)),
-            min_size=2, max_size=40,
-        ),
+        rides=_rides,
         d_t=st.sampled_from([0.0, 3.0, 5.0]),
         period=st.sampled_from([4.0, 12.0, 1000.0]),
         master_seed=st.integers(0, 1000),
@@ -369,6 +372,9 @@ class TestLanes:
     # no two cards share a vehicle: the log has no rows and only seeds are infected
     @example(rides=[(0, 0, 0, 1), (1, 1, 0, 1), (2, 0, 3, 1)], d_t=0.0, period=1000.0, master_seed=0,
              start=None, end=None)
+    # every ride boards after the end: no exposure is live, and the seeds infect no one
+    @example(rides=[(0, 0, 10, 4), (1, 0, 11, 4), (2, 1, 12, 2)], d_t=0.0, period=1000.0, master_seed=0,
+             start=None, end=9.0)
     def test_every_lane_matches_reference_alone_and_in_any_batch(self, rides, d_t, period, master_seed, start, end):
         records = [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
         population = sorted({r.card_id for r in records})
@@ -389,6 +395,38 @@ class TestLanes:
                 assert _trace(other) == want
                 assert _trace(run_sir(table(records), lane_cfg, run, exposures=log)) == want
 
+    @given(
+        rides=_rides,
+        d_t=st.sampled_from([0.0, 3.0, 5.0]),
+        period=st.sampled_from([4.0, 12.0, 1000.0]),
+        start=st.sampled_from([None, 0.5, 3.0, 7.5]),
+        end=st.sampled_from([None, 9.0, 14.5]),
+    )
+    def test_rank_columns_are_the_float_windows(self, rides, d_t, period, start, end):
+        trips = table([trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides])
+        log = build_exposure_log(trips, d_t)
+        start = float(trips.board.min()) if start is None else start
+        end = float(trips.alight.max()) + d_t if end is None else end
+        codes = sim._Codes(log, start, end, period)
+        clock = codes.clock
+        assert clock[codes.start_rank] == start
+        assert (clock[:codes.last_rank + 1] <= end).all() and (clock[codes.last_rank + 1:] > end).all()
+        assert (clock[codes.time_rank] == log.start).all()
+        key = np.empty(len(log), np.int64)
+        key[np.argsort(log.start, kind="stable")] = np.arange(len(log))
+        assert codes.key.tolist() == key.tolist()
+        # the window as floats: direct, the later boarding to the earlier alighting; indirect, the source's ride
+        src_board, tgt_board = trips.board[log.src_ride], trips.board[log.tgt_ride]
+        src_alight, tgt_alight = trips.alight[log.src_ride], trips.alight[log.tgt_ride]
+        opens = np.where(log.direct, np.maximum(src_board, tgt_board), src_board)
+        closes = np.where(log.direct, np.minimum(src_alight, tgt_alight), src_alight)
+        r = np.arange(clock.size)[:, None]
+        by_rank = (codes.open_rank <= r) & (r < codes.close_rank)
+        by_time = (opens < clock[r] + period) & (clock[r] <= closes)
+        live = codes.time_rank <= codes.last_rank
+        assert (by_rank[:, live] == by_time[:, live]).all()
+        assert (codes.close_rank[~live] == 0).all()
+
     def test_pending_candidate_lowered_by_a_source_infected_later(self):
         # seed A reaches C at t = 10 on v3, but A infects B at t = 1 and B
         # meets C at t = 5: B's later candidate must replace A's pending one
@@ -408,11 +446,12 @@ class TestLanes:
     def test_lane_rows_stay_within_the_batch_budget(self):
         log = build_exposure_log(table(random_instance(3)), 0.0)
         cuts, tokens = np.array([1, 2, 3], np.uint64), np.arange(4, dtype=np.uint64)
-        lanes = sim._Lanes(sim._Codes(log, 0.0, DAY), DAY, sim._exposure_keys(log), tokens, cuts)
+        lanes = sim._Lanes(sim._Codes(log, 0.0, DAY, DAY), sim._exposure_keys(log), tokens, cuts)
         per_run = cuts.size * len(log.trips.cards) * sim._LANE_BYTES_PER_CARD
         assert len(log) > 0
         assert lanes.n_lanes == cuts.size * tokens.size
-        assert lanes.best.nbytes <= tokens.size * per_run
+        # the cells and the infection record
+        assert lanes.best.nbytes + lanes.record.nbytes <= tokens.size * per_run
 
 
 class TestDraws:
