@@ -19,7 +19,7 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .contacts import (
     encounter_counts,
     write_histogram_csv,
 )
-from .flows import GroupMatrix, chord_export, difference_matrix, group_flow_matrix, per_group_summary
+from .flows import GroupMatrix, chord_export, count_events, difference_matrix, group_flow_matrix, per_group_summary
 from .geo import get_model
 from .ingest import (
     SchemaError,
@@ -239,11 +239,12 @@ def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[MobilityTable, 
     return table, classify_population(table)
 
 
-def _write_tallies(outcomes: Sequence[SimOutcome], assignments: Assignments, cards: Sequence[str],
+def _write_tallies(outcomes: Iterable[SimOutcome], assignments: Assignments, cards: Sequence[str],
                    encounters: np.ndarray, staging: Path) -> None:
-    """An ensemble's per-group summary, its group flow matrix and the matrix's chord export."""
-    per_group_summary(outcomes, assignments, cards, encounters).to_csv(staging / "group_summary.csv")
-    matrix = group_flow_matrix(outcomes, assignments)
+    """An ensemble's per-group summary, its group flow matrix and the matrix's chord export, from one pass over its runs."""
+    events = count_events(outcomes, assignments)
+    per_group_summary(events, assignments, cards, encounters).to_csv(staging / "group_summary.csv")
+    matrix = group_flow_matrix(events, assignments)
     matrix.to_csv(staging / "flow_matrix.csv")
     chord_export(matrix, path=staging / "chord.json")
 
@@ -370,7 +371,8 @@ def _run_sweep(spec: ExperimentSpec, staging: Path) -> None:
         config = spec.sim_config(dt)
         lanes = run_lanes(trips, config, spec.beta_grid, range(config.n_runs), exposures=log)
         for k, beta in enumerate(spec.beta_grid):
-            matrices[(beta, dt)] = group_flow_matrix(lanes.outcomes(k), result.assignments)
+            events = count_events(lanes.outcomes(k), result.assignments)
+            matrices[(beta, dt)] = group_flow_matrix(events, result.assignments)
             logger.info("sweep point done: beta=%s dt=%sm", _fmt_num(beta), _fmt_num(dt))
         del lanes
 
@@ -426,13 +428,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         event_files = sorted(events_dir.glob("infections_run*.csv"))
         if not event_files:
             raise DataIntegrityError(f"no infections_run*.csv files under {events_dir}")
-        outcomes = [read_infection_csv(path) for path in event_files]
-
+        # read one log at a time, as the tallies count it
+        outcomes = (read_infection_csv(path) for path in event_files)
         _write_tallies(outcomes, assignments, trips.cards, encounters, staging)
         comps = connected_components(trips)
         write_histogram_csv(degree_distribution(encounters), staging / "degree_distribution.csv", value_name="degree")
         write_json(staging / "components.json", {"component_sizes": comps})
-    logger.info("analyze: %d runs aggregated from %s", len(outcomes), events_dir)
+    logger.info("analyze: %d runs aggregated from %s", len(event_files), events_dir)
     return EXIT_OK
 
 

@@ -20,9 +20,16 @@ they are read.
 `build_exposure_log` reads the card, vehicle and time columns of a
 `TripTable` and sorts the rides once by (vehicle, enter, exit, card).
 Ride i then meets exactly the later rides j of its vehicle that board by
-exit_i + d_t, a contiguous run found by one `searchsorted`; the pair is
-direct when exit_i >= enter_j and indirect otherwise, and pairs of one card
-are dropped.
+exit_i + d_t, a contiguous run found by one `searchsorted`; pairs of one
+card are dropped.  Past that point only the order of the times matters
+(Holme & Saramaki 2012), so the build works on the int32 ranks of
+`_time_ranks`: the pair is direct iff board_rank_j <= exit_rank_i,
+and a row's start is the larger of its two rides' boarding ranks.  The rows
+are ordered by one stable sort of one int64 key whose mixed-radix digits
+are source card, start rank, target card, vehicle and kind; a key too wide
+for 63 bits is sorted as two int64 keys with `np.lexsort`, in the same
+order.  The float-time build with a three-key lexsort that this replaced is
+kept in the tests as the reference it must equal row for row.
 
 A log narrows to any shorter suspension time d <= d_t without a rebuild:
 `ExposureLog.within(d)` keeps the rows with start <= src_exit + d (every
@@ -50,6 +57,9 @@ from .ingest import TripTable
 
 DIRECT = "direct"
 INDIRECT = "indirect"
+
+# bits of the widest sort key one int64 holds; `build_exposure_log` sorts a wider one as two
+_KEY_BITS = 63
 
 
 @dataclass(eq=False)
@@ -124,19 +134,20 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     """
     if not 0 <= d_t < np.inf:  # NaN fails every comparison
         raise ValueError(f"d_t must be finite and >= 0, got {d_t}")
-    _check_rides(trips)
-    card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
-    n, n_vehicles = len(trips), len(trips.vehicles)
+    board, exit_ = _time_ranks(trips)
+    n, n_cards, n_vehicles = len(trips), len(trips.cards), len(trips.vehicles)
 
-    ride = np.lexsort((card, exit_, enter, veh)).astype(np.int32)  # the table row of each sorted ride
-    card, veh, enter, exit_ = card[ride], veh[ride], enter[ride], exit_[ride]
+    # the table row of each sorted ride
+    ride = np.lexsort((trips.card, trips.alight, trips.board, trips.vehicle)).astype(np.int32)
+    card, veh, board, exit_ = trips.card[ride], trips.vehicle[ride], board[ride], exit_[ride]
     # ride i meets rides i+1 .. hi[i]-1: the later rides of its vehicle that
     # board no later than exit_i + d_t
     hi = np.empty(n, np.int64)
-    reach = exit_ + d_t
+    enter, reach = trips.board[ride], trips.alight[ride] + d_t
     vbounds = np.searchsorted(veh, np.arange(n_vehicles + 1))
     for lo, up in zip(vbounds[:-1], vbounds[1:]):
         hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
+    del enter, reach
     counts = hi - np.arange(1, n + 1)
     # pair indices are int32, half the memory of the build's largest arrays
     n_pairs = int(counts.sum())
@@ -145,23 +156,47 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     # pair k is (i, i + 1 + k - first[i]), first[i] being ride i's first pair
     first = np.cumsum(counts) - counts
     i = np.repeat(np.arange(n, dtype=np.int32), counts)
-    j = np.arange(n_pairs, dtype=np.int32) + np.repeat((np.arange(1, n + 1) - first).astype(np.int32), counts)
+    j = np.repeat((np.arange(1, n + 1) - first).astype(np.int32), counts)
+    j += np.arange(n_pairs, dtype=np.int32)
+    del hi, counts, first
     keep = card[i] != card[j]
     i, j = i[keep], j[keep]
-    is_direct = exit_[i] >= enter[j]
+    del keep
+    is_direct = board[j] <= exit_[i]
     # direct pairs yield both directions; indirect ones only i -> j
     s = np.concatenate([i, j[is_direct]])
     t = np.concatenate([j, i[is_direct]])
+    del i, j
     direct = np.concatenate([is_direct, np.ones(np.count_nonzero(is_direct), bool)])
-    del i, j, is_direct
+    del is_direct
 
-    # rows are stored by (source, start, target, vehicle, kind), one slice per
-    # source for run_lanes to read, the last three packed into one key
-    start = np.maximum(enter[s], enter[t])
-    tie = (card[t].astype(np.int64) * n_vehicles + veh[s]) * 2 + direct
-    order = np.lexsort((tie, start, card[s]))
-    del tie, start
-    return ExposureLog(trips, ride[s[order]], ride[t[order]], direct[order], d_t)
+    # rows are stored by (source card, start, target card, vehicle, kind), one
+    # slice per source for run_lanes to read: the digits of one mixed-radix
+    # integer key, start being the rank of the later boarding
+    n_starts = int(board.max(initial=0)) + 1
+    key = np.multiply(card[s], n_starts, dtype=np.int64)
+    start = board[s]
+    key += np.maximum(start, board[t], out=start)
+    del start
+
+    # the digits of target card, vehicle and kind go on in the key itself, or
+    # in a second key when one int64 cannot hold them all
+    wide = n_cards * n_starts * n_cards * n_vehicles * 2 > 2 ** _KEY_BITS
+    tie = np.zeros_like(key) if wide else key
+    tie *= n_cards
+    tie += card[t]
+    tie *= n_vehicles
+    tie += veh[s]
+    tie *= 2
+    tie += direct
+    # stable: the pairs' generation order among equal keys
+    order = np.lexsort((tie, key)) if wide else np.argsort(key, kind="stable")
+    del key, tie
+    src_ride = ride[s[order]]
+    del s
+    tgt_ride = ride[t[order]]
+    del t
+    return ExposureLog(trips, src_ride, tgt_ride, direct[order], d_t)
 
 
 def _check_rides(trips: TripTable) -> None:

@@ -5,10 +5,12 @@ order is fixed alphabetically over the canonical group names so files diff
 cleanly.  For ensembles, event counts are averaged over runs before being
 divided by group sizes (equivalent to averaging the per-run matrices).
 
-Both tallies read the runs' columnar `SimOutcome`s and the classification's
-group column: each card vocabulary is joined to group codes once, and the
-events' group pairs are counted with `np.bincount`.  The per-group summary
-joins the encounter column through the same card -> code mapping.
+Both tallies read one `EventCounts`, the 8x8 event counts of an ensemble
+and its number of runs, which `count_events` makes in one pass over the
+runs' columnar `SimOutcome`s, holding one at a time: each card vocabulary is
+joined to the classification's group column once, and the events' group
+pairs are counted with `np.bincount`.  The per-group summary joins the
+encounter column through the same card -> code mapping.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -91,32 +93,44 @@ def _group_codes(cards: Sequence[str], assignments: Assignments) -> np.ndarray:
     return np.array([code.get(c, -1) for c in cards], np.int64)
 
 
-def _pair_counts(outcomes: Sequence[SimOutcome], assignments: Assignments) -> np.ndarray:
-    """Events per (infector group, infectee group) over all runs, in GROUP_NAMES order.
+@dataclass
+class EventCounts:
+    """An ensemble's infection events per (infector group, infectee group), in GROUP_NAMES order, over `runs` runs."""
 
-    Each card vocabulary is mapped to group codes once.  The first event
-    naming an unclassified card is a `DataIntegrityError`.
+    pairs: np.ndarray
+    runs: int
+
+
+def count_events(outcomes: Iterable[SimOutcome], assignments: Assignments) -> EventCounts:
+    """The events of all runs by group pair, in one pass that holds one outcome at a time.
+
+    Each card vocabulary is mapped to group codes once; the runs of one call
+    share one.  The first event naming an unclassified card is a
+    `DataIntegrityError`.
     """
     n = len(GROUP_NAMES)
-    codes_of: Dict[int, np.ndarray] = {}
-    counts = np.zeros(n * n, np.int64)
+    cards, codes = None, None
+    pairs = np.zeros(n * n, np.int64)
+    runs = 0
     for outcome in outcomes:
-        cards = outcome.cards
-        codes = codes_of.get(id(cards))
-        if codes is None:
-            codes = codes_of[id(cards)] = _group_codes(cards, assignments)
+        if outcome.cards is not cards:
+            cards, codes = outcome.cards, _group_codes(outcome.cards, assignments)
         src, tgt = codes[outcome.infector], codes[outcome.infectee]
         bad = np.flatnonzero((src < 0) | (tgt < 0))
         if bad.size:
             i = bad[0]
             card = cards[outcome.infector[i] if src[i] < 0 else outcome.infectee[i]]
             raise DataIntegrityError(f"passenger {card!r} appears in a log but is not classified")
-        counts += np.bincount(src * n + tgt, minlength=n * n)
-    return counts.reshape(n, n)
+        pairs += np.bincount(src * n + tgt, minlength=n * n)
+        runs += 1
+        del outcome  # released before the next one is read
+    if not runs:
+        raise ValueError("no outcomes to aggregate")
+    return EventCounts(pairs.reshape(n, n), runs)
 
 
 def per_group_summary(
-    outcomes: Sequence[SimOutcome],
+    events: EventCounts,
     assignments: Assignments,
     cards: Sequence[str],
     encounters: np.ndarray,
@@ -124,22 +138,19 @@ def per_group_summary(
     """Tally encounters and traced infections per group.
 
     `encounters[i]` is the encounter count of `cards[i]`; unclassified cards
-    are left out.  Every card in the infection logs must be classified.
+    are left out.
     """
-    if not outcomes:
-        raise ValueError("no outcomes to summarize")
     codes = _group_codes(cards, assignments)
     classified = codes >= 0
-    counts = _pair_counts(outcomes, assignments)
     return GroupSummary(
         population=group_sizes(assignments),
         encounters=np.bincount(codes[classified], encounters[classified], len(GROUP_NAMES)),
-        transmitted=counts.sum(axis=1) / len(outcomes),
-        received=counts.sum(axis=0) / len(outcomes),
+        transmitted=events.pairs.sum(axis=1) / events.runs,
+        received=events.pairs.sum(axis=0) / events.runs,
     )
 
 
-def group_flow_matrix(outcomes: Sequence[SimOutcome], assignments: Assignments) -> GroupMatrix:
+def group_flow_matrix(events: EventCounts, assignments: Assignments) -> GroupMatrix:
     """Average infections one member of the row group causes in the column group.
 
     Entry (i, j) is the run-averaged count of events with infector in group i
@@ -147,10 +158,8 @@ def group_flow_matrix(outcomes: Sequence[SimOutcome], assignments: Assignments) 
     `assignments`.  Rows for empty groups are zero (with a warning) rather
     than undefined.
     """
-    if not outcomes:
-        raise ValueError("no outcomes to aggregate")
     sizes = group_sizes(assignments).tolist()
-    counts = _pair_counts(outcomes, assignments) / len(outcomes)
+    counts = events.pairs / events.runs
     values = np.zeros_like(counts)
     for i, (name, size) in enumerate(zip(GROUP_NAMES, sizes)):
         if size == 0:

@@ -9,6 +9,9 @@ the package's `TripTable.from_columns` and `IngestReport`, which hold none
 of the rules it checks.  `passengers_reference` draws its passengers and a
 roamer's novelty rides and rides its legs through the package, so that only
 the emission it checks, day by day and one draw per call, is its own.
+`exposure_log_reference` is the exposure build that compared float times
+and sorted with a three-key lexsort, kept so that the integer-key build can
+be checked against it row for row.
 """
 
 from __future__ import annotations
@@ -494,6 +497,43 @@ def exposures_quadratic(
             elif b < c <= b + d_t:
                 out.append((c1, c2, v1, c, min(d, b + d_t), "indirect", a, b))
     return out
+
+
+def exposure_log_reference(trips: TripTable, d_t: float) -> ExposureLog:
+    """The exposure log of valid `trips` from float times and a three-key lexsort: the reference for
+    `contacts.build_exposure_log`, which must equal it row for row.
+
+    The rides are sorted by (vehicle, enter, exit, card); ride i meets the
+    later rides of its vehicle that board by exit_i + d_t, directly when
+    exit_i >= enter_j.  The rows are sorted by source card, then float start,
+    then a packed (target card, vehicle, kind) tie, each sort stable.
+    """
+    card, veh, enter, exit_ = trips.card, trips.vehicle, trips.board, trips.alight
+    n, n_vehicles = len(trips), len(trips.vehicles)
+
+    ride = np.lexsort((card, exit_, enter, veh)).astype(np.int32)
+    card, veh, enter, exit_ = card[ride], veh[ride], enter[ride], exit_[ride]
+    hi = np.empty(n, np.int64)
+    reach = exit_ + d_t
+    vbounds = np.searchsorted(veh, np.arange(n_vehicles + 1))
+    for lo, up in zip(vbounds[:-1], vbounds[1:]):
+        hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
+    counts = hi - np.arange(1, n + 1)
+    n_pairs = int(counts.sum())
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(n, dtype=np.int32), counts)
+    j = np.arange(n_pairs, dtype=np.int32) + np.repeat((np.arange(1, n + 1) - first).astype(np.int32), counts)
+    keep = card[i] != card[j]
+    i, j = i[keep], j[keep]
+    is_direct = exit_[i] >= enter[j]
+    s = np.concatenate([i, j[is_direct]])
+    t = np.concatenate([j, i[is_direct]])
+    direct = np.concatenate([is_direct, np.ones(np.count_nonzero(is_direct), bool)])
+
+    start = np.maximum(enter[s], enter[t])
+    tie = (card[t].astype(np.int64) * n_vehicles + veh[s]) * 2 + direct
+    order = np.lexsort((tie, start, card[s]))
+    return ExposureLog(trips, ride[s[order]], ride[t[order]], direct[order], d_t)
 
 
 def direct_encounter_counts(log: ExposureLog) -> Dict[str, int]:

@@ -222,8 +222,9 @@ def test_criterion_5_conservation_attribution_flows():
             assert set(inbound) == outcome.infected_set - set(outcome.seeds)
 
         sizes = te.group_sizes(result.assignments).tolist()
-        summary = te.per_group_summary(outcomes, result.assignments, mobility.cards, mobility.encounters)
-        matrix = te.group_flow_matrix(outcomes, result.assignments)
+        events = te.count_events(outcomes, result.assignments)
+        summary = te.per_group_summary(events, result.assignments, mobility.cards, mobility.encounters)
+        matrix = te.group_flow_matrix(events, result.assignments)
         names = matrix.groups
         transmissions = summary.per_individual(summary.transmitted)
         receptions = summary.per_individual(summary.received)
@@ -271,7 +272,8 @@ def test_criterion_6_desk_scale_reproduction():
         assert giant_share >= 0.95, f"giant component only {giant_share:.3f}"
         sim_cfg = te.SimConfig(beta=1.0, d_t=0.0, n_seeds=50, n_runs=20, master_seed=0)
         outcomes0 = te.run_ensemble(records, sim_cfg)
-        summary = te.per_group_summary(outcomes0, result.assignments, mobility.cards, mobility.encounters)
+        events0 = te.count_events(outcomes0, result.assignments)
+        summary = te.per_group_summary(events0, result.assignments, mobility.cards, mobility.encounters)
         for name, receptions in zip(te.GROUP_NAMES, summary.per_individual(summary.received).tolist()):
             assert 0.85 <= receptions <= 1.05, f"{name}: receptions {receptions:.3f}"
 
@@ -279,8 +281,8 @@ def test_criterion_6_desk_scale_reproduction():
         log30 = te.build_exposure_log(records, 30 * 60.0)
         sim_cfg30 = te.SimConfig(beta=1.0, d_t=30 * 60.0, n_seeds=50, n_runs=20, master_seed=0)
         outcomes30 = te.run_ensemble(records, sim_cfg30, exposures=log30)
-        m0 = te.group_flow_matrix(outcomes0, result.assignments)
-        m30 = te.group_flow_matrix(outcomes30, result.assignments)
+        m0 = te.group_flow_matrix(events0, result.assignments)
+        m30 = te.group_flow_matrix(te.count_events(outcomes30, result.assignments), result.assignments)
         diff = te.difference_matrix(m0, m30)
         anti = te.difference_matrix(m30, m0)
         assert np.array_equal(diff.values, -anti.values)

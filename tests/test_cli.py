@@ -4,6 +4,7 @@ import csv
 import json
 import random
 import shutil
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -549,6 +550,30 @@ class TestFrontHalfOnce:
             "--events-dir", str(sim_dir), "--out-dir", str(tmp_path / "analysis"),
         ]) == 0
         assert calls == {"mobility_table": 0, "build_exposure_log": 0}
+
+    def test_analyze_holds_one_infection_log_at_a_time(self, tmp_path, trips_csv, monkeypatch):
+        sim_dir = tmp_path / "sim"
+        assert main([
+            "simulate", "--input", trips_csv, "--beta", "1", "--seeds", "5", "--runs", "4", "--min-trips", "10",
+            "--out-dir", str(sim_dir),
+        ]) == 0
+        read = []  # a weak reference to each outcome read so far
+
+        def tracked(path):
+            assert all(ref() is None for ref in read), "an earlier infection log is still held"
+            outcome = sim.read_infection_csv(path)
+            read.append(weakref.ref(outcome))
+            return outcome
+
+        monkeypatch.setattr(cli, "read_infection_csv", tracked)
+        analysis = tmp_path / "analysis"
+        assert main([
+            "analyze", "--input", trips_csv, "--min-trips", "10", "--assignments", str(sim_dir / "assignments.csv"),
+            "--events-dir", str(sim_dir), "--out-dir", str(analysis),
+        ]) == 0
+        assert len(read) == 4
+        for name in ("flow_matrix.csv", "group_summary.csv", "chord.json"):
+            assert (analysis / name).read_bytes() == (sim_dir / name).read_bytes()
 
     def test_sweep_builds_one_log(self, tmp_path, trips_csv, calls):
         code = main([

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from oracles import (
     component_sizes_bfs,
     direct_degree_quadratic,
     direct_encounter_counts,
+    exposure_log_reference,
     exposures_quadratic,
     log_events,
 )
+from transitepi import contacts
 from transitepi.contacts import (
     DIRECT,
     INDIRECT,
@@ -25,6 +29,7 @@ from transitepi.contacts import (
     degree_distribution,
     encounter_counts,
 )
+from transitepi.synth import SynthConfig, synthesize
 
 T0 = 36_000.0  # 10:00
 
@@ -282,6 +287,56 @@ def with_cases(test):
 
 def ride_records(rides):
     return [trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides]
+
+
+# the cases of tied sort keys: CASES, and two more
+REFERENCE_CASES = {
+    **CASES,
+    # c0 rides v0 twice before c2 boards: two indirect rows of one source card, start, target, vehicle and kind
+    "one-card-twice-before-a-target": [(0, 0, 0, 2), (0, 0, 3, 1), (2, 0, 6, 2)],
+    "duplicate-rides": [(0, 0, 1, 3), (0, 0, 1, 3), (1, 0, 1, 3), (1, 0, 1, 3), (2, 0, 5, 1)],
+}
+
+
+def with_reference_cases(test):
+    for rides in REFERENCE_CASES.values():
+        for d_t in (0.0, 5.0):
+            test = example(rides=rides, d_t=d_t)(test)
+    return given(rides=RIDES, d_t=st.sampled_from([0.0, 1.0, 3.0, 5.0, 8.0]))(test)
+
+
+class TestReferenceBuild:
+    """The integer-key build equals the float-time, three-key lexsort build row for row."""
+
+    # a zero-bit limit sends every non-empty table down the two-key path
+    @pytest.mark.parametrize("key_bits", [contacts._KEY_BITS, 0], ids=["packed-key", "two-key-lexsort"])
+    @with_reference_cases
+    def test_equals_the_reference(self, key_bits, rides, d_t):
+        trips = table(ride_records(rides))
+        with mock.patch.object(contacts, "_KEY_BITS", key_bits):
+            got = build_exposure_log(trips, d_t)
+        want = exposure_log_reference(trips, d_t)
+        for column in ("src_ride", "tgt_ride", "direct"):
+            a, b = getattr(got, column), getattr(want, column)
+            assert a.dtype == b.dtype and np.array_equal(a, b), column
+
+    def test_one_card_twice_before_a_target_ties(self):
+        trips = table(ride_records(REFERENCE_CASES["one-card-twice-before-a-target"]))
+        log = build_exposure_log(trips, 5.0)
+        assert log.src_ride.tolist() == [0, 1] and log.tgt_ride.tolist() == [2, 2] and not log.direct.any()
+
+    def test_transients_stay_within_a_multiple_of_the_log(self):
+        # 7,864 rides; the float-time build with its three-key lexsort peaked at 9.1 times the log here
+        _, trips = synthesize(SynthConfig(n_passengers=300, days=14, n_routes=8, stops_per_route=12, rng_seed=3))
+        tracemalloc.start()
+        try:
+            log = build_exposure_log(trips, minutes(60))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log_bytes = log.src_ride.nbytes + log.tgt_ride.nbytes + log.direct.nbytes
+        assert len(log) > len(trips)
+        assert peak <= 6.5 * log_bytes, f"peak {peak / log_bytes:.2f} times the log's {log_bytes} bytes"
 
 
 class TestContactStatistics:

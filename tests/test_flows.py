@@ -12,6 +12,7 @@ from transitepi.flows import (
     GroupMatrix,
     chord_export,
     chord_import,
+    count_events,
     difference_matrix,
     group_flow_matrix,
     per_group_summary,
@@ -47,8 +48,14 @@ def assign(card_groups):
 
 
 def summarize(outcomes, assignments, encounters):
-    """per_group_summary with the encounters given as {card: count}."""
-    return per_group_summary(outcomes, assignments, list(encounters), np.array(list(encounters.values()), np.int64))
+    """per_group_summary of the runs with the encounters given as {card: count}."""
+    return per_group_summary(count_events(outcomes, assignments), assignments, list(encounters),
+                             np.array(list(encounters.values()), np.int64))
+
+
+def flow_matrix(outcomes, assignments):
+    """group_flow_matrix of the runs."""
+    return group_flow_matrix(count_events(outcomes, assignments), assignments)
 
 
 def at(name):
@@ -114,18 +121,34 @@ class TestPerGroupSummary:
         assert list(rows)[1:] == list(GROUP_NAMES)
 
 
+class TestCountEvents:
+    def test_counts_group_pairs_and_runs_in_one_pass(self):
+        assignments = assign({"a": "exp_high_long", "b": "ret_low_short", "c": "ret_low_short"})
+        runs = [outcome([event("a", "b")]), outcome([event("a", "b"), event("b", "c")]), outcome([])]
+        counts = count_events(iter(runs), assignments)
+        assert counts.runs == 3
+        want = np.zeros((8, 8), np.int64)
+        want[at("exp_high_long"), at("ret_low_short")] = 2
+        want[at("ret_low_short"), at("ret_low_short")] = 1
+        assert np.array_equal(counts.pairs, want)
+
+    def test_no_outcomes_is_an_error(self):
+        with pytest.raises(ValueError, match="no outcomes"):
+            count_events(iter([]), assign({"a": "exp_high_long"}))
+
+
 class TestFlowMatrix:
     def test_basic_entry(self):
         assignments = assign(
             {f"g1_{i}": "exp_high_long" for i in range(4)} | {"t": "ret_low_short"}
         )
         events = [event("g1_0", "t"), event("g1_1", "t")]
-        matrix = group_flow_matrix([outcome(events)], assignments)
+        matrix = flow_matrix([outcome(events)], assignments)
         assert matrix.values[at("exp_high_long"), at("ret_low_short")] == 0.5
 
     def test_no_events_zero_matrix(self):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
-        matrix = group_flow_matrix([outcome([])], assignments)
+        matrix = flow_matrix([outcome([])], assignments)
         assert not matrix.values.any()
 
     def test_matches_independent_tally(self):
@@ -133,7 +156,7 @@ class TestFlowMatrix:
         cards = [f"c{i}" for i in range(60)]
         groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(500)]
-        matrix = group_flow_matrix([outcome(events)], assign(groups))
+        matrix = flow_matrix([outcome(events)], assign(groups))
         sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
         for i, gi in enumerate(GROUP_NAMES):
             for j, gj in enumerate(GROUP_NAMES):
@@ -154,7 +177,7 @@ class TestFlowMatrix:
             for r in range(4)
         ]
         sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix(runs, assign(groups))
+        matrix = flow_matrix(runs, assign(groups))
         summary = summarize(runs, assign(groups), {})
         for i, name in enumerate(GROUP_NAMES):
             assert matrix.values[i].sum() == pytest.approx(
@@ -176,7 +199,7 @@ class TestFlowMatrix:
         groups = {c: GROUP_NAMES[rnd.randrange(8)] for c in cards}
         events = [event(rnd.choice(cards), rnd.choice(cards)) for _ in range(321)]
         sizes = {name: sum(1 for g in groups.values() if g == name) for name in GROUP_NAMES}
-        matrix = group_flow_matrix([outcome(events)], assign(groups))
+        matrix = flow_matrix([outcome(events)], assign(groups))
         total = sum(
             matrix.values[i, j] * sizes[gi]
             for i, gi in enumerate(GROUP_NAMES)
@@ -187,7 +210,7 @@ class TestFlowMatrix:
     def test_empty_group_row_is_zero_with_warning(self, caplog):
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
         with caplog.at_level("WARNING"):
-            matrix = group_flow_matrix([outcome([event("a", "b")])], assignments)
+            matrix = flow_matrix([outcome([event("a", "b")])], assignments)
         assert "empty" in caplog.text
         assert matrix.values[at("exp_low_long"), at("ret_low_short")] == 0.0
 
