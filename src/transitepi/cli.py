@@ -313,8 +313,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trips = _filtered_trips(spec)
         config = spec.sim_config(spec.dt_minutes)
         table, result = _classified(trips, spec)  # before the log, so that their transients do not stack
-        log = build_exposure_log(trips, config.d_t)
-        outcomes = run_ensemble(trips, config, exposures=log)
+        outcomes = run_ensemble(trips, config)
         write_assignments_csv(result, staging / "assignments.csv")
         for outcome in outcomes:
             write_infection_csv(outcome, staging / f"infections_run{outcome.per_run_seed:03d}.csv")

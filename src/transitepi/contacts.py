@@ -17,19 +17,19 @@ rides: `ExposureLog` stores each as the two rides' row numbers in the
 cards, the vehicle and the exposure window from the two rides and d_t when
 they are read.
 
-`build_exposure_log` reads the card, vehicle and time columns of a
-`TripTable` and sorts the rides once by (vehicle, enter, exit, card).
-Ride i then meets exactly the later rides j of its vehicle that board by
-exit_i + d_t, a contiguous run found by one `searchsorted`; pairs of one
-card are dropped.  Past that point only the order of the times matters
-(Holme & Saramaki 2012), so the build works on the int32 ranks of
-`_time_ranks`: the pair is direct iff board_rank_j <= exit_rank_i,
-and a row's start is the larger of its two rides' boarding ranks.  The rows
-are ordered by one stable sort of one int64 key whose mixed-radix digits
-are source card, start rank, target card, vehicle and kind; a key too wide
-for 63 bits is sorted as two int64 keys with `np.lexsort`, in the same
-order.  The float-time build with a three-key lexsort that this replaced is
-kept in the tests as the reference it must equal row for row.
+Only the order of the ride times matters (Holme & Saramaki 2012), so every
+ride time is ranked on one clock, `_time_ranks`, which the simulator's
+codes share.  `build_exposure_log` sorts the rides once by (vehicle, enter,
+exit, card); ride i then meets exactly the later rides j of its vehicle
+that board by exit_i + d_t, a contiguous run that one `searchsorted` of
+vehicle-keyed ranks finds for every ride.  Pairs of one card are dropped;
+the pair is direct iff board_rank_j <= exit_rank_i, and a row's start is
+the larger of its two rides' boarding ranks.  The rows are ordered by one
+stable sort of one int64 key whose mixed-radix digits are source card,
+start rank, target card, vehicle and kind; a key too wide for 63 bits is
+sorted as two int64 keys with `np.lexsort`, in the same order.  The tests
+keep a float-time build with a three-key lexsort as the reference it must
+equal row for row.
 
 A log narrows to any shorter suspension time d <= d_t without a rebuild:
 `ExposureLog.within(d)` keeps the rows with start <= src_exit + d (every
@@ -134,20 +134,18 @@ def build_exposure_log(trips: TripTable, d_t: float) -> ExposureLog:
     """
     if not 0 <= d_t < np.inf:  # NaN fails every comparison
         raise ValueError(f"d_t must be finite and >= 0, got {d_t}")
-    board, exit_ = _time_ranks(trips)
+    clock, board, exit_ = _time_ranks(trips)
+    reach = np.searchsorted(clock, trips.alight + d_t, "right").astype(np.int32)
+    del clock
     n, n_cards, n_vehicles = len(trips), len(trips.cards), len(trips.vehicles)
 
     # the table row of each sorted ride
     ride = np.lexsort((trips.card, trips.alight, trips.board, trips.vehicle)).astype(np.int32)
     card, veh, board, exit_ = trips.card[ride], trips.vehicle[ride], board[ride], exit_[ride]
-    # ride i meets rides i+1 .. hi[i]-1: the later rides of its vehicle that
-    # board no later than exit_i + d_t
-    hi = np.empty(n, np.int64)
-    enter, reach = trips.board[ride], trips.alight[ride] + d_t
-    vbounds = np.searchsorted(veh, np.arange(n_vehicles + 1))
-    for lo, up in zip(vbounds[:-1], vbounds[1:]):
-        hi[lo:up] = lo + np.searchsorted(enter[lo:up], reach[lo:up], side="right")
-    del enter, reach
+    # ride i meets rides i+1 .. hi[i]-1: the later rides of its vehicle that board no
+    # later than exit_i + d_t, found for every vehicle by one search of vehicle-keyed ranks
+    hi = np.searchsorted(_keyed(veh, board), _keyed(veh, reach[ride]), "right")
+    del reach
     counts = hi - np.arange(1, n + 1)
     # pair indices are int32, half the memory of the build's largest arrays
     n_pairs = int(counts.sum())
@@ -212,7 +210,7 @@ def encounter_counts(trips: TripTable) -> np.ndarray:
     the other alights, touching included; these are the direct exposures,
     counted once per source card, at any suspension time.  Indexed by card code.
     """
-    board, exit_ = _time_ranks(trips)
+    board, exit_ = _time_ranks(trips)[1:]
     counts = _overlaps(trips, trips.vehicle, board, exit_)
     # the overlaps among one card's own rides on one vehicle, each ride with itself included, are no encounters
     _, vehicle_card = np.unique(trips.vehicle.astype(np.int64) * len(trips.cards) + trips.card, return_inverse=True)
@@ -221,16 +219,17 @@ def encounter_counts(trips: TripTable) -> np.ndarray:
     return counts.astype(np.int64)
 
 
-def _time_ranks(trips: TripTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Integer stand-ins for the boarding and exit times that keep every comparison of a boarding with an exit.
+def _time_ranks(trips: TripTable, *extra: float) -> Tuple[np.ndarray, ...]:
+    """The sorted clock of all boardings and `extra` times, duplicates kept, and the boardings' and exits' int32 ranks.
 
-    A time's rank is the number of boardings no later than it, so that
-    board_j <= exit_i iff rank(board_j) <= rank(exit_i), and
-    exit_j < board_i iff rank(exit_j) < rank(board_i).
+    A time's rank is the number of clock times no later than it, so that
+    board_j <= t iff rank(board_j) <= rank(t) for any time t, exit_j <
+    board_i iff rank(exit_j) < rank(board_i), and clock[rank(b) - 1] == b.
     """
     _check_rides(trips)
-    boards = np.sort(trips.board)
-    return tuple(np.searchsorted(boards, t, "right").astype(np.int32) for t in (trips.board, trips.alight))
+    clock = np.append(trips.board, extra)
+    clock.sort()
+    return (clock, *(np.searchsorted(clock, t, "right").astype(np.int32) for t in (trips.board, trips.alight)))
 
 
 def _overlaps(trips: TripTable, group: np.ndarray, board: np.ndarray, exit_: np.ndarray) -> np.ndarray:
@@ -273,7 +272,7 @@ def connected_components(trips: TripTable) -> List[int]:
     exit; the cards of one cluster are connected.  Isolated passengers form
     size-1 components.
     """
-    board, exit_ = _time_ranks(trips)
+    board, exit_ = _time_ranks(trips)[1:]
     # keyed by vehicle, so that no cluster reaches back into an earlier vehicle
     board, exit_ = _keyed(trips.vehicle, board), _keyed(trips.vehicle, exit_)
     order = np.argsort(board)

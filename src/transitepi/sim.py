@@ -31,10 +31,11 @@ one (beta, run) pair; the lanes of one run share its seeds and its token.
 The keyed draw is counter-based, so a lane draws a row's trial only when it
 evaluates the row: the row transmits iff the draw's top 53 bits are below
 ceil(beta * 2**53), which is exactly u < beta.  The engine keeps time as
-integer ranks among the rides' boardings and the start time: every
-infection time is the start time or a window start, which is a boarding,
-so the ranks order times exactly and decode to the same floats, and a
-window's bounds become the ranks between which its source must be infected.
+ranks on contacts' clock of the rides' boardings and the start time,
+duplicates kept, a time's rank being the index of its last copy: every
+infection time is the start time or a window start, which is a boarding, so
+the ranks order times exactly and decode to the same floats, and a window's
+bounds become the ranks between which its source must be infected.
 Each lane keeps one int64 cell per target: the code of its least pending
 candidate (the time's rank times the log length plus the key), or a mark
 for none pending or infected.  One step infects the argmin of every lane's
@@ -66,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .artifacts import first_rows, raise_first_failure, read_csv, write_csv
-from .contacts import DIRECT, INDIRECT, ExposureLog, build_exposure_log
+from .contacts import DIRECT, INDIRECT, ExposureLog, _time_ranks, build_exposure_log
 from .ingest import TripTable, _floats, _vocabulary
 
 DEFAULT_SEEDS = 500
@@ -259,9 +260,9 @@ def run_lanes(
             seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
             tokens.append(token)
             traces.seeds[run] = tuple(trips.cards[j] for j in seeds[-1].tolist())
-        lanes = _Lanes(codes, keys, np.array(tokens), cuts)
-        for lane, code in enumerate(lanes.run(seeds)):
+        for lane, code in enumerate(_Lanes(codes, keys, np.array(tokens), cuts).run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
+    del keys  # every draw is made: the decode below can reuse its 8 bytes a row
     row_of_key = np.empty(len(log), np.int32)
     row_of_key[codes.key] = np.arange(len(log), dtype=np.int32)
     for lane, code in traces.events.items():
@@ -272,38 +273,35 @@ def run_lanes(
 class _Codes:
     """The per-row columns that the lanes of one call read, and candidate codes.
 
-    Times are ranks in `clock`: the rides' distinct boardings and the start
-    time, every time an infection can have.  A code is its time's rank times
-    the log length, plus its row's key, the row's rank under (start,
-    infector, infectee, vehicle, kind); rows are stored by infector first,
-    so that is their rank under (start rank, stored position).  A source
-    infected at rank r can transmit through a row iff open_rank <= r <
-    close_rank: opens < clock[r] + period and clock[r] <= closes for its
-    window [opens, closes], and no code is stamped after the end.
-    Source u's rows are bounds[u]:bounds[u + 1].
+    Times are ranks in `clock`, contacts' clock of the rides' boardings and
+    the start time, every time an infection can have; a time's rank is the
+    index of its last copy, so equal times share one.  A code is its time's
+    rank times the log length, plus its row's key, the row's rank under
+    (start, infector, infectee, vehicle, kind); rows are stored by infector
+    first, so that is their rank under (start rank, stored position).  A
+    source infected at rank r can transmit through a row iff open_rank <= r
+    < close_rank: opens < clock[r] + period and clock[r] <= closes for its
+    window [opens, closes], and no code is stamped after the end.  Source
+    u's rows are bounds[u]:bounds[u + 1].
     """
 
     def __init__(self, log: ExposureLog, start_time: float, end_time: float, period: float) -> None:
         n = self.n = len(log)
         trips = log.trips
-        # sorted and deduplicated by hand: np.unique imports numpy.ma, a megabyte the sweep would not load
-        times = np.sort(np.append(trips.board, start_time))
-        self.clock = times[np.concatenate(([True], times[1:] != times[:-1]))]
-        del times
+        self.clock, board, closes = _time_ranks(trips, start_time)
         # int32 ranks and keys, and codes below 2**62, which keeps every code under _NONE
         if max(n, self.clock.size) > np.iinfo(np.int32).max or self.clock.size * n >= 2 ** 62:
             raise ValueError(f"{n} exposures over {self.clock.size} times exceed the simulator's codes")
-        self.start_rank = int(np.searchsorted(self.clock, start_time))
+        self.start_rank = int(np.searchsorted(self.clock, start_time, "right")) - 1
         self.last_rank = int(np.searchsorted(self.clock, end_time, "right")) - 1
         src, tgt, direct = log.src_ride, log.tgt_ride, log.direct
         # a rank is monotone in its time: a row's is the max or min of its two rides'
-        board = np.searchsorted(self.clock, trips.board).astype(np.int32)
+        board -= 1  # the index of each boarding's last copy
         self.time_rank = np.maximum(board.take(src), board.take(tgt))
         # direct: the later boarding to the earlier alighting; indirect: the source's ride
         opens = np.searchsorted(self.clock + period, trips.board, "right").astype(np.int32)
         self.open_rank = opens.take(src)
         np.maximum(self.open_rank, opens.take(tgt), out=self.open_rank, where=direct)
-        closes = np.searchsorted(self.clock, trips.alight, "right").astype(np.int32)
         self.close_rank = closes.take(src)
         np.minimum(self.close_rank, closes.take(tgt), out=self.close_rank, where=direct)
         # rows that start after the end never open; a seed infected after the end (which run_lanes'

@@ -339,6 +339,35 @@ class TestReferenceBuild:
         assert peak <= 6.5 * log_bytes, f"peak {peak / log_bytes:.2f} times the log's {log_bytes} bytes"
 
 
+class TestTimeRanks:
+    """One clock ranks every ride time, keeping each comparison of a boarding with any other time."""
+
+    # in half units: boardings tie with boardings (1.0), with an exit (2.0) and with extra times (1.0, 2.0)
+    @example(rides=[(0, 2, 2), (1, 2, 4), (2, 4, 1)], extra=[2, 4])
+    @given(
+        rides=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12), st.integers(1, 6)), min_size=1, max_size=30),
+        extra=st.lists(st.integers(0, 16), max_size=3),
+    )
+    def test_ranks_keep_the_order_of_the_times(self, rides, extra):
+        trips = table([trip(f"c{c}", "v", a / 2, (a + d) / 2) for c, a, d in rides])
+        extra = [t / 2 for t in extra]
+        clock, board, exit_ = contacts._time_ranks(trips, *extra)
+        assert board.dtype == exit_.dtype == np.int32
+        assert clock.tolist() == sorted(trips.board.tolist() + extra)
+        # a boarding's rank counts its own copies: the last of them sits at rank - 1
+        assert (clock[board - 1] == trips.board).all()
+
+        def rank(times):
+            """The number of clock times no later than each time."""
+            return (clock <= np.asarray(times, np.float64)[:, None]).sum(axis=1)
+
+        shifted = [trips.alight + d for d in (0.0, 0.5, 3.0)]
+        times = np.concatenate([trips.alight, extra, *shifted])
+        ranks = np.concatenate([exit_, rank(extra), *map(rank, shifted)])
+        assert np.array_equal(trips.board[:, None] <= times, board[:, None] <= ranks)
+        assert np.array_equal(trips.alight[:, None] < trips.board, exit_[:, None] < board)
+
+
 class TestContactStatistics:
     """The counts and the components from the rides equal the oracles' from all ride pairs."""
 

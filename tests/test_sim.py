@@ -402,6 +402,13 @@ class TestLanes:
         start=st.sampled_from([None, 0.5, 3.0, 7.5]),
         end=st.sampled_from([None, 9.0, 14.5]),
     )
+    # three rides board at the start time, and two more at a later shared time: each time's
+    # rank is its last copy on the clock, whose copies stand for every ride that boards then
+    @example(rides=[(0, 0, 3, 2), (1, 0, 3, 4), (2, 1, 3, 1), (3, 1, 5, 2), (4, 1, 5, 3)], d_t=3.0, period=12.0,
+             start=3.0, end=None)
+    # the end time is a boarding that three rides share: rows starting then are still live
+    @example(rides=[(0, 0, 4, 6), (1, 0, 9, 2), (2, 0, 9, 3), (3, 1, 9, 1), (2, 1, 6, 4)], d_t=0.0, period=4.0,
+             start=None, end=9.0)
     def test_rank_columns_are_the_float_windows(self, rides, d_t, period, start, end):
         trips = table([trip(f"c{c}", f"v{v}", float(a), float(a + d)) for c, v, a, d in rides])
         log = build_exposure_log(trips, d_t)
@@ -409,9 +416,11 @@ class TestLanes:
         end = float(trips.alight.max()) + d_t if end is None else end
         codes = sim._Codes(log, start, end, period)
         clock = codes.clock
-        assert clock[codes.start_rank] == start
+        # a time's rank is the index of its last copy on the clock
+        assert clock[codes.start_rank] == start and (clock[codes.start_rank + 1:] > start).all()
         assert (clock[:codes.last_rank + 1] <= end).all() and (clock[codes.last_rank + 1:] > end).all()
         assert (clock[codes.time_rank] == log.start).all()
+        assert (np.append(clock, np.inf)[codes.time_rank + 1] > log.start).all()
         key = np.empty(len(log), np.int64)
         key[np.argsort(log.start, kind="stable")] = np.arange(len(log))
         assert codes.key.tolist() == key.tolist()
