@@ -152,8 +152,15 @@ def _table(cards: List[str], vehicles: List[str], stops: List[str], coords: Sequ
 
 
 def _renumber(ids: List[str], codes: np.ndarray) -> Tuple[List[str], np.ndarray, np.ndarray]:
-    """The ids that `codes` uses, sorted; the codes renumbered over them; their old codes."""
-    used = sorted(np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist(), key=ids.__getitem__)
+    """The ids that `codes` uses, sorted; the codes renumbered over them; their old codes.
+
+    When every id is used and already in order, int32 `codes` come back as they are.
+    """
+    seen = np.zeros(len(ids), bool)
+    seen[codes] = True  # not np.bincount, which first copies int32 codes to int64
+    used = sorted(np.flatnonzero(seen).tolist(), key=ids.__getitem__)
+    if used == list(range(len(ids))):
+        return ids, codes.astype(np.int32, copy=False), np.arange(len(ids))
     code = np.zeros(len(ids), np.int32)
     code[used] = np.arange(len(used), dtype=np.int32)
     return [ids[i] for i in used], code[codes], np.array(used, np.int64)

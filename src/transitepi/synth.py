@@ -21,10 +21,10 @@ Passengers follow one of four archetypes:
   * offpeak_regular: anchored round trips during low-occupancy hours.
 
 Passengers are columns too: one int64 row per card (archetype index, route,
-anchor stops, peak flag, outbound and return time) and one roam list per
-roamer, the routes its novelty rides may take with their stops.  Every
-roamer uses one novelty rule, a route of its list and then two distinct
-stops of it; a far roamer's list is every stop of every route.
+anchor stops, peak flag, outbound and return time) and, for the roamers, one
+(roamers, routes, stops) mask of the stops their novelty rides may use.
+Every roamer uses one novelty rule, a route of its roam list and then two
+distinct stops of it; a far roamer's list is every stop of every route.
 
 Together the archetypes populate all eight mobility groups: roamers become
 explorers, everyone else returners; peak travel drives encounter counts up,
@@ -34,21 +34,20 @@ radius of gyration.
 Generation is a pure function of (config, seed): the same SynthConfig always
 yields byte-identical trip files.
 
-Each passenger draws its day flags in one `random(k)` call, and a
-non-roamer the jitters of all its round trips in one `integers(..., size)`
-call.  numpy's Generator fills these from the same bit stream as k scalar
-calls, so the files are those of one call per day and per jitter.  A
-roamer still draws its jitters and its legs one call at a time: each leg's
-novelty draw decides whether the leg draws a novel route and stops, three
-more integers, so no batch of fixed size fits.
+Each kind of draw is one call over every card (or leg) it concerns, with
+array-valued bounds where the bound differs from card to card, so no loop
+draws per card or per leg.  The kinds follow each other in a fixed order,
+given in `_draw_passengers` and `_legs`: the passengers' routes, anchors,
+peak flags, times and near flags, then every card's day flags, every round
+trip's jitters and every roamer leg's novelty flag, and last the novel
+legs' routes and stops.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -86,10 +85,6 @@ LONG_HAULER_PEAK_P = 0.5
 COMMUTER_LONG_P = 0.2
 PEAK_ACTIVITY = 0.75
 OFFPEAK_ACTIVITY = 0.6
-
-# the routes a roamer's novelty rides may take, each with the stops they may use
-Roam = List[Tuple[int, Sequence[int]]]
-
 
 @dataclass
 class SynthConfig:
@@ -193,98 +188,72 @@ def _apportion(n: int, mix: Dict[str, float]) -> Dict[str, int]:
     return floors
 
 
-def _anchor_pair(m: int, spacing: float, rng: np.random.Generator, want_long: bool) -> Tuple[int, int]:
-    """Pick anchor stop indices on a route of `m` stops `spacing` km apart, targeting a separation in km."""
-    if want_long:
-        delta_min = int(math.ceil(LONG_ANCHOR_KM / spacing))
-        if delta_min <= m - 1:
-            i = int(rng.integers(0, m - delta_min))
-            j = int(rng.integers(i + delta_min, m))
-            return i, j
-        # route too short for a long pair; fall through to a short pair
-    target = float(rng.uniform(1.0, 6.0))
-    delta = max(1, min(m - 1, int(round(target / spacing))))
-    i = int(rng.integers(0, m))
-    if i + delta < m:
-        return i, i + delta
-    if i - delta >= 0:
-        return i - delta, i
-    return 0, m - 1
-
-
 def _draw_passengers(config: SynthConfig, network: BusNetwork,
-                     rng: np.random.Generator) -> Tuple[np.ndarray, List[Optional[Roam]]]:
-    """Each passenger's anchor ride and roaming range, archetype by archetype.
+                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Each passenger's anchor ride and roaming range, each kind of draw in one call over every card it concerns.
 
-    Returns one row per card: archetype index, route, anchor stops a and b,
-    peak flag, outbound and return time; and each card's roam list, None for
-    a non-roamer.  A far roamer roams every stop of every route; a near
-    roamer, its routes with two or more stops inside the radius of home.
+    Returns one row per card, the cards grouped by archetype: archetype
+    index, route, anchor stops a and b, peak flag, outbound and return time.
+    And the roamers' roam lists, in card order, as a (roamers, routes, stops)
+    mask of the stops each may ride between, a route with fewer than two
+    of them cleared: a far roamer roams every stop of every route; a near
+    roamer, the stops inside the radius of home.
+
+    The draws, in order: every card's route; the long-pair flag of each
+    commuter and off-peak regular; the first stop of every long anchor pair,
+    then the second; the separation and then the first stop of every other
+    anchor pair, a roamer's included; the peak flag of each roamer and long
+    hauler; the outbound and return offsets, card by card; and each
+    roamer's near flag.
     """
     n_routes, m = network.xy_km.shape[:2]
-    long_routes = np.flatnonzero(network.spacing_km * (m - 1) >= LONG_ANCHOR_KM).tolist()
+    long_routes = np.flatnonzero(network.spacing_km * (m - 1) >= LONG_ANCHOR_KM)
     counts = _apportion(config.n_passengers, config.archetype_mix)
-    spacings = network.spacing_km.tolist()
-    xs, ys = network.xy_km.reshape(-1, 2).T  # by stop code, for radius queries
-    city: Roam = [(ri, range(m)) for ri in range(n_routes)]
+    kind = np.repeat(np.arange(len(ARCHETYPES)), [counts[a] for a in ARCHETYPES])
+    commuter, roamer, hauler, offpeak = (kind == k for k in range(len(ARCHETYPES)))
 
-    rows: List[Tuple[int, ...]] = []
-    roams: List[Optional[Roam]] = []
-    for kind, archetype in enumerate(ARCHETYPES):
-        for _ in range(counts[archetype]):
-            if archetype == "long_hauler" and long_routes:
-                route_idx = long_routes[int(rng.integers(0, len(long_routes)))]
-            else:
-                route_idx = int(rng.integers(0, n_routes))
-            spacing = spacings[route_idx]
-            if archetype == "commuter" or archetype == "offpeak_regular":
-                want_long = rng.random() < COMMUTER_LONG_P and route_idx in long_routes
-                a, b = _anchor_pair(m, spacing, rng, want_long)
-                peak = archetype == "commuter"
-            elif archetype == "long_hauler":
-                a, b = _anchor_pair(m, spacing, rng, True)
-                peak = rng.random() < LONG_HAULER_PEAK_P
-            else:  # roamer: commuter-like anchor ride, exploration on top
-                delta = max(1, min(m - 1, int(round(float(rng.uniform(1.0, 4.0)) / spacing))))
-                i = int(rng.integers(0, m - delta))
-                a, b = i, i + delta
-                peak = rng.random() < ROAMER_PEAK_P
+    # long haulers ride a route long enough for a long pair, when the city has one
+    hauls = hauler & (long_routes.size > 0)
+    route = rng.integers(0, np.where(hauls, long_routes.size, n_routes))
+    route[hauls] = long_routes[route[hauls]]
+    spacing = network.spacing_km[route]
+    want_long = hauler.copy()
+    regular = commuter | offpeak
+    want_long[regular] = (rng.random(np.count_nonzero(regular)) < COMMUTER_LONG_P) & np.isin(route[regular],
+                                                                                          long_routes)
+    # a long pair's stops lie at least LONG_ANCHOR_KM apart; a route too short for one takes a short pair
+    delta_min = np.ceil(LONG_ANCHOR_KM / spacing).astype(np.int64)
+    long = want_long & (delta_min <= m - 1)
+    a, b = np.empty(kind.size, np.int64), np.empty(kind.size, np.int64)
+    a[long] = rng.integers(0, m - delta_min[long])
+    b[long] = rng.integers(a[long] + delta_min[long], m)
+    # a short pair targets a separation of 1-6 km, a roamer's 1-4 km that always fits forward from its first stop
+    short = ~long
+    target = rng.uniform(1.0, np.where(roamer[short], 4.0, 6.0))
+    delta = np.clip(np.rint(target / spacing[short]), 1, m - 1).astype(np.int64)  # rint: round half to even
+    i = rng.integers(0, np.where(roamer[short], m - delta, m))
+    first = np.where(i + delta < m, i, i - delta)
+    a[short], b[short] = np.where(first >= 0, first, 0), np.where(first >= 0, first + delta, m - 1)
 
-            if peak:
-                # leave 45 minutes of window for the return leg
-                out_s = int(7 * 3600 + rng.integers(0, 4500))
-                back_s = int(17 * 3600 + rng.integers(0, 4500))
-            else:
-                out_s = int(10 * 3600 + rng.integers(0, 3 * 3600))
-                back_s = int(13 * 3600 + 1800 + rng.integers(0, 3 * 3600))
-            rows.append((kind, route_idx, a, b, peak, out_s, back_s))
+    peak = commuter.copy()
+    drawn = roamer | hauler
+    peak[drawn] = rng.random(np.count_nonzero(drawn)) < np.where(roamer, ROAMER_PEAK_P, LONG_HAULER_PEAK_P)[drawn]
+    # peak riders leave in the morning rush and return in the evening one, each leaving 45 minutes of window
+    # for the way back; the rest go out late morning and return in the afternoon
+    offset = rng.integers(0, np.where(peak, 4500, 3 * 3600)[:, None], size=(kind.size, 2))
+    out = np.where(peak, 7 * 3600, 10 * 3600) + offset[:, 0]
+    back = np.where(peak, 17 * 3600, 13 * 3600 + 1800) + offset[:, 1]
+    people = np.column_stack([kind, route, a, b, peak, out, back])
 
-            roam: Optional[Roam] = None
-            if archetype == "roamer":
-                roam = city
-                if rng.random() >= 0.5:  # half the roamers roam near home
-                    hx, hy = network.xy_km[route_idx, a]
-                    by_route: Dict[int, List[int]] = {}
-                    for code in np.flatnonzero((xs - hx) ** 2 + (ys - hy) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2).tolist():
-                        by_route.setdefault(code // m, []).append(code % m)
-                    roam = [(ri, sis) for ri, sis in by_route.items() if len(sis) >= 2]
-            roams.append(roam)
-    return np.array(rows, np.int64).reshape(-1, 7), roams
-
-
-def _novel_pair(roam: Roam, rng: np.random.Generator) -> Optional[Tuple[int, int, int]]:
-    """A roamer's novelty ride as (route, origin stop, destination stop), or None when it roams no route.
-
-    The ride takes two distinct stops of one route of the roam list.
-    """
-    if not roam:
-        return None
-    ri, sis = roam[int(rng.integers(0, len(roam)))]
-    i = int(rng.integers(0, len(sis)))
-    j = int(rng.integers(0, len(sis) - 1))
-    if j >= i:
-        j += 1
-    return ri, sis[i], sis[j]
+    # half the roamers roam near home: the stops within the radius of their first anchor stop
+    home = network.xy_km[route[roamer], a[roamer]]
+    near = rng.random(len(home)) >= 0.5
+    xs, ys = network.xy_km.reshape(-1, 2).T  # by stop code
+    roams = np.ones((len(home), n_routes * m), bool)
+    roams[near] = (xs - home[near, :1]) ** 2 + (ys - home[near, 1:]) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2
+    roams = roams.reshape(-1, n_routes, m)
+    roams &= roams.sum(2, keepdims=True) >= 2
+    return people, roams
 
 
 def generate_passengers(
@@ -298,81 +267,72 @@ def generate_passengers(
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 
-def _legs(config: SynthConfig, people: np.ndarray, roams: List[Optional[Roam]],
-          rng: np.random.Generator) -> np.ndarray:
+def _legs(config: SynthConfig, people: np.ndarray, roams: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Every passenger's legs, card by card, six ints each as `_ride_legs` takes them.
 
-    A passenger draws its day flags in one call, and a non-roamer the
-    jitters of all its round trips in one more: the same draws, in the same
-    order, as one call per day and per jitter.
+    The draws, in order: one (cards x days) array of day flags; two jitters
+    for each round trip, in card and then trip order; a novelty flag for
+    each leg of a roamer whose roam list is not empty; and for each novel
+    leg a route of the roam list, then two distinct stops of that route.
     """
-    every_day = np.arange(config.days)
-    weekdays = every_day[every_day % 7 < 5]
-    trip_days, jitter = [], []
-    novel = array("q")  # leg, route, origin stop, destination stop of each roamer leg that rides elsewhere
-    n_legs = 0
-    offpeak_kind = ARCHETYPES.index("offpeak_regular")
-    for kind, peak, roam in zip(people[:, 0].tolist(), people[:, 4].tolist(), roams):
-        # off-peak regulars may ride any day, everyone else only on weekdays
-        offpeak = kind == offpeak_kind
-        eligible, activity = (every_day, OFFPEAK_ACTIVITY) if offpeak else (weekdays, PEAK_ACTIVITY)
-        legs_per_trip = 4 if peak else 2
-        days = _round_trip_days(eligible[rng.random(eligible.size) < activity], config.days,
-                                -(-config.min_trips_per_passenger // legs_per_trip))
-        trip_days.append(days)
-        if roam is None:
-            jitter.append(rng.integers(-600, 601, size=(days.size, 2)))
-        else:
-            # a roamer's novelty draw decides, leg by leg, whether _novel_pair draws: no batch fits
-            pairs = []
-            for first in range(n_legs, n_legs + days.size * legs_per_trip, legs_per_trip):
-                pairs.append((rng.integers(-600, 601), rng.integers(-600, 601)))
-                for leg in range(first, first + legs_per_trip):
-                    if rng.random() < NOVELTY_P:
-                        pair = _novel_pair(roam, rng)
-                        if pair is not None:
-                            novel.extend((leg, *pair))
-            jitter.append(np.array(pairs, np.int64))
-        n_legs += days.size * legs_per_trip
+    kind, peak = people[:, 0], people[:, 4] == 1
+    # off-peak regulars may ride any day, everyone else only on weekdays
+    offpeak = kind == ARCHETYPES.index("offpeak_regular")
+    activity = np.where(offpeak, OFFPEAK_ACTIVITY, PEAK_ACTIVITY)[:, None]
+    active = (rng.random((len(people), config.days)) < activity) & (offpeak[:, None] | (np.arange(config.days) % 7 < 5))
+    card, day = _round_trip_days(active, -(-config.min_trips_per_passenger // np.where(peak, 4, 2)))
+    legs = _anchor_legs(people, card, day, rng.integers(-600, 601, size=(card.size, 2)))
 
-    legs = _anchor_legs(people, trip_days, np.concatenate(jitter))
-    if novel:
-        leg, route, origin, dest = np.frombuffer(novel, np.int64).reshape(-1, 4).T
-        legs[leg, 1], legs[leg, 3], legs[leg, 4] = route, origin, dest
+    # a roamer's leg is novel with probability NOVELTY_P: it rides between two distinct stops of a route of the
+    # roam list instead
+    stops_on = roams.reshape(-1, roams.shape[2]).sum(1)  # per (roamer, route): 0 or at least 2
+    routes_on = np.count_nonzero(roams.any(2), 1)
+    roamer = np.zeros(len(people), np.int64)
+    roamer[kind == ARCHETYPES.index("roamer")] = np.arange(len(roams))
+    routes_of = np.zeros(len(people), np.int64)
+    routes_of[kind == ARCHETYPES.index("roamer")] = routes_on
+    eligible = np.flatnonzero(routes_of[legs[:, 0]])
+    novel = eligible[rng.random(eligible.size) < NOVELTY_P]
+    r = roamer[legs[novel, 0]]
+    cell = np.flatnonzero(stops_on)[(np.cumsum(routes_on) - routes_on)[r] + rng.integers(0, routes_on[r])]
+    count = stops_on[cell]
+    ij = rng.integers(0, np.column_stack([count, count - 1]))
+    ij[:, 1] += ij[:, 1] >= ij[:, 0]
+    stop = np.flatnonzero(roams)[(np.cumsum(stops_on) - stops_on)[cell, None] + ij] % roams.shape[2]
+    legs[novel, 1], legs[novel, 3], legs[novel, 4] = cell % roams.shape[1], stop[:, 0], stop[:, 1]
     return legs
 
 
-def _round_trip_days(active: np.ndarray, n_days: int, round_trips: int) -> np.ndarray:
-    """The day of each round trip: every active day, in order, then a backstop up to `round_trips`.
+def _round_trip_days(active: np.ndarray, round_trips: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each round trip's card and day, card by card: every active day, in order, then a backstop up to `round_trips`.
 
+    `active` is a (cards x days) mask and `round_trips` each card's minimum.
     Everyone must reach the configured trip minimum: the backstop fills
     inactive days first, then cycles through the period again from day 0.
     """
-    short = round_trips - active.size
-    if short <= 0:
-        return active
-    inactive = np.ones(n_days, bool)
-    inactive[active] = False
-    return np.concatenate([active, np.flatnonzero(inactive), np.arange(short) % n_days])[:round_trips]
+    n_days = active.shape[1]
+    trips = np.maximum(np.count_nonzero(active, 1), round_trips)
+    card = np.repeat(np.arange(active.shape[0]), trips)
+    nth = np.arange(card.size) - np.repeat(np.cumsum(trips) - trips, trips)
+    order = np.argsort(~active, 1, kind="stable")  # active days first, then the inactive ones, each in day order
+    return card, np.where(nth < n_days, order[card, np.minimum(nth, n_days - 1)], nth % n_days)
 
 
-def _anchor_legs(people: np.ndarray, trip_days: List[np.ndarray], jitter: np.ndarray) -> np.ndarray:
+def _anchor_legs(people: np.ndarray, card: np.ndarray, day: np.ndarray, jitter: np.ndarray) -> np.ndarray:
     """Every round trip between a passenger's anchors as legs, six ints each as `_ride_legs` takes them.
 
-    `trip_days[c]` holds the days of card c's round trips.  `jitter` has one
-    row per round trip, in card and then trip order, that shifts its
-    outbound and its return time.  Peak riders run a round trip inside each
-    rush window, which concentrates their co-presence; off-peak riders do
-    one midday round trip.
+    Round trip k is card `card[k]`'s on day `day[k]`, and `jitter[k]` shifts
+    its outbound and its return time.  Peak riders run a round trip inside
+    each rush window, which concentrates their co-presence; off-peak riders
+    do one midday round trip.
     """
-    card = np.repeat(np.arange(len(people)), [d.size for d in trip_days])
     route, a, b, peak, out, back = people[card, 1:].T
     # four legs a trip: a to b and back 45 minutes later, around the outbound and then the return
     # time; an off-peak trip keeps the first and the last, with no lag
     trip, slot = np.divmod(np.flatnonzero((peak == 1)[:, None] | [True, False, False, True]), 4)
     returning = slot % 2 == 1
     legs = np.empty((trip.size, 6), np.int64)
-    legs[:, 0], legs[:, 1], legs[:, 2] = card[trip], route[trip], np.concatenate(trip_days)[trip]
+    legs[:, 0], legs[:, 1], legs[:, 2] = card[trip], route[trip], day[trip]
     legs[:, 3], legs[:, 4] = np.where(returning, b[trip], a[trip]), np.where(returning, a[trip], b[trip])
     legs[:, 5] = (jitter + np.column_stack([out, back]))[trip, slot // 2] + 2700 * (peak[trip] & returning)
     return legs

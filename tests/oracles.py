@@ -6,9 +6,10 @@ its own oracle.  The one exception is `sir_reference`, which draws its seeds
 and keyed uniforms through the package so that its events can be compared
 with the simulator's one for one.  `parse_reference` builds its result with
 the package's `TripTable.from_columns` and `IngestReport`, which hold none
-of the rules it checks.  `passengers_reference` draws its passengers and a
-roamer's novelty rides and rides its legs through the package, so that only
-the emission it checks, day by day and one draw per call, is its own.
+of the rules it checks.  `passengers_reference` splits the passengers with the
+package's `_apportion` and rides its legs with `_ride_legs`; every draw,
+anchor, roam list, backstop and novel ride, one scalar draw per call and
+card by card, is its own.
 `exposure_log_reference` is the exposure build that compared float times
 and sorted with a three-key lexsort, kept so that the integer-key build can
 be checked against it row for row.
@@ -39,13 +40,17 @@ from transitepi.ingest import (
 from transitepi.sim import SimConfig, SimOutcome, _run_streams, exposure_uniforms
 from transitepi.synth import (
     ARCHETYPES,
+    COMMUTER_LONG_P,
+    LONG_ANCHOR_KM,
+    LONG_HAULER_PEAK_P,
     NOVELTY_P,
     OFFPEAK_ACTIVITY,
     PEAK_ACTIVITY,
+    ROAM_NEAR_RADIUS_KM,
+    ROAMER_PEAK_P,
     BusNetwork,
     SynthConfig,
-    _draw_passengers,
-    _novel_pair,
+    _apportion,
     _ride_legs,
 )
 
@@ -228,66 +233,120 @@ def write_reference(trips: TripTable, path) -> None:
 # --- synthetic passengers, one draw per call ---------------------------------
 
 def passengers_reference(config: SynthConfig, network: BusNetwork, rng: np.random.Generator) -> TripTable:
-    """`synth.generate_passengers` with one scalar draw per call: the reference for its batched draws.
+    """`synth.generate_passengers` as a per-card loop, one scalar draw per call: the reference for its batched draws.
 
-    Each passenger draws its day flags one day at a time (every day for an
-    off-peak regular, weekdays only for the rest), then two jitters per
-    round trip on its active days and then on the backstop's days, which
-    fill inactive days first and then cycle through the period again until
-    the passenger has `min_trips_per_passenger` legs.  A roamer's legs each
-    draw their novelty in between.
+    It takes the generator's kinds of draw in the generator's order, each
+    kind card by card (or leg by leg): routes, long-pair flags, long pairs'
+    first and then second stops, the other pairs' separations and first
+    stops, peak flags, outbound and return offsets and near flags; then the
+    day flags of every day, two jitters per round trip on the active days
+    and then on the backstop's days, which fill inactive days first and
+    then cycle through the period again until the passenger has
+    `min_trips_per_passenger` legs; then a novelty flag per leg of a roamer
+    with a route to roam, and for each novel leg a route of its roam list
+    and two distinct stops of it.
     """
     config.validate()
-    people, roams = _draw_passengers(config, network, rng)
-    legs: List[Tuple[int, int, int, int, int, int]] = []
-    for card, (row, roam) in enumerate(zip(people.tolist(), roams)):
-        kind, route_idx, anchor_a, anchor_b, peak, out_s, back_s = row
-        archetype = ARCHETYPES[kind]
-        activity = OFFPEAK_ACTIVITY if archetype == "offpeak_regular" else PEAK_ACTIVITY
-        first_leg = len(legs)
-        active_days = []
-        for day in range(config.days):
-            weekday = day % 7 < 5
-            if archetype == "offpeak_regular":
-                active = rng.random() < activity
+    n_routes, m = network.xy_km.shape[:2]
+    spacing = network.spacing_km.tolist()
+    long_routes = [ri for ri in range(n_routes) if spacing[ri] * (m - 1) >= LONG_ANCHOR_KM]
+    counts = _apportion(config.n_passengers, config.archetype_mix)
+    kinds = [archetype for archetype in ARCHETYPES for _ in range(counts[archetype])]
+    cards = range(len(kinds))
+
+    route = []
+    for archetype in kinds:
+        if archetype == "long_hauler" and long_routes:
+            route.append(long_routes[int(rng.integers(0, len(long_routes)))])
+        else:
+            route.append(int(rng.integers(0, n_routes)))
+    want_long = [archetype == "long_hauler" for archetype in kinds]
+    for c in cards:
+        if kinds[c] in ("commuter", "offpeak_regular"):
+            want_long[c] = bool(rng.random() < COMMUTER_LONG_P) and route[c] in long_routes
+    delta_min = [math.ceil(LONG_ANCHOR_KM / spacing[route[c]]) for c in cards]
+    long = [want_long[c] and delta_min[c] <= m - 1 for c in cards]
+    anchors: List[Tuple[int, int]] = [(0, 0)] * len(kinds)
+    for c in cards:
+        if long[c]:
+            anchors[c] = (int(rng.integers(0, m - delta_min[c])), 0)
+    for c in cards:
+        if long[c]:
+            anchors[c] = (anchors[c][0], int(rng.integers(anchors[c][0] + delta_min[c], m)))
+    delta = [0] * len(kinds)
+    for c in cards:
+        if not long[c]:
+            target = float(rng.uniform(1.0, 4.0 if kinds[c] == "roamer" else 6.0))
+            delta[c] = max(1, min(m - 1, int(round(target / spacing[route[c]]))))
+    for c in cards:
+        if not long[c]:
+            if kinds[c] == "roamer":
+                i = int(rng.integers(0, m - delta[c]))
             else:
-                active = weekday and rng.random() < activity
-            active_days.append(active)
-
-        def anchor_round_trip(day: int) -> None:
-            jit_out = int(rng.integers(-600, 601))
-            jit_back = int(rng.integers(-600, 601))
-            if peak:
-                day_legs = [
-                    (anchor_a, anchor_b, out_s + jit_out),
-                    (anchor_b, anchor_a, out_s + jit_out + 2700),
-                    (anchor_a, anchor_b, back_s + jit_back),
-                    (anchor_b, anchor_a, back_s + jit_back + 2700),
-                ]
+                i = int(rng.integers(0, m))
+            if i + delta[c] < m:
+                anchors[c] = (i, i + delta[c])
+            elif i - delta[c] >= 0:
+                anchors[c] = (i - delta[c], i)
             else:
-                day_legs = [
-                    (anchor_a, anchor_b, out_s + jit_out),
-                    (anchor_b, anchor_a, back_s + jit_back),
-                ]
-            for origin, dest, desired in day_legs:
-                if archetype == "roamer" and rng.random() < NOVELTY_P:
-                    novel = _novel_pair(roam, rng)
-                    if novel is not None:
-                        nri, ni, nj = novel
-                        legs.append((card, nri, day, ni, nj, desired))
-                        continue
-                legs.append((card, route_idx, day, origin, dest, desired))
+                anchors[c] = (0, m - 1)
+    peak = [archetype == "commuter" for archetype in kinds]
+    for c in cards:
+        if kinds[c] == "roamer":
+            peak[c] = bool(rng.random() < ROAMER_PEAK_P)
+        elif kinds[c] == "long_hauler":
+            peak[c] = bool(rng.random() < LONG_HAULER_PEAK_P)
+    times = []
+    for c in cards:
+        if peak[c]:
+            times.append((7 * 3600 + int(rng.integers(0, 4500)), 17 * 3600 + int(rng.integers(0, 4500))))
+        else:
+            times.append((10 * 3600 + int(rng.integers(0, 3 * 3600)),
+                          13 * 3600 + 1800 + int(rng.integers(0, 3 * 3600))))
+    roams: Dict[int, List[Tuple[int, List[int]]]] = {}
+    for c in cards:
+        if kinds[c] == "roamer":
+            if rng.random() >= 0.5:
+                hx, hy = network.xy_km[route[c], anchors[c][0]].tolist()
+                inside = [(ri, [si for si in range(m)
+                                if (network.xy_km[ri, si, 0] - hx) ** 2 + (network.xy_km[ri, si, 1] - hy) ** 2
+                                <= ROAM_NEAR_RADIUS_KM ** 2])
+                          for ri in range(n_routes)]
+                roams[c] = [(ri, sis) for ri, sis in inside if len(sis) >= 2]
+            else:
+                roams[c] = [(ri, list(range(m))) for ri in range(n_routes)]
 
-        for day in range(config.days):
-            if active_days[day]:
-                anchor_round_trip(day)
-        day = 0
-        while len(legs) - first_leg < config.min_trips_per_passenger:
-            if day >= config.days or not active_days[day]:
-                anchor_round_trip(day % config.days)
-            day += 1
+    active = [[rng.random() < (OFFPEAK_ACTIVITY if kinds[c] == "offpeak_regular" else PEAK_ACTIVITY)
+               for day in range(config.days)] for c in cards]
+    legs: List[List[int]] = []
+    for c in cards:
+        a, b = anchors[c]
+        out_s, back_s = times[c]
+        lpt = 4 if peak[c] else 2
+        # off-peak regulars may ride any day, everyone else only on weekdays
+        days = [day for day in range(config.days)
+                if active[c][day] and (kinds[c] == "offpeak_regular" or day % 7 < 5)]
+        active_days, round_trips = len(days), -(-config.min_trips_per_passenger // lpt)
+        days += [day for day in range(config.days) if day not in days]
+        days += [day % config.days for day in range(round_trips)]
+        days = days[:max(active_days, round_trips)]
+        for day in days:
+            jit_out, jit_back = int(rng.integers(-600, 601)), int(rng.integers(-600, 601))
+            if peak[c]:
+                day_legs = [(a, b, out_s + jit_out), (b, a, out_s + jit_out + 2700),
+                            (a, b, back_s + jit_back), (b, a, back_s + jit_back + 2700)]
+            else:
+                day_legs = [(a, b, out_s + jit_out), (b, a, back_s + jit_back)]
+            legs.extend([c, route[c], day, origin, dest, desired] for origin, dest, desired in day_legs)
 
-    table = _ride_legs(network, len(people), np.array(legs, np.int64).reshape(-1, 6))
+    novel = [leg for leg in legs if roams.get(leg[0]) and rng.random() < NOVELTY_P]
+    picks = [roams[leg[0]][int(rng.integers(0, len(roams[leg[0]])))] for leg in novel]
+    for leg, (ri, sis) in zip(novel, picks):
+        i = int(rng.integers(0, len(sis)))
+        j = int(rng.integers(0, len(sis) - 1))
+        leg[1], leg[3], leg[4] = ri, sis[i], sis[j + (j >= i)]
+
+    table = _ride_legs(network, len(kinds), np.array(legs, np.int64).reshape(-1, 6))
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
 
 

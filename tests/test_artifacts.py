@@ -18,38 +18,38 @@ SPEC = ["--input", "trips.csv", "--min-trips", "10"]
 RUNS = ["--seeds", "5", "--runs", "3"]
 
 DIGESTS = {
-    "analysis/chord.json": "8f6949bc7e777aceb78ef154caced08b4d5a3aa5849110b5d0bae78b5da47fe6",
-    "analysis/components.json": "dabee4968b6fc0d5df221d6004fed0d406bc6aadea40a8c209ba4c7000689f4f",
-    "analysis/degree_distribution.csv": "a541364e8f391f4162ae88bdfd514349a1c286a656427a032ba745aa454467d1",
-    "analysis/flow_matrix.csv": "0d0262a525008ead675c90a434909254cb7e81be8736a7ed2e1a7b4ec5ecc4b9",
-    "analysis/group_summary.csv": "d7493b6d000d998be187b81a5d8dd86bce2b641e1b7a85294157ce729fcedfe7",
-    "assignments.csv": "e424ee3429cde981b921886a5b3f69d036976375672703bfb0b2480f76a8f4b4",
-    "filtered.csv": "f864969034c35d385775dd53c547ac2e130713aba8ecd36dc32da9bce0be4296",
-    "freq.csv": "422367eb0dc0e827cd5b3e566af8efe37465ec1f388c45bd25b5c1e6bd2d0d40",
-    "mobility.csv": "29eb05e3de1e77d58cd4fccc58b31e76b9352506852378e251da9abffe701063",
-    "population.csv": "da63f78255aa0b312c4c40dd599e068e3d035f511215825db2f0b1633ff77376",
-    "report.json": "93ce6055fdd4e5be8b2171c49d40d12bbe238bdc555211abc4c710bf6d1644d8",
-    "sim/assignments.csv": "e424ee3429cde981b921886a5b3f69d036976375672703bfb0b2480f76a8f4b4",
-    "sim/chord.json": "8f6949bc7e777aceb78ef154caced08b4d5a3aa5849110b5d0bae78b5da47fe6",
-    "sim/flow_matrix.csv": "0d0262a525008ead675c90a434909254cb7e81be8736a7ed2e1a7b4ec5ecc4b9",
-    "sim/group_summary.csv": "d7493b6d000d998be187b81a5d8dd86bce2b641e1b7a85294157ce729fcedfe7",
-    "sim/infections_run000.csv": "783c5e22eea9df2359bc6ad5d49c2d9b458c69bce8e3833c26e427c387c8fc1e",
-    "sim/infections_run001.csv": "cd8dd05cac5c4beabb620997d383721bdbf951cb39e56ebc06c5db96c122984e",
-    "sim/infections_run002.csv": "e02facd145823b20b2a487a5428ec4128482d496891844e4da3c5c2d88768d42",
-    "sim/summary.json": "4f0bbd64d5eb4911b6acf1c66debbc86a7b978262d58eb6d8948f11fd81a56cb",
-    "summary.json": "532bd9b8dbe58490e005471321936d269172b166116dbaa38ebecc6f35781071",
-    "sweep/assignments.csv": "e424ee3429cde981b921886a5b3f69d036976375672703bfb0b2480f76a8f4b4",
-    "sweep/classification.json": "532bd9b8dbe58490e005471321936d269172b166116dbaa38ebecc6f35781071",
-    "sweep/diff_beta0.5_vs_beta0.25_dt0m.csv": "658c900f53c56de1168bedc6a05b5c6c3097f0dcf96dbc6bd95eb02ef6bc6c24",
-    "sweep/diff_beta0.5_vs_beta0.25_dt15m.csv": "86b7c5737c6edb17655642dc94217bd63a5ed7d4482f66e78c2319915d8085f8",
-    "sweep/diff_dt15m_vs_dt0m_beta0.25.csv": "d8218e8368795ae50ccfdef483147844f8a8a1ed2cac5576ce0a31b6473a56c0",
-    "sweep/diff_dt15m_vs_dt0m_beta0.5.csv": "79a3e2398abfa7a9aac8b80bb12daf467bfdc0182544bf5f0a46fe57861bc116",
-    "sweep/flow_beta0.25_dt0m.csv": "978d23095976dc7e4eafcf249bd53c3f2ca9e76698402d0c06b560eff09f4246",
-    "sweep/flow_beta0.25_dt15m.csv": "6fa4d5ff22088246cfccb84ba21cec37b803144d879e2f5e520c7514a4eaf4eb",
-    "sweep/flow_beta0.5_dt0m.csv": "78dfefb0066f88efa55030cbe0912bd9ca6bafaa9a1a392e4b15614e9f5d00d7",
-    "sweep/flow_beta0.5_dt15m.csv": "0d0262a525008ead675c90a434909254cb7e81be8736a7ed2e1a7b4ec5ecc4b9",
+    "analysis/chord.json": "4b2e52aaf752592587f435ec5f0999c753b89fbbbfe893a3bf122f257e9358f6",
+    "analysis/components.json": "2262b1c2c850a7e5dd31d40ffaf4550325377eaa9e94e721b046fbf8e12a4d15",
+    "analysis/degree_distribution.csv": "7873f6111f739ffb053c1956a9447a972ed7375dd3f1954005c1f5af15c8ede0",
+    "analysis/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
+    "analysis/group_summary.csv": "df1fecb4d92b40bd09003232eb15dda56760df5ffba8168f32dbcdb30c836e5e",
+    "assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
+    "filtered.csv": "92dc40519c301bc8e5c53ff2bd2e6b1069f44e4f968ff8d240d7a24edb0323e5",
+    "freq.csv": "21b9c0eb37ae60e1ebf81f1a807480f466a0d21b2b29009305d654f414a33573",
+    "mobility.csv": "983c1bccbd130abab6ea2560f43e7629489f455c766963fcf9a2f1b6c930ccf0",
+    "population.csv": "4b551ad3a349f3d9fb235bf56eda45d30ed0695ef8c6319bfaa96560cc8c4c8a",
+    "report.json": "08a017db0543c0a578e7d03fe8bedd86c5e00aedb475df408c79138efc5fe3ed",
+    "sim/assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
+    "sim/chord.json": "4b2e52aaf752592587f435ec5f0999c753b89fbbbfe893a3bf122f257e9358f6",
+    "sim/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
+    "sim/group_summary.csv": "df1fecb4d92b40bd09003232eb15dda56760df5ffba8168f32dbcdb30c836e5e",
+    "sim/infections_run000.csv": "83c309b5b5a891a7ab0eda4289aec7811c2f473d9d04a94c5d26ab9a2e0bb81d",
+    "sim/infections_run001.csv": "329a05cfa2f7da40030eca15efaf8bc320d40a25a9ae9a81ae22cff3fada5d51",
+    "sim/infections_run002.csv": "d7b3a195449509ad73c15825a9210be45e0f75e6242ab8096ec00335045563f1",
+    "sim/summary.json": "088f7d771ba1bb83aa7c9ccd6619c8b663c350e4cbc636bbc097f4e33a2b65b3",
+    "summary.json": "723a59d770d0e039fb5acc5fe6bc1a90806e4c42ba2430c6bef37c30d769032c",
+    "sweep/assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
+    "sweep/classification.json": "723a59d770d0e039fb5acc5fe6bc1a90806e4c42ba2430c6bef37c30d769032c",
+    "sweep/diff_beta0.5_vs_beta0.25_dt0m.csv": "1ebc14aaccc1df1d252aa2de0b885ffa0dc21aa60d74f714dbaa5abd455d38d3",
+    "sweep/diff_beta0.5_vs_beta0.25_dt15m.csv": "1e2e4287af2b35f4600901022bed38c71dafadb3a411af5012f5def57e9656d9",
+    "sweep/diff_dt15m_vs_dt0m_beta0.25.csv": "6d9febccf4cf2a4b165cb58472f7b38e6bf772e7aced5bc58f94439cf49d1f6f",
+    "sweep/diff_dt15m_vs_dt0m_beta0.5.csv": "a7e798a4d70c77e4651d838158f6148cca11808252bb51098cbe19c3a2fdb335",
+    "sweep/flow_beta0.25_dt0m.csv": "9ab63136b6cad52df6ae0b95b748fe17b431c20370377608a805969a14e730f7",
+    "sweep/flow_beta0.25_dt15m.csv": "b4c245217ebbb41735df01fe556aab58c9696936f2ca3e8904baef7b8ee0a441",
+    "sweep/flow_beta0.5_dt0m.csv": "4aefd58edf466f288bcf9b1b950b6277c5aadbd389cc812838f40d26a77367b7",
+    "sweep/flow_beta0.5_dt15m.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
     "sweep/manifest.json": "3dd3528a06d8895bc2adff3a022d739431bb25393935b8277b0d99440c20fb6e",
-    "trips.csv": "f864969034c35d385775dd53c547ac2e130713aba8ecd36dc32da9bce0be4296",
+    "trips.csv": "92dc40519c301bc8e5c53ff2bd2e6b1069f44e4f968ff8d240d7a24edb0323e5",
 }
 
 # The distance centroids of a classification summary come from radii taken

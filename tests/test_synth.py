@@ -16,12 +16,17 @@ from transitepi.geo import latlon_to_local_km
 from transitepi.ingest import parse_trip_records, write_trip_csv
 from transitepi.mobility import mobility_table
 from transitepi.synth import (
+    ARCHETYPES,
     CITY_ORIGIN_LAT,
     CITY_ORIGIN_LON,
     DEFAULT_MIX,
     MAX_EXTENT_KM,
+    NOVELTY_P,
+    ROAM_NEAR_RADIUS_KM,
     SynthConfig,
-    _novel_pair,
+    _apportion,
+    _draw_passengers,
+    _legs,
     generate_network,
     generate_passengers,
     synthesize,
@@ -97,13 +102,13 @@ class TestPassengers:
 
     # a change to the generator or the writer that moves one byte of a trip file fails here
     @pytest.mark.parametrize("config, trips, digest", [
-        (SMALL, 15_692, "0afb72db3607ed2abf29fc680afe181b61293a0325158feab7d58a76d56b2c0c"),
+        (SMALL, 15_400, "9d7b69c9fcd3f6e223fcf022266ea27203ec9a3f4137ffaa1b077d0d72f6a8ec"),
         (SynthConfig(n_passengers=300, n_routes=6, stops_per_route=10, days=14, rng_seed=5, city_extent_km=60.0,
                      archetype_mix={"roamer": 1.0}),
-         7_688, "3f6b5eb14d501b712f244745e352ce4e67842e98f6c2807214b12e070d553b2f"),
+         7_624, "ab852c3622f303e81c1dc34503e9b64e84f29978df862746bdd1199207b16f05"),
         (SynthConfig(n_passengers=200, n_routes=6, stops_per_route=10, days=14, rng_seed=6, city_extent_km=30.0,
                      archetype_mix={"long_hauler": 1.0}),
-         4_518, "f2655c1c45b5a2c667124c1a5d9359471c6b03f73490abca7b20642a42cd152d"),
+         4_714, "69897bdde5181276f9d05ea00337d8df13addec52db68b5064e5f651074151d6"),
     ], ids=["default-mix", "roamers", "long-haulers"])
     def test_pinned_file_digest(self, config, trips, digest):
         _, records = synthesize(config)
@@ -126,16 +131,6 @@ class TestPassengers:
         trips = generate_passengers(config, network, rng)
         assert same_table(trips, passengers_reference(config, network, reference_rng))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-
-    @given(routes=st.integers(1, 40), stops=st.integers(2, 25), seed=st.integers(0, 2 ** 32))
-    def test_novelty_on_the_whole_city_draws_the_far_rule(self, routes, stops, seed):
-        # a far roamer roams every stop of every route: any route, then two distinct stops of it
-        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        city = [(ri, range(stops)) for ri in range(routes)]
-        for _ in range(5):
-            ri, i, j = int(twin.integers(0, routes)), int(twin.integers(0, stops)), int(twin.integers(0, stops - 1))
-            assert _novel_pair(city, rng) == (ri, i, j + (j >= i))
-        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_different_seed_differs(self):
         _, a = synthesize(SMALL)
@@ -177,6 +172,90 @@ class TestPassengers:
         result = classify_population(mobility_table(records))
         sizes = Counter(GROUP_NAMES[g] for g in result.assignments.group.tolist())
         assert all(sizes[name] > 0 for name in GROUP_NAMES), sizes
+
+
+def roamer_legs(seed: int, config: SynthConfig, empty_every: int = 0):
+    """A network, its passengers, their roam lists and their legs; every `empty_every`-th roam list emptied first.
+
+    With a roamer-only mix, card k's roam list is `roams[k]`.
+    """
+    rng = np.random.default_rng(seed)
+    network = generate_network(config, rng)
+    people, roams = _draw_passengers(config, network, rng)
+    drawn = roams.copy()
+    if empty_every:
+        roams[::empty_every] = False
+    return network, people, drawn, roams, _legs(config, people, roams, rng)
+
+
+def anchored(people: np.ndarray, legs: np.ndarray) -> np.ndarray:
+    """Which legs ride their card's anchor ride, a to b or b to a."""
+    route, a, b = people[legs[:, 0], 1:4].T
+    return (legs[:, 1] == route) & (((legs[:, 3] == a) & (legs[:, 4] == b)) | ((legs[:, 3] == b) & (legs[:, 4] == a)))
+
+
+class TestLaws:
+    """The law of each batched draw, read off the generator's own output."""
+
+    @given(passengers=st.integers(1, 40), days=st.integers(1, 30), min_trips=st.integers(1, 150),
+           seed=st.integers(0, 2 ** 32),
+           mix=st.sampled_from([DEFAULT_MIX, {"offpeak_regular": 1.0}, {"commuter": 1.0}, {"roamer": 1.0}]))
+    # the backstop runs out of inactive days and wraps past the period's end
+    @example(passengers=12, days=7, min_trips=100, seed=3, mix=DEFAULT_MIX)
+    def test_every_card_reaches_the_trip_minimum(self, passengers, days, min_trips, seed, mix):
+        config = SynthConfig(n_passengers=passengers, n_routes=3, stops_per_route=8, days=days, archetype_mix=mix,
+                             rng_seed=seed, min_trips_per_passenger=min_trips)
+        _, trips = synthesize(config)
+        assert len(trips.cards) == passengers
+        assert np.bincount(trips.card).min() >= min_trips
+
+    @given(passengers=st.integers(1, 300), weights=st.lists(st.integers(0, 9), min_size=4, max_size=4).filter(any),
+           seed=st.integers(0, 2 ** 32))
+    def test_cards_per_archetype_follow_the_apportionment(self, passengers, weights, seed):
+        mix = {archetype: w / sum(weights) for archetype, w in zip(ARCHETYPES, weights)}
+        config = SynthConfig(n_passengers=passengers, n_routes=4, stops_per_route=6, days=7, archetype_mix=mix)
+        rng = np.random.default_rng(seed)
+        people, roams = _draw_passengers(config, generate_network(config, rng), rng)
+        counts = _apportion(passengers, mix)
+        assert np.bincount(people[:, 0], minlength=len(ARCHETYPES)).tolist() == [counts[a] for a in ARCHETYPES]
+        assert np.all(np.diff(people[:, 0]) >= 0) and len(roams) == counts["roamer"]
+
+    @given(routes=st.integers(1, 8), stops=st.integers(2, 12), extent=st.sampled_from([8.0, 30.0, 200.0]),
+           seed=st.integers(0, 2 ** 32))
+    def test_novel_rides_lie_on_the_roam_list(self, routes, stops, extent, seed):
+        config = SynthConfig(n_passengers=24, n_routes=routes, stops_per_route=stops, days=7, city_extent_km=extent,
+                             archetype_mix={"roamer": 1.0}, min_trips_per_passenger=20)
+        network, people, drawn, roams, legs = roamer_legs(seed, config, empty_every=3)
+        xy = network.xy_km
+        for r, (_, route, a, *_) in enumerate(people.tolist()):
+            # a far roamer roams every stop; a near one the stops within the radius of home, on routes holding two
+            inside = ((xy - xy[route, a]) ** 2).sum(-1) <= ROAM_NEAR_RADIUS_KM ** 2
+            inside &= inside.sum(1, keepdims=True) >= 2
+            assert drawn[r].all() or np.array_equal(drawn[r], inside)
+        novel = legs[~anchored(people, legs)]
+        assert np.all(novel[:, 3] != novel[:, 4])
+        assert np.all(roams[novel[:, 0], novel[:, 1], novel[:, 3]] & roams[novel[:, 0], novel[:, 1], novel[:, 4]])
+        # a roamer with an empty roam list rides only its anchors
+        assert not np.isin(novel[:, 0], np.flatnonzero(~roams.any((1, 2)))).any()
+
+    def test_novel_share_is_the_novelty_probability(self):
+        config = SynthConfig(n_passengers=1000, days=30, archetype_mix={"roamer": 1.0})
+        _, people, _, roams, legs = roamer_legs(8, config)
+        card = legs[:, 0]
+        eligible = roams.any((1, 2))[card]
+        # a novel ride that repeats the leg's own anchor ride looks anchored: the leg's chance of that is one
+        # over the roamed routes and the ordered stop pairs of its route, when the ride is on the roam list
+        route, a, b = people[card, 1:4].T
+        back = (np.arange(len(legs)) - np.searchsorted(card, card)) % 2 == 1
+        origin, dest = np.where(back, b, a), np.where(back, a, b)
+        on_route = roams[card, route].sum(1)
+        own = roams[card, route, origin] & roams[card, route, dest]
+        routes = roams.any(2).sum(1)[card]
+        repeat = np.where(own, 1 / (np.maximum(on_route * (on_route - 1), 1) * np.maximum(routes, 1)), 0.0)
+        p = NOVELTY_P * (1 - repeat[eligible])
+        novel = np.count_nonzero(~anchored(people, legs)[eligible])
+        assert eligible.sum() > 30_000
+        assert abs(novel - p.sum()) <= 4 * np.sqrt((p * (1 - p)).sum())
 
 
 class TestConfig:
