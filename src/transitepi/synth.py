@@ -79,6 +79,7 @@ SERVICE_END_S = 22 * 3600
 
 LONG_ANCHOR_KM = 16.0
 ROAM_NEAR_RADIUS_KM = 3.5
+NEAR_CELLS = 1 << 16  # (roamer, stop) cells per step of the near roamers' radius query
 NOVELTY_P = 0.45
 ROAMER_PEAK_P = 0.65
 LONG_HAULER_PEAK_P = 0.5
@@ -247,12 +248,15 @@ def _draw_passengers(config: SynthConfig, network: BusNetwork,
 
     # half the roamers roam near home: the stops within the radius of their first anchor stop
     home = network.xy_km[route[roamer], a[roamer]]
-    near = rng.random(len(home)) >= 0.5
+    near = np.flatnonzero(rng.random(len(home)) >= 0.5)
     xs, ys = network.xy_km.reshape(-1, 2).T  # by stop code
     roams = np.ones((len(home), n_routes * m), bool)
-    roams[near] = (xs - home[near, :1]) ** 2 + (ys - home[near, 1:]) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2
+    # the radius query takes NEAR_CELLS cells at a time, which bounds its float temporaries
+    chunk = max(1, NEAR_CELLS // xs.size)
+    for at in np.split(near, range(chunk, near.size, chunk)):
+        roams[at] = (xs - home[at, :1]) ** 2 + (ys - home[at, 1:]) ** 2 <= ROAM_NEAR_RADIUS_KM ** 2
     roams = roams.reshape(-1, n_routes, m)
-    roams &= roams.sum(2, keepdims=True) >= 2
+    roams &= roams.sum(2, keepdims=True, dtype=np.min_scalar_type(m)) >= 2
     return people, roams
 
 
@@ -261,10 +265,17 @@ def generate_passengers(
 ) -> TripTable:
     """Emit every passenger's trips for the whole period, chronologically."""
     config.validate()
-    people, roams = _draw_passengers(config, network, rng)
-    table = _ride_legs(network, len(people), _legs(config, people, roams, rng))
+    people, legs = _people_and_legs(config, network, rng)
+    table = _ride_legs(network, len(people), legs)
     # code order is id order: by board time, then card id, then vehicle id, ties in emission order
     return table.take(np.lexsort((table.vehicle, table.card, table.board)))
+
+
+def _people_and_legs(config: SynthConfig, network: BusNetwork,
+                     rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Every card's row as `_draw_passengers` gives it, and every card's legs as `_legs` gives them."""
+    people, roams = _draw_passengers(config, network, rng)
+    return people, _legs(config, people, roams, rng)
 
 
 def _legs(config: SynthConfig, people: np.ndarray, roams: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -298,7 +309,9 @@ def _legs(config: SynthConfig, people: np.ndarray, roams: np.ndarray, rng: np.ra
     count = stops_on[cell]
     ij = rng.integers(0, np.column_stack([count, count - 1]))
     ij[:, 1] += ij[:, 1] >= ij[:, 0]
-    stop = np.flatnonzero(roams)[(np.cumsum(stops_on) - stops_on)[cell, None] + ij] % roams.shape[2]
+    # the (ij + 1)-th stop of a cell, in stop order, is the number of its stops whose rank in the cell is at most ij
+    rank = roams.reshape(-1, roams.shape[2])[cell].cumsum(1, dtype=np.min_scalar_type(roams.shape[2]))
+    stop = np.column_stack([np.count_nonzero(rank <= k[:, None], 1) for k in ij.T])
     legs[novel, 1], legs[novel, 3], legs[novel, 4] = cell % roams.shape[1], stop[:, 0], stop[:, 1]
     return legs
 
