@@ -34,7 +34,6 @@ from .contacts import (
     write_histogram_csv,
 )
 from .flows import GroupMatrix, chord_export, count_events, difference_matrix, group_flow_matrix, per_group_summary
-from .geo import get_model
 from .ingest import (
     SchemaError,
     TripTable,
@@ -47,7 +46,8 @@ from .ingest import (
     write_trip_csv,
 )
 from .mobility import DEFAULT_K, MobilityTable, mobility_table, write_mobility_csv
-from .sim import SimConfig, SimOutcome, read_infection_csv, run_ensemble, run_lanes, write_infection_csv
+from .sim import (DEFAULT_INFECTIOUS_PERIOD_S, DEFAULT_RUNS, DEFAULT_SEEDS, SimConfig, SimOutcome, read_infection_csv,
+                  run_ensemble, run_lanes, write_infection_csv)
 from .synth import SynthConfig, synthesize
 
 logger = logging.getLogger("transitepi")
@@ -73,12 +73,11 @@ class ExperimentSpec:
     dataset: Optional[str] = None
     k: int = DEFAULT_K
     min_trips: int = DEFAULT_MIN_TRIPS
-    distance_model: str = "haversine"
     beta: float = 1.0
     dt_minutes: float = 0.0
-    n_seeds: int = 500
-    infectious_days: float = 5.0
-    n_runs: int = 100
+    n_seeds: int = DEFAULT_SEEDS
+    infectious_days: float = DEFAULT_INFECTIOUS_PERIOD_S / 86_400.0
+    n_runs: int = DEFAULT_RUNS
     master_seed: int = 0
     beta_grid: Tuple[float, ...] = DEFAULT_BETA_GRID
     dt_grid_minutes: Tuple[float, ...] = DEFAULT_DT_GRID_MINUTES
@@ -235,7 +234,7 @@ def _filtered_trips(spec: ExperimentSpec) -> TripTable:
 
 def _classified(trips: TripTable, spec: ExperimentSpec) -> Tuple[MobilityTable, ClassificationResult]:
     """The mobility table of the trips and the eight groups."""
-    table = mobility_table(trips, k=spec.k, model=get_model(spec.distance_model))
+    table = mobility_table(trips, k=spec.k)
     return table, classify_population(table)
 
 
@@ -505,7 +504,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", dest="dataset", help="trip CSV path")
     p.add_argument("--min-trips", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--distance-model", choices=("haversine", "planar"))
     p.add_argument("--seeds", type=int, dest="n_seeds")
     p.add_argument("--runs", type=int, dest="n_runs")
     p.add_argument("--infectious-days", type=float)

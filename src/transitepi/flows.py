@@ -15,14 +15,13 @@ encounter column through the same card -> code mapping.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import DataIntegrityError, write_csv
+from .artifacts import DataIntegrityError, write_csv, write_json
 from .classify import GROUP_NAMES, Assignments, group_sizes
 from .sim import SimOutcome
 
@@ -200,8 +199,7 @@ def chord_export(matrix: GroupMatrix, path=None) -> Dict:
             )
     payload = {"scale": CHORD_SCALE, "groups": groups, "flows": flows}
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+        write_json(path, payload)
     return payload
 
 

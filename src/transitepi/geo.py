@@ -1,5 +1,5 @@
-"""Distance models: great-circle geometry for real coordinates, plain
-Euclidean geometry for synthetic/test coordinates.
+"""Distance models: great-circle geometry for real coordinates, which every
+command uses, and plain Euclidean geometry for hand-built test coordinates.
 
 A "point" throughout is a ``(lat, lon)`` pair whose components may be
 arrays, so that one call serves many points.  In the planar model the two
@@ -76,16 +76,6 @@ class HaversineModel:
 
 PLANAR = PlanarModel()
 HAVERSINE = HaversineModel()
-
-_MODELS = {"planar": PLANAR, "haversine": HAVERSINE}
-
-
-def get_model(name: str):
-    try:
-        return _MODELS[name]
-    except KeyError:
-        raise ValueError(f"unknown distance model {name!r}; expected one of {sorted(_MODELS)}")
-
 
 def local_km_to_latlon(x_km: float, y_km: float, origin_lat: float, origin_lon: float) -> Point:
     """Map a local (east, north) km offset to (lat, lon) near an origin.

@@ -37,14 +37,16 @@ infection time is the start time or a window start, which is a boarding, so
 the ranks order times exactly and decode to the same floats, and a window's
 bounds become the ranks between which its source must be infected.
 Each lane keeps one int64 cell per target: the code of its least pending
-candidate (the time's rank times the log length plus the key), or a mark
-for none pending or infected.  One step infects the argmin of every lane's
-cells, evaluates the exposure slices of those cards in one batch of numpy
-calls and lowers their targets' cells with `np.minimum.at`: one pending
-candidate per (lane, target) changes no event, as a higher one could only
-pop after the lower one infected it.  Lanes run in batches of whole runs
-whose cells and infection record fit in `BATCH_BYTES`, so memory does not
-grow with the number of runs or betas.
+candidate (the time's rank times the log length plus the key), int64 max
+for none pending, or -1 once infected.  Read signed, -1 is below every code,
+so `np.minimum.at` never raises an infected cell; read unsigned, it is above
+every code and int64 max, so the step never pops one.  One step infects the
+argmin of every lane's cells read unsigned, evaluates the exposure slices of
+those cards in one batch of numpy calls and lowers their targets' cells with
+`np.minimum.at`: one pending candidate per (lane, target) changes no event,
+as a higher one could only pop after the lower one infected it.  Lanes run
+in batches of whole runs whose cells and infection record fit in
+`BATCH_BYTES`, so memory does not grow with the number of runs or betas.
 
 An infected passenger recovers exactly `infectious_period` seconds after
 infection and is never re-infected.
@@ -318,9 +320,10 @@ class _Codes:
         self.tgt = log.tgt
 
 
-# a lane's cell holds its target's least pending code, or one of these
-_NONE = np.iinfo(np.int64).max - 1
-_INFECTED = np.iinfo(np.int64).max
+# a lane's cell holds its target's least pending code, or one of these: -1 is below every
+# code read signed, and above every code and _NONE read unsigned (2**64 - 1)
+_NONE = np.iinfo(np.int64).max
+_INFECTED = -1
 
 
 class _Lanes:
@@ -349,11 +352,9 @@ class _Lanes:
         # each lane's Bernoulli(beta) trial, drawn only for the rows it can transmit through
         hit = (_draw_bits(self.keys.take(rows), self.tokens.take(lane)) < self.cuts.take(lane)).nonzero()[0]
         rows, r, lane = rows.take(hit), r.take(hit), lane.take(hit)
-        cell = lane * self.n_cards + codes.tgt.take(rows)
-        keep = (self.best.take(cell) != _INFECTED).nonzero()[0]
-        rows = rows.take(keep)
-        code = np.maximum(codes.time_rank.take(rows), r.take(keep)) * codes.n + codes.key.take(rows)
-        np.minimum.at(self.best, cell.take(keep), code)
+        # an infected target's cell, -1, stays below any code
+        code = np.maximum(codes.time_rank.take(rows), r) * codes.n + codes.key.take(rows)
+        np.minimum.at(self.best, lane * self.n_cards + codes.tgt.take(rows), code)
 
     def run(self, seeds: List[np.ndarray]) -> List[np.ndarray]:
         """Infect each run's seeds at the start time, advance every lane to its end, return its infection codes."""
@@ -363,17 +364,17 @@ class _Lanes:
             pos = seeds[lane // n_betas]
             best[lane * n_cards + pos] = _INFECTED
             self.push(np.full(pos.size, lane), pos, np.full(pos.size, codes.start_rank))
-        cells = best.reshape(self.n_lanes, n_cards)
+        cells = best.reshape(self.n_lanes, n_cards).view(np.uint64)
         # lane i's infection codes in pop order are record[i, :filled[i]]
         record, filled = self.record, np.zeros(self.n_lanes, np.int64)
         while n_cards:
             # one step: every lane infects the target of its least pending code
             cards = cells.argmin(axis=1)
             code = cells[np.arange(self.n_lanes), cards]
-            lanes = (code < _NONE).nonzero()[0]
+            lanes = (code < np.uint64(_NONE)).nonzero()[0]
             if not lanes.size:
                 break
-            cards, code = cards.take(lanes), code.take(lanes)
+            cards, code = cards.take(lanes), code.take(lanes).view(np.int64)
             best[lanes * n_cards + cards] = _INFECTED
             record[lanes, filled.take(lanes)] = code
             filled[lanes] += 1

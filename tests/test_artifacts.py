@@ -18,7 +18,7 @@ SPEC = ["--input", "trips.csv", "--min-trips", "10"]
 RUNS = ["--seeds", "5", "--runs", "3"]
 
 DIGESTS = {
-    "analysis/chord.json": "4b2e52aaf752592587f435ec5f0999c753b89fbbbfe893a3bf122f257e9358f6",
+    "analysis/chord.json": "41654c322b34daa098c9938b9edbe13fc8d6473d9bbe4587f0bfbac132c92529",
     "analysis/components.json": "2262b1c2c850a7e5dd31d40ffaf4550325377eaa9e94e721b046fbf8e12a4d15",
     "analysis/degree_distribution.csv": "7873f6111f739ffb053c1956a9447a972ed7375dd3f1954005c1f5af15c8ede0",
     "analysis/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
@@ -30,7 +30,7 @@ DIGESTS = {
     "population.csv": "4b551ad3a349f3d9fb235bf56eda45d30ed0695ef8c6319bfaa96560cc8c4c8a",
     "report.json": "08a017db0543c0a578e7d03fe8bedd86c5e00aedb475df408c79138efc5fe3ed",
     "sim/assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
-    "sim/chord.json": "4b2e52aaf752592587f435ec5f0999c753b89fbbbfe893a3bf122f257e9358f6",
+    "sim/chord.json": "41654c322b34daa098c9938b9edbe13fc8d6473d9bbe4587f0bfbac132c92529",
     "sim/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
     "sim/group_summary.csv": "df1fecb4d92b40bd09003232eb15dda56760df5ffba8168f32dbcdb30c836e5e",
     "sim/infections_run000.csv": "83c309b5b5a891a7ab0eda4289aec7811c2f473d9d04a94c5d26ab9a2e0bb81d",

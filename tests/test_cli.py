@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import read_group_matrix
 from transitepi import cli, ingest, sim
 from transitepi.cli import main
+from transitepi.contacts import build_exposure_log
 from transitepi.ingest import parse_trip_records
 
 SYNTH = {
@@ -198,13 +199,18 @@ class TestClassify:
         header = mob.read_text().splitlines()[0]
         assert header == "card_id,rg_m,rgk_m,k,encounters"
 
-    def test_planar_distance_model(self, tmp_path, trips_csv):
-        code = main([
-            "classify", "--input", trips_csv, "--out-assignments", str(tmp_path / "p.csv"),
-            "--distance-model", "planar", "--min-trips", "10",
-        ])
-        assert code == 0
-        assert (tmp_path / "p.csv").read_text().startswith("card_id,group")
+    def test_no_distance_model_to_choose(self, tmp_path, trips_csv, monkeypatch, caplog):
+        # every command computes great-circle radii: neither a flag nor a spec key picks another model
+        monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
+        argv = ["classify", "--input", trips_csv, "--out-assignments", str(tmp_path / "p.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--distance-model", "planar"])
+        assert exc.value.code == 1  # an unrecognized argument
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"distance_model": "planar"}))
+        assert main(argv + ["--spec", str(spec)]) == 1
+        assert "unknown spec key(s): 'distance_model'" in caplog.text
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestSimulate:
@@ -316,6 +322,21 @@ class TestSweep:
         assert names == sorted(p.name for p in dirs[1].iterdir())
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+
+    def test_each_point_of_a_narrowed_log_writes_what_simulate_writes(self, tmp_path, trips_csv):
+        # the sweep narrows one 60-minute log to 15 and 0 minutes, and the 15-minute log keeps indirect rows
+        trips = ingest.filter_by_min_trips(parse_trip_records(trips_csv)[0], 10)
+        assert not build_exposure_log(trips, 15 * 60.0).direct.all()
+        flags = ["--input", trips_csv, "--seeds", "5", "--runs", "3", "--min-trips", "10", "--master-seed", "7"]
+        sweep = tmp_path / "sweep"
+        assert main(["sweep", *flags, "--beta-grid", "0.25,1", "--dt-grid-minutes", "0,15,60",
+                     "--out-dir", str(sweep)]) == 0
+        for beta in ("0.25", "1"):
+            for dt in ("0", "15", "60"):
+                point = tmp_path / f"sim_{beta}_{dt}"
+                assert main(["simulate", *flags, "--beta", beta, "--dt-minutes", dt, "--out-dir", str(point)]) == 0
+                flow = (sweep / f"flow_beta{beta}_dt{dt}m.csv").read_bytes()
+                assert flow == (point / "flow_matrix.csv").read_bytes(), (beta, dt)
 
     # JSON integers in a grid are floats, as a flag's values are
     @pytest.mark.parametrize("beta, dt", [(1.0, 0.0), (1, 0)], ids=["float-grids", "integer-grids"])

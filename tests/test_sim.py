@@ -452,6 +452,16 @@ class TestLanes:
         assert [(e.infector, e.infectee, e.time) for e in events] == [("A", "B", 1.0), ("B", "C", 5.0)]
         assert events == sir_reference(table(records), cfg, run).events
 
+    def test_seeding_the_whole_population_infects_no_one_and_ends(self):
+        # every cell starts infected, -1: a stop test that read it signed, as a pending code, would pop it
+        trips = table(random_instance(3))
+        n = len(trips.cards)
+        lanes = run_lanes(trips, config(d_t=600.0, n_seeds=n), BETA_GRID, range(3))
+        for k in range(len(BETA_GRID)):
+            for outcome in lanes.outcomes(k):
+                assert outcome.infectee.size == 0
+                assert len(outcome.seeds) == n and outcome.attack_rate == 1.0
+
     def test_lane_rows_stay_within_the_batch_budget(self):
         log = build_exposure_log(table(random_instance(3)), 0.0)
         cuts, tokens = np.array([1, 2, 3], np.uint64), np.arange(4, dtype=np.uint64)
