@@ -84,12 +84,17 @@ class ExperimentSpec:
     output_dir: Optional[str] = None
 
     def validate_grids(self, betas: Sequence[float], dts_minutes: Sequence[float]) -> None:
-        """The grids a command simulates: non-empty, strictly ascending, a valid `SimConfig` at every point."""
+        """The grids a command simulates: non-empty, strictly ascending, a valid `SimConfig` at every point,
+        and no two values of a grid spelt alike in the sweep's file names."""
         for name, grid in (("beta_grid", betas), ("dt_grid_minutes", dts_minutes)):
             if not grid:
                 raise UsageError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise UsageError(f"{name} must be sorted strictly ascending, got {list(grid)}")
+            # rounding is monotone, so in a sorted grid only neighbours can share a spelling
+            for a, b in zip(grid, grid[1:]):
+                if _fmt_num(a) == _fmt_num(b):
+                    raise UsageError(f"{name} values {a!r} and {b!r} share the file name part {_fmt_num(a)!r}")
         try:
             for beta in betas:
                 for dt in dts_minutes:

@@ -4,6 +4,11 @@ One small month goes through `ingest`, `classify`, `simulate`, a 2x2
 `sweep` and `analyze`, and each file they write must hash as pinned.  A
 refactor of a writer or reader that moves one byte fails here.  A change
 that moves a byte on purpose names the file and its new digest.
+
+The benchmark's months are pinned through the engine as well: their sweeps,
+their simulate-analyze point and the 10,000-passenger month's exposure logs,
+where a change that moves one infection of one lane, or one row of a log,
+moves a digest.
 """
 
 from __future__ import annotations
@@ -12,7 +17,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from transitepi.cli import main
+from transitepi.contacts import build_exposure_log
+from transitepi.ingest import filter_by_min_trips, parse_trip_records
 
 SPEC = ["--input", "trips.csv", "--min-trips", "10"]
 RUNS = ["--seeds", "5", "--runs", "3"]
@@ -91,3 +100,65 @@ def test_every_artifact_keeps_its_bytes(tmp_path, monkeypatch):
     for argv in commands:
         assert main(argv) == 0, argv[0]
     assert _digests(tmp_path) == DIGESTS
+
+
+# the benchmark's simulation settings; runs differ between its workloads
+BENCH = ["--seeds", "100", "--min-trips", "15", "--infectious-days", "5", "--master-seed", "7"]
+
+
+def _joined_digest(root: Path, *patterns: str) -> str:
+    """One sha256 over the files that match each pattern in turn, each pattern's files in name order."""
+    digest = hashlib.sha256()
+    for pattern in patterns:
+        for path in sorted(root.glob(pattern)):
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def sweep_grid_month(tmp_path_factory) -> Path:
+    """The benchmark's sweep-grid month: 2,000 passengers, seed 1, at `generate`'s other defaults."""
+    trips = tmp_path_factory.mktemp("sweep-grid") / "trips.csv"
+    assert main(["generate", "--out", str(trips), "--passengers", "2000", "--seed", "1"]) == 0
+    return trips
+
+
+# manifest.json (which names the input path) and classification.json (whose
+# centroids depend on the CPU's arcsin) are left out
+@pytest.mark.parametrize("dt_grid, patterns, digest", [
+    ("0,60", ("flow_*.csv", "diff_*.csv", "assignments.csv"),
+     "69df3c8539b26aa1b327cf93a61a45318996c3c9c1790d28e2d5ac82316fb7a4"),
+    # the 60-minute log narrowed to 15 min keeps indirect rows, and to 0 keeps none
+    ("0,15,60", ("flow_*.csv", "diff_*.csv"),
+     "eccf015ed84cd3e15c5b3696a4e9beb4938929de63351776add0c991c6454ebc"),
+], ids=["dt-0-60", "dt-0-15-60"])
+def test_sweep_grid_sweep_keeps_its_digest(tmp_path, sweep_grid_month, dt_grid, patterns, digest):
+    assert main(["sweep", "--input", str(sweep_grid_month), *BENCH, "--runs", "10", "--beta-grid", "0.1,0.25,1",
+                 "--dt-grid-minutes", dt_grid, "--out-dir", str(tmp_path)]) == 0
+    assert _joined_digest(tmp_path, *patterns) == digest
+
+
+def test_simulate_analyze_point_keeps_its_digest(tmp_path, sweep_grid_month):
+    # the sweeps pin group counts only, this every infection's time, which the engine decodes from its clock
+    assert main(["simulate", "--input", str(sweep_grid_month), *BENCH, "--runs", "20", "--beta", "1",
+                 "--dt-minutes", "60", "--out-dir", str(tmp_path / "sim")]) == 0
+    assert main(["analyze", "--input", str(sweep_grid_month), "--min-trips", "15",
+                 "--assignments", str(tmp_path / "sim" / "assignments.csv"), "--events-dir", str(tmp_path / "sim"),
+                 "--out-dir", str(tmp_path / "analysis")]) == 0
+    assert _joined_digest(
+        tmp_path, "sim/infections_run*.csv", "sim/summary.json", "sim/flow_matrix.csv", "sim/group_summary.csv",
+        "analysis/*.csv", "analysis/*.json",
+    ) == "9c0febd8c1b3fcc950cae50275d6d8ee7c26cc0ce0026d12a501bdb6862642a2"
+
+
+def test_ten_thousand_passenger_exposure_logs_keep_their_digest(tmp_path):
+    # the logs at d_t = 0 and 120 min, filtered at 15 trips as the benchmark filters
+    assert main(["generate", "--out", str(tmp_path / "trips.csv"), "--passengers", "10000", "--seed", "1"]) == 0
+    trips = filter_by_min_trips(parse_trip_records(tmp_path / "trips.csv")[0], 15)
+    digest = hashlib.sha256()
+    for d_t in (0.0, 7200.0):
+        log = build_exposure_log(trips, d_t)
+        for column in (log.src_ride, log.tgt_ride, log.direct):
+            digest.update(column.tobytes())
+        del log  # released before the wider log is built
+    assert digest.hexdigest() == "ce28e8ac1ae947ea8dc309efb523639f496d8efbbad8f43585ab66dbbb6d6018"

@@ -297,17 +297,24 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "beta_grid, dt_grid",
-        [("1,0.5", "0"), ("0.5,2", "0"), ("1", "-5,0")],
-        ids=["unsorted", "beta-above-one", "negative-dt"],
+        [("1,0.5", "0"), ("0.5,2", "0"), ("1", "-5,0"),
+         # two values that file names would spell alike: one matrix would overwrite the other
+         ("0.1000001,0.1000002", "0"), ("1", "1000000.1,1000000.2")],
+        ids=["unsorted", "beta-above-one", "negative-dt", "betas-named-alike", "dts-named-alike"],
     )
     def test_unsorted_grid_is_usage_error(self, tmp_path, trips_csv, monkeypatch, beta_grid, dt_grid):
-        # rejected before any trip is read
+        # rejected before any trip is read or any artifact written
         monkeypatch.setattr(cli, "parse_trip_records", mock.Mock(side_effect=AssertionError("trips read")))
         code = main([
             "sweep", "--input", trips_csv, f"--beta-grid={beta_grid}", f"--dt-grid-minutes={dt_grid}",
             "--out-dir", str(tmp_path / "x"),
         ])
         assert code == 1
+        assert not (tmp_path / "x").exists()
+
+    def test_grid_values_named_alike_are_both_named(self):
+        with pytest.raises(cli.UsageError, match=r"0\.1000001 and 0\.1000002 share the file name part '0\.1'"):
+            cli.ExperimentSpec().validate_grids((0.1000001, 0.1000002), (0.0,))
 
     def test_byte_identical_reruns(self, tmp_path, trips_csv):
         dirs = [tmp_path / "r1", tmp_path / "r2"]

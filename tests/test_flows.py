@@ -9,6 +9,7 @@ import pytest
 from transitepi.classify import GROUP_NAMES, Assignments
 from transitepi.flows import (
     DataIntegrityError,
+    EventCounts,
     GroupMatrix,
     chord_export,
     chord_import,
@@ -211,8 +212,17 @@ class TestFlowMatrix:
         assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
         with caplog.at_level("WARNING"):
             matrix = flow_matrix([outcome([event("a", "b")])], assignments)
-        assert "empty" in caplog.text
-        assert matrix.values[at("exp_low_long"), at("ret_low_short")] == 0.0
+        assert "group exp_low_long is empty" in caplog.text
+        assert not matrix.values[at("exp_low_long")].any()
+        assert matrix.values[at("exp_high_long"), at("ret_low_short")] == 1.0
+
+    def test_events_from_an_empty_group_are_an_error(self):
+        # counts that name a group the assignments leave empty cannot come from these assignments
+        assignments = assign({"a": "exp_high_long", "b": "ret_low_short"})
+        pairs = np.zeros((8, 8), np.int64)
+        pairs[at("exp_low_long"), at("ret_low_short")] = 1
+        with pytest.raises(DataIntegrityError, match="exp_low_long"):
+            group_flow_matrix(EventCounts(pairs, 1), assignments)
 
 
 class TestDifferenceMatrix:

@@ -109,7 +109,20 @@ class TestPassengers:
         (SynthConfig(n_passengers=200, n_routes=6, stops_per_route=10, days=14, rng_seed=6, city_extent_km=30.0,
                      archetype_mix={"long_hauler": 1.0}),
          4_714, "69897bdde5181276f9d05ea00337d8df13addec52db68b5064e5f651074151d6"),
-    ], ids=["default-mix", "roamers", "long-haulers"])
+        # the benchmark's months: a bound per card or per leg must draw alike on every numpy
+        (SynthConfig(n_passengers=2_000, rng_seed=1),
+         112_406, "58e2c386750e8495daeb85f9d12c888f5ed83e8c447bd2b6f13d631142a9c789"),
+        (SynthConfig(n_passengers=3_000, rng_seed=1),
+         168_680, "87feafb438a4e9e4f5c3d6d3ebcdedee24c5553cd61ba748fdf2d4effb817d39"),
+        # near roamers take the radius query over the stops; with no route long enough
+        # for a long haul, the long haulers fall back to any route
+        (SynthConfig(n_passengers=500, n_routes=12, stops_per_route=15, days=14, rng_seed=2, city_extent_km=12.0,
+                     archetype_mix={"roamer": 0.7, "long_hauler": 0.3}),
+         11_948, "96a73d670a7fbd4a195ceb44b2abbe95a29b0a5beb8cfe279b6a6ec080257edd"),
+        # the month behind every 10,000-passenger measurement
+        (SynthConfig(rng_seed=1),
+         564_086, "50db7b0e7ceec60099eecd5fedd1070cb104b5cee1b079aa698aa29b84043431"),
+    ], ids=["default-mix", "roamers", "long-haulers", "sweep-grid", "classify-city", "small-city", "10k"])
     def test_pinned_file_digest(self, config, trips, digest):
         _, records = synthesize(config)
         assert len(records) == trips
