@@ -110,6 +110,11 @@ def welch(x: list, y: list) -> tuple:
     return diff / math.sqrt(vx + vy), df
 
 
+def bonferroni_cut(n_statistics: int) -> float:
+    """The |z| above which one of n_statistics two-sided tests is flagged, at family-wise alpha = ALPHA."""
+    return NormalDist().inv_cdf(1 - ALPHA / (2 * n_statistics))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -120,7 +125,7 @@ def main(argv=None) -> int:
     print(f"cards per archetype: {'unequal on seeds ' + str(unequal) if unequal else 'equal on every seed'}")
     old, new = [m["stats"] for m in old], [m["stats"] for m in new]
     names = list(old[0])
-    cut = NormalDist().inv_cdf(1 - ALPHA / (2 * len(names)))
+    cut = bonferroni_cut(len(names))
     print(f"{SEEDS} months a side, {PASSENGERS} passengers; flag |t| > {cut:.3f} "
           f"(alpha {ALPHA} over {len(names)} statistics)")
     print(f"{'statistic':32s} {'old mean':>12s} {'new mean':>12s} {'new-old':>10s} {'t':>7s} {'df':>5s}")
