@@ -525,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         logger.error("%s", exc)
         return EXIT_USAGE
-    except (SchemaError, OSError, ValueError, csv.Error) as exc:
+    except (SchemaError, OSError, ValueError, csv.Error, MemoryError) as exc:  # numpy's MemoryError names the size
         logger.error("%s", exc)
         return EXIT_DATA
 

@@ -1,15 +1,17 @@
 """Traced S-I-R simulation over the exposure stream, many runs in lockstep.
 
-Seeds are drawn uniformly without replacement and are infectious from the
-simulation start.  Transmission through an exposure is decided by a single
-Bernoulli(beta) trial whose uniform draw is keyed by the exposure identity
-(source, target, vehicle, window) and the run, not by evaluation order.
-Keyed draws make runs reproducible and couple the betas of one run: the
-trial is `u < beta` on the same u, so an exposure that transmits at some
-beta also transmits at every higher beta whenever its source is infectious
-then.  Infected sets need not nest across beta (or d_t): an earlier
-infection also recovers earlier, so it can miss a later exposure through
-which the lower-beta run passed the infection on.
+Every draw is splitmix64 (`_mix64`) of a key xor the run's token, itself
+splitmix of the master seed and the run.  A run's seeds, infectious from the
+start, are the `n_seeds` cards of least draw: a uniform sample without
+replacement.  Transmission through an exposure is one Bernoulli(beta) trial
+whose uniform draw is keyed by its ordered pair of rides (card, vehicle,
+boarding, alighting), the same at every d_t, not by evaluation order.  Keyed
+draws make runs reproducible and couple the betas of one run: the trial is
+`u < beta` on the same u, so an exposure that transmits at some beta also
+transmits at every higher beta whenever its source is infectious then.
+Infected sets need not nest across beta (or d_t): an earlier infection also
+recovers earlier, so it can miss a later exposure through which the
+lower-beta run passed the infection on.
 
 Transmission requires the source, infected at t and recovered at t + P, to
 be infectious in the exposure's interval [opens, closes]: closes >= t and
@@ -104,8 +106,8 @@ class SimConfig:
             raise ValueError(f"infectious_period must be finite and > 0, got {self.infectious_period}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         for name, value in (("start_time", self.start_time), ("end_time", self.end_time)):
             if value is not None and not -np.inf < value < np.inf:
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -148,7 +150,7 @@ class SimOutcome:
         return (len(self.seeds) + self.infectee.size) / len(self.population)
 
 
-# splitmix64 constants for the keyed Bernoulli stream
+# splitmix64 constants for every keyed draw
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
@@ -162,21 +164,19 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 
 def _exposure_keys(log: ExposureLog) -> np.ndarray:
-    """64-bit identity key per exposure from (source, target, vehicle, window)."""
-    k = _mix64(log.src.astype(np.uint64))
-    k = _mix64(k ^ _mix64(log.tgt.astype(np.uint64) + np.uint64(0x5555_5555)))
-    k = _mix64(k ^ _mix64(log.veh.astype(np.uint64) + np.uint64(0xAAAA_AAAA)))
-    k = _mix64(k ^ log.start.view(np.uint64))
-    return _mix64(k ^ log.end.view(np.uint64))
+    """64-bit key per exposure from its ordered pair of rides, the same at every d_t."""
+    trips = log.trips
+    ride = _mix64(trips.board.view(np.uint64) ^ _mix64(trips.alight.view(np.uint64)))
+    ride = _mix64(trips.card.astype(np.uint64) ^ _mix64(trips.vehicle.astype(np.uint64) ^ ride))
+    # one gather and one mix at a time: the row-long temporaries are the peak
+    keys = _mix64(ride[log.tgt_ride])
+    keys ^= ride[log.src_ride]
+    return _mix64(keys)
 
 
-def _run_streams(master_seed: int, run_index: int) -> Tuple[np.random.Generator, np.uint64]:
-    """Per-run RNG for seed selection plus a 64-bit token for keyed trials."""
-    base = np.random.SeedSequence([master_seed, run_index])
-    ss_pick, ss_token = base.spawn(2)
-    rng = np.random.default_rng(ss_pick)
-    token = np.uint64(ss_token.generate_state(2, dtype=np.uint64)[0])
-    return rng, token
+def _run_token(master_seed: int, run: int) -> np.ndarray:
+    """A run's 64-bit token, as a one-element array: numpy warns when a uint64 scalar wraps."""
+    return _mix64(_mix64(np.array([master_seed], np.uint64)) ^ np.uint64(run))
 
 
 def _draw_bits(keys: np.ndarray, tokens) -> np.ndarray:
@@ -185,9 +185,8 @@ def _draw_bits(keys: np.ndarray, tokens) -> np.ndarray:
 
 
 def exposure_uniforms(log: ExposureLog, master_seed: int, run_index: int) -> np.ndarray:
-    """One uniform in [0, 1) per exposure, keyed by exposure identity and run."""
-    _, token = _run_streams(master_seed, run_index)
-    return _draw_bits(_exposure_keys(log), token).astype(np.float64) * (2.0 ** -53)
+    """One uniform in [0, 1) per exposure, keyed by its pair of rides and the run."""
+    return _draw_bits(_exposure_keys(log), _run_token(master_seed, run_index)).astype(np.float64) * (2.0 ** -53)
 
 
 class LaneTraces:
@@ -255,14 +254,13 @@ def run_lanes(
     per_batch = max(1, BATCH_BYTES // max(1, len(betas) * n * _LANE_BYTES_PER_CARD))
     for first in range(0, len(runs), per_batch):
         batch = runs[first:first + per_batch]
-        seeds, tokens = [], []
-        for run in batch:
-            rng, token = _run_streams(config.master_seed, run)
-            # the population is the table's id-sorted card vocabulary
-            seeds.append(np.sort(rng.choice(n, size=config.n_seeds, replace=False)))
-            tokens.append(token)
-            traces.seeds[run] = tuple(trips.cards[j] for j in seeds[-1].tolist())
-        for lane, code in enumerate(_Lanes(codes, keys, np.array(tokens), cuts).run(seeds)):
+        tokens = np.concatenate([_run_token(config.master_seed, run) for run in batch])
+        # a run's seeds are the card codes of least draw, over the table's id-sorted card vocabulary
+        draws = [_mix64(np.arange(n, dtype=np.uint64) ^ ~token) for token in tokens]
+        seeds = [np.sort(np.argpartition(d, config.n_seeds - 1)[:config.n_seeds]) for d in draws]
+        for run, pos in zip(batch, seeds):
+            traces.seeds[run] = tuple(trips.cards[j] for j in pos.tolist())
+        for lane, code in enumerate(_Lanes(codes, keys, tokens, cuts).run(seeds)):
             traces.events[(lane % len(betas), batch[lane // len(betas)])] = code
     del keys  # every draw is made: the decode below can reuse its 8 bytes a row
     row_of_key = np.empty(len(log), np.int32)

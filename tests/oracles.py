@@ -37,7 +37,7 @@ from transitepi.ingest import (
     SchemaError,
     TripTable,
 )
-from transitepi.sim import SimConfig, SimOutcome, _run_streams, exposure_uniforms
+from transitepi.sim import SimConfig, SimOutcome, _mix64, _run_token, exposure_uniforms
 from transitepi.synth import (
     ARCHETYPES,
     COMMUTER_LONG_P,
@@ -739,9 +739,10 @@ def sir_reference(
 ) -> ReferenceOutcome:
     """One traced S-I-R run, one card at a time: the scalar reference for `run_lanes`.
 
-    It draws the seeds and the keyed uniforms through the package's own
-    `_run_streams` and `exposure_uniforms`, so that its events can be
-    compared with a lane's one for one; the propagation is its own.
+    It draws through the package's own `_run_token`, `_mix64` and
+    `exposure_uniforms`, so that its events can be compared with a lane's
+    one for one: the seeds are the cards of least `_mix64(position ^
+    ~token)`, by a full sort.  The propagation is its own.
     """
     config.validate()
     if exposures is None:
@@ -774,9 +775,9 @@ def sir_reference(
         else:
             end_time = start_time
 
-    rng, _ = _run_streams(config.master_seed, run_index)
-    seed_idx = rng.choice(n, size=config.n_seeds, replace=False)
-    seeds = tuple(sorted(population[i] for i in seed_idx))
+    token = _run_token(config.master_seed, run_index)
+    draws = _mix64(np.arange(n, dtype=np.uint64) ^ ~token)
+    seeds = tuple(sorted(population[i] for i in np.argsort(draws)[:config.n_seeds].tolist()))
 
     uvals = exposure_uniforms(log=exposures, master_seed=config.master_seed, run_index=run_index)
     e_ok = uvals < config.beta

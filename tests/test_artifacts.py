@@ -27,11 +27,11 @@ SPEC = ["--input", "trips.csv", "--min-trips", "10"]
 RUNS = ["--seeds", "5", "--runs", "3"]
 
 DIGESTS = {
-    "analysis/chord.json": "41654c322b34daa098c9938b9edbe13fc8d6473d9bbe4587f0bfbac132c92529",
+    "analysis/chord.json": "4cedbcfc5d021ae4d4e4e82f4d1f0137999a6712619864cd13b18e8084c86a30",
     "analysis/components.json": "2262b1c2c850a7e5dd31d40ffaf4550325377eaa9e94e721b046fbf8e12a4d15",
     "analysis/degree_distribution.csv": "7873f6111f739ffb053c1956a9447a972ed7375dd3f1954005c1f5af15c8ede0",
-    "analysis/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
-    "analysis/group_summary.csv": "df1fecb4d92b40bd09003232eb15dda56760df5ffba8168f32dbcdb30c836e5e",
+    "analysis/flow_matrix.csv": "399eb2e2e41c9a869a5cfce0b63285e03c0dfff896a03af79ca5fc2b5f58d6e8",
+    "analysis/group_summary.csv": "3cac6bfeb52d8b3096f4d3103c0eb5e92f5dbb005fe42b2bb8f298e7ef832d4c",
     "assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
     "filtered.csv": "92dc40519c301bc8e5c53ff2bd2e6b1069f44e4f968ff8d240d7a24edb0323e5",
     "freq.csv": "21b9c0eb37ae60e1ebf81f1a807480f466a0d21b2b29009305d654f414a33573",
@@ -39,24 +39,24 @@ DIGESTS = {
     "population.csv": "4b551ad3a349f3d9fb235bf56eda45d30ed0695ef8c6319bfaa96560cc8c4c8a",
     "report.json": "08a017db0543c0a578e7d03fe8bedd86c5e00aedb475df408c79138efc5fe3ed",
     "sim/assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
-    "sim/chord.json": "41654c322b34daa098c9938b9edbe13fc8d6473d9bbe4587f0bfbac132c92529",
-    "sim/flow_matrix.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
-    "sim/group_summary.csv": "df1fecb4d92b40bd09003232eb15dda56760df5ffba8168f32dbcdb30c836e5e",
-    "sim/infections_run000.csv": "83c309b5b5a891a7ab0eda4289aec7811c2f473d9d04a94c5d26ab9a2e0bb81d",
-    "sim/infections_run001.csv": "329a05cfa2f7da40030eca15efaf8bc320d40a25a9ae9a81ae22cff3fada5d51",
-    "sim/infections_run002.csv": "d7b3a195449509ad73c15825a9210be45e0f75e6242ab8096ec00335045563f1",
-    "sim/summary.json": "088f7d771ba1bb83aa7c9ccd6619c8b663c350e4cbc636bbc097f4e33a2b65b3",
+    "sim/chord.json": "4cedbcfc5d021ae4d4e4e82f4d1f0137999a6712619864cd13b18e8084c86a30",
+    "sim/flow_matrix.csv": "399eb2e2e41c9a869a5cfce0b63285e03c0dfff896a03af79ca5fc2b5f58d6e8",
+    "sim/group_summary.csv": "3cac6bfeb52d8b3096f4d3103c0eb5e92f5dbb005fe42b2bb8f298e7ef832d4c",
+    "sim/infections_run000.csv": "66618792438e1996b29ecc3d876cf300bcd83af836363f10ab7a9a052fb298fa",
+    "sim/infections_run001.csv": "eaf0aac288c49ccd71c469fbc1e9b1fcf2913ef73e9e49a15add2bf8ddec73f0",
+    "sim/infections_run002.csv": "30a89447b415cd45b846a9842b74888cb8082236e6c94c6b99a7c0b643360c3f",
+    "sim/summary.json": "fa10a9d62f9707f8edd2997014a628fd58e33d6b0427b93fa0c103d76cbe2e79",
     "summary.json": "723a59d770d0e039fb5acc5fe6bc1a90806e4c42ba2430c6bef37c30d769032c",
     "sweep/assignments.csv": "40b8d796cae679adf3baa4b15ca6d5cc602f55de4564ea3f14b30b02239ed07d",
     "sweep/classification.json": "723a59d770d0e039fb5acc5fe6bc1a90806e4c42ba2430c6bef37c30d769032c",
-    "sweep/diff_beta0.5_vs_beta0.25_dt0m.csv": "1ebc14aaccc1df1d252aa2de0b885ffa0dc21aa60d74f714dbaa5abd455d38d3",
-    "sweep/diff_beta0.5_vs_beta0.25_dt15m.csv": "1e2e4287af2b35f4600901022bed38c71dafadb3a411af5012f5def57e9656d9",
-    "sweep/diff_dt15m_vs_dt0m_beta0.25.csv": "6d9febccf4cf2a4b165cb58472f7b38e6bf772e7aced5bc58f94439cf49d1f6f",
-    "sweep/diff_dt15m_vs_dt0m_beta0.5.csv": "a7e798a4d70c77e4651d838158f6148cca11808252bb51098cbe19c3a2fdb335",
-    "sweep/flow_beta0.25_dt0m.csv": "9ab63136b6cad52df6ae0b95b748fe17b431c20370377608a805969a14e730f7",
-    "sweep/flow_beta0.25_dt15m.csv": "b4c245217ebbb41735df01fe556aab58c9696936f2ca3e8904baef7b8ee0a441",
-    "sweep/flow_beta0.5_dt0m.csv": "4aefd58edf466f288bcf9b1b950b6277c5aadbd389cc812838f40d26a77367b7",
-    "sweep/flow_beta0.5_dt15m.csv": "bbccb14150b8246eb82b5ca697838e0d0397bc070bcff84d52ebd2258b446db6",
+    "sweep/diff_beta0.5_vs_beta0.25_dt0m.csv": "35bd21c41456f245776c893a32617e17f3e471fee680d00cf81dd922ddd754a5",
+    "sweep/diff_beta0.5_vs_beta0.25_dt15m.csv": "627020ea37d592ad4a70ff9363cd642e8b63e9d726a42f3c469fba66a052e6ba",
+    "sweep/diff_dt15m_vs_dt0m_beta0.25.csv": "86bd82285fcda8ccffa0794692b60dd7076745048e994ae632b72e2e92edc658",
+    "sweep/diff_dt15m_vs_dt0m_beta0.5.csv": "beef1cda99b21faa2eda5253aad39af45abd9f69ccb0377d386e8143cbdac7d9",
+    "sweep/flow_beta0.25_dt0m.csv": "9abf56ceb007e4fb32c91a80b9ddfccd5aa42e0d7f3eaac1941391dafbc9af26",
+    "sweep/flow_beta0.25_dt15m.csv": "b21c01e574ebf584a001cb522165cb88b193161ca511dd46b1fd675ac9193788",
+    "sweep/flow_beta0.5_dt0m.csv": "d116afcd05aa5d22b2497653f352c60b6110c1a3d0dbcefde2fbf1687145c3be",
+    "sweep/flow_beta0.5_dt15m.csv": "399eb2e2e41c9a869a5cfce0b63285e03c0dfff896a03af79ca5fc2b5f58d6e8",
     "sweep/manifest.json": "3dd3528a06d8895bc2adff3a022d739431bb25393935b8277b0d99440c20fb6e",
     "trips.csv": "92dc40519c301bc8e5c53ff2bd2e6b1069f44e4f968ff8d240d7a24edb0323e5",
 }
@@ -127,10 +127,10 @@ def sweep_grid_month(tmp_path_factory) -> Path:
 # centroids depend on the CPU's arcsin) are left out
 @pytest.mark.parametrize("dt_grid, patterns, digest", [
     ("0,60", ("flow_*.csv", "diff_*.csv", "assignments.csv"),
-     "69df3c8539b26aa1b327cf93a61a45318996c3c9c1790d28e2d5ac82316fb7a4"),
+     "884b4cd5f9b58be42c6749faa724aee1966e82ca6a0b71507103b8d9e08b8944"),
     # the 60-minute log narrowed to 15 min keeps indirect rows, and to 0 keeps none
     ("0,15,60", ("flow_*.csv", "diff_*.csv"),
-     "eccf015ed84cd3e15c5b3696a4e9beb4938929de63351776add0c991c6454ebc"),
+     "f57a2892d80c32466a0bfea900658956f92a6ec97abb6f561acfa36e55c60280"),
 ], ids=["dt-0-60", "dt-0-15-60"])
 def test_sweep_grid_sweep_keeps_its_digest(tmp_path, sweep_grid_month, dt_grid, patterns, digest):
     assert main(["sweep", "--input", str(sweep_grid_month), *BENCH, "--runs", "10", "--beta-grid", "0.1,0.25,1",
@@ -148,7 +148,7 @@ def test_simulate_analyze_point_keeps_its_digest(tmp_path, sweep_grid_month):
     assert _joined_digest(
         tmp_path, "sim/infections_run*.csv", "sim/summary.json", "sim/flow_matrix.csv", "sim/group_summary.csv",
         "analysis/*.csv", "analysis/*.json",
-    ) == "9c0febd8c1b3fcc950cae50275d6d8ee7c26cc0ce0026d12a501bdb6862642a2"
+    ) == "9bf84a189e8c915f592668ce6328a6e909b6c5b2b01252c085296ba06c0491d9"
 
 
 def test_ten_thousand_passenger_exposure_logs_keep_their_digest(tmp_path):

@@ -414,7 +414,7 @@ def test_wrongly_typed_value_is_usage_error(tmp_path, trips_csv, caplog, command
         ("dt", "nan"), ("dt", "inf"), ("dt", "-5"),
         ("seeds", "0"), ("runs", "0"),
         ("infectious-days", "nan"), ("infectious-days", "inf"), ("infectious-days", "0"),
-        ("master-seed", "-1"),
+        ("master-seed", "-1"), ("master-seed", str(2**64)),
     ],
 )
 def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
@@ -427,6 +427,14 @@ def test_invalid_simulation_parameter_is_usage_error_before_any_trip_is_read(
     }.get((command, param), f"--{param}")
     assert main([command, "--input", trips_csv, f"{flag}={value}", "--out-dir", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, module", [("simulate", sim), ("sweep", cli)])
+def test_running_out_of_memory_is_data_error(tmp_path, trips_csv, monkeypatch, caplog, command, module):
+    message = "Unable to allocate 59.4 GiB for an array with shape (7970000000,) and data type int64"
+    monkeypatch.setattr(module, "build_exposure_log", mock.Mock(side_effect=MemoryError(message)))
+    assert main([command, "--input", trips_csv, "--runs", "2", "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in caplog.text
 
 
 def _no_dataset_argv(command: str, out: Path) -> list:

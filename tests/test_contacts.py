@@ -19,7 +19,7 @@ from oracles import (
     exposures_quadratic,
     log_events,
 )
-from transitepi import contacts
+from transitepi import contacts, sim
 from transitepi.contacts import (
     DIRECT,
     INDIRECT,
@@ -247,9 +247,12 @@ class TestWithin:
             with pytest.raises(ValueError):
                 wide.within(d_t)
         chained = wide
+        keys = sim._exposure_keys(wide)
         for d_t in widths[1:]:
             chained = chained.within(d_t)
             want = build_exposure_log(trips, d_t)
+            # a row's trial key is the same at every d_t: the rows kept keep their wide log's keys
+            assert np.array_equal(sim._exposure_keys(want), keys[wide.start <= wide.src_exit + d_t])
             for got in (wide.within(d_t), chained):
                 assert (got.d_t, got.trips.cards, got.trips.vehicles) == (d_t, want.trips.cards, want.trips.vehicles)
                 assert direct_encounter_counts(got) == direct_encounter_counts(want)

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,6 +17,8 @@ from conftest import table, trip
 from oracles import RECOVERED, SUSCEPTIBLE, final_state, log_events, outcome_events, reachable_infections, sir_reference
 from transitepi import sim
 from transitepi.contacts import build_exposure_log
+from transitepi.ingest import write_trip_csv
+from transitepi.synth import SynthConfig, synthesize
 from transitepi.sim import (
     SimConfig,
     SimOutcome,
@@ -24,6 +30,7 @@ from transitepi.sim import (
 )
 
 DAY = 86_400.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 BETA_GRID = (0.05, 0.1, 0.15, 0.25, 0.5, 0.75, 1.0)
 
 
@@ -485,13 +492,41 @@ class TestDraws:
     def test_integer_cut_is_the_uniform_trial(self, keys, token, beta):
         keys, token = np.array(keys, np.uint64), np.uint64(token)
         with mock.patch.object(sim, "_exposure_keys", lambda log: keys), \
-                mock.patch.object(sim, "_run_streams", lambda master_seed, run: (None, token)):
+                mock.patch.object(sim, "_run_token", lambda master_seed, run: np.array([token])):
             uniforms = sim.exposure_uniforms(None, 0, 0)
         cut = int(np.ceil(beta * 2.0 ** 53))
         assert ((sim._draw_bits(keys, token) < np.uint64(cut)) == (uniforms < beta)).all()
         # the keyed bits seldom land next to the cut: check the draws there directly
         near = np.arange(max(0, cut - 2), min(2**53, cut + 2), dtype=np.uint64)
         assert ((near < np.uint64(cut)) == (near.astype(np.float64) * 2.0 ** -53 < beta)).all()
+
+
+    @given(seed=st.integers(0, 2**32 - 1), d_t=st.sampled_from([0.0, 600.0, 3600.0]), copies=st.integers(0, 6))
+    def test_only_identical_ride_pairs_share_a_key(self, seed, d_t, copies):
+        records = random_instance(seed, n_cards=6, n_trips=30)
+        records += records[:copies]  # rides identical in card, vehicle, board and alight
+        log = build_exposure_log(table(records), d_t)
+        trips = log.trips
+        ride = list(zip(trips.card.tolist(), trips.vehicle.tolist(), trips.board.tolist(), trips.alight.tolist()))
+        pair_of_key = {}
+        for key, src, tgt in zip(sim._exposure_keys(log).tolist(), log.src_ride.tolist(), log.tgt_ride.tolist()):
+            assert pair_of_key.setdefault(key, (ride[src], ride[tgt])) == (ride[src], ride[tgt])
+
+    def test_simulate_draws_without_numpy_random_or_a_wrapping_scalar(self, tmp_path):
+        if subprocess.run([sys.executable, "-c", "import sys, numpy; sys.exit('numpy.random' in sys.modules)"]).returncode:
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        _, trips = synthesize(SynthConfig(n_passengers=60, n_routes=4, stops_per_route=8, days=7, rng_seed=2))
+        write_trip_csv(trips, tmp_path / "trips.csv")
+        script = ("import sys\nfrom transitepi.cli import main\n"
+                  "assert main(sys.argv[1:]) == 0\nsys.exit('numpy.random' in sys.modules)")
+        command = ["simulate", "--input", str(tmp_path / "trips.csv"), "--min-trips", "1", "--seeds", "3",
+                   "--runs", "4", "--beta", "0.5", "--dt-minutes", "10", "--master-seed", str(2**64 - 1),
+                   "--out-dir", str(tmp_path / "out")]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script, *command],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(list((tmp_path / "out").glob("infections_run*.csv"))) == 4
 
 
 # ids that the CSV writer must quote, or that a reader could strip
