@@ -435,6 +435,7 @@ def test_running_out_of_memory_is_data_error(tmp_path, trips_csv, monkeypatch, c
     monkeypatch.setattr(module, "build_exposure_log", mock.Mock(side_effect=MemoryError(message)))
     assert main([command, "--input", trips_csv, "--runs", "2", "--out-dir", str(tmp_path / "out")]) == 2
     assert message in caplog.text
+    assert not list((tmp_path / "out").iterdir())  # nothing staged is kept
 
 
 def _no_dataset_argv(command: str, out: Path) -> list:

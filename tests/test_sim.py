@@ -18,7 +18,6 @@ from oracles import RECOVERED, SUSCEPTIBLE, final_state, log_events, outcome_eve
 from transitepi import sim
 from transitepi.contacts import build_exposure_log
 from transitepi.ingest import write_trip_csv
-from transitepi.synth import SynthConfig, synthesize
 from transitepi.sim import (
     SimConfig,
     SimOutcome,
@@ -28,6 +27,7 @@ from transitepi.sim import (
     run_sir,
     write_infection_csv,
 )
+from transitepi.synth import SynthConfig, synthesize
 
 DAY = 86_400.0
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -499,7 +499,6 @@ class TestDraws:
         # the keyed bits seldom land next to the cut: check the draws there directly
         near = np.arange(max(0, cut - 2), min(2**53, cut + 2), dtype=np.uint64)
         assert ((near < np.uint64(cut)) == (near.astype(np.float64) * 2.0 ** -53 < beta)).all()
-
 
     @given(seed=st.integers(0, 2**32 - 1), d_t=st.sampled_from([0.0, 600.0, 3600.0]), copies=st.integers(0, 6))
     def test_only_identical_ride_pairs_share_a_key(self, seed, d_t, copies):
